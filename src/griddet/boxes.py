@@ -143,10 +143,6 @@ def boxes_to_array(boxes: list[Box]) -> np.ndarray:
     return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes], dtype=np.float64)
 
 
-def array_to_boxes(arr: np.ndarray) -> list[Box]:
-    return [Box(float(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in arr]
-
-
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (N, 4) and (M, 4) center/size arrays."""
     a = np.asarray(a, dtype=np.float64).reshape(-1, 4)

@@ -8,15 +8,8 @@ import yaml
 
 from .grid import GridSpec
 from .model import MODES, TrainConfig
+from .records import from_plain, to_plain
 from .synth import SynthConfig
-
-
-def _gridspec_to_dict(g: GridSpec) -> dict:
-    return {"scales": list(g.scales), "overlaps": list(g.overlaps)}
-
-
-def _gridspec_from_dict(d: dict) -> GridSpec:
-    return GridSpec(tuple(d["scales"]), tuple(d["overlaps"]))
 
 
 @dataclass
@@ -42,48 +35,13 @@ class ExperimentConfig:
         if self.s_test < 0:
             raise ValueError("s_test must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "synth": self.synth.to_dict(),
-            "grid_train": _gridspec_to_dict(self.grid_train),
-            "grid_test": _gridspec_to_dict(self.grid_test),
-            "train": self.train.to_dict(),
-            "s_test": self.s_test,
-            "mode": self.mode,
-            "score_threshold": self.score_threshold,
-            "nms_iou": self.nms_iou,
-            "iou_match": self.iou_match,
-            "output_dir": self.output_dir,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "synth" in d:
-            d["synth"] = SynthConfig.from_dict(d["synth"])
-        if "grid_train" in d:
-            d["grid_train"] = _gridspec_from_dict(d["grid_train"])
-        if "grid_test" in d:
-            d["grid_test"] = _gridspec_from_dict(d["grid_test"])
-        if "train" in d:
-            d["train"] = TrainConfig.from_dict(d["train"])
-        return cls(**d)
-
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as f:
         doc = yaml.safe_load(f)
-    if not isinstance(doc, dict):
-        raise ValueError(f"config file {path} must hold a mapping")
-    return ExperimentConfig.from_dict(doc)
+    return from_plain(ExperimentConfig, doc, f"config file {path}")
 
 
 def save_config(config: ExperimentConfig, path):
     with open(path, "w") as f:
-        yaml.safe_dump(config.to_dict(), f, sort_keys=True)
+        yaml.safe_dump(to_plain(config), f, sort_keys=True)

@@ -148,7 +148,7 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
         t0 = time.perf_counter()
         feats = build_roi_features(fm, boxes, cfg)
         probs = classifier_fn(feats, boxes, grid_indices)
-        _check_dims(probs, feats, regressor_fn, boxes, grid_indices)
+        _check_dims(probs, boxes)
         labels = np.argmax(probs, axis=1)
         deltas = regressor_fn(feats, boxes, grid_indices)
         new_boxes = []
@@ -174,7 +174,7 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
     return out
 
 
-def _check_dims(probs, feats, regressor_fn, boxes, grid_indices):
+def _check_dims(probs, boxes):
     if probs.shape[0] != len(boxes):
         raise ModelMismatchError("classifier output rows != number of boxes")
 

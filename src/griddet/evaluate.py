@@ -183,8 +183,7 @@ def evaluate_detections(detections: list[DetRecord],
 
 def fp_breakdown(detections: list[DetRecord],
                  gts: dict[int, list[GroundTruth]],
-                 similarity_groups, iou_match: float = 0.5,
-                 rank_grid: list[int] | None = None) -> FPBreakdown:
+                 similarity_groups, iou_match: float = 0.5) -> FPBreakdown:
     """Categorize every false positive.
 
     Loc: overlap >= 0.1 with a same-class ground truth (poor localization or
@@ -232,13 +231,10 @@ def fp_breakdown(detections: list[DetRecord],
 
     fps.sort(key=lambda t: -t[0])
     cats = [cat for _, cat in fps]
-    ranks = rank_grid or list(range(1, len(fps) + 1))
-    counts = {cat: [] for cat in FP_CATEGORIES}
-    for r in ranks:
-        head = cats[:r]
-        for cat in FP_CATEGORIES:
-            counts[cat].append(sum(1 for c_ in head if c_ == cat))
-    return FPBreakdown(list(ranks), counts, cats)
+    counts = {cat: np.cumsum([c_ == cat for c_ in cats],
+                             dtype=np.int64).tolist()
+              for cat in FP_CATEGORIES}
+    return FPBreakdown(list(range(1, len(cats) + 1)), counts, cats)
 
 
 def write_detection_dump(path, detections: list[DetRecord]):

@@ -38,25 +38,6 @@ class ExtractorConfig:
             d += 4
         return d
 
-    def to_dict(self) -> dict:
-        return {
-            "include_gradients": self.include_gradients,
-            "extra_filters": [np.asarray(k).tolist() for k in self.extra_filters],
-            "pool_h": self.pool_h,
-            "pool_w": self.pool_w,
-            "include_box_coords": self.include_box_coords,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExtractorConfig":
-        return cls(
-            include_gradients=d.get("include_gradients", True),
-            extra_filters=tuple(tuple(map(tuple, k)) for k in d.get("extra_filters", [])),
-            pool_h=d.get("pool_h", 6),
-            pool_w=d.get("pool_w", 6),
-            include_box_coords=d.get("include_box_coords", True),
-        )
-
 
 @dataclass
 class FeatureMap:

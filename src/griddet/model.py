@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .assign import TrainTuple, assign_grid, build_train_tuples
+from .assign import assign_grid, build_train_tuples
 from .boxes import delta
 from .features import ExtractorConfig, FeatureExtractor, build_roi_features
 from .grid import GridSpec, generate_grid
+from .records import from_plain, to_plain
 
 MODES = ("gcnn", "1step", "ifrcnn")
 
@@ -25,11 +25,6 @@ CHECKPOINT_MAGIC = b"GRIDDET-CKPT 1\n"
 
 class DimensionMismatchError(ValueError):
     pass
-
-
-class AllBackgroundBatchError(ValueError):
-    """Raised only when a regression batch is requested strictly; the loss
-    functions instead return zero loss with a flag."""
 
 
 @dataclass
@@ -55,28 +50,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "s_train": self.s_train,
-            "n_iter_per_stage": self.n_iter_per_stage,
-            "images_per_batch": self.images_per_batch,
-            "samples_per_image_per_step": self.samples_per_image_per_step,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "seed": self.seed,
-            "fg_bg_ratio": self.fg_bg_ratio,
-            "hidden_sizes": list(self.hidden_sizes),
-            "bg_threshold": self.bg_threshold,
-            "max_bg_per_scene": self.max_bg_per_scene,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "hidden_sizes" in d:
-            d["hidden_sizes"] = tuple(d["hidden_sizes"])
-        return cls(**d)
 
 
 class MLP:
@@ -148,16 +121,12 @@ class MLP:
 
 def make_regressor(input_dim: int, hidden_sizes, num_classes: int,
                    rng: np.random.Generator) -> MLP:
-    m = MLP([input_dim, *hidden_sizes, 4 * num_classes], rng)
-    m.num_classes = num_classes
-    return m
+    return MLP([input_dim, *hidden_sizes, 4 * num_classes], rng)
 
 
 def make_classifier(input_dim: int, hidden_sizes, num_classes: int,
                     rng: np.random.Generator) -> MLP:
-    m = MLP([input_dim, *hidden_sizes, num_classes + 1], rng)
-    m.num_classes = num_classes
-    return m
+    return MLP([input_dim, *hidden_sizes, num_classes + 1], rng)
 
 
 def smooth_l1(x):
@@ -202,16 +171,6 @@ def regression_loss_arrays(model: MLP, feats: np.ndarray, labels: np.ndarray,
     return loss, grads, False
 
 
-def regression_loss(model: MLP, batch: list[TrainTuple], features: np.ndarray):
-    """Tuple-level wrapper: background tuples contribute nothing."""
-    fg = [i for i, t in enumerate(batch) if not t.is_background]
-    feats = np.asarray(features, dtype=np.float64)[fg]
-    labels = np.array([batch[i].class_label for i in fg], dtype=np.int64)
-    targets = np.array([batch[i].delta_target.as_array() for i in fg]) \
-        if fg else np.zeros((0, 4))
-    return regression_loss_arrays(model, feats, labels, targets)
-
-
 def classifier_loss(model: MLP, feats: np.ndarray, labels: np.ndarray):
     """Softmax cross-entropy over num_classes + 1 (0 = background)."""
     feats = np.asarray(feats, dtype=np.float64)
@@ -239,12 +198,6 @@ def softmax_probs(model: MLP, feats: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     return expz / expz.sum(axis=1, keepdims=True)
-
-
-def predict(model: MLP, feature: np.ndarray) -> np.ndarray:
-    """Per-class delta predictions (num_classes, 4) for a single feature."""
-    out, _ = model.forward(np.asarray(feature, dtype=np.float64)[None, :])
-    return out[0].reshape(-1, 4)
 
 
 class SGDOptimizer:
@@ -339,18 +292,12 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
         fg_steps = np.array([t.step for t in fg], dtype=np.int64)
         fg_targets = np.array([t.delta_target.as_array() for t in fg]) \
             if fg else np.zeros((0, 4))
-        # Direct (non-scheduled) targets for the step-1 box states.
+        # Direct (non-scheduled) targets for the step-1 box states, which
+        # come in assignment order.
         direct = np.zeros_like(fg_targets)
-        fg_i = 0
-        for a in assignments:
-            if a.target_gt is None:
-                continue
-            for s in range(1, config.s_train + 1):
-                if s == 1:
-                    direct[fg_i] = delta(boxes[a.grid_index],
-                                         a.target_gt.box).as_array()
-                fg_i += 1
-        assert fg_i == len(fg)
+        direct[fg_steps == 1] = np.reshape(
+            [delta(boxes[a.grid_index], a.target_gt.box).as_array()
+             for a in assignments if a.target_gt is not None], (-1, 4))
         out.append(SceneTensors(fg_feats, fg_labels, fg_steps, fg_targets,
                                 direct, bg_feats))
     return out, ext_cfg.feature_dim
@@ -466,10 +413,10 @@ def save_checkpoint(path, regressor: MLP, classifier: MLP, *,
     """Write a versioned binary checkpoint: JSON header + raw float64 blobs."""
     arrays = regressor.params() + classifier.params()
     header = {
-        "config": config.to_dict(),
+        "config": to_plain(config),
         "mode": mode,
         "num_classes": num_classes,
-        "extractor": extractor_config.to_dict(),
+        "extractor": to_plain(extractor_config),
         "stage": stage,
         "regressor_sizes": regressor.layer_sizes,
         "classifier_sizes": classifier.layer_sizes,
@@ -496,19 +443,18 @@ def load_checkpoint(path):
             if len(buf) != n * 8:
                 raise ValueError("truncated checkpoint")
             arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-    num_classes = header["num_classes"]
     regressor = MLP(header["regressor_sizes"])
     classifier = MLP(header["classifier_sizes"])
     n_reg = len(regressor.weights) * 2
     regressor.set_params(arrays[:n_reg])
     classifier.set_params(arrays[n_reg:])
-    regressor.num_classes = num_classes
-    classifier.num_classes = num_classes
     meta = {
-        "config": TrainConfig.from_dict(header["config"]),
+        "config": from_plain(TrainConfig, header["config"],
+                             f"checkpoint {path}.config"),
         "mode": header["mode"],
-        "num_classes": num_classes,
-        "extractor": ExtractorConfig.from_dict(header["extractor"]),
+        "num_classes": header["num_classes"],
+        "extractor": from_plain(ExtractorConfig, header["extractor"],
+                                f"checkpoint {path}.extractor"),
         "stage": header["stage"],
     }
     return regressor, classifier, meta

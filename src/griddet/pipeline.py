@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from .config import ExperimentConfig
-from .detect import detect_multi, model_fns
+from .detect import DetectionResult, detect_multi, model_fns
 from .evaluate import (DetRecord, evaluate_detections, format_report,
                        fp_breakdown, read_detection_dump, write_detection_dump)
 from .features import ExtractorConfig, FeatureExtractor
@@ -63,6 +63,28 @@ def cmd_train(config: ExperimentConfig, manifest_path: str,
     return regressor, classifier, log
 
 
+def detect_scenes(config: ExperimentConfig, scenes, regressor, classifier,
+                  extractor_config: ExtractorConfig, eval_steps: list[int],
+                  ) -> dict[int, list[tuple[int, DetectionResult]]]:
+    """Run detect_multi on every scene. Per eval step, returns the
+    (scene_id, result) pairs of all scenes in scene order."""
+    reg_fn, cls_fn = model_fns(regressor, classifier)
+    extractor = FeatureExtractor(extractor_config)
+    per_step: dict[int, list] = {k: [] for k in eval_steps}
+    for scene in scenes:
+        results = detect_multi(
+            scene.image, config.grid_test, reg_fn, cls_fn,
+            eval_steps=eval_steps, score_threshold=config.score_threshold,
+            nms_iou=config.nms_iou, extractor=extractor)
+        for k in eval_steps:
+            per_step[k].extend((scene.scene_id, r) for r in results[k])
+    return per_step
+
+
+def _record(image_id: int, r: DetectionResult) -> DetRecord:
+    return DetRecord(image_id, r.class_label, r.score, r.final_box)
+
+
 def cmd_detect(config: ExperimentConfig, checkpoint_path: str,
                manifest_path: str, out_dir: str,
                s_test: int | None = None) -> tuple[str, str]:
@@ -71,34 +93,23 @@ def cmd_detect(config: ExperimentConfig, checkpoint_path: str,
     s_test = config.s_test if s_test is None else s_test
     regressor, classifier, meta = load_checkpoint(checkpoint_path)
     _, scenes = load_manifest(manifest_path)
-    reg_fn, cls_fn = model_fns(regressor, classifier)
-    extractor = FeatureExtractor(meta["extractor"])
     os.makedirs(out_dir, exist_ok=True)
     det_path = os.path.join(out_dir, "detections.jsonl")
     traj_path = os.path.join(out_dir, "trajectories.jsonl")
-    records: list[DetRecord] = []
-    traj_lines: list[str] = []
-    for scene in scenes:
-        results = detect_multi(
-            scene.image, config.grid_test, reg_fn, cls_fn,
-            eval_steps=[s_test], score_threshold=config.score_threshold,
-            nms_iou=config.nms_iou, extractor=extractor)[s_test]
-        for r in results:
-            records.append(DetRecord(scene.scene_id, r.class_label, r.score,
-                                     r.final_box))
+    detections = detect_scenes(config, scenes, regressor, classifier,
+                               meta["extractor"], [s_test])[s_test]
+    write_detection_dump(det_path, [_record(i, r) for i, r in detections])
+    with open(traj_path, "w") as f:
+        for image_id, r in detections:
             for step, b in enumerate(r.trajectory):
-                traj_lines.append(json.dumps({
-                    "image_id": scene.scene_id,
+                f.write(json.dumps({
+                    "image_id": image_id,
                     "grid_index": r.grid_index,
                     "step": step,
                     "box": [b.cx, b.cy, b.w, b.h],
                     "class": r.class_label,
                     "score": r.score,
-                }))
-    write_detection_dump(det_path, records)
-    with open(traj_path, "w") as f:
-        for line in traj_lines:
-            f.write(line + "\n")
+                }) + "\n")
     return det_path, traj_path
 
 
@@ -145,22 +156,12 @@ def run_ablation(config: ExperimentConfig, seeds: list[int],
         for method in methods:
             regressor, classifier, log = train_models(
                 tensors, train_cfg, method, num_classes, input_dim)
-            reg_fn, cls_fn = model_fns(regressor, classifier)
-            per_step: dict[int, list[DetRecord]] = {k: [] for k in eval_steps}
-            extractor = FeatureExtractor(ext_cfg)
-            for scene in test_scenes:
-                results = detect_multi(
-                    scene.image, config.grid_test, reg_fn, cls_fn,
-                    eval_steps=eval_steps,
-                    score_threshold=config.score_threshold,
-                    nms_iou=config.nms_iou, extractor=extractor)
-                for k in eval_steps:
-                    per_step[k].extend(
-                        DetRecord(scene.scene_id, r.class_label, r.score,
-                                  r.final_box) for r in results[k])
+            per_step = detect_scenes(config, test_scenes, regressor,
+                                     classifier, ext_cfg, eval_steps)
             for k in eval_steps:
                 _, map_value = evaluate_detections(
-                    per_step[k], gts, num_classes, config.iou_match)
+                    [_record(i, r) for i, r in per_step[k]], gts,
+                    num_classes, config.iou_match)
                 rows.append({
                     "method": method,
                     "s_test": k,

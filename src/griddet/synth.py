@@ -15,6 +15,7 @@ import numpy as np
 
 from .assign import GroundTruth
 from .boxes import Box, iou
+from .records import from_plain, to_plain
 
 MANIFEST_VERSION = 1
 
@@ -58,31 +59,6 @@ class SynthConfig:
             if class_label in group:
                 return gi
         raise ValueError(f"unknown class {class_label}")
-
-    def to_dict(self) -> dict:
-        return {
-            "image_size": list(self.image_size),
-            "num_classes": self.num_classes,
-            "objects_per_scene": list(self.objects_per_scene),
-            "size_range": list(self.size_range),
-            "noise_sigma": self.noise_sigma,
-            "class_similarity_groups": [list(g) for g in
-                                        self.class_similarity_groups],
-            "seed": self.seed,
-            "max_gt_overlap": self.max_gt_overlap,
-            "max_place_tries": self.max_place_tries,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        d = dict(d)
-        for key in ("image_size", "objects_per_scene", "size_range"):
-            if key in d:
-                d[key] = tuple(d[key])
-        if "class_similarity_groups" in d:
-            d["class_similarity_groups"] = tuple(
-                tuple(g) for g in d["class_similarity_groups"])
-        return cls(**d)
 
 
 @dataclass
@@ -181,7 +157,7 @@ def save_manifest(path, config: SynthConfig, scenes: list[Scene],
     the manifest as flat little-endian float64 (n_scenes, H, W)."""
     doc = {
         "format_version": MANIFEST_VERSION,
-        "config": config.to_dict(),
+        "config": to_plain(config),
         "images_file": images_file,
         "scenes": [
             {
@@ -216,7 +192,8 @@ def load_manifest(path) -> tuple[SynthConfig, list[Scene]]:
         doc = json.load(f)
     if doc.get("format_version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version in {path}")
-    config = SynthConfig.from_dict(doc["config"])
+    config = from_plain(SynthConfig, doc.get("config"),
+                        f"manifest {path}.config")
     w, h = config.image_size
     images = None
     if doc.get("images_file"):

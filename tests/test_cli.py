@@ -47,6 +47,44 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
+# (YAML text, section, key): each must fail as a ValueError naming both.
+MALFORMED_CONFIGS = {
+    "train_typo": ("train:\n  n_iter_per_stag: 5\n", "train",
+                   "n_iter_per_stag"),
+    "synth_unknown_key": ("synth:\n  bogus: 1\n", "synth", "bogus"),
+    "grid_test_no_overlaps": ("grid_test:\n  scales: [2, 4]\n", "grid_test",
+                              "overlaps"),
+    "train_not_mapping": ("train: 5\n", "train", "train"),
+}
+
+
+@pytest.mark.parametrize("text, section, key", MALFORMED_CONFIGS.values(),
+                         ids=MALFORMED_CONFIGS.keys())
+def test_config_errors_name_section_and_key(tmp_path, text, section, key):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_config(path)
+    message = str(info.value)
+    assert f"config file {path}.{section}" in message
+    assert key in message
+
+
+@pytest.mark.parametrize("text, section, key", MALFORMED_CONFIGS.values(),
+                         ids=MALFORMED_CONFIGS.keys())
+def test_cli_generate_reports_malformed_config(tmp_path, capsys, text,
+                                               section, key):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    rc = main(["generate", "--config", str(path), "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f".{section}" in lines[0] and key in lines[0]
+    assert not (tmp_path / "d").exists()
+
+
 def test_generate_idempotent_byte_equal(tmp_path):
     cfg = tiny_config()
     a, b = cmd_generate(cfg, 3, 2, str(tmp_path / "run1"))

@@ -190,6 +190,13 @@ def test_fp_categories_partition_all_false_positives():
     assert bd.at_rank(len(dets)) == totals
     for cat in FP_CATEGORIES:
         assert all(a <= b_ for a, b_ in zip(bd.counts[cat], bd.counts[cat][1:]))
+    # Reference: count each category afresh in every score-ordered prefix.
+    assert bd.ranks == list(range(1, len(bd.categories) + 1))
+    for r in bd.ranks:
+        head = bd.categories[:r]
+        for cat in FP_CATEGORIES:
+            n = bd.counts[cat][r - 1]
+            assert type(n) is int and n == head.count(cat)
 
 
 def test_fp_breakdown_rejects_bad_groups():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from griddet.assign import TrainTuple
-from griddet.boxes import Box, DeltaParams
 from griddet.features import ExtractorConfig
 from griddet.grid import GridSpec
 from griddet.model import (MLP, SGDOptimizer, TrainConfig, classifier_loss,
                            load_checkpoint, make_classifier, make_regressor,
-                           precompute_scene_tensors, predict, regression_loss,
-                           regression_loss_arrays, save_checkpoint, smooth_l1,
-                           train_models, train_stepwise)
+                           precompute_scene_tensors, regression_loss_arrays,
+                           save_checkpoint, smooth_l1, train_models,
+                           train_stepwise)
 from griddet.synth import SynthConfig, generate_dataset
 
 
@@ -72,8 +70,8 @@ def test_regression_loss_zero_at_targets():
 def test_regression_loss_all_background():
     rng = np.random.default_rng(0)
     model = make_regressor(6, (4,), 2, rng)
-    batch = [TrainTuple(Box(1, 1, 2, 2), 1, 0, None, True)]
-    loss, grads, all_bg = regression_loss(model, batch, np.zeros((1, 6)))
+    loss, grads, all_bg = regression_loss_arrays(
+        model, np.zeros((0, 6)), np.zeros(0, dtype=np.int64), np.zeros((0, 4)))
     assert loss == 0.0 and all_bg
     assert all(np.all(g == 0) for g in grads[0])
 
@@ -147,27 +145,27 @@ def test_per_class_head_isolation():
     assert np.any(head[:, 1] != 0)
 
 
-def test_predict_shapes_and_linearity():
+def test_forward_shapes_and_linearity():
     rng = np.random.default_rng(8)
     model = make_regressor(5, (4,), 3, rng)
-    feat = rng.uniform(size=5)
-    out = predict(model, feat)
-    assert out.shape == (3, 4)
+    feats = rng.uniform(size=(1, 5))
+    out, _ = model.forward(feats)
+    assert out.shape == (1, 3 * 4)
     for w in model.weights:
         w[:] = 0.0
     for b in model.biases:
         b[:] = 0.0
-    assert np.all(predict(model, feat) == 0.0)
+    assert np.all(model.forward(feats)[0] == 0.0)
 
 
 def test_final_layer_linearity():
     rng = np.random.default_rng(9)
     model = make_regressor(5, (4,), 2, rng)
-    feat = rng.uniform(size=5)
-    base = predict(model, feat)
+    feats = rng.uniform(size=(1, 5))
+    base, _ = model.forward(feats)
     model.weights[-1] *= 2.0
     model.biases[-1] *= 2.0
-    assert np.allclose(predict(model, feat), 2.0 * base)
+    assert np.allclose(model.forward(feats)[0], 2.0 * base)
 
 
 def test_dimension_mismatch():
@@ -274,19 +272,26 @@ def test_train_stepwise_entry_point(small_training_setup):
 def test_checkpoint_round_trip(tmp_path, small_training_setup):
     _, config, _, tensors, dim = small_training_setup
     reg, cls, _ = train_models(tensors, config, "gcnn", 4, dim)
-    path = tmp_path / "model.ckpt"
-    kwargs = dict(config=config, mode="gcnn", num_classes=4,
-                  extractor_config=ExtractorConfig(), stage=3)
-    save_checkpoint(path, reg, cls, **kwargs)
-    reg2, cls2, meta = load_checkpoint(path)
-    for a, b in zip(reg.params() + cls.params(), reg2.params() + cls2.params()):
-        assert np.array_equal(a, b)
-    assert meta["mode"] == "gcnn" and meta["num_classes"] == 4
-    assert meta["config"] == config
-    # Byte-identical on rewrite.
-    path2 = tmp_path / "model2.ckpt"
-    save_checkpoint(path2, reg, cls, **kwargs)
-    assert path.read_bytes() == path2.read_bytes()
+    custom = ExtractorConfig(
+        extra_filters=(((0.0, 1.0), (-1.0, 0.5)), ((1.0, 2.0, 1.0),)),
+        pool_h=3, pool_w=5, include_box_coords=False)
+    for i, extractor_config in enumerate([ExtractorConfig(), custom]):
+        path = tmp_path / f"model{i}.ckpt"
+        kwargs = dict(config=config, mode="gcnn", num_classes=4,
+                      extractor_config=extractor_config, stage=3)
+        save_checkpoint(path, reg, cls, **kwargs)
+        reg2, cls2, meta = load_checkpoint(path)
+        for a, b in zip(reg.params() + cls.params(),
+                        reg2.params() + cls2.params()):
+            assert np.array_equal(a, b)
+        assert meta["mode"] == "gcnn" and meta["num_classes"] == 4
+        assert meta["config"] == config
+        assert meta["extractor"] == extractor_config
+        assert meta["extractor"].feature_dim == extractor_config.feature_dim
+        # Byte-identical on rewrite.
+        path2 = tmp_path / f"model{i}_again.ckpt"
+        save_checkpoint(path2, reg, cls, **kwargs)
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_invalid_config_rejected():

@@ -142,3 +142,11 @@ def test_manifest_rejects_unknown_version(tmp_path):
     path.write_text('{"format_version": 99, "config": {}, "scenes": []}\n')
     with pytest.raises(ValueError):
         load_manifest(path)
+
+
+def test_manifest_rejects_unknown_config_key(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"format_version": 1, "config": {"seeed": 3}, '
+                    '"scenes": []}\n')
+    with pytest.raises(ValueError, match=r"manifest .*\.config: .*seeed"):
+        load_manifest(path)
