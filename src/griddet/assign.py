@@ -14,7 +14,7 @@ class StepOutOfRangeError(ValueError):
     """Step index outside [1, s_train]."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     """A labeled ground-truth box. Class ids start at 1; 0 is background."""
 
@@ -26,7 +26,7 @@ class GroundTruth:
             raise ValueError(f"class_label must be >= 1, got {self.class_label}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """Grid box -> ground truth mapping, frozen at the initial grid position."""
 
@@ -39,7 +39,7 @@ class Assignment:
         return self.target_gt is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainTuple:
     """One regression/classification sample: a box state at a given step.
 

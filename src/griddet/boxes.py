@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned box in center/size coordinates (pixels)."""
 
@@ -42,7 +42,7 @@ class Box:
         return self.w * self.h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeltaParams:
     """Parametrized change between two boxes.
 

@@ -23,7 +23,7 @@ class ModelMismatchError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectionResult:
     final_box: Box
     class_label: int

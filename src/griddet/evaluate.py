@@ -23,7 +23,7 @@ class InvalidSimilarityGroupsError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetRecord:
     """One scored detection, as exchanged through detection dumps."""
 
@@ -256,13 +256,17 @@ def read_detection_dump(path) -> list[DetRecord]:
         header = json.loads(f.readline())
         if header.get("format_version") != 1:
             raise ValueError(f"unsupported detection dump version in {path}")
-        for line in f:
+        for n, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
-            out.append(DetRecord(rec["image_id"], rec["class"], rec["score"],
-                                 Box(*rec["box"])))
+            try:
+                out.append(DetRecord(rec["image_id"], rec["class"],
+                                     rec["score"], Box(*rec["box"])))
+            except KeyError as exc:
+                raise ValueError(f"detection dump {path} line {n}: missing "
+                                 f"key {exc}") from None
     return out
 
 

@@ -288,6 +288,8 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
             bg = [bg[i] for i in sorted(keep)]
         fg_feats = build_roi_features(fm, [t.box_state for t in fg], ext_cfg)
         bg_feats = build_roi_features(fm, [t.box_state for t in bg], ext_cfg)
+        # Free this scene's map and range-max table before the next is built.
+        del fm
         fg_labels = np.array([t.class_label for t in fg], dtype=np.int64)
         fg_steps = np.array([t.step for t in fg], dtype=np.int64)
         fg_targets = np.array([t.delta_target.as_array() for t in fg]) \
@@ -431,6 +433,13 @@ def save_checkpoint(path, regressor: MLP, classifier: MLP, *,
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (regressor, classifier, meta dict)."""
+    try:
+        return _read_checkpoint(path)
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path}: header lacks key {exc}") from None
+
+
+def _read_checkpoint(path):
     with open(path, "rb") as f:
         magic = f.readline()
         if magic != CHECKPOINT_MAGIC:

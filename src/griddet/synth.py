@@ -187,6 +187,13 @@ def save_manifest(path, config: SynthConfig, scenes: list[Scene],
 def load_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     """Load a dataset: read images from the binary dump if present, otherwise
     regenerate them procedurally. Ground truth always comes from the manifest."""
+    try:
+        return _read_manifest(path)
+    except KeyError as exc:
+        raise ValueError(f"manifest {path}: missing key {exc}") from None
+
+
+def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     import os
     with open(path) as f:
         doc = json.load(f)

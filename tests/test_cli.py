@@ -6,13 +6,14 @@ import pytest
 
 from griddet.cli import main
 from griddet.config import (ExperimentConfig, load_config, save_config)
-from griddet.evaluate import DetRecord, evaluate_detections, read_detection_dump
+from griddet.evaluate import (DetRecord, evaluate_detections,
+                              read_detection_dump, write_detection_dump)
 from griddet.grid import GridSpec, generate_grid
-from griddet.model import TrainConfig
+from griddet.model import CHECKPOINT_MAGIC, TrainConfig
 from griddet.pipeline import (ablation_means, cmd_ablation, cmd_detect,
                               cmd_eval, cmd_generate, cmd_train,
                               format_ablation_table, run_ablation)
-from griddet.synth import SynthConfig, load_manifest
+from griddet.synth import MANIFEST_VERSION, SynthConfig, load_manifest
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -83,6 +84,41 @@ def test_cli_generate_reports_malformed_config(tmp_path, capsys, text,
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert f".{section}" in lines[0] and key in lines[0]
     assert not (tmp_path / "d").exists()
+
+
+# (file name, contents, CLI arguments with {f} for the file and {d} for its
+# directory, word the error must contain): one malformed file per reader.
+MALFORMED_FILES = {
+    "config_yaml_syntax": (
+        "c.yaml", "train: [\n",
+        ["generate", "--config", "{f}", "--out", "{d}/out"], "YAML"),
+    "checkpoint_without_arrays": (
+        "m.ckpt", CHECKPOINT_MAGIC.decode() + "{}\n",
+        ["detect", "--checkpoint", "{f}", "--dataset", "{d}/none.json",
+         "--out", "{d}/out"], "arrays"),
+    "manifest_without_scenes": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {}}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scenes"),
+    "dump_record_without_class": (
+        "d.jsonl", '{"format_version": 1}\n'
+                   '{"image_id": 0, "score": 0.5, "box": [4, 4, 2, 2]}\n',
+        ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
+        "class"),
+}
+
+
+@pytest.mark.parametrize("name, text, argv, word", MALFORMED_FILES.values(),
+                         ids=MALFORMED_FILES.keys())
+def test_cli_reports_malformed_file(tmp_path, capsys, name, text, argv, word):
+    path = tmp_path / name
+    path.write_text(text)
+    write_detection_dump(tmp_path / "empty.jsonl", [])
+    rc = main([a.format(f=path, d=tmp_path) for a in argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(path) in lines[0] and word in lines[0]
 
 
 def test_generate_idempotent_byte_equal(tmp_path):

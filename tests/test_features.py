@@ -1,11 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from griddet import features
 from griddet.boxes import Box
+from griddet.detect import detect
 from griddet.features import (BoxOutsideImageError, ExtractorConfig,
                               FeatureExtractor, FeatureMap,
                               build_roi_features, compute_global_features,
                               roi_pool)
+from griddet.grid import GridSpec
 
 
 def reference_features(image):
@@ -130,3 +138,137 @@ def test_subpixel_box_pools_zeros():
     v = roi_pool(fm, Box(5.5, 5.5, 0.1, 0.1), 2, 2)
     # A sub-pixel box still covers one cell after floor/ceil discretization.
     assert v.shape == (4,)
+
+
+def test_degenerate_box_pools_zeros():
+    fm = FeatureMap(np.ones((2, 10, 10)))
+    # The corners of a 1e-20 wide box round to the same float: no cell.
+    v = roi_pool(fm, Box(5.0, 5.0, 1e-20, 1e-20), 2, 2)
+    assert v.tolist() == [0.0] * 8
+
+
+def test_roi_pool_outside_error_names_box_and_map():
+    fm = FeatureMap(np.zeros((1, 4, 6)))
+    box = Box(1, 1, 2, 2)
+    with pytest.raises(BoxOutsideImageError, match="6x4 feature map") as info:
+        build_roi_features(fm, [box, Box(10, 1, 2, 2)], ExtractorConfig(
+            include_gradients=False, include_box_coords=False))
+    assert "Box(cx=10" in str(info.value)
+
+
+def config_for(channels: int, pool_h: int, pool_w: int) -> ExtractorConfig:
+    """An extractor config whose feature maps have the given channel count."""
+    return ExtractorConfig(include_gradients=channels == 3,
+                           extra_filters=(((1.0,),),) if channels == 2 else (),
+                           pool_h=pool_h, pool_w=pool_w)
+
+
+def reference_roi_features(data, boxes, pool_h, pool_w):
+    """Brute force from roi_pool's docstring: clip the box's corner form to
+    the cells, split it into bins [floor(i*N/p), ceil((i+1)*N/p)) per axis,
+    take each bin's per-channel max, then append cx/W, cy/H, w/W, h/H."""
+    c, h, w = data.shape
+    rows = []
+    for box in boxes:
+        x1, y1, x2, y2 = box.corners()
+        ix1, iy1 = max(math.floor(x1), 0), max(math.floor(y1), 0)
+        ix2, iy2 = min(math.ceil(x2), w), min(math.ceil(y2), h)
+        nh, nw = iy2 - iy1, ix2 - ix1
+        pooled = np.zeros((c, pool_h, pool_w))
+        for ch in range(c):
+            for i in range(pool_h):
+                for j in range(pool_w):
+                    if nh <= 0 or nw <= 0:
+                        continue
+                    cells = [data[ch, y, x]
+                             for y in range(iy1 + (i * nh) // pool_h,
+                                            iy1 - (-(i + 1) * nh // pool_h))
+                             for x in range(ix1 + (j * nw) // pool_w,
+                                            ix1 - (-(j + 1) * nw // pool_w))]
+                    pooled[ch, i, j] = max(cells)
+        rows.append(np.concatenate(
+            [pooled.ravel(), [box.cx / w, box.cy / h, box.w / w, box.h / h]]))
+    return np.array(rows).reshape(len(boxes), c * pool_h * pool_w + 4)
+
+
+@st.composite
+def pooling_cases(draw):
+    c, h, w = (draw(st.integers(1, 3)), draw(st.integers(1, 40)),
+               draw(st.integers(1, 40)))
+    data = draw(arrays(np.float64, (c, h, w),
+                       elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    # No negative zeros: which of -0.0 and 0.0 a max returns is unspecified.
+    data = data + 0.0
+    pool_h, pool_w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    # Centres inside the map, so every box meets it; sides from sub-pixel to
+    # three times the map, so boxes hang off the map or cover all of it.
+    box = st.builds(Box, st.floats(0, w, exclude_min=True, exclude_max=True),
+                    st.floats(0, h, exclude_min=True, exclude_max=True),
+                    st.floats(1e-3, 3 * w), st.floats(1e-3, 3 * h))
+    boxes = draw(st.lists(box, max_size=12))
+    return data, pool_h, pool_w, boxes
+
+
+@settings(deadline=None, max_examples=200)
+@given(pooling_cases())
+def test_build_roi_features_matches_brute_force_bytes(case):
+    data, pool_h, pool_w, boxes = case
+    cfg = config_for(data.shape[0], pool_h, pool_w)
+    feats = build_roi_features(FeatureMap(data), boxes, cfg)
+    expected = reference_roi_features(data, boxes, pool_h, pool_w)
+    assert feats.shape == expected.shape
+    assert feats.tobytes() == expected.tobytes()
+
+
+def test_extractor_maps_pool_like_the_reference():
+    rng = np.random.default_rng(5)
+    image = rng.uniform(size=(37, 53))
+    cfg = ExtractorConfig(extra_filters=(((-1.0, 0.5), (0.25, 1.0)),),
+                          pool_h=3, pool_w=5)
+    fm = FeatureExtractor(cfg).compute_global_features(image)
+    boxes = [Box(*rng.uniform(1, 36, 2), *rng.uniform(0.2, 80, 2))
+             for _ in range(50)]
+    expected = reference_roi_features(fm.data, boxes, 3, 5)
+    assert build_roi_features(fm, boxes, cfg).tobytes() == expected.tobytes()
+
+
+def test_hand_built_map_pools_without_extractor():
+    data = np.arange(60, dtype=float).reshape(1, 6, 10)
+    fm = FeatureMap(data)
+    assert fm.table is None
+    boxes = [Box(5, 3, 10, 6), Box(2.5, 1.5, 3, 2)]
+    cfg = config_for(1, 2, 3)
+    assert build_roi_features(fm, boxes, cfg).tobytes() == \
+        reference_roi_features(data, boxes, 2, 3).tobytes()
+
+
+def test_empty_box_list_gives_empty_rows():
+    cfg = ExtractorConfig()
+    fm = compute_global_features(np.zeros((8, 8)), cfg)
+    feats = build_roi_features(fm, [], cfg)
+    assert feats.shape == (0, cfg.feature_dim)
+
+
+def test_table_built_once_per_global_features_call(monkeypatch):
+    builds = []
+
+    class CountingTable(features.RangeMaxTable):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(features, "RangeMaxTable", CountingTable)
+    rng = np.random.default_rng(2)
+    ext = FeatureExtractor()
+    fm = ext.compute_global_features(rng.uniform(size=(32, 32)))
+    for _ in range(3):
+        build_roi_features(fm, [Box(16, 16, 20, 12), Box(4, 4, 2, 2)],
+                           ext.config)
+        roi_pool(fm, Box(10, 10, 8, 8))
+    assert len(builds) == 1
+    # One detection pass of five steps pools from one table.
+    detect(rng.uniform(size=(32, 32)), GridSpec((2,), (0.5,)),
+           lambda feats, boxes, gi: np.full((len(boxes), 1, 4), 0.1),
+           lambda feats, boxes, gi: np.tile([0.0, 1.0], (len(boxes), 1)),
+           s_test=5, extractor=ext)
+    assert len(builds) == 2
