@@ -8,15 +8,22 @@ iteration (they can still be reclassified and moved later).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box, DeltaParams, apply_delta, clip_to_image, delta, iou
+from .boxes import (Box, DeltaParams, apply_delta, boxes_to_array,
+                    clip_to_image, delta, iou)
 from .features import ExtractorConfig, FeatureExtractor, build_roi_features
 from .grid import GridSpec, generate_grid
 from .model import MLP, softmax_probs
+
+
+# Largest log-scale change of a side in one step, as Fast/Faster R-CNN's
+# bbox_xform_clip: a side grows at most 1000/16 times per step.
+MAX_LOG_SCALE = math.log(1000.0 / 16.0)
 
 
 class ModelMismatchError(ValueError):
@@ -28,7 +35,8 @@ class DetectionResult:
     final_box: Box
     class_label: int
     score: float
-    trajectory: list[Box]  # length s_test + 1, initial grid box first
+    # (s_test + 1, 4) float64 rows of (cx, cy, w, h), initial grid box first
+    trajectory: np.ndarray
     grid_index: int
 
 
@@ -122,6 +130,10 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
 
     The box states after k iterations are identical to a run with
     s_test = k, so one pass to max(eval_steps) yields every prefix.
+
+    A box moves by the delta of its most probable class, with tw and th
+    clamped at MAX_LOG_SCALE; a delta that is not finite, or that would give
+    a box that is not finite or has an empty side, leaves the box where it is.
     """
     if any(s < 0 for s in eval_steps):
         raise ValueError("eval_steps must be >= 0")
@@ -135,14 +147,14 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
 
     boxes = generate_grid(grid_spec, w, h)
     grid_indices = list(range(len(boxes)))
-    trajectories = [[b] for b in boxes]
+    history = [boxes]  # the boxes after each step, the grid first
     want = set(eval_steps)
     out: dict[int, list[DetectionResult]] = {}
     max_step = max(eval_steps)
 
     if 0 in want:
-        out[0] = _finalize(fm, boxes, grid_indices, trajectories, 0,
-                           classifier_fn, cfg, score_threshold, nms_iou)
+        out[0] = _finalize(fm, history, grid_indices, classifier_fn, cfg,
+                           score_threshold, nms_iou)
 
     for s in range(1, max_step + 1):
         t0 = time.perf_counter()
@@ -151,26 +163,23 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
         _check_dims(probs, boxes)
         labels = np.argmax(probs, axis=1)
         deltas = regressor_fn(feats, boxes, grid_indices)
-        new_boxes = []
-        for i, b in enumerate(boxes):
-            label = int(labels[i])
-            if label == 0:
-                new_boxes.append(b)
-                continue
-            d = DeltaParams(*deltas[i, label - 1])
-            nb = apply_delta(b, d)
-            if clip:
-                nb = clip_to_image(nb, w, h)
-            new_boxes.append(nb)
-        boxes = new_boxes
-        for i, b in enumerate(boxes):
-            trajectories[i].append(b)
+        # Background boxes stay put; the rest move by their class's delta.
+        moving = np.flatnonzero(labels)
+        rows = np.asarray(deltas, dtype=np.float64)[moving, labels[moving] - 1]
+        np.minimum(rows[:, 2:], MAX_LOG_SCALE, out=rows[:, 2:])
+        boxes = list(boxes)
+        for i, row in zip(moving.tolist(), rows.tolist()):
+            try:
+                nb = apply_delta(boxes[i], DeltaParams(*row))
+                boxes[i] = clip_to_image(nb, w, h) if clip else nb
+            except ValueError:  # a non-finite delta, or an empty or non-finite box
+                pass
+        history.append(boxes)
         if stats is not None:
             stats.iteration_seconds.append(time.perf_counter() - t0)
         if s in want:
-            out[s] = _finalize(fm, boxes, grid_indices,
-                               [list(t) for t in trajectories], s,
-                               classifier_fn, cfg, score_threshold, nms_iou)
+            out[s] = _finalize(fm, history, grid_indices, classifier_fn, cfg,
+                               score_threshold, nms_iou)
     return out
 
 
@@ -179,26 +188,30 @@ def _check_dims(probs, boxes):
         raise ModelMismatchError("classifier output rows != number of boxes")
 
 
-def _finalize(fm, boxes, grid_indices, trajectories, s_test, classifier_fn,
-              cfg: ExtractorConfig, score_threshold: float, nms_iou: float,
+def _finalize(fm, history, grid_indices, classifier_fn, cfg: ExtractorConfig,
+              score_threshold: float, nms_iou: float,
               ) -> list[DetectionResult]:
-    """Score final boxes, drop background/low scores, and apply per-class NMS."""
+    """Score the last boxes of history, drop background/low scores, and apply
+    per-class NMS. Only survivors get their trajectory array."""
+    boxes = history[-1]
     feats = build_roi_features(fm, boxes, cfg)
     probs = classifier_fn(feats, boxes, grid_indices)
     labels = np.argmax(probs, axis=1)
-    candidates: list[DetectionResult] = []
-    for i, b in enumerate(boxes):
+    candidates = []  # (box index, label, score)
+    for i in range(len(boxes)):
         label = int(labels[i])
         score = float(probs[i, label])
         if label == 0 or score < score_threshold:
             continue
-        candidates.append(DetectionResult(b, label, score,
-                                          trajectories[i], grid_indices[i]))
-    survivors: list[DetectionResult] = []
-    for label in sorted({c.class_label for c in candidates}):
-        group = [c for c in candidates if c.class_label == label]
-        kept = _nms_keep([c.final_box for c in group],
-                         [c.score for c in group], nms_iou)
-        survivors.extend(group[i] for i in sorted(kept))
-    survivors.sort(key=lambda c: (-c.score, c.grid_index))
-    return survivors
+        candidates.append((i, label, score))
+    survivors = []
+    for label in sorted({c[1] for c in candidates}):
+        group = [c for c in candidates if c[1] == label]
+        kept = _nms_keep([boxes[c[0]] for c in group],
+                         [c[2] for c in group], nms_iou)
+        survivors.extend(group[j] for j in sorted(kept))
+    survivors.sort(key=lambda c: (-c[2], grid_indices[c[0]]))
+    return [DetectionResult(boxes[i], label, score,
+                            boxes_to_array([step[i] for step in history]),
+                            grid_indices[i])
+            for i, label, score in survivors]

@@ -9,6 +9,7 @@ by their overlap with same-class, similar-class, and other-class ground truth.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,23 +251,47 @@ def write_detection_dump(path, detections: list[DetRecord]):
             }) + "\n")
 
 
+def _parse_line(path, n: int, line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"detection dump {path} line {n}: not valid JSON "
+                         f"({exc})") from None
+
+
 def read_detection_dump(path) -> list[DetRecord]:
+    """Records of a dump written by write_detection_dump. A malformed header
+    or record raises ValueError naming the file and the line."""
     out = []
     with open(path) as f:
-        header = json.loads(f.readline())
-        if header.get("format_version") != 1:
+        header = _parse_line(path, 1, f.readline())
+        if not isinstance(header, dict) or header.get("format_version") != 1:
             raise ValueError(f"unsupported detection dump version in {path}")
         for n, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            rec = _parse_line(path, n, line)
             try:
-                out.append(DetRecord(rec["image_id"], rec["class"],
-                                     rec["score"], Box(*rec["box"])))
+                image_id, label, score, box = (rec["image_id"], rec["class"],
+                                               rec["score"], rec["box"])
+                if not (isinstance(image_id, int) and isinstance(label, int)):
+                    raise ValueError(f"image_id and class must be integers, "
+                                     f"got {image_id!r} and {label!r}")
+                if not isinstance(score, (int, float)) or \
+                        not math.isfinite(score):
+                    raise ValueError(f"score must be a finite number, "
+                                     f"got {score!r}")
+                if not isinstance(box, list) or len(box) != 4:
+                    raise ValueError(f"box must be 4 numbers (cx, cy, w, h), "
+                                     f"got {box!r}")
+                out.append(DetRecord(image_id, label, score, Box(*box)))
             except KeyError as exc:
                 raise ValueError(f"detection dump {path} line {n}: missing "
                                  f"key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"detection dump {path} line {n}: {exc}") \
+                    from None
     return out
 
 

@@ -4,18 +4,20 @@ The global features play the role of a convolutional backbone: they are
 computed once per image, and every box only pools from them. All filters are
 fixed; the learning capacity lives entirely in the downstream models.
 
-Pooling reads a base-4 range-max table that is built with the features, once
+Pooling reads a base-3 range-max table that is built with the features, once
 per image (a 2-d sparse table; Bender & Farach-Colton, "The LCA Problem
 Revisited", 2000). Slab (a, b) holds, for each cell, the per-channel max over
-the 4**a x 4**b window whose top-left corner is that cell; slab (0, 0) is the
+the 3**a x 3**b window whose top-left corner is that cell; slab (0, 0) is the
 map itself. Levels go up to the longest bin that the pool shape can give on
-the map, so a bin of length L along an axis is covered by four windows of
-side 4**a <= L < 4**(a+1), starting at r0, r0 + 4**a, r0 + 2 * 4**a and
-r0 + 3 * 4**a, each clamped to end at the bin's end. Max is idempotent, so
-the overlapping windows give the bin's max exactly: every bin costs 4 x 4
-lookups, whatever its size, and all boxes of a call are pooled together, one
-vectorised gather per lookup. For a 128x128 map with 3 channels and 6x6 bins
-the table has 3 x 3 slabs, about 3 MiB.
+the map. A bin of length L along an axis, with 3**a <= L < 3**(a+1), is
+covered by k = ceil(L / 3**a) <= 3 windows of side 3**a, starting at r0,
+r0 + 3**a and r0 + 2 * 3**a, each clamped to end at the bin's end. Max is
+idempotent, so overlapping windows, and extra windows clamped onto the last,
+give the bin's max exactly. All boxes of a call are pooled together in chunks,
+one vectorised gather per lookup; per chunk and axis, the lookup count is the
+largest k among the chunk's bins, so a bin costs at most 3 x 3 lookups. For a
+128x128 map with 3 channels and 6x6 bins the table has 3 x 3 slabs, 3.2 MiB;
+a 256x256 map needs 4 x 4 slabs, 22.3 MiB.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .boxes import Box
 # Pooled values per chunk of boxes; bounds each of the four pooling
 # temporaries to 128 KiB.
 _CHUNK = 1 << 14
+
+# Window sides 3**k, for every k whose power fits in an int64.
+_SIDES = 3 ** np.arange(40, dtype=np.int64)
 
 
 class BoxOutsideImageError(ValueError):
@@ -56,8 +61,8 @@ class ExtractorConfig:
 
 
 def _level(n):
-    """floor(log4(n)) of positive integers (scalar or array), exactly."""
-    return (np.frexp(n)[1] - 1) >> 1
+    """floor(log3(n)) of positive integers (scalar or array), exactly."""
+    return np.searchsorted(_SIDES, n, side="right") - 1
 
 
 def _levels(n: int, pool: int) -> int:
@@ -66,21 +71,20 @@ def _levels(n: int, pool: int) -> int:
     return int(_level(min(n, -(-n // pool) + 1))) + 1
 
 
-def _max4(src: np.ndarray, step: int, axis: int, out: np.ndarray):
-    """out = max of the four slices of src along axis starting at k * step."""
+def _max3(src: np.ndarray, step: int, axis: int, out: np.ndarray):
+    """out = max of the three slices of src along axis starting at k * step."""
     n = out.shape[axis]
     lead = (slice(None),) * axis
     part = lambda k: src[lead + (slice(k * step, k * step + n),)]
     np.maximum(part(0), part(1), out=out)
     np.maximum(out, part(2), out=out)
-    np.maximum(out, part(3), out=out)
 
 
 class RangeMaxTable:
-    """Base-4 range-max table of a (C, H, W) map, every slab in one flat buffer.
+    """Base-3 range-max table of a (C, H, W) map, every slab in one flat buffer.
 
-    Slab (a, b) has shape (C, rows[a], cols[b]), with rows[a] = H - 4**a + 1
-    and cols[b] = W - 4**b + 1 window starts, and begins at offsets[a, b].
+    Slab (a, b) has shape (C, rows[a], cols[b]), with rows[a] = H - 3**a + 1
+    and cols[b] = W - 3**b + 1 window starts, and begins at offsets[a, b].
     Slab (0, 0) is the map itself, exposed as `map`.
     """
 
@@ -90,8 +94,8 @@ class RangeMaxTable:
         c, (h, w) = len(channels), channels[0].shape
         self.channels = c
         self.levels = (_levels(h, pool_h), _levels(w, pool_w))
-        self.rows = h + 1 - 4 ** np.arange(self.levels[0])
-        self.cols = w + 1 - 4 ** np.arange(self.levels[1])
+        self.rows = h + 1 - _SIDES[:self.levels[0]]
+        self.cols = w + 1 - _SIDES[:self.levels[1]]
         sizes = c * np.outer(self.rows, self.cols)
         self.offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
         self.flat = np.empty(int(sizes.sum()), dtype=np.float64)
@@ -104,9 +108,9 @@ class RangeMaxTable:
         self.map = np.stack(channels, out=slab(0, 0))
         for a in range(self.levels[0]):
             if a:
-                _max4(slab(a - 1, 0), 4 ** (a - 1), 1, slab(a, 0))
+                _max3(slab(a - 1, 0), _SIDES[a - 1], 1, slab(a, 0))
             for b in range(1, self.levels[1]):
-                _max4(slab(a, b - 1), 4 ** (b - 1), 2, slab(a, b))
+                _max3(slab(a, b - 1), _SIDES[b - 1], 2, slab(a, b))
 
     def covers(self, pool_h: int, pool_w: int) -> bool:
         _, h, w = self.map.shape
@@ -124,7 +128,7 @@ class RangeMaxTable:
             ax, xs = _windows(x0[lo:hi], x1[lo:hi], pool_w)
             # Flat index of lookup (ky, kx) of every bin, laid out as (box,
             # channel, bin row, bin column) like the rows of out, in which the
-            # max of the 16 lookups accumulates.
+            # max of the chunk's len(ys) x len(xs) lookups accumulates.
             stride = self.cols[ax][:, None, None, :]             # (m, 1, 1, pw)
             slab = self.offsets[ay[:, :, None], ax[:, None, :]]  # (m, ph, pw)
             plane = self.rows[ay][:, None, :, None] * stride     # (m, 1, ph, pw)
@@ -132,10 +136,10 @@ class RangeMaxTable:
             index = np.empty_like(first)
             values = np.empty(first.shape).reshape(hi - lo, -1)
             rows = out[lo:hi]
-            for ky in range(4):
-                row = ys[ky][:, None, :, None] * stride + first
-                for kx in range(4):
-                    np.add(row, xs[kx][:, None, None, :], out=index)
+            for ky, y in enumerate(ys):
+                row = y[:, None, :, None] * stride + first
+                for kx, x in enumerate(xs):
+                    np.add(row, x[:, None, None, :], out=index)
                     self.flat.take(index.reshape(values.shape), out=values)
                     if ky or kx:
                         np.maximum(rows, values, out=rows)
@@ -144,18 +148,20 @@ class RangeMaxTable:
 
 
 def _windows(start, end, pool: int):
-    """Per bin of each cell range: the table level (m, pool) and the four
-    window starts (4, m, pool).
+    """Per bin of each cell range: the table level (m, pool) and the window
+    starts (k, m, pool), k the most windows any of the bins needs.
 
-    Bin i of a range of n cells spans [floor(i*n/p), ceil((i+1)*n/p)).
+    Bin i of a range of n cells spans [floor(i*n/p), ceil((i+1)*n/p)). A bin
+    needing fewer than k windows repeats its last one.
     """
     n = (end - start)[:, None]
     i = np.arange(pool)
     r0 = start[:, None] + (i * n) // pool
     r1 = start[:, None] - ((-(i + 1) * n) // pool)
     level = _level(r1 - r0)
-    side = 4 ** level
-    return level, np.minimum(r0 + side * np.arange(4)[:, None, None], r1 - side)
+    side = _SIDES[level]
+    k = int((-((r0 - r1) // side)).max())
+    return level, np.minimum(r0 + side * np.arange(k)[:, None, None], r1 - side)
 
 
 @dataclass

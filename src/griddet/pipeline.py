@@ -101,12 +101,12 @@ def cmd_detect(config: ExperimentConfig, checkpoint_path: str,
     write_detection_dump(det_path, [_record(i, r) for i, r in detections])
     with open(traj_path, "w") as f:
         for image_id, r in detections:
-            for step, b in enumerate(r.trajectory):
+            for step, box in enumerate(r.trajectory.tolist()):
                 f.write(json.dumps({
                     "image_id": image_id,
                     "grid_index": r.grid_index,
                     "step": step,
-                    "box": [b.cx, b.cy, b.w, b.h],
+                    "box": box,
                     "class": r.class_label,
                     "score": r.score,
                 }) + "\n")

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
+from griddet import pipeline
 from griddet.cli import main
 from griddet.config import (ExperimentConfig, load_config, save_config)
 from griddet.evaluate import (DetRecord, evaluate_detections,
@@ -105,6 +108,25 @@ MALFORMED_FILES = {
                    '{"image_id": 0, "score": 0.5, "box": [4, 4, 2, 2]}\n',
         ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
         "class"),
+    "dump_box_of_three_numbers": (
+        "d.jsonl", '{"format_version": 1}\n'
+                   '{"image_id": 0, "class": 1, "score": 0.5, "box": [4, 4, 2]}\n',
+        ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
+        "line 2: box must be 4 numbers"),
+    "dump_box_of_zero_width": (
+        "d.jsonl", '{"format_version": 1}\n\n'
+                   '{"image_id": 0, "class": 1, "score": 0.5, "box": [4, 4, 0, 2]}\n',
+        ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
+        "line 3: box sides must be positive"),
+    "dump_score_not_a_number": (
+        "d.jsonl", '{"format_version": 1}\n'
+                   '{"image_id": 0, "class": 1, "score": "x", "box": [4, 4, 2, 2]}\n',
+        ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
+        "line 2: score must be a finite number"),
+    "dump_line_not_json": (
+        "d.jsonl", '{"format_version": 1}\n{"image_id": 0, "class": 1,\n',
+        ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
+        "line 2: not valid JSON"),
 }
 
 
@@ -189,6 +211,36 @@ def test_detect_outputs_and_determinism(tmp_path):
     assert len(traj_lines) == len(dets) * (cfg.s_test + 1)
     for rec in traj_lines:
         assert 0 <= rec["step"] <= cfg.s_test
+
+
+def test_detect_completes_with_extreme_regressor_outputs(tmp_path,
+                                                        monkeypatch):
+    cfg = tiny_config(s_test=3)
+    train_path, test_path = cmd_generate(cfg, 3, 2, str(tmp_path))
+    ckpt = str(tmp_path / "m.ckpt")
+    cmd_train(cfg, train_path, ckpt)
+    values = np.array([800.0, -800.0, np.inf, -np.inf, np.nan, 0.5, -0.25])
+
+    def extreme_fns(regressor, classifier):
+        def regress(feats, boxes, grid_indices):
+            n = len(boxes) * cfg.synth.num_classes * 4
+            return values[np.arange(n) % len(values)].reshape(len(boxes), -1, 4)
+
+        def classify(feats, boxes, grid_indices):
+            return np.tile([0.1] + [0.9 / cfg.synth.num_classes]
+                           * cfg.synth.num_classes, (len(boxes), 1))
+        return regress, classify
+
+    monkeypatch.setattr(pipeline, "model_fns", extreme_fns)
+    det_path, traj_path = cmd_detect(cfg, ckpt, test_path, str(tmp_path / "d"))
+    w, h = cfg.synth.image_size
+    records = [json.loads(line) for line in open(traj_path)]
+    assert records and len(read_detection_dump(det_path)) * 4 == len(records)
+    for rec in records:
+        cx, cy, bw, bh = rec["box"]
+        assert all(math.isfinite(v) for v in rec["box"]) and bw > 0 and bh > 0
+        assert -1e-9 <= cx - bw / 2 and cx + bw / 2 <= w + 1e-9
+        assert -1e-9 <= cy - bh / 2 and cy + bh / 2 <= h + 1e-9
 
 
 def test_detect_s_test_zero_dumps_unmoved_grid_boxes(tmp_path):

@@ -191,10 +191,34 @@ def reference_roi_features(data, boxes, pool_h, pool_w):
     return np.array(rows).reshape(len(boxes), c * pool_h * pool_w + 4)
 
 
+# Bin lengths on both sides of the base-3 level edges; they need 1, 2 or 3
+# windows per axis (ceil(L / 3**floor(log3 L))).
+EDGE_LENGTHS = (1, 2, 3, 8, 9, 26, 27)
+
+
+@st.composite
+def aligned_span(draw, n: int, pool: int):
+    """(start, end) of a cell-aligned span of `pool` bins, each of one length
+    from EDGE_LENGTHS that fits in n cells (the whole axis if none fits)."""
+    fits = [length for length in EDGE_LENGTHS if pool * length <= n]
+    if not fits:
+        return 0, n
+    size = pool * draw(st.sampled_from(fits))
+    start = draw(st.integers(0, n - size))
+    return start, start + size
+
+
+@st.composite
+def aligned_box(draw, h: int, w: int, pool_h: int, pool_w: int):
+    (y1, y2), (x1, x2) = draw(aligned_span(h, pool_h)), draw(aligned_span(w, pool_w))
+    return Box.from_corners(x1, y1, x2, y2)
+
+
 @st.composite
 def pooling_cases(draw):
-    c, h, w = (draw(st.integers(1, 3)), draw(st.integers(1, 40)),
-               draw(st.integers(1, 40)))
+    # Sides of 27 and 55 cells fit bins of 26 and 27 cells in 1 or 2 bins.
+    side = st.integers(1, 40) | st.sampled_from((27, 55))
+    c, h, w = draw(st.integers(1, 3)), draw(side), draw(side)
     data = draw(arrays(np.float64, (c, h, w),
                        elements=st.floats(-1e6, 1e6, allow_nan=False)))
     # No negative zeros: which of -0.0 and 0.0 a max returns is unspecified.
@@ -205,7 +229,8 @@ def pooling_cases(draw):
     box = st.builds(Box, st.floats(0, w, exclude_min=True, exclude_max=True),
                     st.floats(0, h, exclude_min=True, exclude_max=True),
                     st.floats(1e-3, 3 * w), st.floats(1e-3, 3 * h))
-    boxes = draw(st.lists(box, max_size=12))
+    boxes = draw(st.lists(box | aligned_box(h, w, pool_h, pool_w),
+                          max_size=12))
     return data, pool_h, pool_w, boxes
 
 
@@ -272,3 +297,70 @@ def test_table_built_once_per_global_features_call(monkeypatch):
            lambda feats, boxes, gi: np.tile([0.0, 1.0], (len(boxes), 1)),
            s_test=5, extractor=ext)
     assert len(builds) == 2
+
+
+def floor_log3(n: int) -> int:
+    return len(np.base_repr(n, 3)) - 1
+
+
+def test_level_is_exact_floor_log3():
+    ns = sorted(({3 ** k + d for k in range(40) for d in (-1, 0, 1)}
+                 | set(range(1, 100))) - {0})
+    expected = [floor_log3(n) for n in ns]
+    assert features._level(np.array(ns)).tolist() == expected
+    assert [int(features._level(n)) for n in ns] == expected
+
+
+@pytest.mark.parametrize("length", EDGE_LENGTHS + (4, 6, 10, 18, 28))
+@pytest.mark.parametrize("pool", (1, 2, 3))
+def test_edge_bin_lengths_take_their_window_count(length, pool):
+    n = pool * length
+    level, starts = features._windows(np.array([5]), np.array([5 + n]), pool)
+    side = 3 ** floor_log3(length)
+    assert level.tolist() == [[floor_log3(length)] * pool]
+    assert len(starts) == -(-length // side)
+    rng = np.random.default_rng(length * 10 + pool)
+    data = rng.uniform(-1, 1, size=(2, n + 9, n + 7))
+    boxes = [Box.from_corners(5, 5, 5 + n, 5 + n),
+             Box.from_corners(2, 7, 2 + n, 7 + n)]
+    cfg = config_for(2, pool, pool)
+    assert build_roi_features(FeatureMap(data), boxes, cfg).tobytes() == \
+        reference_roi_features(data, boxes, pool, pool).tobytes()
+
+
+def test_chunks_take_their_own_lookup_counts(monkeypatch):
+    cfg = ExtractorConfig()  # 3 channels of 6x6 bins
+    per_chunk = features._CHUNK // (cfg.channels * cfg.pool_h * cfg.pool_w)
+    rng = np.random.default_rng(3)
+    data = rng.uniform(size=(3, 64, 64))
+    # Three chunks of boxes with bins of 3 cells (1 window per axis), of 3
+    # and 8 cells alternating (3 windows), and of 2 cells (2 windows), the
+    # last chunk a partial one.
+    lengths = ([3] * per_chunk + [(3, 8)[j % 2] for j in range(per_chunk)]
+               + [2] * (per_chunk // 2))
+    boxes = []
+    for length in lengths:
+        x, y = rng.integers(0, 64 - 6 * length + 1, size=2).tolist()
+        boxes.append(Box.from_corners(x, y, x + 6 * length, y + 6 * length))
+    counts = []
+
+    def spy(start, end, pool):
+        level, starts = windows(start, end, pool)
+        counts.append(len(starts))
+        return level, starts
+
+    windows = features._windows
+    monkeypatch.setattr(features, "_windows", spy)
+    feats = build_roi_features(FeatureMap(data), boxes, cfg)
+    assert counts == [1, 1, 3, 3, 2, 2]  # (rows, columns) per chunk
+    assert feats.tobytes() == \
+        reference_roi_features(data, boxes, 6, 6).tobytes()
+
+
+def test_default_map_builds_three_by_three_slabs():
+    fm = FeatureExtractor().compute_global_features(np.zeros((128, 128)))
+    table = fm.table
+    assert table.levels == (3, 3)
+    assert table.rows.tolist() == table.cols.tolist() == [128, 126, 120]
+    assert table.offsets.shape == (3, 3)
+    assert table.flat.nbytes == 3 * (128 + 126 + 120) ** 2 * 8  # 3.2 MiB
