@@ -8,6 +8,7 @@ the classifier outputs logits over num_classes + 1 (index 0 = background).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,20 +53,51 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
 
 
+def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
+    """Per-layer weight and bias views into a flat parameter vector.
+
+    Layer by layer, the (fan_in, fan_out) weight matrix comes first, then the
+    fan_out biases: the order of MLP.params() and of checkpoint arrays.
+    """
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+class Grads(tuple):
+    """Gradients of one MLP as (weights, biases), two lists of per-layer
+    views into the flat vector ``flat``, laid out as MLP.flat is."""
+
+    def __new__(cls, flat: np.ndarray, layer_sizes):
+        self = super().__new__(cls, _layer_views(flat, layer_sizes))
+        self.flat = flat
+        return self
+
+
 class MLP:
-    """Plain fully-connected network with rectifier hidden units."""
+    """Plain fully-connected network with rectifier hidden units.
+
+    All parameters live in one float64 vector, ``flat``; ``weights`` and
+    ``biases`` are views into it, so writing to them writes to ``flat``.
+    """
 
     def __init__(self, layer_sizes: list[int], rng: np.random.Generator | None = None):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.layer_sizes = list(layer_sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+        self.flat = np.zeros(sum((fan_in + 1) * fan_out
+                                 for fan_in, fan_out in pairs))
+        self.weights, self.biases = _layer_views(self.flat, self.layer_sizes)
         rng = rng or np.random.default_rng(0)
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        for (fan_in, fan_out), w in zip(pairs, self.weights):
             bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
     @property
     def input_dim(self) -> int:
@@ -76,33 +108,37 @@ class MLP:
         return self.layer_sizes[-1]
 
     def forward(self, x: np.ndarray):
-        """Return (output, cache) for a (B, D) batch."""
+        """Return (output, cache) for a (B, D) batch. The cache lists the
+        input and every layer's output; the layer outputs are fresh arrays."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionMismatchError(
                 f"expected (B, {self.input_dim}) input, got {x.shape}")
         activations = [x]
         h = x
+        last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i < len(self.weights) - 1:
-                h = np.maximum(h, 0.0)
+            h = h @ w
+            h += b
+            if i < last:
+                np.maximum(h, 0.0, out=h)
             activations.append(h)
         return h, activations
 
-    def backward(self, activations: list[np.ndarray], dout: np.ndarray):
-        """Gradients of a scalar loss w.r.t. all parameters, given d(loss)/d(out)."""
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+    def backward(self, activations: list[np.ndarray],
+                 dout: np.ndarray) -> Grads:
+        """Gradients of a scalar loss w.r.t. all parameters, given
+        d(loss)/d(out), in one fresh flat vector; dout is left as given."""
+        grads = Grads(np.empty_like(self.flat), self.layer_sizes)
+        grads_w, grads_b = grads
         g = dout
         for i in reversed(range(len(self.weights))):
-            a_in = activations[i]
-            grads_w[i] = a_in.T @ g
-            grads_b[i] = g.sum(axis=0)
+            np.matmul(activations[i].T, g, out=grads_w[i])
+            np.add.reduce(g, axis=0, out=grads_b[i])
             if i > 0:
                 g = g @ self.weights[i].T
-                g = g * (activations[i] > 0)
-        return grads_w, grads_b
+                g *= activations[i] > 0
+        return grads
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -111,12 +147,18 @@ class MLP:
         return out
 
     def set_params(self, arrays: list[np.ndarray]):
-        expect = len(self.weights) * 2
-        if len(arrays) != expect:
-            raise ValueError(f"expected {expect} arrays, got {len(arrays)}")
-        for i in range(len(self.weights)):
-            self.weights[i] = np.array(arrays[2 * i], dtype=np.float64)
-            self.biases[i] = np.array(arrays[2 * i + 1], dtype=np.float64)
+        """Copy arrays, in params() order, into the parameters; every shape
+        is checked before anything is copied."""
+        params = self.params()
+        if len(arrays) != len(params):
+            raise DimensionMismatchError(
+                f"expected {len(params)} arrays, got {len(arrays)}")
+        for i, (p, a) in enumerate(zip(params, arrays)):
+            if np.shape(a) != p.shape:
+                raise DimensionMismatchError(
+                    f"array {i}: expected shape {p.shape}, got {np.shape(a)}")
+        for p, a in zip(params, arrays):
+            p[...] = a
 
 
 def make_regressor(input_dim: int, hidden_sizes, num_classes: int,
@@ -137,86 +179,93 @@ def smooth_l1(x):
     return float(out) if out.ndim == 0 else out
 
 
-def smooth_l1_grad(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.clip(x, -1.0, 1.0)
-
-
 def regression_loss_arrays(model: MLP, feats: np.ndarray, labels: np.ndarray,
                            targets: np.ndarray):
     """Smooth-L1 regression loss on the per-class delta heads.
 
     labels are 1-based foreground class ids; only the head of each row's own
-    class receives gradient. Returns (loss, (grads_w, grads_b), all_background)
-    where all_background flags an empty foreground batch (zero loss/grads).
+    class receives gradient. Returns (loss, grads, all_background) where
+    grads is a Grads and all_background flags an empty foreground batch
+    (zero loss/grads).
     """
     feats = np.asarray(feats, dtype=np.float64)
     n = feats.shape[0]
     if n == 0:
-        zw = [np.zeros_like(w) for w in model.weights]
-        zb = [np.zeros_like(b) for b in model.biases]
-        return 0.0, (zw, zb), True
+        return 0.0, Grads(np.zeros_like(model.flat), model.layer_sizes), True
     out, cache = model.forward(feats)
     k = model.output_dim // 4
-    pred = out.reshape(n, k, 4)
     idx = np.asarray(labels, dtype=np.int64) - 1
-    if np.any(idx < 0) or np.any(idx >= k):
+    if idx.min() < 0 or idx.max() >= k:
         raise ValueError("regression labels must be in [1, num_classes]")
     rows = np.arange(n)
-    residual = pred[rows, idx] - np.asarray(targets, dtype=np.float64)
+    residual = out.reshape(n, k, 4)[rows, idx]
+    residual -= np.asarray(targets, dtype=np.float64)
     loss = float(smooth_l1(residual).sum() / n)
-    dout = np.zeros_like(pred)
-    dout[rows, idx] = smooth_l1_grad(residual) / n
-    grads = model.backward(cache, dout.reshape(n, 4 * k))
-    return loss, grads, False
+    # d smooth_l1 / dx = clip(x, -1, 1), written over the residual.
+    np.maximum(residual, -1.0, out=residual)
+    np.minimum(residual, 1.0, out=residual)
+    residual /= n
+    dout = np.zeros_like(out)
+    dout.reshape(n, k, 4)[rows, idx] = residual
+    return loss, model.backward(cache, dout), False
+
+
+def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
+    """Overwrite (B, K) logits with their row-wise softmax; return them."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
+def softmax_probs(model: MLP, feats: np.ndarray) -> np.ndarray:
+    return _softmax_in_place(model.forward(feats)[0])
 
 
 def classifier_loss(model: MLP, feats: np.ndarray, labels: np.ndarray):
-    """Softmax cross-entropy over num_classes + 1 (0 = background)."""
+    """Softmax cross-entropy over num_classes + 1 (0 = background).
+
+    Returns (loss, grads) with grads a Grads.
+    """
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = feats.shape[0]
     if n == 0:
-        zw = [np.zeros_like(w) for w in model.weights]
-        zb = [np.zeros_like(b) for b in model.biases]
-        return 0.0, (zw, zb)
+        return 0.0, Grads(np.zeros_like(model.flat), model.layer_sizes)
     logits, cache = model.forward(feats)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+    # The logits are fresh and backward does not read them: they become the
+    # softmax probabilities in place, and then d(loss)/d(logits).
+    probs = _softmax_in_place(logits)
     rows = np.arange(n)
-    loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean())
-    dout = probs.copy()
-    dout[rows, labels] -= 1.0
-    dout /= n
-    grads = model.backward(cache, dout)
-    return loss, grads
-
-
-def softmax_probs(model: MLP, feats: np.ndarray) -> np.ndarray:
-    logits, _ = model.forward(feats)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / expz.sum(axis=1, keepdims=True)
+    nll = probs[rows, labels]
+    np.maximum(nll, 1e-300, out=nll)
+    np.log(nll, out=nll)
+    np.negative(nll, out=nll)
+    loss = float(nll.sum() / n)
+    probs[rows, labels] -= 1.0
+    probs /= n
+    return loss, model.backward(cache, probs)
 
 
 class SGDOptimizer:
-    """SGD with classical momentum."""
+    """SGD with classical momentum, on the model's flat parameter vector."""
 
     def __init__(self, model: MLP, lr: float, momentum: float):
         self.model = model
         self.lr = lr
         self.momentum = momentum
-        self.vel_w = [np.zeros_like(w) for w in model.weights]
-        self.vel_b = [np.zeros_like(b) for b in model.biases]
+        self.velocity = np.zeros_like(model.flat)
+        self._scaled = np.empty_like(model.flat)  # lr * grads
 
-    def step(self, grads):
-        grads_w, grads_b = grads
-        for i in range(len(self.model.weights)):
-            self.vel_w[i] = self.momentum * self.vel_w[i] - self.lr * grads_w[i]
-            self.vel_b[i] = self.momentum * self.vel_b[i] - self.lr * grads_b[i]
-            self.model.weights[i] = self.model.weights[i] + self.vel_w[i]
-            self.model.biases[i] = self.model.biases[i] + self.vel_b[i]
+    def step(self, grads: Grads):
+        """velocity = momentum * velocity - lr * grads; params += velocity.
+
+        Every update is in place; grads is left as given.
+        """
+        np.multiply(self.velocity, self.momentum, out=self.velocity)
+        np.multiply(grads.flat, self.lr, out=self._scaled)
+        np.subtract(self.velocity, self._scaled, out=self.velocity)
+        np.add(self.model.flat, self.velocity, out=self.model.flat)
 
 
 @dataclass
@@ -305,43 +354,76 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
     return out, ext_cfg.feature_dim
 
 
-def _sample_batch(tensors: list[SceneTensors], scene_ids, rng,
-                  samples_per_image: int, fg_bg_ratio: float, stage: int,
-                  direct: bool):
-    """Assemble one minibatch: regression rows plus classifier rows."""
-    reg_feats, reg_labels, reg_targets = [], [], []
-    cls_feats, cls_labels = [], []
-    n_fg_cls = max(1, int(round(samples_per_image / (1.0 + fg_bg_ratio))))
-    n_bg_cls = samples_per_image - n_fg_cls
-    for sid in scene_ids:
-        t = tensors[sid]
-        if direct:
-            pool = np.flatnonzero(t.fg_steps == 1)
-        else:
-            pool = np.flatnonzero(t.fg_steps <= stage)
-        if len(pool) > 0:
-            pick = pool[rng.integers(0, len(pool), size=samples_per_image)]
-            reg_feats.append(t.fg_feats[pick])
-            reg_labels.append(t.fg_labels[pick])
-            reg_targets.append(t.direct_targets[pick] if direct
-                               else t.fg_targets[pick])
-        step1 = np.flatnonzero(t.fg_steps == 1)
-        if len(step1) > 0:
-            pick = step1[rng.integers(0, len(step1), size=n_fg_cls)]
-            cls_feats.append(t.fg_feats[pick])
-            cls_labels.append(t.fg_labels[pick])
-        if len(t.bg_feats) > 0:
-            pick = rng.integers(0, len(t.bg_feats), size=n_bg_cls)
-            cls_feats.append(t.bg_feats[pick])
-            cls_labels.append(np.zeros(n_bg_cls, dtype=np.int64))
-    stack = lambda parts, width: (np.concatenate(parts) if parts
-                                  else np.zeros((0, width)))
-    d = tensors[0].fg_feats.shape[1] if tensors else 0
-    return (stack(reg_feats, d),
-            np.concatenate(reg_labels) if reg_labels else np.zeros(0, np.int64),
-            stack(reg_targets, 4),
-            stack(cls_feats, d),
-            np.concatenate(cls_labels) if cls_labels else np.zeros(0, np.int64))
+class _BatchSampler:
+    """Draws minibatches into row buffers allocated once per training run.
+
+    Per image, in scene_ids order: samples_per_image regression rows from the
+    phase's pool, then the step-1 foreground and the background classifier
+    rows. An image whose pool is empty adds no rows of that kind, so a batch
+    can come out short. The random draws are one ``integers`` call per part,
+    in that order. The returned arrays are views of the buffers, valid until
+    the next draw.
+    """
+
+    def __init__(self, tensors: list[SceneTensors], config: TrainConfig):
+        self.tensors = tensors
+        self.per_image = config.samples_per_image_per_step
+        self.n_fg_cls = max(1, int(round(
+            self.per_image / (1.0 + config.fg_bg_ratio))))
+        self.n_bg_cls = self.per_image - self.n_fg_cls
+        self.step1_pools = [np.flatnonzero(t.fg_steps == 1) for t in tensors]
+        self.reg_pools = self.step1_pools
+        self.direct = False
+        width = tensors[0].fg_feats.shape[1] if tensors else 0
+        rows = config.images_per_batch * self.per_image
+        self.reg_feats = np.empty((rows, width))
+        self.reg_labels = np.empty(rows, dtype=np.int64)
+        self.reg_targets = np.empty((rows, 4))
+        self.cls_feats = np.empty((rows, width))
+        self.cls_labels = np.empty(rows, dtype=np.int64)
+
+    def start_phase(self, stage: int, direct: bool):
+        """Direct phases regress step-1 rows to their full-path targets;
+        stepwise phases draw from the rows of steps 1..stage."""
+        self.direct = direct
+        self.reg_pools = self.step1_pools if direct else [
+            np.flatnonzero(t.fg_steps <= stage) for t in self.tensors]
+
+    def sample(self, rng: np.random.Generator, scene_ids: np.ndarray):
+        """(reg_feats, reg_labels, reg_targets, cls_feats, cls_labels)."""
+        n_reg = n_cls = 0
+        for sid in scene_ids.tolist():
+            t = self.tensors[sid]
+            pool = self.reg_pools[sid]
+            if len(pool) > 0:
+                pick = pool[rng.integers(0, len(pool), size=self.per_image)]
+                targets = t.direct_targets if self.direct else t.fg_targets
+                n_reg = _gather(pick, n_reg, (t.fg_feats, self.reg_feats),
+                                (t.fg_labels, self.reg_labels),
+                                (targets, self.reg_targets))
+            step1 = self.step1_pools[sid]
+            if len(step1) > 0:
+                pick = step1[rng.integers(0, len(step1), size=self.n_fg_cls)]
+                n_cls = _gather(pick, n_cls, (t.fg_feats, self.cls_feats),
+                                (t.fg_labels, self.cls_labels))
+            if len(t.bg_feats) > 0:
+                pick = rng.integers(0, len(t.bg_feats), size=self.n_bg_cls)
+                self.cls_labels[n_cls:n_cls + self.n_bg_cls] = 0
+                n_cls = _gather(pick, n_cls, (t.bg_feats, self.cls_feats))
+        return (self.reg_feats[:n_reg], self.reg_labels[:n_reg],
+                self.reg_targets[:n_reg], self.cls_feats[:n_cls],
+                self.cls_labels[:n_cls])
+
+
+def _gather(pick: np.ndarray, start: int, *pairs) -> int:
+    """Copy rows pick of each (source, buffer) pair into the buffer from row
+    start on; return the row after the last one written."""
+    end = start + len(pick)
+    for source, buffer in pairs:
+        # Picks are in range by construction; "clip" skips the buffered copy
+        # numpy makes for out= under the default mode "raise".
+        source.take(pick, axis=0, out=buffer[start:end], mode="clip")
+    return end
 
 
 def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
@@ -375,16 +457,16 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
     else:
         phases = [(1, config.s_train * config.n_iter_per_stage, True)]
 
+    sampler = _BatchSampler(tensors, config)
     n_scenes = len(tensors)
     replace = n_scenes < config.images_per_batch
     for stage, n_iter, direct in phases:
         log.stage_boundaries.append(log.total_iterations)
+        sampler.start_phase(stage, direct)
         for it in range(n_iter):
             scene_ids = rng.choice(n_scenes, size=config.images_per_batch,
                                    replace=replace)
-            rf, rl, rt, cf, cl = _sample_batch(
-                tensors, scene_ids, rng, config.samples_per_image_per_step,
-                config.fg_bg_ratio, stage, direct)
+            rf, rl, rt, cf, cl = sampler.sample(rng, scene_ids)
             reg_loss, reg_grads, all_bg = regression_loss_arrays(
                 regressor, rf, rl, rt)
             if not all_bg:
@@ -444,19 +526,44 @@ def _read_checkpoint(path):
         magic = f.readline()
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        header = json.loads(f.readline().decode())
-        arrays = []
-        for shape in header["arrays"]:
-            n = int(np.prod(shape)) if shape else 1
-            buf = f.read(n * 8)
-            if len(buf) != n * 8:
-                raise ValueError("truncated checkpoint")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-    regressor = MLP(header["regressor_sizes"])
-    classifier = MLP(header["classifier_sizes"])
-    n_reg = len(regressor.weights) * 2
-    regressor.set_params(arrays[:n_reg])
-    classifier.set_params(arrays[n_reg:])
+        try:
+            header = json.loads(f.readline())
+        except ValueError as exc:
+            raise ValueError(
+                f"checkpoint {path}: header is not JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"checkpoint {path}: header is not a JSON object")
+        blob = f.read()
+    if not isinstance(header["arrays"], list):
+        raise ValueError(f"checkpoint {path}: arrays is not a list of shapes")
+    arrays = []
+    at = 0
+    for shape in header["arrays"]:
+        if not (isinstance(shape, list) and all(
+                isinstance(d, int) and d >= 0 for d in shape)):
+            raise ValueError(f"checkpoint {path}: array {len(arrays)} has "
+                             f"shape {shape!r}, not a list of sizes")
+        n = math.prod(shape)
+        if at + 8 * n > len(blob):
+            raise ValueError(f"checkpoint {path}: truncated: array "
+                             f"{len(arrays)} needs {8 * n} bytes, "
+                             f"{len(blob) - at} left")
+        arrays.append(np.frombuffer(blob, dtype="<f8", count=n,
+                                    offset=at).reshape(shape))
+        at += 8 * n
+    if at != len(blob):
+        raise ValueError(f"checkpoint {path}: {len(blob) - at} trailing bytes "
+                         f"after the last array")
+    try:
+        regressor = MLP(header["regressor_sizes"])
+        classifier = MLP(header["classifier_sizes"])
+        n_reg = len(regressor.params())
+        regressor.set_params(arrays[:n_reg])
+        classifier.set_params(arrays[n_reg:])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"checkpoint {path}: arrays do not fit regressor_sizes and "
+            f"classifier_sizes: {exc}") from None
     meta = {
         "config": from_plain(TrainConfig, header["config"],
                              f"checkpoint {path}.config"),

@@ -196,7 +196,12 @@ def load_manifest(path) -> tuple[SynthConfig, list[Scene]]:
 def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     import os
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"manifest {path}: not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"manifest {path}: top level is not a JSON object")
     if doc.get("format_version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version in {path}")
     config = from_plain(SynthConfig, doc.get("config"),
@@ -206,8 +211,13 @@ def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     if doc.get("images_file"):
         blob_path = os.path.join(os.path.dirname(str(path)) or ".",
                                  doc["images_file"])
-        raw = np.fromfile(blob_path, dtype="<f8")
-        images = raw.reshape(len(doc["scenes"]), h, w)
+        shape = (len(doc["scenes"]), h, w)
+        size = os.path.getsize(blob_path)
+        if size != 8 * shape[0] * h * w:
+            raise ValueError(
+                f"manifest {path}: image blob {blob_path} has {size} bytes, "
+                f"expected {shape[0]} scenes x {h} x {w} float64 values")
+        images = np.fromfile(blob_path, dtype="<f8").reshape(shape)
     scenes = []
     for i, rec in enumerate(doc["scenes"]):
         gts = [GroundTruth(Box(g["cx"], g["cy"], g["w"], g["h"]),

@@ -11,12 +11,15 @@ from griddet.cli import main
 from griddet.config import (ExperimentConfig, load_config, save_config)
 from griddet.evaluate import (DetRecord, evaluate_detections,
                               read_detection_dump, write_detection_dump)
+from griddet.features import ExtractorConfig
 from griddet.grid import GridSpec, generate_grid
-from griddet.model import CHECKPOINT_MAGIC, TrainConfig
+from griddet.model import (CHECKPOINT_MAGIC, TrainConfig, make_classifier,
+                           make_regressor, save_checkpoint)
 from griddet.pipeline import (ablation_means, cmd_ablation, cmd_detect,
                               cmd_eval, cmd_generate, cmd_train,
                               format_ablation_table, run_ablation)
-from griddet.synth import MANIFEST_VERSION, SynthConfig, load_manifest
+from griddet.synth import (MANIFEST_VERSION, SynthConfig, generate_dataset,
+                           load_manifest, save_manifest)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -103,6 +106,14 @@ MALFORMED_FILES = {
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {}}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
         "scenes"),
+    "manifest_not_json": (
+        "m.json", "not json",
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "not JSON"),
+    "manifest_not_an_object": (
+        "m.json", "[1, 2]",
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "not a JSON object"),
     "dump_record_without_class": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 0, "score": 0.5, "box": [4, 4, 2, 2]}\n',
@@ -141,6 +152,76 @@ def test_cli_reports_malformed_file(tmp_path, capsys, name, text, argv, word):
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert str(path) in lines[0] and word in lines[0]
+
+
+def _corrupt_checkpoint(path, edit):
+    """Write a small checkpoint to path, then rewrite its header and blob
+    with edit(header dict, blob) -> (header bytes, blob)."""
+    rng = np.random.default_rng(0)
+    save_checkpoint(path, make_regressor(3, (2,), 1, rng),
+                    make_classifier(3, (2,), 1, rng), config=TrainConfig(),
+                    mode="gcnn", num_classes=1,
+                    extractor_config=ExtractorConfig(), stage=3)
+    _, header, blob = path.read_bytes().split(b"\n", 2)
+    header, blob = edit(json.loads(header), blob)
+    path.write_bytes(CHECKPOINT_MAGIC + header + b"\n" + blob)
+
+
+def _dropping_last_array(header, blob):
+    *header["arrays"], last = header["arrays"]
+    return json.dumps(header).encode(), blob[:-8 * math.prod(last)]
+
+
+def _transposing_first_array(header, blob):
+    header["arrays"][0].reverse()
+    return json.dumps(header).encode(), blob
+
+
+# (edit as in _corrupt_checkpoint, words the error must contain). The
+# regressor is 3 -> 2 -> 4 and the classifier 3 -> 2 -> 2: 8 arrays.
+MALFORMED_CHECKPOINTS = {
+    "trailing_bytes": (lambda h, b: (json.dumps(h).encode(), b + bytes(8)),
+                       "8 trailing bytes"),
+    "truncated": (lambda h, b: (json.dumps(h).encode(), b[:-8]),
+                  "truncated: array 7 needs 16 bytes, 8 left"),
+    "header_not_json": (lambda h, b: (b"{oops", b), "header is not JSON"),
+    "header_not_an_object": (lambda h, b: (b"[]", b), "not a JSON object"),
+    "shape_not_sizes": (lambda h, b: (json.dumps({**h, "arrays": [[-1]]})
+                                      .encode(), b), "not a list of sizes"),
+    "too_few_arrays": (_dropping_last_array, "expected 4 arrays, got 3"),
+    "wrong_shape": (_transposing_first_array,
+                    "array 0: expected shape (3, 2), got (2, 3)"),
+}
+
+
+@pytest.mark.parametrize("edit, words", MALFORMED_CHECKPOINTS.values(),
+                         ids=MALFORMED_CHECKPOINTS.keys())
+def test_cli_detect_reports_malformed_checkpoint(tmp_path, capsys, edit,
+                                                 words):
+    path = tmp_path / "m.ckpt"
+    _corrupt_checkpoint(path, edit)
+    rc = main(["detect", "--checkpoint", str(path), "--dataset",
+               str(tmp_path / "none.json"), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"checkpoint {path}" in lines[0] and words in lines[0]
+
+
+def test_cli_eval_reports_image_blob_of_wrong_size(tmp_path, capsys):
+    synth = SynthConfig(seed=3, image_size=(16, 16))
+    path = tmp_path / "m.json"
+    save_manifest(path, synth, generate_dataset(synth, 2), images_file="m.bin")
+    blob = tmp_path / "m.bin"
+    blob.write_bytes(blob.read_bytes()[:100])
+    write_detection_dump(tmp_path / "empty.jsonl", [])
+    rc = main(["eval", "--detections", str(tmp_path / "empty.jsonl"),
+               "--dataset", str(path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"manifest {path}" in lines[0]
+    assert "has 100 bytes, expected 2 scenes x 16 x 16" in lines[0]
 
 
 def test_generate_idempotent_byte_equal(tmp_path):

@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from griddet.features import ExtractorConfig
 from griddet.grid import GridSpec
-from griddet.model import (MLP, SGDOptimizer, TrainConfig, classifier_loss,
-                           load_checkpoint, make_classifier, make_regressor,
-                           precompute_scene_tensors, regression_loss_arrays,
-                           save_checkpoint, smooth_l1, train_models,
-                           train_stepwise)
+from griddet.model import (MLP, Grads, SGDOptimizer, TrainConfig,
+                           classifier_loss, load_checkpoint, make_classifier,
+                           make_regressor, precompute_scene_tensors,
+                           regression_loss_arrays, save_checkpoint, smooth_l1,
+                           train_models, train_stepwise)
 from griddet.synth import SynthConfig, generate_dataset
 
 
@@ -175,17 +177,60 @@ def test_dimension_mismatch():
         model.forward(np.zeros((1, 5)))
 
 
+def test_parameters_are_views_of_one_flat_vector():
+    model = make_regressor(5, (4,), 2, np.random.default_rng(2))
+    assert model.flat.shape == (5 * 4 + 4 + 4 * 8 + 8,)
+    assert all(np.shares_memory(p, model.flat) for p in model.params())
+    assert np.array_equal(np.concatenate([p.ravel() for p in model.params()]),
+                          model.flat)
+    model.flat[:] = 0.0
+    assert all(np.all(p == 0.0) for p in model.params())
+
+
+def test_set_params_checks_every_shape_before_copying():
+    model = MLP([3, 2, 4])
+    before = model.flat.copy()
+    good = [np.full(p.shape, 7.0) for p in model.params()]
+    with pytest.raises(ValueError, match="expected 4 arrays, got 3"):
+        model.set_params(good[:3])
+    with pytest.raises(ValueError, match=r"array 2: expected shape \(2, 4\)"):
+        model.set_params(good[:2] + [np.zeros((4, 2)), good[3]])
+    assert np.array_equal(model.flat, before)
+    model.set_params(good)
+    assert np.all(model.flat == 7.0)
+
+
+def test_forward_and_backward_return_fresh_arrays():
+    rng = np.random.default_rng(4)
+    model = make_classifier(4, (3,), 2, rng)
+    x = rng.normal(size=(6, 4))
+    out, cache = model.forward(x)
+    assert not any(np.shares_memory(out, a) for a in (x, model.flat))
+    dout = rng.normal(size=out.shape)
+    kept = dout.copy()
+    g1 = model.backward(cache, dout)
+    g2 = model.backward(cache, dout)
+    assert np.array_equal(dout, kept)
+    assert not np.shares_memory(g1.flat, g2.flat)
+    assert np.array_equal(g1.flat, g2.flat)
+    gw, gb = g1
+    assert [g.shape for g in gw] == [w.shape for w in model.weights]
+    assert [g.shape for g in gb] == [b.shape for b in model.biases]
+
+
 def test_sgd_momentum_step():
     model = MLP([1, 1], np.random.default_rng(0))
     model.weights[0][:] = 1.0
     model.biases[0][:] = 0.0
     opt = SGDOptimizer(model, lr=0.1, momentum=0.5)
-    grads = ([np.ones((1, 1))], [np.zeros(1)])
+    grads = Grads(np.array([1.0, 0.0]), model.layer_sizes)
+    assert grads[0][0].shape == (1, 1) and grads[1][0].shape == (1,)
     opt.step(grads)
     assert model.weights[0][0, 0] == pytest.approx(0.9)
     opt.step(grads)
     # velocity: -0.1, then 0.5*(-0.1) - 0.1 = -0.15
     assert model.weights[0][0, 0] == pytest.approx(0.75)
+    assert np.array_equal(grads.flat, [1.0, 0.0])
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +270,6 @@ def test_training_deterministic(small_training_setup):
 
 def test_single_stage_modes_coincide(small_training_setup):
     scenes, config, grid_spec, _, _ = small_training_setup
-    import dataclasses
     cfg1 = dataclasses.replace(config, s_train=1, n_iter_per_stage=30)
     tensors, dim = precompute_scene_tensors(scenes, grid_spec, cfg1)
     rg, cg, lg = train_models(tensors, cfg1, "gcnn", 4, dim)
@@ -234,6 +278,191 @@ def test_single_stage_modes_coincide(small_training_setup):
         assert np.array_equal(a, b)
     assert [e["reg_loss"] for e in lg.entries] == \
         [e["reg_loss"] for e in lo.entries]
+
+
+def _reference_train(tensors, config, mode, num_classes, input_dim):
+    """Straightforward training loop, kept as the reference for train_models:
+    per-layer parameter arrays replaced by allocating updates, and batches
+    concatenated from per-image parts. Returns (params, log entries, stage
+    boundaries)."""
+
+    def init(sizes, seed):
+        rng = np.random.default_rng(seed)
+        weights, biases = [], []
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+            biases.append(np.zeros(fan_out))
+        return weights, biases
+
+    def forward(weights, biases, x):
+        activations = [x]
+        h = x
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            h = h @ w + b
+            if i < len(weights) - 1:
+                h = np.maximum(h, 0.0)
+            activations.append(h)
+        return h, activations
+
+    def backward(weights, activations, dout):
+        grads_w = [None] * len(weights)
+        grads_b = [None] * len(weights)
+        g = dout
+        for i in reversed(range(len(weights))):
+            grads_w[i] = activations[i].T @ g
+            grads_b[i] = g.sum(axis=0)
+            if i > 0:
+                g = g @ weights[i].T
+                g = g * (activations[i] > 0)
+        return grads_w, grads_b
+
+    def regression(weights, biases, feats, labels, targets):
+        n = feats.shape[0]
+        out, cache = forward(weights, biases, feats)
+        k = out.shape[1] // 4
+        pred = out.reshape(n, k, 4)
+        rows = np.arange(n)
+        residual = pred[rows, labels - 1] - targets
+        absx = np.abs(residual)
+        loss = float(np.where(absx < 1.0, 0.5 * residual * residual,
+                              absx - 0.5).sum() / n)
+        dout = np.zeros_like(pred)
+        dout[rows, labels - 1] = np.clip(residual, -1.0, 1.0) / n
+        return loss, backward(weights, cache, dout.reshape(n, 4 * k))
+
+    def classification(weights, biases, feats, labels):
+        n = feats.shape[0]
+        logits, cache = forward(weights, biases, feats)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expz = np.exp(shifted)
+        probs = expz / expz.sum(axis=1, keepdims=True)
+        rows = np.arange(n)
+        loss = float(-np.log(np.maximum(probs[rows, labels], 1e-300)).mean())
+        dout = probs.copy()
+        dout[rows, labels] -= 1.0
+        dout /= n
+        return loss, backward(weights, cache, dout)
+
+    def sgd_step(weights, biases, velocity, grads):
+        for params, vels, gs in zip((weights, biases), velocity, grads):
+            for i in range(len(params)):
+                vels[i] = (config.momentum * vels[i]
+                           - config.learning_rate * gs[i])
+                params[i] = params[i] + vels[i]
+
+    def sample_batch(scene_ids, rng, stage, direct):
+        per_image = config.samples_per_image_per_step
+        n_fg_cls = max(1, int(round(per_image / (1.0 + config.fg_bg_ratio))))
+        n_bg_cls = per_image - n_fg_cls
+        reg_feats, reg_labels, reg_targets = [], [], []
+        cls_feats, cls_labels = [], []
+        for sid in scene_ids:
+            t = tensors[sid]
+            pool = np.flatnonzero(t.fg_steps == 1 if direct
+                                  else t.fg_steps <= stage)
+            if len(pool) > 0:
+                pick = pool[rng.integers(0, len(pool), size=per_image)]
+                reg_feats.append(t.fg_feats[pick])
+                reg_labels.append(t.fg_labels[pick])
+                reg_targets.append(t.direct_targets[pick] if direct
+                                   else t.fg_targets[pick])
+            step1 = np.flatnonzero(t.fg_steps == 1)
+            if len(step1) > 0:
+                pick = step1[rng.integers(0, len(step1), size=n_fg_cls)]
+                cls_feats.append(t.fg_feats[pick])
+                cls_labels.append(t.fg_labels[pick])
+            if len(t.bg_feats) > 0:
+                pick = rng.integers(0, len(t.bg_feats), size=n_bg_cls)
+                cls_feats.append(t.bg_feats[pick])
+                cls_labels.append(np.zeros(n_bg_cls, dtype=np.int64))
+
+        def stack(parts, width):
+            return np.concatenate(parts) if parts else np.zeros((0, width))
+        return (stack(reg_feats, input_dim),
+                np.concatenate(reg_labels or [[]]), stack(reg_targets, 4),
+                stack(cls_feats, input_dim), np.concatenate(cls_labels or [[]]))
+
+    init_reg, init_cls, batch_ss = np.random.SeedSequence(config.seed).spawn(3)
+    hidden = list(config.hidden_sizes)
+    reg_w, reg_b = init([input_dim, *hidden, 4 * num_classes], init_reg)
+    cls_w, cls_b = init([input_dim, *hidden, num_classes + 1], init_cls)
+    reg_vel = ([np.zeros_like(w) for w in reg_w],
+               [np.zeros_like(b) for b in reg_b])
+    cls_vel = ([np.zeros_like(w) for w in cls_w],
+               [np.zeros_like(b) for b in cls_b])
+    rng = np.random.default_rng(batch_ss)
+    n_iter = config.n_iter_per_stage
+    stages = range(1, config.s_train + 1)
+    phases = {"gcnn": [(c, n_iter, False) for c in stages],
+              "1step": [(config.s_train, config.s_train * n_iter, False)],
+              "ifrcnn": [(1, config.s_train * n_iter, True)]}[mode]
+    entries, boundaries = [], []
+    for stage, iterations, direct in phases:
+        boundaries.append(len(entries))
+        for it in range(iterations):
+            scene_ids = rng.choice(
+                len(tensors), size=config.images_per_batch,
+                replace=len(tensors) < config.images_per_batch)
+            rf, rl, rt, cf, cl = sample_batch(scene_ids, rng, stage, direct)
+            all_bg = len(rf) == 0
+            reg_loss = 0.0
+            if not all_bg:
+                reg_loss, grads = regression(reg_w, reg_b, rf, rl, rt)
+                sgd_step(reg_w, reg_b, reg_vel, grads)
+            cls_loss = 0.0
+            if len(cf) > 0:
+                cls_loss, grads = classification(cls_w, cls_b, cf, cl)
+                sgd_step(cls_w, cls_b, cls_vel, grads)
+            entries.append({"stage": stage, "iteration": it,
+                            "reg_loss": reg_loss, "cls_loss": cls_loss,
+                            "all_background": all_bg})
+    params = [a for pair in zip(reg_w, reg_b) for a in pair] + \
+        [a for pair in zip(cls_w, cls_b) for a in pair]
+    return params, entries, boundaries
+
+
+def _without_foreground(t):
+    return dataclasses.replace(
+        t, fg_feats=t.fg_feats[:0], fg_labels=t.fg_labels[:0],
+        fg_steps=t.fg_steps[:0], fg_targets=t.fg_targets[:0],
+        direct_targets=t.direct_targets[:0])
+
+
+# case -> (TrainConfig overrides, scene tensors from the fixture's list)
+REFERENCE_CASES = {
+    # Scene 1 has no foreground rows and scene 2 no background rows, so
+    # batches that draw them come out short.
+    "short_batches": ({}, lambda ts: [
+        ts[0], _without_foreground(ts[1]),
+        dataclasses.replace(ts[2], bg_feats=ts[2].bg_feats[:0]), *ts[3:]]),
+    # Fewer scenes than images per batch: scenes are drawn with replacement,
+    # and a batch of only the foreground-free scene is all background.
+    "replace": ({"images_per_batch": 3},
+                lambda ts: [ts[0], _without_foreground(ts[1])]),
+    "no_hidden_layer": ({"hidden_sizes": ()}, lambda ts: ts),
+    "two_hidden_layers": ({"hidden_sizes": (16, 8)}, lambda ts: ts),
+}
+
+
+@pytest.mark.parametrize("mode", ["gcnn", "1step", "ifrcnn"])
+@pytest.mark.parametrize("overrides, pick", REFERENCE_CASES.values(),
+                         ids=REFERENCE_CASES.keys())
+def test_train_models_matches_reference_loop(small_training_setup, mode,
+                                             overrides, pick):
+    _, config, _, all_tensors, dim = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=20, **overrides)
+    tensors = pick(all_tensors)
+    reg, cls, log = train_models(tensors, config, mode, 4, dim)
+    params, entries, boundaries = _reference_train(tensors, config, mode, 4,
+                                                   dim)
+    got = reg.params() + cls.params()
+    assert [a.shape for a in got] == [a.shape for a in params]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, params))
+    assert log.entries == entries
+    assert log.stage_boundaries == boundaries
+    if "images_per_batch" in overrides:
+        assert any(e["all_background"] for e in entries)
 
 
 def test_stage_pool_size(small_training_setup):
