@@ -94,53 +94,71 @@ def delta(b: Box, t: Box) -> DeltaParams:
 
 
 def apply_delta(b: Box, d: DeltaParams) -> Box:
-    """Project a parametrized change back into box space (inverse of delta)."""
-    return Box(
-        cx=b.cx + d.tx * b.w,
-        cy=b.cy + d.ty * b.h,
-        w=b.w * math.exp(d.tw),
-        h=b.h * math.exp(d.th),
-    )
-
-
-def _clip_axis(lo: float, hi: float, dim: float, min_side: float) -> tuple[float, float]:
-    clo = min(max(lo, 0.0), dim)
-    chi = min(max(hi, 0.0), dim)
-    side = chi - clo
-    orig_side = hi - lo
-    if side < orig_side and side <= min_side:
-        # Clamping collapsed the side: restore a minimum side centered at the
-        # clamped position, shifted to stay inside the image.
-        side = min(min_side, dim)
-        center = (clo + chi) / 2.0
-        center = min(max(center, side / 2.0), dim - side / 2.0)
-        return center - side / 2.0, center + side / 2.0
-    return clo, chi
+    """Project a parametrized change back into box space (inverse of delta).
+    Raises ValueError if the result is not finite or has an empty side."""
+    return Box(*apply_deltas(boxes_to_array([b]), d.as_array())[0].tolist())
 
 
 def clip_to_image(b: Box, width: float, height: float, min_side: float = 1.0) -> Box:
-    """Clamp a box to the image rectangle [0, width] x [0, height].
+    """Clamp one box to the image; see clip_boxes. Raises ValueError if the
+    clamped box has an empty side."""
+    return Box(*clip_boxes(boxes_to_array([b]), width, height,
+                           min_side)[0].tolist())
+
+
+# Array forms. Rows are (cx, cy, w, h).
+
+def boxes_to_array(boxes: list[Box]) -> np.ndarray:
+    return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def apply_deltas(boxes: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Move each row of boxes by its row of deltas (tx, ty, tw, th), the
+    inverse of delta; rows are not checked. The scales come from math.exp
+    value by value, since np.exp differs from it in the last bit on some
+    inputs; the rest is the scalar formula in its order, so results match
+    it bit for bit."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
+    scales = [math.exp(t) for t in deltas[:, 2:].ravel().tolist()]
+    return np.hstack([boxes[:, :2] + deltas[:, :2] * boxes[:, 2:],
+                      boxes[:, 2:] * np.reshape(scales, (-1, 2))])
+
+
+def clip_boxes(boxes: np.ndarray, width: float, height: float,
+               min_side: float = 1.0) -> np.ndarray:
+    """Clamp each row of boxes to the image rectangle [0, width] x [0, height].
 
     If clamping shrinks a side to min_side or below, that side is restored to
-    min_side, centered at the clamped position and kept inside the image, so
-    boxes drifting outside never degenerate. Idempotent.
+    min(min_side, image side), centered at the clamped position and kept
+    inside the image, so boxes drifting outside never degenerate. Rows that
+    clamping leaves untouched pass through without corner round-trip noise.
+    Idempotent. Rows are not checked: one whose corners already coincide can
+    come out with an empty side.
     """
     if width <= 0 or height <= 0:
         raise ValueError("image dimensions must be positive")
-    x1, y1, x2, y2 = b.corners()
-    cx1, cx2 = _clip_axis(x1, x2, width, min_side)
-    cy1, cy2 = _clip_axis(y1, y2, height, min_side)
-    if (cx1, cy1, cx2, cy2) == (x1, y1, x2, y2):
-        return b  # untouched boxes pass through without corner round-trip noise
-    return Box.from_corners(cx1, cy1, cx2, cy2)
-
-
-# Array helpers for bulk geometry. Rows are (cx, cy, w, h).
-
-def boxes_to_array(boxes: list[Box]) -> np.ndarray:
-    if not boxes:
-        return np.zeros((0, 4), dtype=np.float64)
-    return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes], dtype=np.float64)
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    half = boxes[:, 2:] / 2.0
+    lo, hi = boxes[:, :2] - half, boxes[:, :2] + half
+    dim = np.array([width, height], dtype=np.float64)
+    # np.maximum(a, b) is np.where(a >= b, a, b), and np.minimum likewise:
+    # the choices of Python's max and min, signed zeros included.
+    clo = np.minimum(np.maximum(lo, 0.0), dim)
+    chi = np.minimum(np.maximum(hi, 0.0), dim)
+    side = chi - clo
+    # Clamping collapsed the side: restore a minimum side centered at the
+    # clamped position, shifted to stay inside the image.
+    collapsed = (side < hi - lo) & (side <= min_side)
+    small = np.minimum(min_side, dim)
+    center = np.minimum(np.maximum((clo + chi) / 2.0, small / 2.0),
+                        dim - small / 2.0)
+    clo = np.where(collapsed, center - small / 2.0, clo)
+    chi = np.where(collapsed, center + small / 2.0, chi)
+    untouched = ((clo == lo) & (chi == hi)).all(axis=1, keepdims=True)
+    rebuilt = np.hstack([(clo + chi) / 2.0, chi - clo])
+    return np.where(untouched, boxes, rebuilt)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

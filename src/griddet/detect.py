@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import (Box, DeltaParams, apply_delta, boxes_to_array,
-                    clip_to_image, delta, iou)
+# apply_delta and iou stay importable here for the benchmark's call counters.
+from .boxes import (Box, apply_delta, apply_deltas, boxes_to_array,
+                    clip_boxes, delta, iou, iou_matrix)
 from .features import ExtractorConfig, FeatureExtractor, build_roi_features
 from .grid import GridSpec, generate_grid
 from .model import MLP, softmax_probs
@@ -46,23 +47,20 @@ class DetectStats:
     iteration_seconds: list = field(default_factory=list)
 
 
-def _nms_keep(boxes: list[Box], scores: list[float],
-              iou_threshold: float) -> list[int]:
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
-    kept: list[int] = []
-    for i in order:
-        if all(iou(boxes[i], boxes[j]) <= iou_threshold for j in kept):
-            kept.append(i)
-    return kept
-
-
-def nms(detections: list[tuple[Box, float]],
-        iou_threshold: float) -> list[tuple[Box, float]]:
-    """Greedy suppression: keep a box iff its IoU with every already-kept box
-    is <= iou_threshold. Ties in score break toward the earlier index."""
-    boxes = [b for b, _ in detections]
-    scores = [s for _, s in detections]
-    return [detections[i] for i in _nms_keep(boxes, scores, iou_threshold)]
+def nms(boxes: np.ndarray, scores: np.ndarray,
+        iou_threshold: float) -> np.ndarray:
+    """Greedy suppression over the rows of boxes: visiting rows by descending
+    score, ties toward the earlier row, keep a row iff its IoU with every
+    already-kept row is <= iou_threshold. Returns the kept row indices in
+    visiting order."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    ordered = np.asarray(boxes, dtype=np.float64)[order]
+    overlaps = iou_matrix(ordered, ordered) > iou_threshold
+    kept = np.ones(len(order), dtype=bool)
+    for i in range(len(order)):
+        if kept[i]:
+            kept[i + 1:] &= ~overlaps[i, i + 1:]
+    return order[kept]
 
 
 def model_fns(regressor: MLP, classifier: MLP):
@@ -86,22 +84,19 @@ def oracle_fns(assignments, num_classes: int):
     ground truth on every class head; the classifier returns probability one
     for the assigned class (background for unassigned boxes).
     """
-    by_index = {a.grid_index: a for a in assignments}
+    target = {a.grid_index: a.target_gt for a in assignments}
 
     def regress(feats, boxes, grid_indices):
         out = np.zeros((len(boxes), num_classes, 4))
-        for row, (b, gi) in enumerate(zip(boxes, grid_indices)):
-            a = by_index[gi]
-            if a.target_gt is not None:
-                out[row, :, :] = delta(b, a.target_gt.box).as_array()
+        for row, (b, gi) in enumerate(zip(boxes.tolist(), grid_indices)):
+            if target[gi] is not None:
+                out[row, :, :] = delta(Box(*b), target[gi].box).as_array()
         return out
 
     def classify(feats, boxes, grid_indices):
         probs = np.zeros((len(boxes), num_classes + 1))
         for row, gi in enumerate(grid_indices):
-            a = by_index[gi]
-            label = 0 if a.target_gt is None else a.target_gt.class_label
-            probs[row, label] = 1.0
+            probs[row, 0 if target[gi] is None else target[gi].class_label] = 1
         return probs
 
     return regress, classify
@@ -110,20 +105,37 @@ def oracle_fns(assignments, num_classes: int):
 def detect(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
            classifier_fn, *, s_test: int = 5, score_threshold: float = 0.05,
            nms_iou: float = 0.3, extractor: FeatureExtractor | None = None,
-           clip: bool = True, stats: DetectStats | None = None,
-           ) -> list[DetectionResult]:
+           stats: DetectStats | None = None) -> list[DetectionResult]:
     """Run the iterative detection loop on one image."""
-    results = detect_multi(scene_image, grid_spec, regressor_fn, classifier_fn,
-                           eval_steps=[s_test], score_threshold=score_threshold,
-                           nms_iou=nms_iou, extractor=extractor, clip=clip,
-                           stats=stats)
-    return results[s_test]
+    return detect_multi(scene_image, grid_spec, regressor_fn, classifier_fn,
+                        eval_steps=[s_test], score_threshold=score_threshold,
+                        nms_iou=nms_iou, extractor=extractor, stats=stats)[s_test]
+
+
+def move_boxes(boxes: np.ndarray, deltas: np.ndarray, width: float,
+               height: float) -> np.ndarray:
+    """One step for rows of boxes: move each by its row of deltas, with tw
+    and th clamped at MAX_LOG_SCALE, and clip it to the image. A row whose
+    delta is not finite, or whose moved or clipped box is not finite or has
+    an empty side, keeps its position."""
+    deltas = np.array(deltas, dtype=np.float64).reshape(-1, 4)
+    np.minimum(deltas[:, 2:], MAX_LOG_SCALE, out=deltas[:, 2:])
+    # A non-finite delta moves a box to a non-finite or (exp(-inf)) empty one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = apply_deltas(boxes, deltas)
+        clipped = clip_boxes(moved, width, height)
+    ok = _valid(moved) & _valid(clipped)
+    return np.where(ok[:, None], clipped, boxes)
+
+
+def _valid(boxes: np.ndarray) -> np.ndarray:
+    return np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > 0).all(axis=1)
 
 
 def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
                  classifier_fn, *, eval_steps: list[int],
                  score_threshold: float = 0.05, nms_iou: float = 0.3,
-                 extractor: FeatureExtractor | None = None, clip: bool = True,
+                 extractor: FeatureExtractor | None = None,
                  stats: DetectStats | None = None,
                  ) -> dict[int, list[DetectionResult]]:
     """Single pass producing results for several iteration counts.
@@ -131,10 +143,9 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
     The box states after k iterations are identical to a run with
     s_test = k, so one pass to max(eval_steps) yields every prefix.
 
-    A box moves by the delta of its most probable class, with tw and th
-    clamped at MAX_LOG_SCALE; a delta that is not finite, or that would give
-    a box that is not finite or has an empty side, leaves the box where it is.
-    """
+    The boxes are one (N, 4) array of (cx, cy, w, h) rows, which the
+    callbacks receive. Each step moves the boxes of a non-background class by
+    that class's delta (see move_boxes); background boxes stay put."""
     if any(s < 0 for s in eval_steps):
         raise ValueError("eval_steps must be >= 0")
     extractor = extractor or FeatureExtractor()
@@ -145,73 +156,55 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
     if stats is not None:
         stats.feature_calls += 1
 
-    boxes = generate_grid(grid_spec, w, h)
-    grid_indices = list(range(len(boxes)))
-    history = [boxes]  # the boxes after each step, the grid first
-    want = set(eval_steps)
+    grid = boxes_to_array(generate_grid(grid_spec, w, h))
+    grid_indices = list(range(len(grid)))
+    # The boxes after each step, the grid first.
+    history = np.empty((max(eval_steps) + 1, len(grid), 4))
+    history[0] = grid
     out: dict[int, list[DetectionResult]] = {}
-    max_step = max(eval_steps)
-
-    if 0 in want:
-        out[0] = _finalize(fm, history, grid_indices, classifier_fn, cfg,
-                           score_threshold, nms_iou)
-
-    for s in range(1, max_step + 1):
-        t0 = time.perf_counter()
-        feats = build_roi_features(fm, boxes, cfg)
-        probs = classifier_fn(feats, boxes, grid_indices)
-        _check_dims(probs, boxes)
-        labels = np.argmax(probs, axis=1)
-        deltas = regressor_fn(feats, boxes, grid_indices)
-        # Background boxes stay put; the rest move by their class's delta.
-        moving = np.flatnonzero(labels)
-        rows = np.asarray(deltas, dtype=np.float64)[moving, labels[moving] - 1]
-        np.minimum(rows[:, 2:], MAX_LOG_SCALE, out=rows[:, 2:])
-        boxes = list(boxes)
-        for i, row in zip(moving.tolist(), rows.tolist()):
-            try:
-                nb = apply_delta(boxes[i], DeltaParams(*row))
-                boxes[i] = clip_to_image(nb, w, h) if clip else nb
-            except ValueError:  # a non-finite delta, or an empty or non-finite box
-                pass
-        history.append(boxes)
-        if stats is not None:
-            stats.iteration_seconds.append(time.perf_counter() - t0)
-        if s in want:
-            out[s] = _finalize(fm, history, grid_indices, classifier_fn, cfg,
-                               score_threshold, nms_iou)
+    for s in range(len(history)):
+        if s:
+            t0 = time.perf_counter()
+            boxes = history[s - 1]
+            feats = build_roi_features(fm, boxes, cfg)
+            probs = classifier_fn(feats, boxes, grid_indices)
+            if probs.shape[0] != len(boxes):
+                raise ModelMismatchError(
+                    "classifier output rows != number of boxes")
+            labels = np.argmax(probs, axis=1)
+            deltas = np.asarray(regressor_fn(feats, boxes, grid_indices),
+                                dtype=np.float64)
+            moving = np.flatnonzero(labels)
+            history[s] = boxes
+            history[s, moving] = move_boxes(
+                boxes[moving], deltas[moving, labels[moving] - 1], w, h)
+            if stats is not None:
+                stats.iteration_seconds.append(time.perf_counter() - t0)
+        if s in eval_steps:
+            out[s] = _finalize(fm, history[:s + 1], grid_indices,
+                               classifier_fn, cfg, score_threshold, nms_iou)
     return out
-
-
-def _check_dims(probs, boxes):
-    if probs.shape[0] != len(boxes):
-        raise ModelMismatchError("classifier output rows != number of boxes")
 
 
 def _finalize(fm, history, grid_indices, classifier_fn, cfg: ExtractorConfig,
               score_threshold: float, nms_iou: float,
               ) -> list[DetectionResult]:
     """Score the last boxes of history, drop background/low scores, and apply
-    per-class NMS. Only survivors get their trajectory array."""
+    per-class NMS. Results come by descending score, ties toward the lower
+    grid index; only survivors get a Box and their trajectory."""
     boxes = history[-1]
     feats = build_roi_features(fm, boxes, cfg)
     probs = classifier_fn(feats, boxes, grid_indices)
     labels = np.argmax(probs, axis=1)
-    candidates = []  # (box index, label, score)
-    for i in range(len(boxes)):
-        label = int(labels[i])
-        score = float(probs[i, label])
-        if label == 0 or score < score_threshold:
-            continue
-        candidates.append((i, label, score))
-    survivors = []
-    for label in sorted({c[1] for c in candidates}):
-        group = [c for c in candidates if c[1] == label]
-        kept = _nms_keep([boxes[c[0]] for c in group],
-                         [c[2] for c in group], nms_iou)
-        survivors.extend(group[j] for j in sorted(kept))
-    survivors.sort(key=lambda c: (-c[2], grid_indices[c[0]]))
-    return [DetectionResult(boxes[i], label, score,
-                            boxes_to_array([step[i] for step in history]),
+    scores = probs[np.arange(len(boxes)), labels]
+    candidates = np.flatnonzero((labels > 0) & (scores >= score_threshold))
+    kept = np.zeros(len(boxes), dtype=bool)
+    for c in np.unique(labels[candidates]):
+        group = candidates[labels[candidates] == c]
+        kept[group[nms(boxes[group], scores[group], nms_iou)]] = True
+    kept = np.flatnonzero(kept)
+    kept = kept[np.argsort(-scores[kept], kind="stable")]
+    return [DetectionResult(Box(*boxes[i].tolist()), int(labels[i]),
+                            float(scores[i]), history[:, i].copy(),
                             grid_indices[i])
-            for i, label, score in survivors]
+            for i in kept.tolist()]

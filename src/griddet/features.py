@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box
-
 # Pooled values per chunk of boxes; bounds each of the four pooling
 # temporaries to 128 KiB.
 _CHUNK = 1 << 14
@@ -227,31 +225,39 @@ class FeatureExtractor:
         return FeatureMap(table.map, table)
 
 
-def compute_global_features(image: np.ndarray,
-                            config: ExtractorConfig | None = None) -> FeatureMap:
-    """One-off feature computation (no counter)."""
-    return FeatureExtractor(config or ExtractorConfig()).compute_global_features(image)
+def build_roi_features(fm: FeatureMap, boxes: np.ndarray,
+                       config: ExtractorConfig) -> np.ndarray:
+    """Max-pool the cells under each row (cx, cy, w, h) of boxes into
+    channels * pool_h * pool_w values, then optionally append the normalized
+    box coordinates (cx/W, cy/H, w/W, h/H).
 
-
-def _max_pool(fm: FeatureMap, boxes: list[Box], geometry: np.ndarray,
-              pool_h: int, pool_w: int, out: np.ndarray):
-    """Max-pool every box (rows of geometry: cx, cy, w, h) into the rows of
-    out; see roi_pool for the bins."""
+    Each box (corner form, clipped to the map) is divided into pool_h x
+    pool_w bins; bin i along an axis of extent N spans cells
+    [floor(i*N/p), ceil((i+1)*N/p)), and outputs the per-channel max of its
+    cells. A box whose corners round to no cell pools zeros; a box that does
+    not meet the map raises BoxOutsideImageError."""
+    pool_h, pool_w = config.pool_h, config.pool_w
     if pool_h < 1 or pool_w < 1:
         raise ValueError("pool dims must be >= 1")
-    if out.shape[1] != fm.channels * pool_h * pool_w:
-        raise ValueError(f"{out.shape[1]} pooled features per box do not fit "
-                         f"{fm.channels} channels of {pool_h}x{pool_w} bins")
+    if config.channels != fm.channels:
+        raise ValueError(f"{config.channels} configured channels do not fit "
+                         f"a feature map of {fm.channels}")
+    d = config.channels * pool_h * pool_w
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    feats = np.zeros((len(boxes), config.feature_dim), dtype=np.float64)
+    if config.include_box_coords:
+        feats[:, d:] = boxes / (fm.width, fm.height, fm.width, fm.height)
     if not len(boxes):
-        return
-    cx, cy, w, h = geometry.T
+        return feats
+    cx, cy, w, h = boxes.T
     x1, y1 = cx - w / 2.0, cy - h / 2.0
     x2, y2 = cx + w / 2.0, cy + h / 2.0
     outside = (x2 <= 0) | (y2 <= 0) | (x1 >= fm.width) | (y1 >= fm.height)
     if outside.any():
-        box = boxes[int(np.argmax(outside))]
-        raise BoxOutsideImageError(f"box {box} does not intersect the "
-                                   f"{fm.width}x{fm.height} feature map")
+        row = int(np.argmax(outside))
+        raise BoxOutsideImageError(
+            f"box row {row} {boxes[row].tolist()} does not intersect the "
+            f"{fm.width}x{fm.height} feature map")
     # Clip in floats, where a huge box cannot overflow the integer cast.
     ix1 = np.maximum(np.floor(x1), 0).astype(np.intp)
     iy1 = np.maximum(np.floor(y1), 0).astype(np.intp)
@@ -262,34 +268,6 @@ def _max_pool(fm: FeatureMap, boxes: list[Box], geometry: np.ndarray,
     empty = (ix2 <= ix1) | (iy2 <= iy1)
     fm.range_max(pool_h, pool_w).pool(iy1, np.maximum(iy2, iy1 + 1),
                                       ix1, np.maximum(ix2, ix1 + 1),
-                                      pool_h, pool_w, out)
-    out[empty] = 0.0
-
-
-def roi_pool(fm: FeatureMap, box: Box, pool_h: int = 6, pool_w: int = 6) -> np.ndarray:
-    """Max-pool the feature cells under a box into a fixed-length vector.
-
-    The box (corner form, clipped to the map) is divided into pool_h x pool_w
-    bins; bin i along an axis of extent N spans cells
-    [floor(i*N/p), ceil((i+1)*N/p)). Each bin outputs the per-channel max of
-    the cells it covers; a box whose corners round to no cell yields all
-    zeros. Output length is channels * pool_h * pool_w regardless of box size.
-    """
-    out = np.zeros((1, fm.channels * pool_h * pool_w))
-    _max_pool(fm, [box], np.array([[box.cx, box.cy, box.w, box.h]]),
-              pool_h, pool_w, out)
-    return out[0]
-
-
-def build_roi_features(fm: FeatureMap, boxes: list[Box],
-                       config: ExtractorConfig) -> np.ndarray:
-    """Pool features for a batch of boxes (see roi_pool), optionally appending
-    normalized box coordinates (cx/W, cy/H, w/W, h/H)."""
-    feats = np.zeros((len(boxes), config.feature_dim), dtype=np.float64)
-    d = config.channels * config.pool_h * config.pool_w
-    geometry = np.array([(b.cx, b.cy, b.w, b.h) for b in boxes],
-                        dtype=np.float64).reshape(-1, 4)
-    _max_pool(fm, boxes, geometry, config.pool_h, config.pool_w, feats[:, :d])
-    if config.include_box_coords:
-        feats[:, d:] = geometry / (fm.width, fm.height, fm.width, fm.height)
+                                      pool_h, pool_w, feats[:, :d])
+    feats[empty, :d] = 0.0
     return feats

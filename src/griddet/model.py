@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assign import assign_grid, build_train_tuples
-from .boxes import delta
+from .boxes import boxes_to_array, delta
 from .features import ExtractorConfig, FeatureExtractor, build_roi_features
 from .grid import GridSpec, generate_grid
 from .records import from_plain, to_plain
@@ -84,6 +84,7 @@ class MLP:
 
     All parameters live in one float64 vector, ``flat``; ``weights`` and
     ``biases`` are views into it, so writing to them writes to ``flat``.
+    Without an rng to draw weights from, every parameter starts at zero.
     """
 
     def __init__(self, layer_sizes: list[int], rng: np.random.Generator | None = None):
@@ -94,7 +95,8 @@ class MLP:
         self.flat = np.zeros(sum((fan_in + 1) * fan_out
                                  for fan_in, fan_out in pairs))
         self.weights, self.biases = _layer_views(self.flat, self.layer_sizes)
-        rng = rng or np.random.default_rng(0)
+        if rng is None:
+            return
         for (fan_in, fan_out), w in zip(pairs, self.weights):
             bound = 1.0 / np.sqrt(fan_in)
             w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -335,8 +337,10 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
             keep = bg_rng.choice(len(bg), size=config.max_bg_per_scene,
                                  replace=False)
             bg = [bg[i] for i in sorted(keep)]
-        fg_feats = build_roi_features(fm, [t.box_state for t in fg], ext_cfg)
-        bg_feats = build_roi_features(fm, [t.box_state for t in bg], ext_cfg)
+        fg_feats = build_roi_features(
+            fm, boxes_to_array([t.box_state for t in fg]), ext_cfg)
+        bg_feats = build_roi_features(
+            fm, boxes_to_array([t.box_state for t in bg]), ext_cfg)
         # Free this scene's map and range-max table before the next is built.
         del fm
         fg_labels = np.array([t.class_label for t in fg], dtype=np.int64)

@@ -206,6 +206,8 @@ def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
         raise ValueError(f"unsupported manifest version in {path}")
     config = from_plain(SynthConfig, doc.get("config"),
                         f"manifest {path}.config")
+    if not isinstance(doc["scenes"], list):
+        raise ValueError(f"manifest {path}: scenes is not a list")
     w, h = config.image_size
     images = None
     if doc.get("images_file"):
@@ -220,8 +222,12 @@ def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
         images = np.fromfile(blob_path, dtype="<f8").reshape(shape)
     scenes = []
     for i, rec in enumerate(doc["scenes"]):
-        gts = [GroundTruth(Box(g["cx"], g["cy"], g["w"], g["h"]),
-                           g["class_label"]) for g in rec["gts"]]
+        try:
+            gts = [GroundTruth(Box(g["cx"], g["cy"], g["w"], g["h"]),
+                               g["class_label"]) for g in rec["gts"]]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"manifest {path}: scene {i} is malformed: {exc}") from None
         if images is not None:
             scene = Scene(images[i].copy(), gts, rec["scene_id"], rec["seed"])
         else:

@@ -114,6 +114,24 @@ MALFORMED_FILES = {
         "m.json", "[1, 2]",
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
         "not a JSON object"),
+    "manifest_scenes_not_a_list": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": 5}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scenes is not a list"),
+    "manifest_gt_not_an_object": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": 0, "seed": 0,
+                                          "gts": [1]}]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scene 0 is malformed"),
+    "manifest_gt_of_zero_width": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": 0, "seed": 0, "gts": [
+                                  {"cx": 4, "cy": 4, "w": 0, "h": 1,
+                                   "class_label": 1}]}]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "box sides must be positive"),
     "dump_record_without_class": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 0, "score": 0.5, "box": [4, 4, 2, 2]}\n',

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from griddet import features
-from griddet.boxes import Box
+from griddet.boxes import Box, boxes_to_array
 from griddet.detect import detect
 from griddet.features import (BoxOutsideImageError, ExtractorConfig,
                               FeatureExtractor, FeatureMap,
-                              build_roi_features, compute_global_features,
-                              roi_pool)
+                              build_roi_features)
 from griddet.grid import GridSpec
 
 
@@ -39,8 +39,15 @@ def reference_features(image):
     return np.stack([image, gx, gy])
 
 
+def pool_one(fm, box, pool_h=6, pool_w=6):
+    """The pooled values of one box, without box coordinates."""
+    cfg = dataclasses.replace(config_for(fm.channels, pool_h, pool_w),
+                              include_box_coords=False)
+    return build_roi_features(fm, boxes_to_array([box]), cfg)[0]
+
+
 def test_constant_image_has_zero_gradients():
-    fm = compute_global_features(np.zeros((8, 8)))
+    fm = FeatureExtractor().compute_global_features(np.zeros((8, 8)))
     assert fm.channels == 3
     assert np.all(fm.data[1] == 0)
     assert np.all(fm.data[2] == 0)
@@ -48,7 +55,7 @@ def test_constant_image_has_zero_gradients():
 
 def test_ramp_image_unit_horizontal_gradient():
     image = np.tile(np.arange(16, dtype=float), (3, 1))
-    fm = compute_global_features(image)
+    fm = FeatureExtractor().compute_global_features(image)
     assert np.allclose(fm.data[1][:, 1:-1], 1.0)
     assert np.allclose(fm.data[2], 0.0)
 
@@ -56,13 +63,13 @@ def test_ramp_image_unit_horizontal_gradient():
 def test_matches_scalar_reference_on_fixed_image():
     rng = np.random.default_rng(42)
     image = rng.uniform(0, 1, size=(8, 8))
-    fm = compute_global_features(image)
+    fm = FeatureExtractor().compute_global_features(image)
     assert np.allclose(fm.data, reference_features(image), atol=1e-12)
 
 
 def test_extra_filter_channels():
     cfg = ExtractorConfig(extra_filters=(((0.25, 0.25), (0.25, 0.25)),))
-    fm = compute_global_features(np.ones((6, 6)), cfg)
+    fm = FeatureExtractor(cfg).compute_global_features(np.ones((6, 6)))
     assert fm.channels == 4
     assert np.allclose(fm.data[3], 1.0)
 
@@ -79,28 +86,28 @@ def test_call_counter_increments():
 def test_roi_pool_single_cell():
     data = np.arange(16, dtype=float).reshape(1, 4, 4)
     fm = FeatureMap(data)
-    v = roi_pool(fm, Box.from_corners(1, 2, 2, 3), pool_h=1, pool_w=1)
+    v = pool_one(fm, Box.from_corners(1, 2, 2, 3), pool_h=1, pool_w=1)
     assert v.shape == (1,)
     assert v[0] == data[0, 2, 1]
 
 
 def test_roi_pool_uniform_image():
     fm = FeatureMap(np.full((2, 10, 10), 3.5))
-    v = roi_pool(fm, Box.from_corners(1, 1, 8, 9), pool_h=3, pool_w=3)
+    v = pool_one(fm, Box.from_corners(1, 1, 8, 9), pool_h=3, pool_w=3)
     assert np.all(v == 3.5)
 
 
 def test_roi_pool_2x2_hand_enumeration():
     data = np.arange(1, 17, dtype=float).reshape(1, 4, 4)
     fm = FeatureMap(data)
-    v = roi_pool(fm, Box.from_corners(0, 0, 4, 4), pool_h=2, pool_w=2)
+    v = pool_one(fm, Box.from_corners(0, 0, 4, 4), pool_h=2, pool_w=2)
     assert v.tolist() == [6, 8, 14, 16]
 
 
 def test_roi_pool_outside_raises():
     fm = FeatureMap(np.zeros((1, 4, 4)))
     with pytest.raises(BoxOutsideImageError):
-        roi_pool(fm, Box(10, 10, 2, 2))
+        pool_one(fm, Box(10, 10, 2, 2))
 
 
 def test_roi_pool_length_constant():
@@ -109,7 +116,7 @@ def test_roi_pool_length_constant():
     sizes = set()
     for _ in range(10):
         b = Box(*rng.uniform(2, 18, 2), *rng.uniform(0.5, 15, 2))
-        sizes.add(roi_pool(fm, b).shape)
+        sizes.add(pool_one(fm, b).shape)
     assert sizes == {(3 * 6 * 6,)}
 
 
@@ -117,8 +124,8 @@ def test_roi_pool_monotone_under_nesting():
     rng = np.random.default_rng(9)
     for _ in range(20):
         fm = FeatureMap(rng.uniform(size=(2, 12, 12)))
-        full = roi_pool(fm, Box.from_corners(0, 0, 12, 12), 2, 2)
-        half = roi_pool(fm, Box.from_corners(0, 0, 6, 6), 1, 1)
+        full = pool_one(fm, Box.from_corners(0, 0, 12, 12), 2, 2)
+        half = pool_one(fm, Box.from_corners(0, 0, 6, 6), 1, 1)
         # The half-image box nests inside the full image: its single-bin max
         # cannot exceed the max over all full-image bins, per channel.
         full_c = full.reshape(2, 4).max(axis=1)
@@ -128,14 +135,14 @@ def test_roi_pool_monotone_under_nesting():
 def test_build_roi_features_appends_coords():
     fm = FeatureMap(np.zeros((3, 10, 10)))
     cfg = ExtractorConfig()
-    feats = build_roi_features(fm, [Box(5, 5, 4, 2)], cfg)
+    feats = build_roi_features(fm, np.array([[5.0, 5.0, 4.0, 2.0]]), cfg)
     assert feats.shape == (1, cfg.feature_dim)
     assert feats[0, -4:].tolist() == [0.5, 0.5, 0.4, 0.2]
 
 
 def test_subpixel_box_pools_zeros():
     fm = FeatureMap(np.ones((1, 10, 10)))
-    v = roi_pool(fm, Box(5.5, 5.5, 0.1, 0.1), 2, 2)
+    v = pool_one(fm, Box(5.5, 5.5, 0.1, 0.1), 2, 2)
     # A sub-pixel box still covers one cell after floor/ceil discretization.
     assert v.shape == (4,)
 
@@ -143,17 +150,17 @@ def test_subpixel_box_pools_zeros():
 def test_degenerate_box_pools_zeros():
     fm = FeatureMap(np.ones((2, 10, 10)))
     # The corners of a 1e-20 wide box round to the same float: no cell.
-    v = roi_pool(fm, Box(5.0, 5.0, 1e-20, 1e-20), 2, 2)
+    v = pool_one(fm, Box(5.0, 5.0, 1e-20, 1e-20), 2, 2)
     assert v.tolist() == [0.0] * 8
 
 
 def test_roi_pool_outside_error_names_box_and_map():
     fm = FeatureMap(np.zeros((1, 4, 6)))
-    box = Box(1, 1, 2, 2)
+    boxes = np.array([[1.0, 1.0, 2.0, 2.0], [10.0, 1.0, 2.0, 2.0]])
     with pytest.raises(BoxOutsideImageError, match="6x4 feature map") as info:
-        build_roi_features(fm, [box, Box(10, 1, 2, 2)], ExtractorConfig(
+        build_roi_features(fm, boxes, ExtractorConfig(
             include_gradients=False, include_box_coords=False))
-    assert "Box(cx=10" in str(info.value)
+    assert "box row 1 [10.0, 1.0, 2.0, 2.0]" in str(info.value)
 
 
 def config_for(channels: int, pool_h: int, pool_w: int) -> ExtractorConfig:
@@ -239,7 +246,7 @@ def pooling_cases(draw):
 def test_build_roi_features_matches_brute_force_bytes(case):
     data, pool_h, pool_w, boxes = case
     cfg = config_for(data.shape[0], pool_h, pool_w)
-    feats = build_roi_features(FeatureMap(data), boxes, cfg)
+    feats = build_roi_features(FeatureMap(data), boxes_to_array(boxes), cfg)
     expected = reference_roi_features(data, boxes, pool_h, pool_w)
     assert feats.shape == expected.shape
     assert feats.tobytes() == expected.tobytes()
@@ -254,7 +261,8 @@ def test_extractor_maps_pool_like_the_reference():
     boxes = [Box(*rng.uniform(1, 36, 2), *rng.uniform(0.2, 80, 2))
              for _ in range(50)]
     expected = reference_roi_features(fm.data, boxes, 3, 5)
-    assert build_roi_features(fm, boxes, cfg).tobytes() == expected.tobytes()
+    assert build_roi_features(fm, boxes_to_array(boxes), cfg).tobytes() == \
+        expected.tobytes()
 
 
 def test_hand_built_map_pools_without_extractor():
@@ -263,14 +271,14 @@ def test_hand_built_map_pools_without_extractor():
     assert fm.table is None
     boxes = [Box(5, 3, 10, 6), Box(2.5, 1.5, 3, 2)]
     cfg = config_for(1, 2, 3)
-    assert build_roi_features(fm, boxes, cfg).tobytes() == \
+    assert build_roi_features(fm, boxes_to_array(boxes), cfg).tobytes() == \
         reference_roi_features(data, boxes, 2, 3).tobytes()
 
 
 def test_empty_box_list_gives_empty_rows():
     cfg = ExtractorConfig()
-    fm = compute_global_features(np.zeros((8, 8)), cfg)
-    feats = build_roi_features(fm, [], cfg)
+    fm = FeatureExtractor(cfg).compute_global_features(np.zeros((8, 8)))
+    feats = build_roi_features(fm, np.zeros((0, 4)), cfg)
     assert feats.shape == (0, cfg.feature_dim)
 
 
@@ -287,9 +295,9 @@ def test_table_built_once_per_global_features_call(monkeypatch):
     ext = FeatureExtractor()
     fm = ext.compute_global_features(rng.uniform(size=(32, 32)))
     for _ in range(3):
-        build_roi_features(fm, [Box(16, 16, 20, 12), Box(4, 4, 2, 2)],
+        build_roi_features(fm, np.array([[16.0, 16, 20, 12], [4, 4, 2, 2]]),
                            ext.config)
-        roi_pool(fm, Box(10, 10, 8, 8))
+        pool_one(fm, Box(10, 10, 8, 8))
     assert len(builds) == 1
     # One detection pass of five steps pools from one table.
     detect(rng.uniform(size=(32, 32)), GridSpec((2,), (0.5,)),
@@ -324,7 +332,8 @@ def test_edge_bin_lengths_take_their_window_count(length, pool):
     boxes = [Box.from_corners(5, 5, 5 + n, 5 + n),
              Box.from_corners(2, 7, 2 + n, 7 + n)]
     cfg = config_for(2, pool, pool)
-    assert build_roi_features(FeatureMap(data), boxes, cfg).tobytes() == \
+    feats = build_roi_features(FeatureMap(data), boxes_to_array(boxes), cfg)
+    assert feats.tobytes() == \
         reference_roi_features(data, boxes, pool, pool).tobytes()
 
 
@@ -351,7 +360,7 @@ def test_chunks_take_their_own_lookup_counts(monkeypatch):
 
     windows = features._windows
     monkeypatch.setattr(features, "_windows", spy)
-    feats = build_roi_features(FeatureMap(data), boxes, cfg)
+    feats = build_roi_features(FeatureMap(data), boxes_to_array(boxes), cfg)
     assert counts == [1, 1, 3, 3, 2, 2]  # (rows, columns) per chunk
     assert feats.tobytes() == \
         reference_roi_features(data, boxes, 6, 6).tobytes()

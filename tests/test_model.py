@@ -190,6 +190,7 @@ def test_parameters_are_views_of_one_flat_vector():
 def test_set_params_checks_every_shape_before_copying():
     model = MLP([3, 2, 4])
     before = model.flat.copy()
+    assert not before.any()  # built without an rng: all zeros
     good = [np.full(p.shape, 7.0) for p in model.params()]
     with pytest.raises(ValueError, match="expected 4 arrays, got 3"):
         model.set_params(good[:3])
