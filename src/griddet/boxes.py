@@ -85,12 +85,8 @@ def iou(a: Box, b: Box) -> float:
 
 def delta(b: Box, t: Box) -> DeltaParams:
     """Parametrize the change mapping box ``b`` onto target ``t``."""
-    return DeltaParams(
-        tx=(t.cx - b.cx) / b.w,
-        ty=(t.cy - b.cy) / b.h,
-        tw=math.log(t.w / b.w),
-        th=math.log(t.h / b.h),
-    )
+    return DeltaParams(*box_deltas(boxes_to_array([b]),
+                                   boxes_to_array([t]))[0].tolist())
 
 
 def apply_delta(b: Box, d: DeltaParams) -> Box:
@@ -111,6 +107,28 @@ def clip_to_image(b: Box, width: float, height: float, min_side: float = 1.0) ->
 def boxes_to_array(boxes: list[Box]) -> np.ndarray:
     return np.array([[b.cx, b.cy, b.w, b.h] for b in boxes],
                     dtype=np.float64).reshape(-1, 4)
+
+
+def box_deltas(boxes: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Parametrize, row by row, the change mapping boxes onto targets as
+    (tx, ty, tw, th) rows: the shift divided by the box side, then the log of
+    the side ratio. The logs come from math.log value by value, since np.log
+    differs from it in the last bit on some inputs; the rest is the scalar
+    formula in its order. Raises ValueError naming the first row that is not
+    finite."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 4)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        shifts = (targets[:, :2] - boxes[:, :2]) / boxes[:, 2:]
+        ratios = targets[:, 2:] / boxes[:, 2:]
+    ratios[~(ratios > 0)] = math.nan  # math.log raises on these
+    scales = list(map(math.log, ratios.ravel().tolist()))
+    out = np.hstack([shifts, np.reshape(scales, (-1, 2))])
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if len(bad):
+        raise ValueError(f"delta row {bad[0]} must be finite, got "
+                         f"{out[bad[0]].tolist()}")
+    return out
 
 
 def apply_deltas(boxes: np.ndarray, deltas: np.ndarray) -> np.ndarray:

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# apply_delta and iou stay importable here for the benchmark's call counters.
-from .boxes import (Box, apply_delta, apply_deltas, boxes_to_array,
-                    clip_boxes, delta, iou, iou_matrix)
+# apply_delta, iou and generate_grid stay importable here for the benchmark's
+# call counters.
+from .boxes import (Box, apply_delta, apply_deltas, box_deltas, boxes_to_array,
+                    clip_boxes, iou, iou_matrix)
 from .features import ExtractorConfig, FeatureExtractor, build_roi_features
-from .grid import GridSpec, generate_grid
+from .grid import GridSpec, generate_grid, grid_array
 from .model import MLP, softmax_probs
 
 
@@ -88,9 +89,11 @@ def oracle_fns(assignments, num_classes: int):
 
     def regress(feats, boxes, grid_indices):
         out = np.zeros((len(boxes), num_classes, 4))
-        for row, (b, gi) in enumerate(zip(boxes.tolist(), grid_indices)):
-            if target[gi] is not None:
-                out[row, :, :] = delta(Box(*b), target[gi].box).as_array()
+        rows = [row for row, gi in enumerate(grid_indices)
+                if target[gi] is not None]
+        gt_boxes = boxes_to_array([target[grid_indices[row]].box
+                                   for row in rows])
+        out[rows] = box_deltas(boxes[rows], gt_boxes)[:, None, :]
         return out
 
     def classify(feats, boxes, grid_indices):
@@ -156,7 +159,7 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
     if stats is not None:
         stats.feature_calls += 1
 
-    grid = boxes_to_array(generate_grid(grid_spec, w, h))
+    grid = grid_array(grid_spec, w, h)
     grid_indices = list(range(len(grid)))
     # The boxes after each step, the grid first.
     history = np.empty((max(eval_steps) + 1, len(grid), 4))

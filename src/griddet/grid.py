@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .boxes import Box
 
@@ -43,8 +46,11 @@ def _axis_count(dim: float, cell: float, stride: float) -> int:
     return int(math.floor((dim - cell) / stride + _EPS)) + 1
 
 
-def generate_grid(spec: GridSpec, image_width: float, image_height: float) -> list[Box]:
-    """Place the grid boxes for every scale, coarse to fine, row-major.
+@functools.lru_cache(maxsize=8)
+def grid_array(spec: GridSpec, image_width: float,
+               image_height: float) -> np.ndarray:
+    """Place the grid boxes for every scale, coarse to fine, row-major, as a
+    read-only (N, 4) array of (cx, cy, w, h) rows, cached per image size.
 
     Boxes are placed with top-left corners at integer multiples of the stride
     and only where the box lies fully inside the image; boxes that would
@@ -52,7 +58,7 @@ def generate_grid(spec: GridSpec, image_width: float, image_height: float) -> li
     """
     if image_width <= 0 or image_height <= 0:
         raise ValueError("image dimensions must be positive")
-    boxes: list[Box] = []
+    rows = []
     for k, alpha in zip(spec.scales, spec.overlaps):
         cell_w = image_width / k
         cell_h = image_height / k
@@ -63,10 +69,18 @@ def generate_grid(spec: GridSpec, image_width: float, image_height: float) -> li
         if nx == 0 or ny == 0:
             raise EmptyGridError(f"scale {k} yields no boxes in a "
                                  f"{image_width}x{image_height} image")
-        for j in range(ny):
-            y1 = j * stride_y
-            for i in range(nx):
-                x1 = i * stride_x
-                boxes.append(Box(cx=x1 + cell_w / 2.0, cy=y1 + cell_h / 2.0,
-                                 w=cell_w, h=cell_h))
-    return boxes
+        scale = np.empty((ny, nx, 4))
+        scale[:, :, 0] = np.arange(nx) * stride_x + cell_w / 2.0
+        scale[:, :, 1] = (np.arange(ny) * stride_y + cell_h / 2.0)[:, None]
+        scale[:, :, 2] = cell_w
+        scale[:, :, 3] = cell_h
+        rows.append(scale.reshape(-1, 4))
+    out = np.concatenate(rows)
+    out.flags.writeable = False
+    return out
+
+
+def generate_grid(spec: GridSpec, image_width: float, image_height: float) -> list[Box]:
+    """The grid of grid_array as Box objects."""
+    return [Box(*row) for row in grid_array(spec, image_width,
+                                            image_height).tolist()]

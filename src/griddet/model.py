@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assign import assign_grid, build_train_tuples
-from .boxes import boxes_to_array, delta
+# assign_grid, build_train_tuples and generate_grid stay importable here for
+# the benchmark's counters.
+from .assign import (assign_boxes, assign_grid, build_train_tuples,
+                     train_schedule)
+from .boxes import box_deltas, boxes_to_array
 from .features import ExtractorConfig, FeatureExtractor, build_roi_features
-from .grid import GridSpec, generate_grid
+from .grid import GridSpec, generate_grid, grid_array
 from .records import from_plain, to_plain
 
 MODES = ("gcnn", "1step", "ifrcnn")
@@ -309,7 +312,7 @@ class SceneTensors:
 def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
                              extractor_config: ExtractorConfig | None = None,
                              ) -> tuple[list[SceneTensors], int]:
-    """Pool features for every training tuple of every scene.
+    """Pool features for every box state of every scene's training schedule.
 
     Box states never depend on the model (approximate update), so everything
     can be pooled once up front. Background boxes are subsampled to
@@ -318,41 +321,37 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
     """
     ext_cfg = extractor_config or ExtractorConfig()
     extractor = FeatureExtractor(ext_cfg)
+    s_train = config.s_train
     out = []
-    grid = None
     for scene in scenes:
-        h, w = scene.image.shape
-        if grid is None or (w, h) != grid[0]:
-            grid = ((w, h), generate_grid(grid_spec, w, h))
-        boxes = grid[1]
         fm = extractor.compute_global_features(scene.image)
-        assignments = assign_grid(boxes, scene.gts, config.bg_threshold)
-        tuples = build_train_tuples(boxes, assignments, config.s_train,
-                                    config.s_train)
-        fg = [t for t in tuples if not t.is_background]
-        bg = [t for t in tuples if t.is_background]
-        bg_rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, scene.scene_id, 2]))
+        h, w = scene.image.shape
+        grid = grid_array(grid_spec, w, h)
+        gt_boxes = boxes_to_array([g.box for g in scene.gts])
+        gt_labels = np.array([g.class_label for g in scene.gts], dtype=np.int64)
+        gt_index, _ = assign_boxes(grid, gt_boxes, config.bg_threshold)
+        fg = np.flatnonzero(gt_index >= 0)
+        bg = np.flatnonzero(gt_index < 0)
         if len(bg) > config.max_bg_per_scene:
+            bg_rng = np.random.default_rng(
+                np.random.SeedSequence([config.seed, scene.scene_id, 2]))
             keep = bg_rng.choice(len(bg), size=config.max_bg_per_scene,
                                  replace=False)
-            bg = [bg[i] for i in sorted(keep)]
-        fg_feats = build_roi_features(
-            fm, boxes_to_array([t.box_state for t in fg]), ext_cfg)
-        bg_feats = build_roi_features(
-            fm, boxes_to_array([t.box_state for t in bg]), ext_cfg)
+            bg = bg[np.sort(keep)]
+        fg_gt = gt_index[fg]
+        fg_grid, targets = grid[fg], gt_boxes[fg_gt]
+        states, fg_targets = train_schedule(fg_grid, targets, s_train,
+                                            s_train)
+        fg_feats = build_roi_features(fm, states, ext_cfg)
+        bg_feats = build_roi_features(fm, grid[bg], ext_cfg)
         # Free this scene's map and range-max table before the next is built.
         del fm
-        fg_labels = np.array([t.class_label for t in fg], dtype=np.int64)
-        fg_steps = np.array([t.step for t in fg], dtype=np.int64)
-        fg_targets = np.array([t.delta_target.as_array() for t in fg]) \
-            if fg else np.zeros((0, 4))
-        # Direct (non-scheduled) targets for the step-1 box states, which
-        # come in assignment order.
+        # Rows run box by box, steps 1..s_train within each box.
+        fg_labels = np.repeat(gt_labels[fg_gt], s_train)
+        fg_steps = np.tile(np.arange(1, s_train + 1, dtype=np.int64), len(fg))
+        # Direct (non-scheduled) targets for the step-1 box states.
         direct = np.zeros_like(fg_targets)
-        direct[fg_steps == 1] = np.reshape(
-            [delta(boxes[a.grid_index], a.target_gt.box).as_array()
-             for a in assignments if a.target_gt is not None], (-1, 4))
+        direct[::s_train] = box_deltas(fg_grid, targets)
         out.append(SceneTensors(fg_feats, fg_labels, fg_steps, fg_targets,
                                 direct, bg_feats))
     return out, ext_cfg.feature_dim

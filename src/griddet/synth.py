@@ -228,6 +228,11 @@ def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
         except (TypeError, ValueError) as exc:
             raise ValueError(
                 f"manifest {path}: scene {i} is malformed: {exc}") from None
+        for key in ("scene_id", "seed"):
+            v = rec[key]
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise ValueError(f"manifest {path}: scene {i} {key} must be "
+                                 f"a non-negative integer, got {v!r}")
         if images is not None:
             scene = Scene(images[i].copy(), gts, rec["scene_id"], rec["seed"])
         else:

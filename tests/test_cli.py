@@ -132,6 +132,30 @@ MALFORMED_FILES = {
                                    "class_label": 1}]}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
         "box sides must be positive"),
+    "manifest_scene_id_not_a_number": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": "x", "seed": 0,
+                                          "gts": []}]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scene 0 scene_id must be a non-negative integer"),
+    "manifest_scene_id_a_float": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": 1.5, "seed": 0,
+                                          "gts": []}]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scene 0 scene_id must be a non-negative integer"),
+    "manifest_scene_id_negative": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": -1, "seed": 0,
+                                          "gts": []}]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scene 0 scene_id must be a non-negative integer"),
+    "manifest_seed_a_bool": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": 0, "seed": True,
+                                          "gts": []}]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scene 0 seed must be a non-negative integer"),
     "dump_record_without_class": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 0, "score": 0.5, "box": [4, 4, 2, 2]}\n',

@@ -268,8 +268,8 @@ def test_step_loop_builds_boxes_only_at_the_edges(monkeypatch):
         return np.full((len(boxes), 2, 4), 0.1)
     results = detect(np.zeros((40, 40)), GRID, regress,
                      constant_classifier(2, 1), s_test=4, nms_iou=1.0)
-    # The grid, then one final box per detection.
-    assert built == {Box: n + len(results), DeltaParams: 0}
+    # One final box per detection; the grid is an array.
+    assert built == {Box: len(results), DeltaParams: 0}
     assert len(boxes_seen) == 4
     assert all(b.dtype == np.float64 and b.shape == (n, 4) for b in boxes_seen)
 

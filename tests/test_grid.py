@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from griddet.grid import GridSpec, generate_grid
+from griddet.boxes import boxes_to_array
+from griddet.grid import GridSpec, _axis_count, generate_grid, grid_array
 
 
 def brute_force_count(dim, cell, stride):
@@ -87,3 +89,34 @@ def test_row_major_order_within_scale():
     boxes = generate_grid(GridSpec((2,), (0.0,)), 100, 100)
     assert [b.cy for b in boxes] == [25, 25, 75, 75]
     assert [b.cx for b in boxes] == [25, 75, 25, 75]
+
+
+def reference_grid(spec, image_width, image_height):
+    """The placement loop, one box at a time, that grid_array replaced."""
+    rows = []
+    for k, alpha in zip(spec.scales, spec.overlaps):
+        cell_w, cell_h = image_width / k, image_height / k
+        stride_x, stride_y = cell_w * (1.0 - alpha), cell_h * (1.0 - alpha)
+        for j in range(_axis_count(image_height, cell_h, stride_y)):
+            y1 = j * stride_y
+            for i in range(_axis_count(image_width, cell_w, stride_x)):
+                x1 = i * stride_x
+                rows.append([x1 + cell_w / 2.0, y1 + cell_h / 2.0, cell_w,
+                             cell_h])
+    return np.array(rows, dtype=np.float64)
+
+
+@pytest.mark.parametrize("spec", [GridSpec((2, 5, 10), (0.9, 0.8, 0.7)),
+                                  GridSpec((2, 5, 10), (0.7, 0.5, 0.0)),
+                                  GridSpec((3, 7), (0.33, 0.61))])
+@pytest.mark.parametrize("size", [(64, 64), (600, 600), (211, 157),
+                                  (100.5, 77.25)])
+def test_grid_array_is_cached_read_only_and_matches_the_box_loop(spec, size):
+    grid = grid_array(spec, *size)
+    assert grid is grid_array(spec, *size)
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0] = 1.0
+    assert grid.dtype == np.float64 and grid.shape == (len(grid), 4)
+    assert grid.tobytes() == boxes_to_array(generate_grid(spec, *size)).tobytes()
+    assert grid.tobytes() == reference_grid(spec, *size).tobytes()

@@ -1,16 +1,21 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from griddet.features import ExtractorConfig
-from griddet.grid import GridSpec
-from griddet.model import (MLP, Grads, SGDOptimizer, TrainConfig,
-                           classifier_loss, load_checkpoint, make_classifier,
-                           make_regressor, precompute_scene_tensors,
-                           regression_loss_arrays, save_checkpoint, smooth_l1,
-                           train_models, train_stepwise)
-from griddet.synth import SynthConfig, generate_dataset
+from griddet.assign import Assignment, GroundTruth, TrainTuple
+from griddet.boxes import Box, DeltaParams, boxes_to_array, iou_matrix
+from griddet.features import (ExtractorConfig, FeatureExtractor,
+                              build_roi_features)
+from griddet.grid import GridSpec, generate_grid
+from griddet.model import (MLP, Grads, SceneTensors, SGDOptimizer,
+                           TrainConfig, classifier_loss, load_checkpoint,
+                           make_classifier, make_regressor,
+                           precompute_scene_tensors, regression_loss_arrays,
+                           save_checkpoint, smooth_l1, train_models,
+                           train_stepwise)
+from griddet.synth import Scene, SynthConfig, generate_dataset
 
 
 def numeric_gradient(f, params, eps=1e-5):
@@ -473,6 +478,167 @@ def test_stage_pool_size(small_training_setup):
         for stage in (1, 2, 3):
             pool = int(np.sum(t.fg_steps <= stage))
             assert pool == n_fg_boxes * stage
+
+
+# The object path that precompute_scene_tensors replaced, kept as its
+# reference: assign_grid's per-box loop, then build_train_tuples' per-step
+# target_step and delta on Box and DeltaParams objects, turned into arrays.
+
+def _reference_assign(grid, gts, bg_threshold):
+    if not gts:
+        return [None] * len(grid)
+    ious = iou_matrix(boxes_to_array(grid), boxes_to_array([g.box for g in gts]))
+    best = np.argmax(ious, axis=1)
+    return [gts[j] if ious[i, j] > bg_threshold else None
+            for i, j in enumerate(best.tolist())]
+
+
+def _reference_step(b, g, s, s_train):
+    if s == s_train:
+        return g
+    f = 1.0 / (s_train - s + 1)
+    return Box(b.cx + (g.cx - b.cx) * f, b.cy + (g.cy - b.cy) * f,
+               b.w + (g.w - b.w) * f, b.h + (g.h - b.h) * f)
+
+
+def _reference_delta(b, t):
+    return DeltaParams((t.cx - b.cx) / b.w, (t.cy - b.cy) / b.h,
+                       math.log(t.w / b.w), math.log(t.h / b.h))
+
+
+def reference_precompute(scenes, grid_spec, config, extractor_config=None):
+    ext_cfg = extractor_config or ExtractorConfig()
+    extractor = FeatureExtractor(ext_cfg)
+    out = []
+    for scene in scenes:
+        h, w = scene.image.shape
+        grid = generate_grid(grid_spec, w, h)
+        fm = extractor.compute_global_features(scene.image)
+        fg, bg, direct = [], [], []  # fg rows: (state, step, label, delta)
+        for b, gt in zip(grid, _reference_assign(grid, scene.gts,
+                                                 config.bg_threshold)):
+            if gt is None:
+                bg.append(b)
+                continue
+            direct.append(_reference_delta(b, gt.box))
+            for s in range(1, config.s_train + 1):
+                t = _reference_step(b, gt.box, s, config.s_train)
+                fg.append((b, s, gt.class_label, _reference_delta(b, t)))
+                b = t
+        bg_rng = np.random.default_rng(
+            np.random.SeedSequence([config.seed, scene.scene_id, 2]))
+        if len(bg) > config.max_bg_per_scene:
+            keep = bg_rng.choice(len(bg), size=config.max_bg_per_scene,
+                                 replace=False)
+            bg = [bg[i] for i in sorted(keep)]
+        fg_feats = build_roi_features(
+            fm, boxes_to_array([row[0] for row in fg]), ext_cfg)
+        bg_feats = build_roi_features(fm, boxes_to_array(bg), ext_cfg)
+        fg_labels = np.array([row[2] for row in fg], dtype=np.int64)
+        fg_steps = np.array([row[1] for row in fg], dtype=np.int64)
+        fg_targets = np.array([row[3].as_array() for row in fg]) \
+            if fg else np.zeros((0, 4))
+        direct_targets = np.zeros_like(fg_targets)
+        direct_targets[fg_steps == 1] = np.reshape(
+            [d.as_array() for d in direct], (-1, 4))
+        out.append(SceneTensors(fg_feats, fg_labels, fg_steps, fg_targets,
+                                direct_targets, bg_feats))
+    return out, ext_cfg.feature_dim
+
+
+# Scale 2 of this grid on a 64 x 64 image is four 32 x 32 boxes; the first
+# is centred at (16, 16).
+HAND_GRID = GridSpec((2, 4), (0.0, 0.5))
+
+
+def _hand_scene(scene_id, *gts):
+    image = np.random.default_rng(scene_id).uniform(size=(64, 64))
+    return Scene(image, [GroundTruth(Box(*box), label) for box, label in gts],
+                 scene_id, 0)
+
+
+def _synth_scenes():
+    synth = SynthConfig(seed=5, image_size=(64, 64), objects_per_scene=(1, 3),
+                        size_range=(0.15, 0.5))
+    return generate_dataset(synth, 4)
+
+
+# (scenes, grid, TrainConfig overrides). Every other case subsamples the
+# background.
+PRECOMPUTE_CASES = {
+    "s_train_1": (_synth_scenes, GridSpec((2, 4), (0.8, 0.7)),
+                  dict(s_train=1, max_bg_per_scene=20)),
+    "s_train_3": (_synth_scenes, GridSpec((2, 4), (0.8, 0.7)),
+                  dict(s_train=3, max_bg_per_scene=20)),
+    "s_train_5": (_synth_scenes, GridSpec((2, 4), (0.8, 0.7)),
+                  dict(s_train=5, max_bg_per_scene=20)),
+    "no_ground_truth": (lambda: [_hand_scene(1)], HAND_GRID,
+                        dict(max_bg_per_scene=8)),
+    "all_background": (lambda: [_hand_scene(2, ((62, 62, 2, 2), 1))],
+                       HAND_GRID, dict(max_bg_per_scene=8)),
+    "fewer_background_than_max": (
+        lambda: [_hand_scene(3, ((20, 20, 30, 30), 2))], HAND_GRID,
+        dict(max_bg_per_scene=10_000)),
+    "tied_ground_truths": (
+        lambda: [_hand_scene(4, ((8, 16, 32, 32), 1), ((24, 16, 32, 32), 2))],
+        HAND_GRID, dict(max_bg_per_scene=8)),
+    "ground_truth_on_a_grid_box": (
+        lambda: [_hand_scene(5, ((16, 16, 32, 32), 3))], HAND_GRID,
+        dict(max_bg_per_scene=8)),
+    "iou_at_bg_threshold": (
+        lambda: [_hand_scene(6, ((3.2, 16, 6.4, 32), 1))], HAND_GRID,
+        dict(max_bg_per_scene=8)),
+}
+
+
+@pytest.mark.parametrize("make_scenes, grid_spec, overrides",
+                         PRECOMPUTE_CASES.values(), ids=PRECOMPUTE_CASES.keys())
+def test_precompute_matches_reference_object_path(make_scenes, grid_spec,
+                                                  overrides):
+    scenes = make_scenes()
+    config = TrainConfig(seed=9, **overrides)
+    got, dim = precompute_scene_tensors(scenes, grid_spec, config)
+    want, want_dim = reference_precompute(scenes, grid_spec, config)
+    assert dim == want_dim and len(got) == len(want) == len(scenes)
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(SceneTensors):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+
+
+def test_precompute_cases_exercise_their_edge():
+    def tensors(name):
+        make_scenes, grid_spec, overrides = PRECOMPUTE_CASES[name]
+        return precompute_scene_tensors(make_scenes(), grid_spec,
+                                        TrainConfig(**overrides))[0][0]
+    assert len(tensors("no_ground_truth").fg_labels) == 0
+    assert len(tensors("all_background").fg_labels) == 0
+    assert len(tensors("fewer_background_than_max").bg_feats) < 10_000
+    # The first grid box overlaps both ground truths at IoU 0.6 and takes
+    # the first one's class.
+    assert iou_matrix([[16, 16, 32, 32]], [[8, 16, 32, 32], [24, 16, 32, 32]]
+                      ).tolist() == [[0.6, 0.6]]
+    assert tensors("tied_ground_truths").fg_labels[0] == 1
+    on_grid = tensors("ground_truth_on_a_grid_box")
+    assert on_grid.fg_targets[0].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert iou_matrix([[16, 16, 32, 32]], [[3.2, 16, 6.4, 32]])[0, 0] == 0.2
+
+
+def test_precompute_builds_no_box_or_tuple_objects(monkeypatch):
+    scenes = _synth_scenes()
+    built = {cls: 0 for cls in (Assignment, TrainTuple, Box, DeltaParams)}
+    for cls in built:
+        def count(self, *args, cls=cls, init=cls.__init__, **kwargs):
+            built[cls] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", count)
+    tensors, _ = precompute_scene_tensors(scenes, GridSpec((2, 4), (0.8, 0.7)),
+                                          TrainConfig(max_bg_per_scene=20))
+    assert sum(len(t.fg_labels) for t in tensors) > 0
+    assert built == {cls: 0 for cls in built}
+    Box(1, 1, 1, 1)
+    assert built[Box] == 1
 
 
 def test_training_loss_decreases():
