@@ -11,7 +11,7 @@ from .boxes import Box, DeltaParams, apply_delta, clip_to_image, delta, iou
 from .detect import DetectionResult, detect, detect_multi, nms
 from .features import ExtractorConfig, FeatureExtractor, FeatureMap
 from .grid import GridSpec, generate_grid
-from .model import MLP, TrainConfig, smooth_l1, train_stepwise
+from .model import MLP, TrainConfig, smooth_l1
 from .synth import Scene, SynthConfig, generate_dataset
 
 __version__ = "0.1.0"
@@ -22,5 +22,5 @@ __all__ = [
     "Scene", "SynthConfig", "TrainConfig", "TrainTuple", "apply_delta",
     "assign_grid", "build_train_tuples", "clip_to_image", "delta", "detect",
     "detect_multi", "generate_dataset", "generate_grid", "iou", "nms",
-    "smooth_l1", "target_step", "train_stepwise",
+    "smooth_l1", "target_step",
 ]

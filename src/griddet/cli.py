@@ -13,11 +13,8 @@ from .model import MODES
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            synth=dataclasses.replace(cfg.synth, seed=args.seed),
-            train=dataclasses.replace(cfg.train, seed=args.seed))
+    if args.seed is not None:
+        cfg = cfg.with_seed(args.seed)
     if getattr(args, "mode", None) is not None:
         cfg = dataclasses.replace(cfg, mode=args.mode)
     if getattr(args, "s_test", None) is not None:
@@ -89,12 +86,12 @@ def main(argv=None) -> int:
         cfg = _load(args)
         if args.command == "generate":
             train_path, test_path = pipeline.cmd_generate(
-                cfg, args.n_train or cfg.n_train, args.n_test or cfg.n_test,
-                args.out)
+                cfg, cfg.n_train if args.n_train is None else args.n_train,
+                cfg.n_test if args.n_test is None else args.n_test, args.out)
             print(f"wrote {train_path} and {test_path}")
         elif args.command == "train":
             _, _, log = pipeline.cmd_train(cfg, args.dataset, args.out,
-                                           log_path=args.log, mode=args.mode)
+                                           log_path=args.log)
             print(f"wrote {args.out} ({log.total_iterations} iterations)")
         elif args.command == "detect":
             det_path, traj_path = pipeline.cmd_detect(

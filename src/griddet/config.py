@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import yaml
 
@@ -34,6 +34,11 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.s_test < 0:
             raise ValueError("s_test must be >= 0")
+
+    def with_seed(self, seed: int) -> ExperimentConfig:
+        """This config with `seed` as both the data and the training seed."""
+        return replace(self, synth=replace(self.synth, seed=seed),
+                       train=replace(self.train, seed=seed))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -136,19 +136,6 @@ def average_precision(detections: list[tuple[int, float, Box]],
     return float(ap)
 
 
-def mean_ap(per_class_detections: dict[int, list[tuple[int, float, Box]]],
-            per_class_gts: dict[int, dict[int, list[Box]]],
-            iou_match: float = 0.5, eleven_point: bool = False) -> float:
-    """Unweighted mean AP over classes with at least one ground truth."""
-    aps = []
-    for cls, gts in per_class_gts.items():
-        if sum(len(v) for v in gts.values()) == 0:
-            continue
-        aps.append(average_precision(per_class_detections.get(cls, []), gts,
-                                     iou_match, eleven_point))
-    return float(np.mean(aps)) if aps else 0.0
-
-
 def _split_by_class(detections: list[DetRecord],
                     gts: dict[int, list[GroundTruth]], num_classes: int):
     per_cls_det = {c: [] for c in range(1, num_classes + 1)}

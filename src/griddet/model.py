@@ -481,19 +481,6 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
     return regressor, classifier, log
 
 
-def train_stepwise(scenes, grid_spec: GridSpec, config: TrainConfig,
-                   mode: str = "gcnn",
-                   extractor_config: ExtractorConfig | None = None,
-                   num_classes: int | None = None):
-    """End-to-end training entry point: precompute tensors, then optimize."""
-    if num_classes is None:
-        num_classes = max((gt.class_label for s in scenes for gt in s.gts),
-                          default=1)
-    tensors, input_dim = precompute_scene_tensors(
-        scenes, grid_spec, config, extractor_config)
-    return train_models(tensors, config, mode, num_classes, input_dim)
-
-
 def save_checkpoint(path, regressor: MLP, classifier: MLP, *,
                     config: TrainConfig, mode: str, num_classes: int,
                     extractor_config: ExtractorConfig, stage: int):

@@ -3,7 +3,6 @@ evaluation, and the stepwise-vs-single-step ablation."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 
@@ -20,6 +19,8 @@ from .synth import generate_dataset, load_manifest, save_manifest
 
 TRAIN_MANIFEST = "train_manifest.json"
 TEST_MANIFEST = "test_manifest.json"
+# Pools every training set of this harness; checkpoints record it for detection.
+EXTRACTOR_CONFIG = ExtractorConfig()
 
 
 def cmd_generate(config: ExperimentConfig, n_train: int, n_test: int,
@@ -37,24 +38,37 @@ def cmd_generate(config: ExperimentConfig, n_train: int, n_test: int,
     return train_path, test_path
 
 
-def cmd_train(config: ExperimentConfig, manifest_path: str,
-              checkpoint_path: str, log_path: str | None = None,
-              mode: str | None = None):
-    """Train the selected strategy on a dataset manifest; write a checkpoint
-    and a per-iteration loss log."""
-    mode = mode or config.mode
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    _, scenes = load_manifest(manifest_path)
-    ext_cfg = ExtractorConfig()
+def train(config: ExperimentConfig, scenes, modes=None):
+    """Pool the training set of `scenes` once, then train each strategy of
+    `modes` (default: config.mode) on it with equal compute. Returns one
+    (regressor, classifier, log) per mode, in order."""
     tensors, input_dim = precompute_scene_tensors(
-        scenes, config.grid_train, config.train, ext_cfg)
+        scenes, config.grid_train, config.train, EXTRACTOR_CONFIG)
+    return [train_models(tensors, config.train, mode,
+                         config.synth.num_classes, input_dim)
+            for mode in ([config.mode] if modes is None else modes)]
+
+
+def cmd_train(config: ExperimentConfig, manifest_path: str,
+              checkpoint_path: str, log_path: str | None = None):
+    """Train config.mode on a dataset manifest; write a checkpoint and a
+    per-iteration loss log."""
+    _, scenes = load_manifest(manifest_path)
     num_classes = config.synth.num_classes
-    regressor, classifier, log = train_models(
-        tensors, config.train, mode, num_classes, input_dim)
+    if not scenes:
+        raise ValueError(f"manifest {manifest_path}: no scenes to train on")
+    for scene in scenes:
+        for gt in scene.gts:
+            if gt.class_label > num_classes:
+                raise ValueError(
+                    f"manifest {manifest_path}: scene_id {scene.scene_id} "
+                    f"has class {gt.class_label}, above num_classes "
+                    f"{num_classes}")
+    [(regressor, classifier, log)] = train(config, scenes)
     save_checkpoint(checkpoint_path, regressor, classifier,
-                    config=config.train, mode=mode, num_classes=num_classes,
-                    extractor_config=ext_cfg, stage=config.train.s_train)
+                    config=config.train, mode=config.mode,
+                    num_classes=num_classes, extractor_config=EXTRACTOR_CONFIG,
+                    stage=config.train.s_train)
     if log_path:
         with open(log_path, "w") as f:
             json.dump({"stage_boundaries": log.stage_boundaries,
@@ -132,32 +146,28 @@ def cmd_eval(config: ExperimentConfig, detections_path: str,
 
 
 def run_ablation(config: ExperimentConfig, seeds: list[int],
-                 methods: tuple[str, ...] = MODES,
-                 eval_steps: list[int] | None = None,
                  n_train: int | None = None, n_test: int | None = None,
                  progress=None) -> list[dict]:
     """Train every method on identical data with equal compute; evaluate each
-    at several iteration counts. Returns one row per (method, s_test, seed).
+    at s_test = 1..config.s_test. Returns one row per (method, s_test, seed).
     """
-    eval_steps = eval_steps or list(range(1, config.s_test + 1))
-    n_train = n_train or config.n_train
-    n_test = n_test or config.n_test
+    if config.s_test < 1:
+        raise ValueError(f"ablation needs s_test >= 1, got {config.s_test}")
+    eval_steps = list(range(1, config.s_test + 1))
+    n_train = config.n_train if n_train is None else n_train
+    n_test = config.n_test if n_test is None else n_test
+    num_classes = config.synth.num_classes
     rows = []
     for seed in seeds:
-        synth_cfg = dataclasses.replace(config.synth, seed=seed)
-        train_cfg = dataclasses.replace(config.train, seed=seed)
-        train_scenes = generate_dataset(synth_cfg, n_train, start_id=0)
-        test_scenes = generate_dataset(synth_cfg, n_test, start_id=n_train)
-        ext_cfg = ExtractorConfig()
-        tensors, input_dim = precompute_scene_tensors(
-            train_scenes, config.grid_train, train_cfg, ext_cfg)
-        num_classes = synth_cfg.num_classes
+        seed_cfg = config.with_seed(seed)
+        train_scenes = generate_dataset(seed_cfg.synth, n_train, start_id=0)
+        test_scenes = generate_dataset(seed_cfg.synth, n_test,
+                                       start_id=n_train)
         gts = {s.scene_id: s.gts for s in test_scenes}
-        for method in methods:
-            regressor, classifier, log = train_models(
-                tensors, train_cfg, method, num_classes, input_dim)
+        models = train(seed_cfg, train_scenes, MODES)
+        for method, (regressor, classifier, log) in zip(MODES, models):
             per_step = detect_scenes(config, test_scenes, regressor,
-                                     classifier, ext_cfg, eval_steps)
+                                     classifier, EXTRACTOR_CONFIG, eval_steps)
             for k in eval_steps:
                 _, map_value = evaluate_detections(
                     [_record(i, r) for i, r in per_step[k]], gts,
@@ -171,8 +181,7 @@ def run_ablation(config: ExperimentConfig, seeds: list[int],
                 })
             if progress:
                 progress(f"seed {seed} method {method}: "
-                         f"mAP@{max(eval_steps)} = "
-                         f"{rows[-1]['map']:.4f}")
+                         f"mAP@{config.s_test} = {rows[-1]['map']:.4f}")
     return rows
 
 

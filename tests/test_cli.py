@@ -13,8 +13,8 @@ from griddet.evaluate import (DetRecord, evaluate_detections,
                               read_detection_dump, write_detection_dump)
 from griddet.features import ExtractorConfig
 from griddet.grid import GridSpec, generate_grid
-from griddet.model import (CHECKPOINT_MAGIC, TrainConfig, make_classifier,
-                           make_regressor, save_checkpoint)
+from griddet.model import (CHECKPOINT_MAGIC, TrainConfig, load_checkpoint,
+                           make_classifier, make_regressor, save_checkpoint)
 from griddet.pipeline import (ablation_means, cmd_ablation, cmd_detect,
                               cmd_eval, cmd_generate, cmd_train,
                               format_ablation_table, run_ablation)
@@ -156,6 +156,18 @@ MALFORMED_FILES = {
                                           "gts": []}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
         "scene 0 seed must be a non-negative integer"),
+    "manifest_without_training_scenes": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": []}),
+        ["train", "--dataset", "{f}", "--out", "{d}/m.ckpt"],
+        "no scenes to train on"),
+    "manifest_class_above_num_classes": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": 7, "seed": 0, "gts": [
+                                  {"cx": 8, "cy": 8, "w": 6, "h": 6,
+                                   "class_label": 9}]}]}),
+        ["train", "--dataset", "{f}", "--out", "{d}/m.ckpt"],
+        "scene_id 7 has class 9, above num_classes 4"),
     "dump_record_without_class": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 0, "score": 0.5, "box": [4, 4, 2, 2]}\n',
@@ -290,11 +302,11 @@ def test_generate_manifest_regenerates_scenes(tmp_path):
 def test_train_stage_boundaries_and_equal_compute(tmp_path):
     cfg = tiny_config()
     train_path, _ = cmd_generate(cfg, 3, 2, str(tmp_path))
-    _, _, log_gcnn = cmd_train(cfg, train_path, str(tmp_path / "g.ckpt"),
-                               mode="gcnn")
+    _, _, log_gcnn = cmd_train(dataclasses.replace(cfg, mode="gcnn"),
+                               train_path, str(tmp_path / "g.ckpt"))
     assert len(log_gcnn.stage_boundaries) == cfg.train.s_train
-    _, _, log_1step = cmd_train(cfg, train_path, str(tmp_path / "o.ckpt"),
-                                mode="1step")
+    _, _, log_1step = cmd_train(dataclasses.replace(cfg, mode="1step"),
+                                train_path, str(tmp_path / "o.ckpt"))
     assert len(log_1step.stage_boundaries) == 1
     expected = cfg.train.s_train * cfg.train.n_iter_per_stage
     assert log_gcnn.total_iterations == expected
@@ -426,6 +438,46 @@ def test_ablation_methods_share_total_compute(tmp_path):
     rows = run_ablation(cfg, [0], n_train=3, n_test=2)
     iters = {r["method"]: r["total_iterations"] for r in rows}
     assert len(set(iters.values())) == 1
+
+
+def test_cli_ablation_rejects_s_test_zero_before_generating(
+        tmp_path, capsys, monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("generated data")
+
+    monkeypatch.setattr(pipeline, "generate_dataset", no_data)
+    cfg_path = str(tmp_path / "config.yaml")
+    save_config(tiny_config(s_test=0), cfg_path)
+    rc = main(["ablation", "--config", cfg_path, "--seeds", "0",
+               "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and "s_test >= 1, got 0" in lines[0]
+
+
+@pytest.mark.parametrize("flag", ["--n-train", "--n-test"])
+@pytest.mark.parametrize("command", ["generate", "ablation"])
+def test_cli_zero_scene_count_is_rejected(tmp_path, capsys, command, flag):
+    cfg_path = str(tmp_path / "config.yaml")
+    save_config(tiny_config(s_test=1), cfg_path)
+    argv = [command, "--config", cfg_path, flag, "0",
+            "--out", str(tmp_path / "out")]
+    rc = main(argv + (["--seeds", "0"] if command == "ablation" else []))
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and "must be >= 1" in lines[0]
+    assert not (tmp_path / "out" / "train_manifest.json").exists()
+    assert not (tmp_path / "out" / "ablation.json").exists()
+
+
+def test_cli_train_mode_reaches_the_checkpoint(tmp_path):
+    cfg_path = str(tmp_path / "config.yaml")
+    save_config(tiny_config(), cfg_path)
+    train_path, _ = cmd_generate(tiny_config(), 3, 2, str(tmp_path))
+    ckpt = str(tmp_path / "m.ckpt")
+    assert main(["train", "--config", cfg_path, "--mode", "1step",
+                 "--dataset", train_path, "--out", ckpt]) == 0
+    assert load_checkpoint(ckpt)[2]["mode"] == "1step"
 
 
 def test_cli_end_to_end(tmp_path, capsys):

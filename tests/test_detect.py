@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from griddet.assign import assign_grid
 from griddet.boxes import (Box, DeltaParams, apply_deltas, boxes_to_array,
                            clip_boxes, iou)
+from griddet.config import ExperimentConfig
 from griddet.detect import (MAX_LOG_SCALE, DetectionResult, DetectStats,
                             detect, detect_multi, model_fns, move_boxes, nms,
                             oracle_fns)
 from griddet.features import FeatureExtractor, build_roi_features
 from griddet.grid import GridSpec, generate_grid
-from griddet.model import TrainConfig, train_stepwise
+from griddet.model import TrainConfig
+from griddet.pipeline import train
 from griddet.synth import SynthConfig, generate_dataset
 
 GRID = GridSpec((2, 4), (0.7, 0.5))
@@ -106,10 +108,9 @@ def test_features_computed_once_regardless_of_steps():
 def test_detect_multi_matches_individual_runs():
     cfg = SynthConfig(seed=3, image_size=(48, 48))
     scenes = generate_dataset(cfg, 2)
-    train_cfg = TrainConfig(seed=3, n_iter_per_stage=10)
-    regressor, classifier, _ = train_stepwise(
-        scenes, GridSpec((2, 4), (0.8, 0.6)), train_cfg,
-        num_classes=cfg.num_classes)
+    [(regressor, classifier, _)] = train(ExperimentConfig(
+        synth=cfg, grid_train=GridSpec((2, 4), (0.8, 0.6)),
+        train=TrainConfig(seed=3, n_iter_per_stage=10)), scenes)
     reg_fn, cls_fn = model_fns(regressor, classifier)
     multi = detect_multi(scenes[0].image, GRID, reg_fn, cls_fn,
                          eval_steps=[1, 2, 3])
@@ -127,10 +128,9 @@ def test_detect_multi_matches_individual_runs():
 def test_trajectory_length_and_clipping():
     cfg = SynthConfig(seed=11, image_size=(48, 48))
     scene = generate_dataset(cfg, 1)[0]
-    train_cfg = TrainConfig(seed=11, n_iter_per_stage=10)
-    regressor, classifier, _ = train_stepwise(
-        [scene], GridSpec((2, 4), (0.8, 0.6)), train_cfg,
-        num_classes=cfg.num_classes)
+    [(regressor, classifier, _)] = train(ExperimentConfig(
+        synth=cfg, grid_train=GridSpec((2, 4), (0.8, 0.6)),
+        train=TrainConfig(seed=11, n_iter_per_stage=10)), [scene])
     reg_fn, cls_fn = model_fns(regressor, classifier)
     results = detect(scene.image, GRID, reg_fn, cls_fn, s_test=4, nms_iou=1.0,
                      score_threshold=0.0)
@@ -410,14 +410,11 @@ def assert_matches_reference(image, grid_spec, make_fns, eval_steps,
 def trained():
     cfg = SynthConfig(seed=3, image_size=(48, 48))
     scenes = generate_dataset(cfg, 3)
-    models = {}
-    for mode in ("gcnn", "1step"):
-        regressor, classifier, _ = train_stepwise(
-            scenes[:2], GridSpec((2, 4), (0.8, 0.6)),
-            TrainConfig(seed=3, n_iter_per_stage=20), mode=mode,
-            num_classes=cfg.num_classes)
-        models[mode] = (regressor, classifier)
-    return scenes, models
+    modes = ("gcnn", "1step")
+    models = train(ExperimentConfig(
+        synth=cfg, grid_train=GridSpec((2, 4), (0.8, 0.6)),
+        train=TrainConfig(seed=3, n_iter_per_stage=20)), scenes[:2], modes)
+    return scenes, {m: (reg, cls) for m, (reg, cls, _) in zip(modes, models)}
 
 
 @pytest.mark.parametrize("mode", ["gcnn", "1step"])

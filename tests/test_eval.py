@@ -8,7 +8,7 @@ from griddet.boxes import Box, iou
 from griddet.evaluate import (FP_CATEGORIES, DetRecord,
                               InvalidSimilarityGroupsError, average_precision,
                               evaluate_detections, format_report, fp_breakdown,
-                              match_detections, mean_ap, pr_points,
+                              match_detections, pr_points,
                               read_detection_dump, write_detection_dump)
 
 
@@ -117,19 +117,19 @@ def test_pr_points_descend_in_score():
 
 
 def test_mean_ap_simple_means():
-    gts_a = {0: [b(10, 10)]}
-    gts_b = {0: [b(30, 30)]}
-    per_det = {1: [(0, 0.9, b(10, 10))], 2: []}
-    per_gt = {1: gts_a, 2: gts_b}
-    assert mean_ap(per_det, per_gt) == 0.5
-    per_det[2] = [(0, 0.8, b(30, 30))]
-    assert mean_ap(per_det, per_gt) == 1.0
+    gts = {0: [GroundTruth(b(10, 10), 1), GroundTruth(b(30, 30), 2)]}
+    dets = [DetRecord(0, 1, 0.9, b(10, 10))]
+    assert evaluate_detections(dets, gts, 2)[1] == 0.5
+    dets.append(DetRecord(0, 2, 0.8, b(30, 30)))
+    assert evaluate_detections(dets, gts, 2)[1] == 1.0
 
 
 def test_mean_ap_skips_classes_without_gt():
-    per_det = {1: [(0, 0.9, b(10, 10))], 2: [(0, 0.9, b(50, 50))]}
-    per_gt = {1: {0: [b(10, 10)]}, 2: {}}
-    assert mean_ap(per_det, per_gt) == 1.0
+    dets = [DetRecord(0, 1, 0.9, b(10, 10)), DetRecord(0, 2, 0.9, b(50, 50))]
+    per_class_ap, map_value = evaluate_detections(
+        dets, {0: [GroundTruth(b(10, 10), 1)]}, 2)
+    assert per_class_ap == {1: 1.0}
+    assert map_value == 1.0
 
 
 def make_gts():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,15 +7,16 @@ import pytest
 
 from griddet.assign import Assignment, GroundTruth, TrainTuple
 from griddet.boxes import Box, DeltaParams, boxes_to_array, iou_matrix
+from griddet.config import ExperimentConfig
 from griddet.features import (ExtractorConfig, FeatureExtractor,
                               build_roi_features)
 from griddet.grid import GridSpec, generate_grid
-from griddet.model import (MLP, Grads, SceneTensors, SGDOptimizer,
+from griddet.model import (MLP, MODES, Grads, SceneTensors, SGDOptimizer,
                            TrainConfig, classifier_loss, load_checkpoint,
                            make_classifier, make_regressor,
                            precompute_scene_tensors, regression_loss_arrays,
-                           save_checkpoint, smooth_l1, train_models,
-                           train_stepwise)
+                           save_checkpoint, smooth_l1, train_models)
+from griddet.pipeline import train
 from griddet.synth import Scene, SynthConfig, generate_dataset
 
 
@@ -657,12 +659,63 @@ def test_training_loss_decreases():
     assert tail < 0.5 * head
 
 
-def test_train_stepwise_entry_point(small_training_setup):
+def experiment(config, grid_spec, **overrides) -> ExperimentConfig:
+    """The small training setup as an ExperimentConfig (4 classes)."""
+    return ExperimentConfig(grid_train=grid_spec,
+                            train=dataclasses.replace(config, **overrides))
+
+
+def reference_train(config: ExperimentConfig, scenes, mode):
+    """The precompute + train_models sequence that the training entry points
+    each wrote out before pipeline.train; kept as its reference."""
+    tensors, dim = precompute_scene_tensors(scenes, config.grid_train,
+                                            config.train, ExtractorConfig())
+    return train_models(tensors, config.train, mode,
+                        config.synth.num_classes, dim)
+
+
+def log_bytes(log) -> bytes:
+    # json writes each float as its shortest round-trip repr: equal text is
+    # equal bits.
+    return json.dumps(dataclasses.asdict(log)).encode()
+
+
+def test_train_entry_point(small_training_setup):
     scenes, config, grid_spec, _, _ = small_training_setup
-    reg, cls, log = train_stepwise(scenes, grid_spec, config, "gcnn")
+    [(reg, cls, log)] = train(experiment(config, grid_spec), scenes)
     assert reg.output_dim == 4 * 4
     assert cls.output_dim == 5
     assert log.total_iterations == config.s_train * config.n_iter_per_stage
+
+
+@pytest.mark.parametrize("modes", [None, ["1step"], ["ifrcnn"], MODES])
+def test_train_matches_reference(small_training_setup, modes):
+    scenes, config, grid_spec, _, _ = small_training_setup
+    cfg = experiment(config, grid_spec)
+    got = train(cfg, scenes, modes)
+    modes = [cfg.mode] if modes is None else modes
+    assert len(got) == len(modes)
+    for mode, (reg, cls, log) in zip(modes, got):
+        want_reg, want_cls, want_log = reference_train(cfg, scenes, mode)
+        assert reg.flat.tobytes() == want_reg.flat.tobytes()
+        assert cls.flat.tobytes() == want_cls.flat.tobytes()
+        assert log_bytes(log) == log_bytes(want_log)
+
+
+def test_train_pools_once_for_all_modes(small_training_setup, monkeypatch):
+    scenes, config, grid_spec, _, _ = small_training_setup
+    calls = []
+    pool = FeatureExtractor.compute_global_features
+
+    def counting(self, image):
+        calls.append(image)
+        return pool(self, image)
+
+    monkeypatch.setattr(FeatureExtractor, "compute_global_features", counting)
+    models = train(experiment(config, grid_spec, n_iter_per_stage=5), scenes,
+                   MODES)
+    assert len(models) == len(MODES)
+    assert len(calls) == len(scenes)
 
 
 def test_checkpoint_round_trip(tmp_path, small_training_setup):
