@@ -18,7 +18,7 @@ import numpy as np
 # call counters.
 from .boxes import (Box, apply_delta, apply_deltas, box_deltas, boxes_to_array,
                     clip_boxes, iou, iou_matrix)
-from .features import ExtractorConfig, FeatureExtractor, build_roi_features
+from .features import FeatureExtractor, build_roi_features
 from .grid import GridSpec, generate_grid, grid_array
 from .model import MLP, softmax_probs
 
@@ -152,7 +152,6 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
     if any(s < 0 for s in eval_steps):
         raise ValueError("eval_steps must be >= 0")
     extractor = extractor or FeatureExtractor()
-    cfg = extractor.config
     image = np.asarray(scene_image, dtype=np.float64)
     h, w = image.shape
     fm = extractor.compute_global_features(image)
@@ -169,7 +168,7 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
         if s:
             t0 = time.perf_counter()
             boxes = history[s - 1]
-            feats = build_roi_features(fm, boxes, cfg)
+            feats = build_roi_features(fm, boxes)
             probs = classifier_fn(feats, boxes, grid_indices)
             if probs.shape[0] != len(boxes):
                 raise ModelMismatchError(
@@ -185,18 +184,17 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
                 stats.iteration_seconds.append(time.perf_counter() - t0)
         if s in eval_steps:
             out[s] = _finalize(fm, history[:s + 1], grid_indices,
-                               classifier_fn, cfg, score_threshold, nms_iou)
+                               classifier_fn, score_threshold, nms_iou)
     return out
 
 
-def _finalize(fm, history, grid_indices, classifier_fn, cfg: ExtractorConfig,
-              score_threshold: float, nms_iou: float,
-              ) -> list[DetectionResult]:
+def _finalize(fm, history, grid_indices, classifier_fn, score_threshold: float,
+              nms_iou: float) -> list[DetectionResult]:
     """Score the last boxes of history, drop background/low scores, and apply
     per-class NMS. Results come by descending score, ties toward the lower
     grid index; only survivors get a Box and their trajectory."""
     boxes = history[-1]
-    feats = build_roi_features(fm, boxes, cfg)
+    feats = build_roi_features(fm, boxes)
     probs = classifier_fn(feats, boxes, grid_indices)
     labels = np.argmax(probs, axis=1)
     scores = probs[np.arange(len(boxes)), labels]

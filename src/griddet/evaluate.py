@@ -16,6 +16,7 @@ import numpy as np
 
 from .assign import GroundTruth
 from .boxes import Box, iou
+from .records import is_int
 
 FP_CATEGORIES = ("Loc", "Sim", "BG", "Oth")
 
@@ -262,10 +263,11 @@ def read_detection_dump(path) -> list[DetRecord]:
             try:
                 image_id, label, score, box = (rec["image_id"], rec["class"],
                                                rec["score"], rec["box"])
-                if not (isinstance(image_id, int) and isinstance(label, int)):
+                if not (is_int(image_id) and is_int(label)):
                     raise ValueError(f"image_id and class must be integers, "
                                      f"got {image_id!r} and {label!r}")
-                if not isinstance(score, (int, float)) or \
+                if isinstance(score, bool) or \
+                        not isinstance(score, (int, float)) or \
                         not math.isfinite(score):
                     raise ValueError(f"score must be a finite number, "
                                      f"got {score!r}")

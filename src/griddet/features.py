@@ -22,9 +22,14 @@ a 256x256 map needs 4 x 4 slabs, 22.3 MiB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+# The feature layout: intensity and x and y gradients, each max-pooled into
+# POOL x POOL bins, then the four normalized box coordinates.
+POOL = 6
+FEATURE_DIM = 3 * POOL * POOL + 4
 
 # Pooled values per chunk of boxes; bounds each of the four pooling
 # temporaries to 128 KiB.
@@ -36,26 +41,6 @@ _SIDES = 3 ** np.arange(40, dtype=np.int64)
 
 class BoxOutsideImageError(ValueError):
     """ROI has no intersection with the feature map."""
-
-
-@dataclass(frozen=True)
-class ExtractorConfig:
-    include_gradients: bool = True
-    extra_filters: tuple = ()  # optional fixed 2-d kernels, applied via correlation
-    pool_h: int = 6
-    pool_w: int = 6
-    include_box_coords: bool = True
-
-    @property
-    def channels(self) -> int:
-        return 1 + (2 if self.include_gradients else 0) + len(self.extra_filters)
-
-    @property
-    def feature_dim(self) -> int:
-        d = self.channels * self.pool_h * self.pool_w
-        if self.include_box_coords:
-            d += 4
-        return d
 
 
 def _level(n):
@@ -78,19 +63,25 @@ def _max3(src: np.ndarray, step: int, axis: int, out: np.ndarray):
     np.maximum(out, part(2), out=out)
 
 
-class RangeMaxTable:
-    """Base-3 range-max table of a (C, H, W) map, every slab in one flat buffer.
+class FeatureMap:
+    """Dense per-pixel features, channel-major (C, H, W), with the base-3
+    range-max table that pooling into pool_h x pool_w bins reads, every slab
+    in one flat buffer. Immutable by convention.
 
     Slab (a, b) has shape (C, rows[a], cols[b]), with rows[a] = H - 3**a + 1
     and cols[b] = W - 3**b + 1 window starts, and begins at offsets[a, b].
-    Slab (0, 0) is the map itself, exposed as `map`.
+    Slab (0, 0) is the map itself, exposed as `data`.
     """
 
-    def __init__(self, channels, pool_h: int, pool_w: int):
+    def __init__(self, channels, pool_h: int = POOL, pool_w: int = POOL):
         """Stack channels (a (C, H, W) array or C arrays of (H, W)) into slab
-        (0, 0) and build the levels bins of pool_h x pool_w can need."""
+        (0, 0) and build the levels bins of pool_h x pool_w can need. Maps of
+        FeatureExtractor pool into POOL x POOL bins, hand-built ones may not."""
+        if pool_h < 1 or pool_w < 1:
+            raise ValueError("pool dims must be >= 1")
         c, (h, w) = len(channels), channels[0].shape
-        self.channels = c
+        self.channels, self.height, self.width = c, h, w
+        self.pool_h, self.pool_w = pool_h, pool_w
         self.levels = (_levels(h, pool_h), _levels(w, pool_w))
         self.rows = h + 1 - _SIDES[:self.levels[0]]
         self.cols = w + 1 - _SIDES[:self.levels[1]]
@@ -103,27 +94,22 @@ class RangeMaxTable:
             return self.flat[start:start + sizes[a, b]].reshape(
                 c, self.rows[a], self.cols[b])
 
-        self.map = np.stack(channels, out=slab(0, 0))
+        self.data = np.stack(channels, out=slab(0, 0))
         for a in range(self.levels[0]):
             if a:
                 _max3(slab(a - 1, 0), _SIDES[a - 1], 1, slab(a, 0))
             for b in range(1, self.levels[1]):
                 _max3(slab(a, b - 1), _SIDES[b - 1], 2, slab(a, b))
 
-    def covers(self, pool_h: int, pool_w: int) -> bool:
-        _, h, w = self.map.shape
-        return (_levels(h, pool_h) <= self.levels[0]
-                and _levels(w, pool_w) <= self.levels[1])
-
-    def pool(self, y0, y1, x0, x1, pool_h: int, pool_w: int, out: np.ndarray):
+    def pool(self, y0, y1, x0, x1, out: np.ndarray):
         """Write into out (n, C * pool_h * pool_w) the per-channel max of every
         bin of the n cell ranges [y0, y1) x [x0, x1), each non-empty."""
         chan = np.arange(self.channels)[:, None, None]
         chunk = max(1, _CHUNK // out.shape[1])
         for lo in range(0, len(y0), chunk):
             hi = min(lo + chunk, len(y0))
-            ay, ys = _windows(y0[lo:hi], y1[lo:hi], pool_h)
-            ax, xs = _windows(x0[lo:hi], x1[lo:hi], pool_w)
+            ay, ys = _windows(y0[lo:hi], y1[lo:hi], self.pool_h)
+            ax, xs = _windows(x0[lo:hi], x1[lo:hi], self.pool_w)
             # Flat index of lookup (ky, kx) of every bin, laid out as (box,
             # channel, bin row, bin column) like the rows of out, in which the
             # max of the chunk's len(ys) x len(xs) lookups accumulates.
@@ -163,90 +149,38 @@ def _windows(start, end, pool: int):
 
 
 @dataclass
-class FeatureMap:
-    """Dense per-pixel features, channel-major (C, H, W), and the range-max
-    table pooling reads. Immutable by convention; a map built by hand gets its
-    table on first pooling."""
-
-    data: np.ndarray
-    table: RangeMaxTable | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    def range_max(self, pool_h: int, pool_w: int) -> RangeMaxTable:
-        """The table, (re)built if it lacks the levels this pool shape needs."""
-        if self.table is None or not self.table.covers(pool_h, pool_w):
-            self.table = RangeMaxTable(self.data, pool_h, pool_w)
-        return self.table
-
-
-def _correlate2d_same(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    kh, kw = kernel.shape
-    ph, pw = kh // 2, kw // 2
-    padded = np.pad(image, ((ph, kh - 1 - ph), (pw, kw - 1 - pw)), mode="edge")
-    out = np.zeros_like(image)
-    for i in range(kh):
-        for j in range(kw):
-            out += kernel[i, j] * padded[i:i + image.shape[0], j:j + image.shape[1]]
-    return out
-
-
-@dataclass
 class FeatureExtractor:
     """Computes global features; keeps an invocation counter for cost checks."""
 
-    config: ExtractorConfig = field(default_factory=ExtractorConfig)
     call_count: int = 0
 
     def compute_global_features(self, image: np.ndarray) -> FeatureMap:
-        """The feature map of an image, with its range-max table built for
-        the configured pool shape."""
+        """The feature map of an image: its intensity and x and y gradients
+        (central differences, one-sided at the borders), pooled into POOL x
+        POOL bins."""
         image = np.asarray(image, dtype=np.float64)
         if image.ndim != 2 or image.size == 0:
             raise ValueError("image must be a non-empty 2-d array")
         self.call_count += 1
-        channels = [image]
-        if self.config.include_gradients:
-            gy, gx = np.gradient(image)
-            channels.extend([gx, gy])
-        for kernel in self.config.extra_filters:
-            channels.append(_correlate2d_same(image, np.asarray(kernel, dtype=np.float64)))
-        table = RangeMaxTable(channels, self.config.pool_h, self.config.pool_w)
-        return FeatureMap(table.map, table)
+        gy, gx = np.gradient(image)
+        return FeatureMap((image, gx, gy))
 
 
-def build_roi_features(fm: FeatureMap, boxes: np.ndarray,
-                       config: ExtractorConfig) -> np.ndarray:
+def build_roi_features(fm: FeatureMap, boxes: np.ndarray) -> np.ndarray:
     """Max-pool the cells under each row (cx, cy, w, h) of boxes into
-    channels * pool_h * pool_w values, then optionally append the normalized
-    box coordinates (cx/W, cy/H, w/W, h/H).
+    channels * pool_h * pool_w values, then append the normalized box
+    coordinates (cx/W, cy/H, w/W, h/H): FEATURE_DIM values for a map of
+    FeatureExtractor.
 
     Each box (corner form, clipped to the map) is divided into pool_h x
     pool_w bins; bin i along an axis of extent N spans cells
     [floor(i*N/p), ceil((i+1)*N/p)), and outputs the per-channel max of its
     cells. A box whose corners round to no cell pools zeros; a box that does
     not meet the map raises BoxOutsideImageError."""
-    pool_h, pool_w = config.pool_h, config.pool_w
-    if pool_h < 1 or pool_w < 1:
-        raise ValueError("pool dims must be >= 1")
-    if config.channels != fm.channels:
-        raise ValueError(f"{config.channels} configured channels do not fit "
-                         f"a feature map of {fm.channels}")
-    d = config.channels * pool_h * pool_w
+    d = fm.channels * fm.pool_h * fm.pool_w
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    feats = np.zeros((len(boxes), config.feature_dim), dtype=np.float64)
-    if config.include_box_coords:
-        feats[:, d:] = boxes / (fm.width, fm.height, fm.width, fm.height)
+    feats = np.zeros((len(boxes), d + 4), dtype=np.float64)
+    feats[:, d:] = boxes / (fm.width, fm.height, fm.width, fm.height)
     if not len(boxes):
         return feats
     cx, cy, w, h = boxes.T
@@ -263,11 +197,10 @@ def build_roi_features(fm: FeatureMap, boxes: np.ndarray,
     iy1 = np.maximum(np.floor(y1), 0).astype(np.intp)
     ix2 = np.minimum(np.ceil(x2), fm.width).astype(np.intp)
     iy2 = np.minimum(np.ceil(y2), fm.height).astype(np.intp)
-    # A box whose corners round together covers no cell: pool one cell, then
+    # A box whose corners round together spans no cell: pool one cell, then
     # zero its row.
     empty = (ix2 <= ix1) | (iy2 <= iy1)
-    fm.range_max(pool_h, pool_w).pool(iy1, np.maximum(iy2, iy1 + 1),
-                                      ix1, np.maximum(ix2, ix1 + 1),
-                                      pool_h, pool_w, feats[:, :d])
+    fm.pool(iy1, np.maximum(iy2, iy1 + 1), ix1, np.maximum(ix2, ix1 + 1),
+            feats[:, :d])
     feats[empty, :d] = 0.0
     return feats

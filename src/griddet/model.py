@@ -18,13 +18,19 @@ import numpy as np
 from .assign import (assign_boxes, assign_grid, build_train_tuples,
                      train_schedule)
 from .boxes import box_deltas, boxes_to_array
-from .features import ExtractorConfig, FeatureExtractor, build_roi_features
+from .features import FEATURE_DIM, POOL, FeatureExtractor, build_roi_features
 from .grid import GridSpec, generate_grid, grid_array
-from .records import from_plain, to_plain
+from .records import from_plain, is_int, to_plain
 
 MODES = ("gcnn", "1step", "ifrcnn")
 
 CHECKPOINT_MAGIC = b"GRIDDET-CKPT 1\n"
+# The feature layout of griddet.features as a checkpoint header records it,
+# in the form of the extractor options of earlier versions, which wrote this
+# record and no other. A checkpoint with any other record is rejected.
+CHECKPOINT_EXTRACTOR = {"extra_filters": [], "include_box_coords": True,
+                        "include_gradients": True, "pool_h": POOL,
+                        "pool_w": POOL}
 
 
 class DimensionMismatchError(ValueError):
@@ -310,17 +316,15 @@ class SceneTensors:
 
 
 def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
-                             extractor_config: ExtractorConfig | None = None,
                              ) -> tuple[list[SceneTensors], int]:
     """Pool features for every box state of every scene's training schedule.
 
     Box states never depend on the model (approximate update), so everything
     can be pooled once up front. Background boxes are subsampled to
     max_bg_per_scene classifier negatives per scene, deterministically.
-    Returns (tensors, feature_dim).
+    Returns (tensors, FEATURE_DIM).
     """
-    ext_cfg = extractor_config or ExtractorConfig()
-    extractor = FeatureExtractor(ext_cfg)
+    extractor = FeatureExtractor()
     s_train = config.s_train
     out = []
     for scene in scenes:
@@ -342,8 +346,8 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
         fg_grid, targets = grid[fg], gt_boxes[fg_gt]
         states, fg_targets = train_schedule(fg_grid, targets, s_train,
                                             s_train)
-        fg_feats = build_roi_features(fm, states, ext_cfg)
-        bg_feats = build_roi_features(fm, grid[bg], ext_cfg)
+        fg_feats = build_roi_features(fm, states)
+        bg_feats = build_roi_features(fm, grid[bg])
         # Free this scene's map and range-max table before the next is built.
         del fm
         # Rows run box by box, steps 1..s_train within each box.
@@ -354,7 +358,7 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
         direct[::s_train] = box_deltas(fg_grid, targets)
         out.append(SceneTensors(fg_feats, fg_labels, fg_steps, fg_targets,
                                 direct, bg_feats))
-    return out, ext_cfg.feature_dim
+    return out, FEATURE_DIM
 
 
 class _BatchSampler:
@@ -483,14 +487,14 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
 
 def save_checkpoint(path, regressor: MLP, classifier: MLP, *,
                     config: TrainConfig, mode: str, num_classes: int,
-                    extractor_config: ExtractorConfig, stage: int):
+                    stage: int):
     """Write a versioned binary checkpoint: JSON header + raw float64 blobs."""
     arrays = regressor.params() + classifier.params()
     header = {
         "config": to_plain(config),
         "mode": mode,
         "num_classes": num_classes,
-        "extractor": to_plain(extractor_config),
+        "extractor": CHECKPOINT_EXTRACTOR,
         "stage": stage,
         "regressor_sizes": regressor.layer_sizes,
         "classifier_sizes": classifier.layer_sizes,
@@ -554,13 +558,26 @@ def _read_checkpoint(path):
         raise ValueError(
             f"checkpoint {path}: arrays do not fit regressor_sizes and "
             f"classifier_sizes: {exc}") from None
+    if header["extractor"] != CHECKPOINT_EXTRACTOR:
+        raise ValueError(f"checkpoint {path}: extractor record "
+                         f"{header['extractor']!r} is not the feature layout "
+                         f"{CHECKPOINT_EXTRACTOR!r}")
+    num_classes = header["num_classes"]
+    if not is_int(num_classes) or num_classes < 1:
+        raise ValueError(f"checkpoint {path}: num_classes must be a positive "
+                         f"integer, got {num_classes!r}")
+    for name, model, outputs in (("regressor", regressor, 4 * num_classes),
+                                 ("classifier", classifier, num_classes + 1)):
+        if (model.input_dim, model.output_dim) != (FEATURE_DIM, outputs):
+            raise ValueError(
+                f"checkpoint {path}: {name} maps {model.input_dim} inputs to "
+                f"{model.output_dim} outputs, expected {FEATURE_DIM} to "
+                f"{outputs} for num_classes {num_classes}")
     meta = {
         "config": from_plain(TrainConfig, header["config"],
                              f"checkpoint {path}.config"),
         "mode": header["mode"],
-        "num_classes": header["num_classes"],
-        "extractor": from_plain(ExtractorConfig, header["extractor"],
-                                f"checkpoint {path}.extractor"),
+        "num_classes": num_classes,
         "stage": header["stage"],
     }
     return regressor, classifier, meta

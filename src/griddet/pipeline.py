@@ -12,22 +12,18 @@ from .config import ExperimentConfig
 from .detect import DetectionResult, detect_multi, model_fns
 from .evaluate import (DetRecord, evaluate_detections, format_report,
                        fp_breakdown, read_detection_dump, write_detection_dump)
-from .features import ExtractorConfig, FeatureExtractor
 from .model import (MODES, load_checkpoint, precompute_scene_tensors,
                     save_checkpoint, train_models)
 from .synth import generate_dataset, load_manifest, save_manifest
 
 TRAIN_MANIFEST = "train_manifest.json"
 TEST_MANIFEST = "test_manifest.json"
-# Pools every training set of this harness; checkpoints record it for detection.
-EXTRACTOR_CONFIG = ExtractorConfig()
 
 
 def cmd_generate(config: ExperimentConfig, n_train: int, n_test: int,
                  out_dir: str) -> tuple[str, str]:
     """Write train/test dataset manifests. Idempotent for a fixed seed."""
-    if n_train < 1 or n_test < 1:
-        raise ValueError("n_train and n_test must be >= 1")
+    _check_scene_counts(n_train=n_train, n_test=n_test)
     os.makedirs(out_dir, exist_ok=True)
     train_scenes = generate_dataset(config.synth, n_train, start_id=0)
     test_scenes = generate_dataset(config.synth, n_test, start_id=n_train)
@@ -38,12 +34,18 @@ def cmd_generate(config: ExperimentConfig, n_train: int, n_test: int,
     return train_path, test_path
 
 
+def _check_scene_counts(**counts):
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 def train(config: ExperimentConfig, scenes, modes=None):
     """Pool the training set of `scenes` once, then train each strategy of
     `modes` (default: config.mode) on it with equal compute. Returns one
     (regressor, classifier, log) per mode, in order."""
     tensors, input_dim = precompute_scene_tensors(
-        scenes, config.grid_train, config.train, EXTRACTOR_CONFIG)
+        scenes, config.grid_train, config.train)
     return [train_models(tensors, config.train, mode,
                          config.synth.num_classes, input_dim)
             for mode in ([config.mode] if modes is None else modes)]
@@ -67,8 +69,7 @@ def cmd_train(config: ExperimentConfig, manifest_path: str,
     [(regressor, classifier, log)] = train(config, scenes)
     save_checkpoint(checkpoint_path, regressor, classifier,
                     config=config.train, mode=config.mode,
-                    num_classes=num_classes, extractor_config=EXTRACTOR_CONFIG,
-                    stage=config.train.s_train)
+                    num_classes=num_classes, stage=config.train.s_train)
     if log_path:
         with open(log_path, "w") as f:
             json.dump({"stage_boundaries": log.stage_boundaries,
@@ -78,18 +79,17 @@ def cmd_train(config: ExperimentConfig, manifest_path: str,
 
 
 def detect_scenes(config: ExperimentConfig, scenes, regressor, classifier,
-                  extractor_config: ExtractorConfig, eval_steps: list[int],
+                  eval_steps: list[int],
                   ) -> dict[int, list[tuple[int, DetectionResult]]]:
     """Run detect_multi on every scene. Per eval step, returns the
     (scene_id, result) pairs of all scenes in scene order."""
     reg_fn, cls_fn = model_fns(regressor, classifier)
-    extractor = FeatureExtractor(extractor_config)
     per_step: dict[int, list] = {k: [] for k in eval_steps}
     for scene in scenes:
         results = detect_multi(
             scene.image, config.grid_test, reg_fn, cls_fn,
             eval_steps=eval_steps, score_threshold=config.score_threshold,
-            nms_iou=config.nms_iou, extractor=extractor)
+            nms_iou=config.nms_iou)
         for k in eval_steps:
             per_step[k].extend((scene.scene_id, r) for r in results[k])
     return per_step
@@ -105,13 +105,13 @@ def cmd_detect(config: ExperimentConfig, checkpoint_path: str,
     """Run detection over every scene of a manifest; write the detection dump
     and the per-step trajectory export for surviving detections."""
     s_test = config.s_test if s_test is None else s_test
-    regressor, classifier, meta = load_checkpoint(checkpoint_path)
+    regressor, classifier, _ = load_checkpoint(checkpoint_path)
     _, scenes = load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     det_path = os.path.join(out_dir, "detections.jsonl")
     traj_path = os.path.join(out_dir, "trajectories.jsonl")
     detections = detect_scenes(config, scenes, regressor, classifier,
-                               meta["extractor"], [s_test])[s_test]
+                               [s_test])[s_test]
     write_detection_dump(det_path, [_record(i, r) for i, r in detections])
     with open(traj_path, "w") as f:
         for image_id, r in detections:
@@ -153,9 +153,12 @@ def run_ablation(config: ExperimentConfig, seeds: list[int],
     """
     if config.s_test < 1:
         raise ValueError(f"ablation needs s_test >= 1, got {config.s_test}")
+    if not seeds:
+        raise ValueError("seeds must list at least one seed, got none")
     eval_steps = list(range(1, config.s_test + 1))
     n_train = config.n_train if n_train is None else n_train
     n_test = config.n_test if n_test is None else n_test
+    _check_scene_counts(n_train=n_train, n_test=n_test)
     num_classes = config.synth.num_classes
     rows = []
     for seed in seeds:
@@ -167,7 +170,7 @@ def run_ablation(config: ExperimentConfig, seeds: list[int],
         models = train(seed_cfg, train_scenes, MODES)
         for method, (regressor, classifier, log) in zip(MODES, models):
             per_step = detect_scenes(config, test_scenes, regressor,
-                                     classifier, EXTRACTOR_CONFIG, eval_steps)
+                                     classifier, eval_steps)
             for k in eval_steps:
                 _, map_value = evaluate_detections(
                     [_record(i, r) for i, r in per_step[k]], gts,

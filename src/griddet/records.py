@@ -1,10 +1,10 @@
 """The plain form of config dataclasses, shared by YAML configs, checkpoint
 headers and dataset manifests.
 
-A dataclass becomes a dict keyed by field name; tuples and arrays become
-lists. Reading back rebuilds nested dataclasses from the field types, turns
-lists into tuples (configs hold no lists), gives missing fields their
-defaults, and rejects anything else with a ValueError naming the section.
+A dataclass becomes a dict keyed by field name; tuples become lists. Reading
+back rebuilds nested dataclasses from the field types, turns lists into tuples
+(configs hold no lists), gives missing fields their defaults, and rejects
+anything else with a ValueError naming the section.
 """
 
 from __future__ import annotations
@@ -12,19 +12,21 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-import numpy as np
-
 
 def to_plain(obj):
-    """Dicts, lists and scalars for a dataclass, tuple or array, recursively."""
+    """Dicts, lists and scalars for a dataclass or tuple, recursively."""
     if dataclasses.is_dataclass(obj):
         return {f.name: to_plain(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, (tuple, list)):
         return [to_plain(v) for v in obj]
     return obj
+
+
+def is_int(value) -> bool:
+    """Whether a plain value is an integer: bool is an int subclass, but
+    true is not a number."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _tuples(value):

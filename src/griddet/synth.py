@@ -15,7 +15,7 @@ import numpy as np
 
 from .assign import GroundTruth
 from .boxes import Box, iou
-from .records import from_plain, to_plain
+from .records import from_plain, is_int, to_plain
 
 MANIFEST_VERSION = 1
 
@@ -209,10 +209,13 @@ def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     if not isinstance(doc["scenes"], list):
         raise ValueError(f"manifest {path}: scenes is not a list")
     w, h = config.image_size
-    images = None
-    if doc.get("images_file"):
+    images, images_file = None, doc.get("images_file")
+    if images_file is not None and not isinstance(images_file, str):
+        raise ValueError(f"manifest {path}: images_file must be a file name, "
+                         f"got {images_file!r}")
+    if images_file:
         blob_path = os.path.join(os.path.dirname(str(path)) or ".",
-                                 doc["images_file"])
+                                 images_file)
         shape = (len(doc["scenes"]), h, w)
         size = os.path.getsize(blob_path)
         if size != 8 * shape[0] * h * w:
@@ -230,7 +233,7 @@ def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
                 f"manifest {path}: scene {i} is malformed: {exc}") from None
         for key in ("scene_id", "seed"):
             v = rec[key]
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not is_int(v) or v < 0:
                 raise ValueError(f"manifest {path}: scene {i} {key} must be "
                                  f"a non-negative integer, got {v!r}")
         if images is not None:

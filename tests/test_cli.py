@@ -11,7 +11,6 @@ from griddet.cli import main
 from griddet.config import (ExperimentConfig, load_config, save_config)
 from griddet.evaluate import (DetRecord, evaluate_detections,
                               read_detection_dump, write_detection_dump)
-from griddet.features import ExtractorConfig
 from griddet.grid import GridSpec, generate_grid
 from griddet.model import (CHECKPOINT_MAGIC, TrainConfig, load_checkpoint,
                            make_classifier, make_regressor, save_checkpoint)
@@ -92,6 +91,26 @@ def test_cli_generate_reports_malformed_config(tmp_path, capsys, text,
     assert not (tmp_path / "d").exists()
 
 
+def _checkpoint_text(regressor_sizes, classifier_sizes, num_classes=4,
+                     extractor=None) -> str:
+    """A checkpoint of zero-valued models, as text (the zeros are NULs)."""
+    shapes = []
+    for sizes in (regressor_sizes, classifier_sizes):
+        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+            shapes += [[fan_in, fan_out], [fan_out]]
+    header = {"config": {}, "mode": "gcnn", "num_classes": num_classes,
+              "extractor": extractor or {
+                  "extra_filters": [], "include_box_coords": True,
+                  "include_gradients": True, "pool_h": 6, "pool_w": 6},
+              "stage": 3, "regressor_sizes": regressor_sizes,
+              "classifier_sizes": classifier_sizes, "arrays": shapes}
+    return (CHECKPOINT_MAGIC.decode() + json.dumps(header) + "\n"
+            + "\0" * 8 * sum(math.prod(s) for s in shapes))
+
+
+DETECT_ARGV = ["detect", "--checkpoint", "{f}", "--dataset", "{d}/none.json",
+               "--out", "{d}/out"]
+
 # (file name, contents, CLI arguments with {f} for the file and {d} for its
 # directory, word the error must contain): one malformed file per reader.
 MALFORMED_FILES = {
@@ -99,9 +118,23 @@ MALFORMED_FILES = {
         "c.yaml", "train: [\n",
         ["generate", "--config", "{f}", "--out", "{d}/out"], "YAML"),
     "checkpoint_without_arrays": (
-        "m.ckpt", CHECKPOINT_MAGIC.decode() + "{}\n",
-        ["detect", "--checkpoint", "{f}", "--dataset", "{d}/none.json",
-         "--out", "{d}/out"], "arrays"),
+        "m.ckpt", CHECKPOINT_MAGIC.decode() + "{}\n", DETECT_ARGV, "arrays"),
+    "checkpoint_classifier_of_too_many_classes": (
+        "m.ckpt", _checkpoint_text([112, 16], [112, 6]), DETECT_ARGV,
+        "classifier maps 112 inputs to 6 outputs, expected 112 to 5"),
+    "checkpoint_input_size_not_the_feature_size": (
+        "m.ckpt", _checkpoint_text([50, 16], [50, 5]), DETECT_ARGV,
+        "regressor maps 50 inputs to 16 outputs, expected 112 to 16"),
+    "checkpoint_foreign_extractor_record": (
+        "m.ckpt", _checkpoint_text([112, 16], [112, 5], extractor={
+            "extra_filters": [[[1.0]]], "include_box_coords": True,
+            "include_gradients": True, "pool_h": 6, "pool_w": 6}),
+        DETECT_ARGV, "extractor record"),
+    "manifest_images_file_not_a_string": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "images_file": 5, "scenes": []}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "images_file must be a file name, got 5"),
     "manifest_without_scenes": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {}}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
@@ -183,6 +216,18 @@ MALFORMED_FILES = {
                    '{"image_id": 0, "class": 1, "score": 0.5, "box": [4, 4, 0, 2]}\n',
         ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
         "line 3: box sides must be positive"),
+    "dump_ids_booleans": (
+        "d.jsonl", '{"format_version": 1}\n'
+                   '{"image_id": true, "class": true, "score": 0.5, '
+                   '"box": [4, 4, 2, 2]}\n',
+        ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
+        "line 2: image_id and class must be integers"),
+    "dump_score_a_boolean": (
+        "d.jsonl", '{"format_version": 1}\n'
+                   '{"image_id": 1, "class": 1, "score": false, '
+                   '"box": [4, 4, 2, 2]}\n',
+        ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
+        "line 2: score must be a finite number"),
     "dump_score_not_a_number": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 0, "class": 1, "score": "x", "box": [4, 4, 2, 2]}\n',
@@ -214,8 +259,7 @@ def _corrupt_checkpoint(path, edit):
     rng = np.random.default_rng(0)
     save_checkpoint(path, make_regressor(3, (2,), 1, rng),
                     make_classifier(3, (2,), 1, rng), config=TrainConfig(),
-                    mode="gcnn", num_classes=1,
-                    extractor_config=ExtractorConfig(), stage=3)
+                    mode="gcnn", num_classes=1, stage=3)
     _, header, blob = path.read_bytes().split(b"\n", 2)
     header, blob = edit(json.loads(header), blob)
     path.write_bytes(CHECKPOINT_MAGIC + header + b"\n" + blob)
@@ -440,12 +484,13 @@ def test_ablation_methods_share_total_compute(tmp_path):
     assert len(set(iters.values())) == 1
 
 
+def _no_data(*args, **kwargs):
+    raise AssertionError("generated data")
+
+
 def test_cli_ablation_rejects_s_test_zero_before_generating(
         tmp_path, capsys, monkeypatch):
-    def no_data(*args, **kwargs):
-        raise AssertionError("generated data")
-
-    monkeypatch.setattr(pipeline, "generate_dataset", no_data)
+    monkeypatch.setattr(pipeline, "generate_dataset", _no_data)
     cfg_path = str(tmp_path / "config.yaml")
     save_config(tiny_config(s_test=0), cfg_path)
     rc = main(["ablation", "--config", cfg_path, "--seeds", "0",
@@ -455,9 +500,22 @@ def test_cli_ablation_rejects_s_test_zero_before_generating(
     assert len(lines) == 1 and "s_test >= 1, got 0" in lines[0]
 
 
+@pytest.mark.parametrize("seeds", ["", ","])
+def test_cli_ablation_rejects_empty_seed_list(tmp_path, capsys, monkeypatch,
+                                              seeds):
+    monkeypatch.setattr(pipeline, "generate_dataset", _no_data)
+    rc = main(["ablation", "--seeds", seeds, "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and "seeds must list at least one seed" in lines[0]
+    assert not (tmp_path / "out" / "ablation.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--n-train", "--n-test"])
 @pytest.mark.parametrize("command", ["generate", "ablation"])
-def test_cli_zero_scene_count_is_rejected(tmp_path, capsys, command, flag):
+def test_cli_zero_scene_count_is_rejected(tmp_path, capsys, monkeypatch,
+                                          command, flag):
+    monkeypatch.setattr(pipeline, "generate_dataset", _no_data)
     cfg_path = str(tmp_path / "config.yaml")
     save_config(tiny_config(s_test=1), cfg_path)
     argv = [command, "--config", cfg_path, flag, "0",
@@ -465,7 +523,8 @@ def test_cli_zero_scene_count_is_rejected(tmp_path, capsys, command, flag):
     rc = main(argv + (["--seeds", "0"] if command == "ablation" else []))
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1
-    assert len(lines) == 1 and "must be >= 1" in lines[0]
+    name = flag[2:].replace("-", "_")
+    assert len(lines) == 1 and f"{name} must be >= 1, got 0" in lines[0]
     assert not (tmp_path / "out" / "train_manifest.json").exists()
     assert not (tmp_path / "out" / "ablation.json").exists()
 

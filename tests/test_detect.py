@@ -310,12 +310,11 @@ def reference_nms_keep(boxes, scores, iou_threshold):
     return kept
 
 
-def reference_finalize(fm, history, grid_indices, classifier_fn, cfg,
+def reference_finalize(fm, history, grid_indices, classifier_fn,
                        score_threshold, nms_iou):
     boxes = history[-1]
     array = boxes_to_array(boxes)
-    probs = classifier_fn(build_roi_features(fm, array, cfg), array,
-                          grid_indices)
+    probs = classifier_fn(build_roi_features(fm, array), array, grid_indices)
     labels = np.argmax(probs, axis=1)
     candidates = []
     for i in range(len(boxes)):
@@ -340,19 +339,18 @@ def reference_finalize(fm, history, grid_indices, classifier_fn, cfg,
 def reference_detect_multi(image, grid_spec, regressor_fn, classifier_fn,
                            eval_steps, score_threshold=0.05, nms_iou=0.3):
     extractor = FeatureExtractor()
-    cfg = extractor.config
     h, w = image.shape
     fm = extractor.compute_global_features(image)
     boxes = generate_grid(grid_spec, w, h)
     grid_indices = list(range(len(boxes)))
     history = [boxes]
-    args = (grid_indices, classifier_fn, cfg, score_threshold, nms_iou)
+    args = (grid_indices, classifier_fn, score_threshold, nms_iou)
     out = {}
     if 0 in eval_steps:
         out[0] = reference_finalize(fm, history, *args)
     for s in range(1, max(eval_steps) + 1):
         array = boxes_to_array(boxes)
-        feats = build_roi_features(fm, array, cfg)
+        feats = build_roi_features(fm, array)
         labels = np.argmax(classifier_fn(feats, array, grid_indices), axis=1)
         deltas = regressor_fn(feats, array, grid_indices)
         moving = np.flatnonzero(labels)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from griddet import features
 from griddet.boxes import Box, boxes_to_array
 from griddet.detect import detect
-from griddet.features import (BoxOutsideImageError, ExtractorConfig,
+from griddet.features import (FEATURE_DIM, BoxOutsideImageError,
                               FeatureExtractor, FeatureMap,
                               build_roi_features)
 from griddet.grid import GridSpec
@@ -39,11 +38,11 @@ def reference_features(image):
     return np.stack([image, gx, gy])
 
 
-def pool_one(fm, box, pool_h=6, pool_w=6):
-    """The pooled values of one box, without box coordinates."""
-    cfg = dataclasses.replace(config_for(fm.channels, pool_h, pool_w),
-                              include_box_coords=False)
-    return build_roi_features(fm, boxes_to_array([box]), cfg)[0]
+def pool_one(data, box, pool_h=6, pool_w=6):
+    """The pooled values of one box on a map of data, without box
+    coordinates."""
+    fm = FeatureMap(data, pool_h, pool_w)
+    return build_roi_features(fm, boxes_to_array([box]))[0, :-4]
 
 
 def test_constant_image_has_zero_gradients():
@@ -67,13 +66,6 @@ def test_matches_scalar_reference_on_fixed_image():
     assert np.allclose(fm.data, reference_features(image), atol=1e-12)
 
 
-def test_extra_filter_channels():
-    cfg = ExtractorConfig(extra_filters=(((0.25, 0.25), (0.25, 0.25)),))
-    fm = FeatureExtractor(cfg).compute_global_features(np.ones((6, 6)))
-    assert fm.channels == 4
-    assert np.allclose(fm.data[3], 1.0)
-
-
 def test_call_counter_increments():
     ext = FeatureExtractor()
     image = np.zeros((4, 4))
@@ -85,47 +77,44 @@ def test_call_counter_increments():
 
 def test_roi_pool_single_cell():
     data = np.arange(16, dtype=float).reshape(1, 4, 4)
-    fm = FeatureMap(data)
-    v = pool_one(fm, Box.from_corners(1, 2, 2, 3), pool_h=1, pool_w=1)
+    v = pool_one(data, Box.from_corners(1, 2, 2, 3), pool_h=1, pool_w=1)
     assert v.shape == (1,)
     assert v[0] == data[0, 2, 1]
 
 
 def test_roi_pool_uniform_image():
-    fm = FeatureMap(np.full((2, 10, 10), 3.5))
-    v = pool_one(fm, Box.from_corners(1, 1, 8, 9), pool_h=3, pool_w=3)
+    v = pool_one(np.full((2, 10, 10), 3.5), Box.from_corners(1, 1, 8, 9),
+                 pool_h=3, pool_w=3)
     assert np.all(v == 3.5)
 
 
 def test_roi_pool_2x2_hand_enumeration():
     data = np.arange(1, 17, dtype=float).reshape(1, 4, 4)
-    fm = FeatureMap(data)
-    v = pool_one(fm, Box.from_corners(0, 0, 4, 4), pool_h=2, pool_w=2)
+    v = pool_one(data, Box.from_corners(0, 0, 4, 4), pool_h=2, pool_w=2)
     assert v.tolist() == [6, 8, 14, 16]
 
 
 def test_roi_pool_outside_raises():
-    fm = FeatureMap(np.zeros((1, 4, 4)))
     with pytest.raises(BoxOutsideImageError):
-        pool_one(fm, Box(10, 10, 2, 2))
+        pool_one(np.zeros((1, 4, 4)), Box(10, 10, 2, 2))
 
 
 def test_roi_pool_length_constant():
     rng = np.random.default_rng(1)
-    fm = FeatureMap(rng.uniform(size=(3, 20, 20)))
+    data = rng.uniform(size=(3, 20, 20))
     sizes = set()
     for _ in range(10):
         b = Box(*rng.uniform(2, 18, 2), *rng.uniform(0.5, 15, 2))
-        sizes.add(pool_one(fm, b).shape)
+        sizes.add(pool_one(data, b).shape)
     assert sizes == {(3 * 6 * 6,)}
 
 
 def test_roi_pool_monotone_under_nesting():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        fm = FeatureMap(rng.uniform(size=(2, 12, 12)))
-        full = pool_one(fm, Box.from_corners(0, 0, 12, 12), 2, 2)
-        half = pool_one(fm, Box.from_corners(0, 0, 6, 6), 1, 1)
+        data = rng.uniform(size=(2, 12, 12))
+        full = pool_one(data, Box.from_corners(0, 0, 12, 12), 2, 2)
+        half = pool_one(data, Box.from_corners(0, 0, 6, 6), 1, 1)
         # The half-image box nests inside the full image: its single-bin max
         # cannot exceed the max over all full-image bins, per channel.
         full_c = full.reshape(2, 4).max(axis=1)
@@ -134,23 +123,20 @@ def test_roi_pool_monotone_under_nesting():
 
 def test_build_roi_features_appends_coords():
     fm = FeatureMap(np.zeros((3, 10, 10)))
-    cfg = ExtractorConfig()
-    feats = build_roi_features(fm, np.array([[5.0, 5.0, 4.0, 2.0]]), cfg)
-    assert feats.shape == (1, cfg.feature_dim)
+    feats = build_roi_features(fm, np.array([[5.0, 5.0, 4.0, 2.0]]))
+    assert feats.shape == (1, FEATURE_DIM)
     assert feats[0, -4:].tolist() == [0.5, 0.5, 0.4, 0.2]
 
 
 def test_subpixel_box_pools_zeros():
-    fm = FeatureMap(np.ones((1, 10, 10)))
-    v = pool_one(fm, Box(5.5, 5.5, 0.1, 0.1), 2, 2)
+    v = pool_one(np.ones((1, 10, 10)), Box(5.5, 5.5, 0.1, 0.1), 2, 2)
     # A sub-pixel box still covers one cell after floor/ceil discretization.
     assert v.shape == (4,)
 
 
 def test_degenerate_box_pools_zeros():
-    fm = FeatureMap(np.ones((2, 10, 10)))
     # The corners of a 1e-20 wide box round to the same float: no cell.
-    v = pool_one(fm, Box(5.0, 5.0, 1e-20, 1e-20), 2, 2)
+    v = pool_one(np.ones((2, 10, 10)), Box(5.0, 5.0, 1e-20, 1e-20), 2, 2)
     assert v.tolist() == [0.0] * 8
 
 
@@ -158,16 +144,8 @@ def test_roi_pool_outside_error_names_box_and_map():
     fm = FeatureMap(np.zeros((1, 4, 6)))
     boxes = np.array([[1.0, 1.0, 2.0, 2.0], [10.0, 1.0, 2.0, 2.0]])
     with pytest.raises(BoxOutsideImageError, match="6x4 feature map") as info:
-        build_roi_features(fm, boxes, ExtractorConfig(
-            include_gradients=False, include_box_coords=False))
+        build_roi_features(fm, boxes)
     assert "box row 1 [10.0, 1.0, 2.0, 2.0]" in str(info.value)
-
-
-def config_for(channels: int, pool_h: int, pool_w: int) -> ExtractorConfig:
-    """An extractor config whose feature maps have the given channel count."""
-    return ExtractorConfig(include_gradients=channels == 3,
-                           extra_filters=(((1.0,),),) if channels == 2 else (),
-                           pool_h=pool_h, pool_w=pool_w)
 
 
 def reference_roi_features(data, boxes, pool_h, pool_w):
@@ -245,8 +223,8 @@ def pooling_cases(draw):
 @given(pooling_cases())
 def test_build_roi_features_matches_brute_force_bytes(case):
     data, pool_h, pool_w, boxes = case
-    cfg = config_for(data.shape[0], pool_h, pool_w)
-    feats = build_roi_features(FeatureMap(data), boxes_to_array(boxes), cfg)
+    feats = build_roi_features(FeatureMap(data, pool_h, pool_w),
+                               boxes_to_array(boxes))
     expected = reference_roi_features(data, boxes, pool_h, pool_w)
     assert feats.shape == expected.shape
     assert feats.tobytes() == expected.tobytes()
@@ -255,49 +233,45 @@ def test_build_roi_features_matches_brute_force_bytes(case):
 def test_extractor_maps_pool_like_the_reference():
     rng = np.random.default_rng(5)
     image = rng.uniform(size=(37, 53))
-    cfg = ExtractorConfig(extra_filters=(((-1.0, 0.5), (0.25, 1.0)),),
-                          pool_h=3, pool_w=5)
-    fm = FeatureExtractor(cfg).compute_global_features(image)
+    fm = FeatureExtractor().compute_global_features(image)
     boxes = [Box(*rng.uniform(1, 36, 2), *rng.uniform(0.2, 80, 2))
              for _ in range(50)]
-    expected = reference_roi_features(fm.data, boxes, 3, 5)
-    assert build_roi_features(fm, boxes_to_array(boxes), cfg).tobytes() == \
+    expected = reference_roi_features(fm.data, boxes, 6, 6)
+    assert expected.shape == (50, FEATURE_DIM)
+    assert build_roi_features(fm, boxes_to_array(boxes)).tobytes() == \
         expected.tobytes()
 
 
 def test_hand_built_map_pools_without_extractor():
     data = np.arange(60, dtype=float).reshape(1, 6, 10)
-    fm = FeatureMap(data)
-    assert fm.table is None
+    fm = FeatureMap(data, 2, 3)
+    assert fm.data.tobytes() == data.tobytes()
     boxes = [Box(5, 3, 10, 6), Box(2.5, 1.5, 3, 2)]
-    cfg = config_for(1, 2, 3)
-    assert build_roi_features(fm, boxes_to_array(boxes), cfg).tobytes() == \
+    assert build_roi_features(fm, boxes_to_array(boxes)).tobytes() == \
         reference_roi_features(data, boxes, 2, 3).tobytes()
 
 
 def test_empty_box_list_gives_empty_rows():
-    cfg = ExtractorConfig()
-    fm = FeatureExtractor(cfg).compute_global_features(np.zeros((8, 8)))
-    feats = build_roi_features(fm, np.zeros((0, 4)), cfg)
-    assert feats.shape == (0, cfg.feature_dim)
+    fm = FeatureExtractor().compute_global_features(np.zeros((8, 8)))
+    feats = build_roi_features(fm, np.zeros((0, 4)))
+    assert feats.shape == (0, FEATURE_DIM)
 
 
 def test_table_built_once_per_global_features_call(monkeypatch):
     builds = []
 
-    class CountingTable(features.RangeMaxTable):
+    class CountingMap(features.FeatureMap):
         def __init__(self, *args):
             builds.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(features, "RangeMaxTable", CountingTable)
+    monkeypatch.setattr(features, "FeatureMap", CountingMap)
     rng = np.random.default_rng(2)
     ext = FeatureExtractor()
     fm = ext.compute_global_features(rng.uniform(size=(32, 32)))
     for _ in range(3):
-        build_roi_features(fm, np.array([[16.0, 16, 20, 12], [4, 4, 2, 2]]),
-                           ext.config)
-        pool_one(fm, Box(10, 10, 8, 8))
+        build_roi_features(fm, np.array([[16.0, 16, 20, 12], [4, 4, 2, 2]]))
+        build_roi_features(fm, np.array([[10.0, 10, 8, 8]]))
     assert len(builds) == 1
     # One detection pass of five steps pools from one table.
     detect(rng.uniform(size=(32, 32)), GridSpec((2,), (0.5,)),
@@ -331,15 +305,14 @@ def test_edge_bin_lengths_take_their_window_count(length, pool):
     data = rng.uniform(-1, 1, size=(2, n + 9, n + 7))
     boxes = [Box.from_corners(5, 5, 5 + n, 5 + n),
              Box.from_corners(2, 7, 2 + n, 7 + n)]
-    cfg = config_for(2, pool, pool)
-    feats = build_roi_features(FeatureMap(data), boxes_to_array(boxes), cfg)
+    feats = build_roi_features(FeatureMap(data, pool, pool),
+                               boxes_to_array(boxes))
     assert feats.tobytes() == \
         reference_roi_features(data, boxes, pool, pool).tobytes()
 
 
 def test_chunks_take_their_own_lookup_counts(monkeypatch):
-    cfg = ExtractorConfig()  # 3 channels of 6x6 bins
-    per_chunk = features._CHUNK // (cfg.channels * cfg.pool_h * cfg.pool_w)
+    per_chunk = features._CHUNK // (3 * 6 * 6)  # 3 channels of 6x6 bins
     rng = np.random.default_rng(3)
     data = rng.uniform(size=(3, 64, 64))
     # Three chunks of boxes with bins of 3 cells (1 window per axis), of 3
@@ -360,7 +333,7 @@ def test_chunks_take_their_own_lookup_counts(monkeypatch):
 
     windows = features._windows
     monkeypatch.setattr(features, "_windows", spy)
-    feats = build_roi_features(FeatureMap(data), boxes_to_array(boxes), cfg)
+    feats = build_roi_features(FeatureMap(data), boxes_to_array(boxes))
     assert counts == [1, 1, 3, 3, 2, 2]  # (rows, columns) per chunk
     assert feats.tobytes() == \
         reference_roi_features(data, boxes, 6, 6).tobytes()
@@ -368,8 +341,7 @@ def test_chunks_take_their_own_lookup_counts(monkeypatch):
 
 def test_default_map_builds_three_by_three_slabs():
     fm = FeatureExtractor().compute_global_features(np.zeros((128, 128)))
-    table = fm.table
-    assert table.levels == (3, 3)
-    assert table.rows.tolist() == table.cols.tolist() == [128, 126, 120]
-    assert table.offsets.shape == (3, 3)
-    assert table.flat.nbytes == 3 * (128 + 126 + 120) ** 2 * 8  # 3.2 MiB
+    assert fm.levels == (3, 3)
+    assert fm.rows.tolist() == fm.cols.tolist() == [128, 126, 120]
+    assert fm.offsets.shape == (3, 3)
+    assert fm.flat.nbytes == 3 * (128 + 126 + 120) ** 2 * 8  # 3.2 MiB

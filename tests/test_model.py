@@ -8,7 +8,7 @@ import pytest
 from griddet.assign import Assignment, GroundTruth, TrainTuple
 from griddet.boxes import Box, DeltaParams, boxes_to_array, iou_matrix
 from griddet.config import ExperimentConfig
-from griddet.features import (ExtractorConfig, FeatureExtractor,
+from griddet.features import (FEATURE_DIM, FeatureExtractor,
                               build_roi_features)
 from griddet.grid import GridSpec, generate_grid
 from griddet.model import (MLP, MODES, Grads, SceneTensors, SGDOptimizer,
@@ -508,9 +508,8 @@ def _reference_delta(b, t):
                        math.log(t.w / b.w), math.log(t.h / b.h))
 
 
-def reference_precompute(scenes, grid_spec, config, extractor_config=None):
-    ext_cfg = extractor_config or ExtractorConfig()
-    extractor = FeatureExtractor(ext_cfg)
+def reference_precompute(scenes, grid_spec, config):
+    extractor = FeatureExtractor()
     out = []
     for scene in scenes:
         h, w = scene.image.shape
@@ -534,8 +533,8 @@ def reference_precompute(scenes, grid_spec, config, extractor_config=None):
                                  replace=False)
             bg = [bg[i] for i in sorted(keep)]
         fg_feats = build_roi_features(
-            fm, boxes_to_array([row[0] for row in fg]), ext_cfg)
-        bg_feats = build_roi_features(fm, boxes_to_array(bg), ext_cfg)
+            fm, boxes_to_array([row[0] for row in fg]))
+        bg_feats = build_roi_features(fm, boxes_to_array(bg))
         fg_labels = np.array([row[2] for row in fg], dtype=np.int64)
         fg_steps = np.array([row[1] for row in fg], dtype=np.int64)
         fg_targets = np.array([row[3].as_array() for row in fg]) \
@@ -545,7 +544,7 @@ def reference_precompute(scenes, grid_spec, config, extractor_config=None):
             [d.as_array() for d in direct], (-1, 4))
         out.append(SceneTensors(fg_feats, fg_labels, fg_steps, fg_targets,
                                 direct_targets, bg_feats))
-    return out, ext_cfg.feature_dim
+    return out, FEATURE_DIM
 
 
 # Scale 2 of this grid on a 64 x 64 image is four 32 x 32 boxes; the first
@@ -669,7 +668,7 @@ def reference_train(config: ExperimentConfig, scenes, mode):
     """The precompute + train_models sequence that the training entry points
     each wrote out before pipeline.train; kept as its reference."""
     tensors, dim = precompute_scene_tensors(scenes, config.grid_train,
-                                            config.train, ExtractorConfig())
+                                            config.train)
     return train_models(tensors, config.train, mode,
                         config.synth.num_classes, dim)
 
@@ -721,26 +720,24 @@ def test_train_pools_once_for_all_modes(small_training_setup, monkeypatch):
 def test_checkpoint_round_trip(tmp_path, small_training_setup):
     _, config, _, tensors, dim = small_training_setup
     reg, cls, _ = train_models(tensors, config, "gcnn", 4, dim)
-    custom = ExtractorConfig(
-        extra_filters=(((0.0, 1.0), (-1.0, 0.5)), ((1.0, 2.0, 1.0),)),
-        pool_h=3, pool_w=5, include_box_coords=False)
-    for i, extractor_config in enumerate([ExtractorConfig(), custom]):
-        path = tmp_path / f"model{i}.ckpt"
-        kwargs = dict(config=config, mode="gcnn", num_classes=4,
-                      extractor_config=extractor_config, stage=3)
-        save_checkpoint(path, reg, cls, **kwargs)
-        reg2, cls2, meta = load_checkpoint(path)
-        for a, b in zip(reg.params() + cls.params(),
-                        reg2.params() + cls2.params()):
-            assert np.array_equal(a, b)
-        assert meta["mode"] == "gcnn" and meta["num_classes"] == 4
-        assert meta["config"] == config
-        assert meta["extractor"] == extractor_config
-        assert meta["extractor"].feature_dim == extractor_config.feature_dim
-        # Byte-identical on rewrite.
-        path2 = tmp_path / f"model{i}_again.ckpt"
-        save_checkpoint(path2, reg, cls, **kwargs)
-        assert path.read_bytes() == path2.read_bytes()
+    path = tmp_path / "model.ckpt"
+    kwargs = dict(config=config, mode="gcnn", num_classes=4, stage=3)
+    save_checkpoint(path, reg, cls, **kwargs)
+    reg2, cls2, meta = load_checkpoint(path)
+    for a, b in zip(reg.params() + cls.params(),
+                    reg2.params() + cls2.params()):
+        assert np.array_equal(a, b)
+    assert meta == {"config": config, "mode": "gcnn", "num_classes": 4,
+                    "stage": 3}
+    # The header records the one feature layout, in its fixed form.
+    header = json.loads(path.read_bytes().split(b"\n")[1])
+    assert header["extractor"] == {
+        "extra_filters": [], "include_box_coords": True,
+        "include_gradients": True, "pool_h": 6, "pool_w": 6}
+    # Byte-identical on rewrite.
+    path2 = tmp_path / "model_again.ckpt"
+    save_checkpoint(path2, reg, cls, **kwargs)
+    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_invalid_config_rejected():

@@ -1,13 +1,12 @@
 import dataclasses
 
-import numpy as np
 import pytest
 
 from griddet.config import ExperimentConfig
-from griddet.features import ExtractorConfig
 from griddet.grid import GridSpec
 from griddet.model import TrainConfig
 from griddet.records import from_plain, to_plain
+from griddet.synth import SynthConfig
 
 
 def test_plain_form_uses_field_names_and_lists():
@@ -20,11 +19,12 @@ def test_plain_form_uses_field_names_and_lists():
 
 
 def test_arrays_become_lists_and_come_back_as_tuples():
-    kernel = np.array([[0.0, 1.0], [-1.0, 0.5]])
-    plain = to_plain(ExtractorConfig(extra_filters=(kernel,)))
-    assert plain["extra_filters"] == [[[0.0, 1.0], [-1.0, 0.5]]]
-    back = from_plain(ExtractorConfig, plain, "ext")
-    assert back.extra_filters == (((0.0, 1.0), (-1.0, 0.5)),)
+    groups = ((1, 3), (2, 4, 5))
+    plain = to_plain(SynthConfig(num_classes=5,
+                                 class_similarity_groups=groups))
+    assert plain["class_similarity_groups"] == [[1, 3], [2, 4, 5]]
+    back = from_plain(SynthConfig, plain, "synth")
+    assert back.class_similarity_groups == groups
 
 
 def test_missing_fields_take_defaults():
