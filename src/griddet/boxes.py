@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The side, in pixels, that clipping restores to a box it collapsed.
+MIN_SIDE = 1.0
+
 
 @dataclass(frozen=True, slots=True)
 class Box:
@@ -95,11 +98,10 @@ def apply_delta(b: Box, d: DeltaParams) -> Box:
     return Box(*apply_deltas(boxes_to_array([b]), d.as_array())[0].tolist())
 
 
-def clip_to_image(b: Box, width: float, height: float, min_side: float = 1.0) -> Box:
+def clip_to_image(b: Box, width: float, height: float) -> Box:
     """Clamp one box to the image; see clip_boxes. Raises ValueError if the
     clamped box has an empty side."""
-    return Box(*clip_boxes(boxes_to_array([b]), width, height,
-                           min_side)[0].tolist())
+    return Box(*clip_boxes(boxes_to_array([b]), width, height)[0].tolist())
 
 
 # Array forms. Rows are (cx, cy, w, h).
@@ -144,12 +146,11 @@ def apply_deltas(boxes: np.ndarray, deltas: np.ndarray) -> np.ndarray:
                       boxes[:, 2:] * np.reshape(scales, (-1, 2))])
 
 
-def clip_boxes(boxes: np.ndarray, width: float, height: float,
-               min_side: float = 1.0) -> np.ndarray:
+def clip_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
     """Clamp each row of boxes to the image rectangle [0, width] x [0, height].
 
-    If clamping shrinks a side to min_side or below, that side is restored to
-    min(min_side, image side), centered at the clamped position and kept
+    If clamping shrinks a side to MIN_SIDE or below, that side is restored to
+    min(MIN_SIDE, image side), centered at the clamped position and kept
     inside the image, so boxes drifting outside never degenerate. Rows that
     clamping leaves untouched pass through without corner round-trip noise.
     Idempotent. Rows are not checked: one whose corners already coincide can
@@ -168,8 +169,8 @@ def clip_boxes(boxes: np.ndarray, width: float, height: float,
     side = chi - clo
     # Clamping collapsed the side: restore a minimum side centered at the
     # clamped position, shifted to stay inside the image.
-    collapsed = (side < hi - lo) & (side <= min_side)
-    small = np.minimum(min_side, dim)
+    collapsed = (side < hi - lo) & (side <= MIN_SIDE)
+    small = np.minimum(MIN_SIDE, dim)
     center = np.minimum(np.maximum((clo + chi) / 2.0, small / 2.0),
                         dim - small / 2.0)
     clo = np.where(collapsed, center - small / 2.0, clo)

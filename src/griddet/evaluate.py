@@ -1,22 +1,22 @@
 """Detection metrics: average precision, mAP, and a false-positive taxonomy.
 
 AP uses greedy score-ordered matching at an IoU threshold and the
-precision-envelope area under the PR curve (continuous variant by default,
-11-point behind a flag). False positives are split into Loc / Sim / BG / Oth
-by their overlap with same-class, similar-class, and other-class ground truth.
+precision-envelope area under the PR curve (the continuous VOC rule). False
+positives are split into Loc / Sim / BG / Oth by their overlap with
+same-class, similar-class, and other-class ground truth.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assign import GroundTruth
 from .boxes import Box, iou
-from .records import is_int
+from .records import is_int, is_number
 
 FP_CATEGORIES = ("Loc", "Sim", "BG", "Oth")
 
@@ -35,28 +35,19 @@ class DetRecord:
     box: Box
 
 
-@dataclass(frozen=True)
-class PRPoint:
-    recall: float
-    precision: float
-    score_threshold: float
-
-
 @dataclass
 class FPBreakdown:
-    """Cumulative false-positive category counts over descending-score ranks."""
+    """The category of every false positive, in descending score order."""
 
-    ranks: list[int]
-    counts: dict[str, list[int]]
-    categories: list[str] = field(default_factory=list)  # per FP, score order
+    categories: list[str]
 
     def at_rank(self, k: int) -> dict[str, int]:
-        idx = max(i for i, r in enumerate(self.ranks) if r <= k)
-        return {cat: self.counts[cat][idx] for cat in FP_CATEGORIES}
+        """Per-category counts among the k highest-scoring false positives."""
+        head = self.categories[:k]
+        return {cat: head.count(cat) for cat in FP_CATEGORIES}
 
     def totals(self) -> dict[str, int]:
-        return {cat: (self.counts[cat][-1] if self.ranks else 0)
-                for cat in FP_CATEGORIES}
+        return self.at_rank(len(self.categories))
 
 
 def _score_order(scores: list[float]) -> list[int]:
@@ -90,47 +81,24 @@ def match_detections(detections: list[tuple[int, float, Box]],
     return flags
 
 
-def pr_points(detections: list[tuple[int, float, Box]],
-              gts: dict[int, list[Box]],
-              iou_match: float = 0.5) -> list[PRPoint]:
-    """PR curve points in descending score order."""
-    n_gt = sum(len(v) for v in gts.values())
-    flags = match_detections(detections, gts, iou_match)
-    order = _score_order([d[1] for d in detections])
-    points = []
-    tp = fp = 0
-    for i in order:
-        if flags[i]:
-            tp += 1
-        else:
-            fp += 1
-        recall = tp / n_gt if n_gt > 0 else 0.0
-        points.append(PRPoint(recall, tp / (tp + fp), detections[i][1]))
-    return points
-
-
 def average_precision(detections: list[tuple[int, float, Box]],
-                      gts: dict[int, list[Box]], iou_match: float = 0.5,
-                      eleven_point: bool = False) -> float:
-    """Area under the PR curve for one class.
+                      gts: dict[int, list[Box]],
+                      iou_match: float = 0.5) -> float:
+    """Area under the precision envelope of the PR curve for one class.
 
     With no ground truth the AP is 0 (whether or not detections exist).
     """
     n_gt = sum(len(v) for v in gts.values())
     if n_gt == 0 or not detections:
         return 0.0
-    points = pr_points(detections, gts, iou_match)
-    recalls = np.array([0.0] + [p.recall for p in points])
-    precisions = np.array([0.0] + [p.precision for p in points])
+    flags = match_detections(detections, gts, iou_match)
+    order = _score_order([d[1] for d in detections])
+    tp = np.cumsum([flags[i] for i in order])
+    recalls = np.concatenate(([0.0], tp / n_gt))
+    precisions = np.concatenate(([0.0], tp / np.arange(1, len(tp) + 1)))
     # Monotone precision envelope from the right.
     env = np.maximum.accumulate(precisions[::-1])[::-1]
-    if eleven_point:
-        levels = np.linspace(0.0, 1.0, 11)
-        vals = []
-        for r in levels:
-            ok = recalls >= r - 1e-12
-            vals.append(float(env[ok].max()) if ok.any() else 0.0)
-        return float(np.mean(vals))
+    # A sequential sum: np.sum adds pairwise, which changes the last bits.
     ap = 0.0
     for i in range(1, len(recalls)):
         ap += (recalls[i] - recalls[i - 1]) * env[i]
@@ -153,7 +121,7 @@ def _split_by_class(detections: list[DetRecord],
 
 def evaluate_detections(detections: list[DetRecord],
                         gts: dict[int, list[GroundTruth]], num_classes: int,
-                        iou_match: float = 0.5, eleven_point: bool = False):
+                        iou_match: float = 0.5):
     """Per-class AP and mAP for a full detection dump.
 
     Returns (per_class_ap, map_value)."""
@@ -164,8 +132,7 @@ def evaluate_detections(detections: list[DetRecord],
         if n_gt == 0:
             continue
         per_class_ap[c] = average_precision(per_cls_det.get(c, []),
-                                            per_cls_gt[c], iou_match,
-                                            eleven_point)
+                                            per_cls_gt[c], iou_match)
     m = float(np.mean(list(per_class_ap.values()))) if per_class_ap else 0.0
     return per_class_ap, m
 
@@ -179,7 +146,7 @@ def fp_breakdown(detections: list[DetRecord],
     a duplicate on an already-matched one). Sim: overlap >= 0.1 with a
     different class of the same similarity group. Oth: overlap >= 0.1 with a
     class of another group. BG: under 0.1 with everything. Precedence is
-    Loc > Sim > Oth. Counts are cumulative over descending-score FP ranks.
+    Loc > Sim > Oth. The categories come in descending score order.
     """
     classes = sorted(c for g in similarity_groups for c in g)
     if len(classes) != len(set(classes)) or \
@@ -219,11 +186,7 @@ def fp_breakdown(detections: list[DetRecord],
             fps.append((score, cat))
 
     fps.sort(key=lambda t: -t[0])
-    cats = [cat for _, cat in fps]
-    counts = {cat: np.cumsum([c_ == cat for c_ in cats],
-                             dtype=np.int64).tolist()
-              for cat in FP_CATEGORIES}
-    return FPBreakdown(list(range(1, len(cats) + 1)), counts, cats)
+    return FPBreakdown([cat for _, cat in fps])
 
 
 def write_detection_dump(path, detections: list[DetRecord]):
@@ -266,12 +229,11 @@ def read_detection_dump(path) -> list[DetRecord]:
                 if not (is_int(image_id) and is_int(label)):
                     raise ValueError(f"image_id and class must be integers, "
                                      f"got {image_id!r} and {label!r}")
-                if isinstance(score, bool) or \
-                        not isinstance(score, (int, float)) or \
-                        not math.isfinite(score):
+                if not (is_number(score) and math.isfinite(score)):
                     raise ValueError(f"score must be a finite number, "
                                      f"got {score!r}")
-                if not isinstance(box, list) or len(box) != 4:
+                if not (isinstance(box, list) and len(box) == 4
+                        and all(map(is_number, box))):
                     raise ValueError(f"box must be 4 numbers (cx, cy, w, h), "
                                      f"got {box!r}")
                 out.append(DetRecord(image_id, label, score, Box(*box)))
@@ -285,15 +247,14 @@ def read_detection_dump(path) -> list[DetRecord]:
 
 
 def format_report(per_class_ap: dict[int, float], map_value: float,
-                  breakdown: FPBreakdown | None = None) -> str:
+                  breakdown: FPBreakdown) -> str:
     lines = ["detection metrics report", ""]
     for c in sorted(per_class_ap):
         lines.append(f"class {c:>3}  AP = {per_class_ap[c]:.4f}")
     lines.append(f"mAP = {map_value:.4f}")
-    if breakdown is not None:
-        totals = breakdown.totals()
-        lines.append("")
-        lines.append("false positives by category (cumulative totals):")
-        for cat in FP_CATEGORIES:
-            lines.append(f"  {cat:<4} {totals[cat]}")
+    totals = breakdown.totals()
+    lines.append("")
+    lines.append("false positives by category (cumulative totals):")
+    for cat in FP_CATEGORIES:
+        lines.append(f"  {cat:<4} {totals[cat]}")
     return "\n".join(lines) + "\n"

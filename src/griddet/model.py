@@ -316,13 +316,12 @@ class SceneTensors:
 
 
 def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
-                             ) -> tuple[list[SceneTensors], int]:
+                             ) -> list[SceneTensors]:
     """Pool features for every box state of every scene's training schedule.
 
     Box states never depend on the model (approximate update), so everything
     can be pooled once up front. Background boxes are subsampled to
     max_bg_per_scene classifier negatives per scene, deterministically.
-    Returns (tensors, FEATURE_DIM).
     """
     extractor = FeatureExtractor()
     s_train = config.s_train
@@ -358,7 +357,7 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
         direct[::s_train] = box_deltas(fg_grid, targets)
         out.append(SceneTensors(fg_feats, fg_labels, fg_steps, fg_targets,
                                 direct, bg_feats))
-    return out, FEATURE_DIM
+    return out
 
 
 class _BatchSampler:
@@ -381,12 +380,11 @@ class _BatchSampler:
         self.step1_pools = [np.flatnonzero(t.fg_steps == 1) for t in tensors]
         self.reg_pools = self.step1_pools
         self.direct = False
-        width = tensors[0].fg_feats.shape[1] if tensors else 0
         rows = config.images_per_batch * self.per_image
-        self.reg_feats = np.empty((rows, width))
+        self.reg_feats = np.empty((rows, FEATURE_DIM))
         self.reg_labels = np.empty(rows, dtype=np.int64)
         self.reg_targets = np.empty((rows, 4))
-        self.cls_feats = np.empty((rows, width))
+        self.cls_feats = np.empty((rows, FEATURE_DIM))
         self.cls_labels = np.empty(rows, dtype=np.int64)
 
     def start_phase(self, stage: int, direct: bool):
@@ -434,7 +432,7 @@ def _gather(pick: np.ndarray, start: int, *pairs) -> int:
 
 
 def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
-                 num_classes: int, input_dim: int):
+                 num_classes: int):
     """Run the SGD schedule for one of the three training strategies.
 
     gcnn: stages c = 1..s_train, each n_iter_per_stage iterations on the
@@ -446,9 +444,9 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     ss = np.random.SeedSequence(config.seed)
     init_reg, init_cls, batch_ss = ss.spawn(3)
-    regressor = make_regressor(input_dim, config.hidden_sizes, num_classes,
+    regressor = make_regressor(FEATURE_DIM, config.hidden_sizes, num_classes,
                                np.random.default_rng(init_reg))
-    classifier = make_classifier(input_dim, config.hidden_sizes, num_classes,
+    classifier = make_classifier(FEATURE_DIM, config.hidden_sizes, num_classes,
                                  np.random.default_rng(init_cls))
     opt_reg = SGDOptimizer(regressor, config.learning_rate, config.momentum)
     opt_cls = SGDOptimizer(classifier, config.learning_rate, config.momentum)

@@ -40,14 +40,24 @@ def _check_scene_counts(**counts):
             raise ValueError(f"{name} must be >= 1, got {n}")
 
 
+def _check_classes(manifest_path: str, scenes, num_classes: int):
+    for scene in scenes:
+        for gt in scene.gts:
+            if gt.class_label > num_classes:
+                raise ValueError(
+                    f"manifest {manifest_path}: scene_id {scene.scene_id} "
+                    f"has class {gt.class_label}, above num_classes "
+                    f"{num_classes}")
+
+
 def train(config: ExperimentConfig, scenes, modes=None):
     """Pool the training set of `scenes` once, then train each strategy of
     `modes` (default: config.mode) on it with equal compute. Returns one
     (regressor, classifier, log) per mode, in order."""
-    tensors, input_dim = precompute_scene_tensors(
-        scenes, config.grid_train, config.train)
+    tensors = precompute_scene_tensors(scenes, config.grid_train,
+                                       config.train)
     return [train_models(tensors, config.train, mode,
-                         config.synth.num_classes, input_dim)
+                         config.synth.num_classes)
             for mode in ([config.mode] if modes is None else modes)]
 
 
@@ -59,13 +69,7 @@ def cmd_train(config: ExperimentConfig, manifest_path: str,
     num_classes = config.synth.num_classes
     if not scenes:
         raise ValueError(f"manifest {manifest_path}: no scenes to train on")
-    for scene in scenes:
-        for gt in scene.gts:
-            if gt.class_label > num_classes:
-                raise ValueError(
-                    f"manifest {manifest_path}: scene_id {scene.scene_id} "
-                    f"has class {gt.class_label}, above num_classes "
-                    f"{num_classes}")
+    _check_classes(manifest_path, scenes, num_classes)
     [(regressor, classifier, log)] = train(config, scenes)
     save_checkpoint(checkpoint_path, regressor, classifier,
                     config=config.train, mode=config.mode,
@@ -132,6 +136,7 @@ def cmd_eval(config: ExperimentConfig, detections_path: str,
     """Score a detection dump against a dataset manifest."""
     detections = read_detection_dump(detections_path)
     _, scenes = load_manifest(manifest_path)
+    _check_classes(manifest_path, scenes, config.synth.num_classes)
     gts = {s.scene_id: s.gts for s in scenes}
     per_class_ap, map_value = evaluate_detections(
         detections, gts, config.synth.num_classes, config.iou_match)

@@ -29,6 +29,11 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """Whether a plain value is an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _tuples(value):
     if isinstance(value, list):
         return tuple(_tuples(v) for v in value)

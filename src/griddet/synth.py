@@ -15,7 +15,7 @@ import numpy as np
 
 from .assign import GroundTruth
 from .boxes import Box, iou
-from .records import from_plain, is_int, to_plain
+from .records import from_plain, is_int, is_number, to_plain
 
 MANIFEST_VERSION = 1
 
@@ -193,6 +193,14 @@ def load_manifest(path) -> tuple[SynthConfig, list[Scene]]:
         raise ValueError(f"manifest {path}: missing key {exc}") from None
 
 
+def _ground_truth(g) -> GroundTruth:
+    coords = [g["cx"], g["cy"], g["w"], g["h"]]
+    if not (all(map(is_number, coords)) and is_int(g["class_label"])):
+        raise ValueError(f"a ground truth needs numbers cx, cy, w, h and an "
+                         f"integer class_label, got {g!r}")
+    return GroundTruth(Box(*coords), g["class_label"])
+
+
 def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     import os
     with open(path) as f:
@@ -226,8 +234,7 @@ def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     scenes = []
     for i, rec in enumerate(doc["scenes"]):
         try:
-            gts = [GroundTruth(Box(g["cx"], g["cy"], g["w"], g["h"]),
-                               g["class_label"]) for g in rec["gts"]]
+            gts = [_ground_truth(g) for g in rec["gts"]]
         except (TypeError, ValueError) as exc:
             raise ValueError(
                 f"manifest {path}: scene {i} is malformed: {exc}") from None

@@ -206,7 +206,7 @@ def test_clip_one_edge():
 
 def test_clip_fully_outside_gets_min_side_at_corner():
     b = corner_box(-5, -5, -4, -4)
-    c = clip_to_image(b, 10, 10, min_side=1.0)
+    c = clip_to_image(b, 10, 10)
     assert (c.w, c.h) == (1.0, 1.0)
     x1, y1, x2, y2 = c.corners()
     assert (x1, y1) == (0.0, 0.0)

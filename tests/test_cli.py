@@ -201,6 +201,27 @@ MALFORMED_FILES = {
                                    "class_label": 9}]}]}),
         ["train", "--dataset", "{f}", "--out", "{d}/m.ckpt"],
         "scene_id 7 has class 9, above num_classes 4"),
+    "manifest_class_above_num_classes_at_eval": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": 7, "seed": 0, "gts": [
+                                  {"cx": 8, "cy": 8, "w": 6, "h": 6,
+                                   "class_label": 9}]}]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scene_id 7 has class 9, above num_classes 4"),
+    "manifest_gt_coordinate_a_boolean": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": 0, "seed": 0, "gts": [
+                                  {"cx": True, "cy": 8, "w": 6, "h": 6,
+                                   "class_label": 1}]}]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scene 0 is malformed: a ground truth needs numbers"),
+    "manifest_gt_class_a_float": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": 0, "seed": 0, "gts": [
+                                  {"cx": 8, "cy": 8, "w": 6, "h": 6,
+                                   "class_label": 1.5}]}]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scene 0 is malformed: a ground truth needs numbers"),
     "dump_record_without_class": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 0, "score": 0.5, "box": [4, 4, 2, 2]}\n',
@@ -209,6 +230,12 @@ MALFORMED_FILES = {
     "dump_box_of_three_numbers": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 0, "class": 1, "score": 0.5, "box": [4, 4, 2]}\n',
+        ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
+        "line 2: box must be 4 numbers"),
+    "dump_box_value_a_boolean": (
+        "d.jsonl", '{"format_version": 1}\n'
+                   '{"image_id": 0, "class": 1, "score": 0.5, '
+                   '"box": [true, 4, 2, 2]}\n',
         ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
         "line 2: box must be 4 numbers"),
     "dump_box_of_zero_width": (

@@ -474,11 +474,9 @@ side_float = st.floats(0.0, 1e4) | st.sampled_from((0.0, 1e-300, 0.5, 1.0, 2.0))
 @given(st.lists(st.tuples(edge_float, edge_float, side_float, side_float),
                 min_size=1, max_size=8),
        st.sampled_from((32, 40, 32.0, 0.5, 7.25)) | st.floats(0.01, 1e3),
-       st.sampled_from((40, 32.0, 1.0)) | st.floats(0.01, 1e3),
-       st.sampled_from((1.0, 0.0, 0.5, 3.0, 1e3)))
-def test_clip_boxes_matches_clip_axis_bit_for_bit(rows, width, height,
-                                                  min_side):
-    got = clip_boxes(np.array(rows), width, height, min_side)
-    want = [reference_clip_row(r, width, height, min_side) for r in rows]
+       st.sampled_from((40, 32.0, 1.0)) | st.floats(0.01, 1e3))
+def test_clip_boxes_matches_clip_axis_bit_for_bit(rows, width, height):
+    got = clip_boxes(np.array(rows), width, height)
+    want = [reference_clip_row(r, width, height, 1.0) for r in rows]
     assert got.tobytes() == struct.pack(f"<{4 * len(rows)}d",
                                         *itertools.chain(*want))

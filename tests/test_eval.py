@@ -8,8 +8,8 @@ from griddet.boxes import Box, iou
 from griddet.evaluate import (FP_CATEGORIES, DetRecord,
                               InvalidSimilarityGroupsError, average_precision,
                               evaluate_detections, format_report, fp_breakdown,
-                              match_detections, pr_points,
-                              read_detection_dump, write_detection_dump)
+                              match_detections, read_detection_dump,
+                              write_detection_dump)
 
 
 def naive_ap(detections, gts, iou_match=0.5):
@@ -45,6 +45,33 @@ def naive_ap(detections, gts, iou_match=0.5):
             ap += (recall - prev_recall) * best_prec
             prev_recall = recall
     return ap
+
+
+def reference_ap(detections, gts, iou_match=0.5):
+    """The PR-point walk that average_precision replaced, kept as its exact
+    reference: one (recall, precision) point per detection in score order,
+    the precision envelope from the right, and a sequential sum."""
+    n_gt = sum(len(v) for v in gts.values())
+    if n_gt == 0 or not detections:
+        return 0.0
+    flags = match_detections(detections, gts, iou_match)
+    order = sorted(range(len(detections)),
+                   key=lambda i: (-detections[i][1], i))
+    recalls, precisions = [0.0], [0.0]
+    tp = fp = 0
+    for i in order:
+        if flags[i]:
+            tp += 1
+        else:
+            fp += 1
+        recalls.append(tp / n_gt)
+        precisions.append(tp / (tp + fp))
+    recalls, precisions = np.array(recalls), np.array(precisions)
+    env = np.maximum.accumulate(precisions[::-1])[::-1]
+    ap = 0.0
+    for i in range(1, len(recalls)):
+        ap += (recalls[i] - recalls[i - 1]) * env[i]
+    return float(ap)
 
 
 def b(x, y, s=4.0):
@@ -89,6 +116,25 @@ def test_matches_naive_oracle_on_random_configurations():
         assert ap == pytest.approx(float(naive_ap(dets, gts)), abs=1e-12)
 
 
+def test_matches_reference_ap_bit_for_bit():
+    # Scores rounded to one decimal tie often; several images and up to a
+    # dozen ground truths give long, uneven PR curves.
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        gts = {img: [Box(*rng.uniform(4, 28, 2), *rng.uniform(2, 10, 2))
+                     for _ in range(int(rng.integers(0, 5)))]
+               for img in range(3)}
+        dets = [(int(rng.integers(0, 3)), float(np.round(rng.uniform(), 1)),
+                 Box(*rng.uniform(4, 28, 2), *rng.uniform(2, 10, 2)))
+                for _ in range(int(rng.integers(0, 25)))]
+        # Near-copies of the ground truths, so that many detections match.
+        dets += [(img, float(np.round(rng.uniform(), 1)),
+                  Box(g.cx + rng.uniform(-1, 1), g.cy, g.w, g.h))
+                 for img, glist in gts.items() for g in glist
+                 if rng.uniform() < 0.7]
+        assert average_precision(dets, gts) == reference_ap(dets, gts)
+
+
 def test_ap_invariant_under_monotone_score_transform():
     rng = np.random.default_rng(8)
     gts = {0: [Box(*rng.uniform(5, 25, 2), *rng.uniform(3, 9, 2))
@@ -106,14 +152,6 @@ def test_matching_is_deterministic_for_equal_scores():
     dets = [(0, 0.5, b(10, 10)), (0, 0.5, b(10.5, 10))]
     flags = match_detections(dets, gts)
     assert flags == [True, False]
-
-
-def test_pr_points_descend_in_score():
-    gts = {0: [b(10, 10), b(30, 30)]}
-    dets = [(0, 0.7, b(30, 30)), (0, 0.9, b(10, 10))]
-    pts = pr_points(dets, gts)
-    assert [p.score_threshold for p in pts] == [0.9, 0.7]
-    assert pts[-1].recall == 1.0
 
 
 def test_mean_ap_simple_means():
@@ -188,15 +226,25 @@ def test_fp_categories_partition_all_false_positives():
     totals = bd.totals()
     assert sum(totals.values()) == len(bd.categories)
     assert bd.at_rank(len(dets)) == totals
-    for cat in FP_CATEGORIES:
-        assert all(a <= b_ for a, b_ in zip(bd.counts[cat], bd.counts[cat][1:]))
-    # Reference: count each category afresh in every score-ordered prefix.
-    assert bd.ranks == list(range(1, len(bd.categories) + 1))
-    for r in bd.ranks:
-        head = bd.categories[:r]
-        for cat in FP_CATEGORIES:
-            n = bd.counts[cat][r - 1]
-            assert type(n) is int and n == head.count(cat)
+    # Reference: each rank adds one to the category of its false positive.
+    prev = dict.fromkeys(FP_CATEGORIES, 0)
+    for r, cat in enumerate(bd.categories, start=1):
+        counts = bd.at_rank(r)
+        assert all(type(n) is int for n in counts.values())
+        assert counts == {**prev, cat: prev[cat] + 1}
+        prev = counts
+
+
+def test_at_rank_zero_and_without_false_positives():
+    zero = dict.fromkeys(FP_CATEGORIES, 0)
+    gts = make_gts()
+    bd = fp_breakdown([DetRecord(0, 2, 0.9, b(60, 60))], gts, ((1, 2), (3, 4)))
+    assert bd.categories == ["BG"]
+    assert bd.at_rank(0) == zero
+    clean = fp_breakdown([DetRecord(0, 1, 0.9, b(10, 10))], gts,
+                         ((1, 2), (3, 4)))
+    assert clean.categories == []
+    assert clean.at_rank(0) == clean.at_rank(3) == clean.totals() == zero
 
 
 def test_fp_breakdown_rejects_bad_groups():
@@ -228,12 +276,3 @@ def test_detection_dump_rejects_unknown_version(tmp_path):
     path.write_text('{"format_version": 9}\n')
     with pytest.raises(ValueError):
         read_detection_dump(path)
-
-
-def test_eleven_point_variant_close_to_continuous():
-    gts = {0: [b(10, 10), b(30, 30)]}
-    dets = [(0, 0.9, b(10, 10)), (0, 0.8, b(50, 50)), (0, 0.7, b(30, 30))]
-    cont = average_precision(dets, gts)
-    eleven = average_precision(dets, gts, eleven_point=True)
-    assert 0.0 <= eleven <= 1.0
-    assert abs(eleven - cont) < 0.2

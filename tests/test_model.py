@@ -248,47 +248,47 @@ def small_training_setup():
     scenes = generate_dataset(synth, 6)
     config = TrainConfig(seed=3, n_iter_per_stage=60, learning_rate=0.05)
     grid_spec = GridSpec((2, 4), (0.8, 0.7))
-    tensors, dim = precompute_scene_tensors(scenes, grid_spec, config)
-    return scenes, config, grid_spec, tensors, dim
+    tensors = precompute_scene_tensors(scenes, grid_spec, config)
+    return scenes, config, grid_spec, tensors
 
 
 def test_training_modes_equal_total_iterations(small_training_setup):
-    _, config, _, tensors, dim = small_training_setup
+    _, config, _, tensors = small_training_setup
     for mode in ("gcnn", "1step", "ifrcnn"):
-        _, _, log = train_models(tensors, config, mode, 4, dim)
+        _, _, log = train_models(tensors, config, mode, 4)
         assert log.total_iterations == config.s_train * config.n_iter_per_stage
 
 
 def test_gcnn_has_stage_boundaries(small_training_setup):
-    _, config, _, tensors, dim = small_training_setup
-    _, _, log = train_models(tensors, config, "gcnn", 4, dim)
+    _, config, _, tensors = small_training_setup
+    _, _, log = train_models(tensors, config, "gcnn", 4)
     assert log.stage_boundaries == [0, config.n_iter_per_stage,
                                     2 * config.n_iter_per_stage]
-    _, _, log1 = train_models(tensors, config, "1step", 4, dim)
+    _, _, log1 = train_models(tensors, config, "1step", 4)
     assert log1.stage_boundaries == [0]
 
 
 def test_training_deterministic(small_training_setup):
-    _, config, _, tensors, dim = small_training_setup
-    r1, c1, _ = train_models(tensors, config, "gcnn", 4, dim)
-    r2, c2, _ = train_models(tensors, config, "gcnn", 4, dim)
+    _, config, _, tensors = small_training_setup
+    r1, c1, _ = train_models(tensors, config, "gcnn", 4)
+    r2, c2, _ = train_models(tensors, config, "gcnn", 4)
     for a, b in zip(r1.params() + c1.params(), r2.params() + c2.params()):
         assert np.array_equal(a, b)
 
 
 def test_single_stage_modes_coincide(small_training_setup):
-    scenes, config, grid_spec, _, _ = small_training_setup
+    scenes, config, grid_spec, _ = small_training_setup
     cfg1 = dataclasses.replace(config, s_train=1, n_iter_per_stage=30)
-    tensors, dim = precompute_scene_tensors(scenes, grid_spec, cfg1)
-    rg, cg, lg = train_models(tensors, cfg1, "gcnn", 4, dim)
-    ro, co, lo = train_models(tensors, cfg1, "1step", 4, dim)
+    tensors = precompute_scene_tensors(scenes, grid_spec, cfg1)
+    rg, cg, lg = train_models(tensors, cfg1, "gcnn", 4)
+    ro, co, lo = train_models(tensors, cfg1, "1step", 4)
     for a, b in zip(rg.params() + cg.params(), ro.params() + co.params()):
         assert np.array_equal(a, b)
     assert [e["reg_loss"] for e in lg.entries] == \
         [e["reg_loss"] for e in lo.entries]
 
 
-def _reference_train(tensors, config, mode, num_classes, input_dim):
+def _reference_train(tensors, config, mode, num_classes):
     """Straightforward training loop, kept as the reference for train_models:
     per-layer parameter arrays replaced by allocating updates, and batches
     concatenated from per-image parts. Returns (params, log entries, stage
@@ -387,14 +387,15 @@ def _reference_train(tensors, config, mode, num_classes, input_dim):
 
         def stack(parts, width):
             return np.concatenate(parts) if parts else np.zeros((0, width))
-        return (stack(reg_feats, input_dim),
+        return (stack(reg_feats, FEATURE_DIM),
                 np.concatenate(reg_labels or [[]]), stack(reg_targets, 4),
-                stack(cls_feats, input_dim), np.concatenate(cls_labels or [[]]))
+                stack(cls_feats, FEATURE_DIM),
+                np.concatenate(cls_labels or [[]]))
 
     init_reg, init_cls, batch_ss = np.random.SeedSequence(config.seed).spawn(3)
     hidden = list(config.hidden_sizes)
-    reg_w, reg_b = init([input_dim, *hidden, 4 * num_classes], init_reg)
-    cls_w, cls_b = init([input_dim, *hidden, num_classes + 1], init_cls)
+    reg_w, reg_b = init([FEATURE_DIM, *hidden, 4 * num_classes], init_reg)
+    cls_w, cls_b = init([FEATURE_DIM, *hidden, num_classes + 1], init_cls)
     reg_vel = ([np.zeros_like(w) for w in reg_w],
                [np.zeros_like(b) for b in reg_b])
     cls_vel = ([np.zeros_like(w) for w in cls_w],
@@ -458,12 +459,11 @@ REFERENCE_CASES = {
                          ids=REFERENCE_CASES.keys())
 def test_train_models_matches_reference_loop(small_training_setup, mode,
                                              overrides, pick):
-    _, config, _, all_tensors, dim = small_training_setup
+    _, config, _, all_tensors = small_training_setup
     config = dataclasses.replace(config, n_iter_per_stage=20, **overrides)
     tensors = pick(all_tensors)
-    reg, cls, log = train_models(tensors, config, mode, 4, dim)
-    params, entries, boundaries = _reference_train(tensors, config, mode, 4,
-                                                   dim)
+    reg, cls, log = train_models(tensors, config, mode, 4)
+    params, entries, boundaries = _reference_train(tensors, config, mode, 4)
     got = reg.params() + cls.params()
     assert [a.shape for a in got] == [a.shape for a in params]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, params))
@@ -474,7 +474,7 @@ def test_train_models_matches_reference_loop(small_training_setup, mode,
 
 
 def test_stage_pool_size(small_training_setup):
-    scenes, config, grid_spec, tensors, _ = small_training_setup
+    scenes, config, grid_spec, tensors = small_training_setup
     for t in tensors:
         n_fg_boxes = int(np.sum(t.fg_steps == 1))
         for stage in (1, 2, 3):
@@ -544,7 +544,7 @@ def reference_precompute(scenes, grid_spec, config):
             [d.as_array() for d in direct], (-1, 4))
         out.append(SceneTensors(fg_feats, fg_labels, fg_steps, fg_targets,
                                 direct_targets, bg_feats))
-    return out, FEATURE_DIM
+    return out
 
 
 # Scale 2 of this grid on a 64 x 64 image is four 32 x 32 boxes; the first
@@ -598,9 +598,9 @@ def test_precompute_matches_reference_object_path(make_scenes, grid_spec,
                                                   overrides):
     scenes = make_scenes()
     config = TrainConfig(seed=9, **overrides)
-    got, dim = precompute_scene_tensors(scenes, grid_spec, config)
-    want, want_dim = reference_precompute(scenes, grid_spec, config)
-    assert dim == want_dim and len(got) == len(want) == len(scenes)
+    got = precompute_scene_tensors(scenes, grid_spec, config)
+    want = reference_precompute(scenes, grid_spec, config)
+    assert len(got) == len(want) == len(scenes)
     for g, w in zip(got, want):
         for f in dataclasses.fields(SceneTensors):
             a, b = getattr(g, f.name), getattr(w, f.name)
@@ -612,7 +612,7 @@ def test_precompute_cases_exercise_their_edge():
     def tensors(name):
         make_scenes, grid_spec, overrides = PRECOMPUTE_CASES[name]
         return precompute_scene_tensors(make_scenes(), grid_spec,
-                                        TrainConfig(**overrides))[0][0]
+                                        TrainConfig(**overrides))[0]
     assert len(tensors("no_ground_truth").fg_labels) == 0
     assert len(tensors("all_background").fg_labels) == 0
     assert len(tensors("fewer_background_than_max").bg_feats) < 10_000
@@ -634,8 +634,8 @@ def test_precompute_builds_no_box_or_tuple_objects(monkeypatch):
             built[cls] += 1
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", count)
-    tensors, _ = precompute_scene_tensors(scenes, GridSpec((2, 4), (0.8, 0.7)),
-                                          TrainConfig(max_bg_per_scene=20))
+    tensors = precompute_scene_tensors(scenes, GridSpec((2, 4), (0.8, 0.7)),
+                                       TrainConfig(max_bg_per_scene=20))
     assert sum(len(t.fg_labels) for t in tensors) > 0
     assert built == {cls: 0 for cls in built}
     Box(1, 1, 1, 1)
@@ -650,8 +650,8 @@ def test_training_loss_decreases():
     scenes = generate_dataset(synth, 1)
     config = TrainConfig(seed=7, n_iter_per_stage=120, learning_rate=0.05)
     grid_spec = GridSpec((2, 4), (0.8, 0.7))
-    tensors, dim = precompute_scene_tensors(scenes, grid_spec, config)
-    _, _, log = train_models(tensors, config, "gcnn", 4, dim)
+    tensors = precompute_scene_tensors(scenes, grid_spec, config)
+    _, _, log = train_models(tensors, config, "gcnn", 4)
     losses = [e["reg_loss"] for e in log.entries if not e["all_background"]]
     head = np.mean(losses[:5])
     tail = np.mean(losses[-5:])
@@ -667,10 +667,10 @@ def experiment(config, grid_spec, **overrides) -> ExperimentConfig:
 def reference_train(config: ExperimentConfig, scenes, mode):
     """The precompute + train_models sequence that the training entry points
     each wrote out before pipeline.train; kept as its reference."""
-    tensors, dim = precompute_scene_tensors(scenes, config.grid_train,
-                                            config.train)
+    tensors = precompute_scene_tensors(scenes, config.grid_train,
+                                       config.train)
     return train_models(tensors, config.train, mode,
-                        config.synth.num_classes, dim)
+                        config.synth.num_classes)
 
 
 def log_bytes(log) -> bytes:
@@ -680,7 +680,7 @@ def log_bytes(log) -> bytes:
 
 
 def test_train_entry_point(small_training_setup):
-    scenes, config, grid_spec, _, _ = small_training_setup
+    scenes, config, grid_spec, _ = small_training_setup
     [(reg, cls, log)] = train(experiment(config, grid_spec), scenes)
     assert reg.output_dim == 4 * 4
     assert cls.output_dim == 5
@@ -689,7 +689,7 @@ def test_train_entry_point(small_training_setup):
 
 @pytest.mark.parametrize("modes", [None, ["1step"], ["ifrcnn"], MODES])
 def test_train_matches_reference(small_training_setup, modes):
-    scenes, config, grid_spec, _, _ = small_training_setup
+    scenes, config, grid_spec, _ = small_training_setup
     cfg = experiment(config, grid_spec)
     got = train(cfg, scenes, modes)
     modes = [cfg.mode] if modes is None else modes
@@ -702,7 +702,7 @@ def test_train_matches_reference(small_training_setup, modes):
 
 
 def test_train_pools_once_for_all_modes(small_training_setup, monkeypatch):
-    scenes, config, grid_spec, _, _ = small_training_setup
+    scenes, config, grid_spec, _ = small_training_setup
     calls = []
     pool = FeatureExtractor.compute_global_features
 
@@ -718,8 +718,8 @@ def test_train_pools_once_for_all_modes(small_training_setup, monkeypatch):
 
 
 def test_checkpoint_round_trip(tmp_path, small_training_setup):
-    _, config, _, tensors, dim = small_training_setup
-    reg, cls, _ = train_models(tensors, config, "gcnn", 4, dim)
+    _, config, _, tensors = small_training_setup
+    reg, cls, _ = train_models(tensors, config, "gcnn", 4)
     path = tmp_path / "model.ckpt"
     kwargs = dict(config=config, mode="gcnn", num_classes=4, stage=3)
     save_checkpoint(path, reg, cls, **kwargs)
@@ -750,6 +750,6 @@ def test_invalid_config_rejected():
 
 
 def test_unknown_mode_rejected(small_training_setup):
-    _, config, _, tensors, dim = small_training_setup
+    _, config, _, tensors = small_training_setup
     with pytest.raises(ValueError):
-        train_models(tensors, config, "bogus", 4, dim)
+        train_models(tensors, config, "bogus", 4)
