@@ -6,18 +6,20 @@ fixed; the learning capacity lives entirely in the downstream models.
 
 Pooling reads a base-3 range-max table that is built with the features, once
 per image (a 2-d sparse table; Bender & Farach-Colton, "The LCA Problem
-Revisited", 2000). Slab (a, b) holds, for each cell, the per-channel max over
-the 3**a x 3**b window whose top-left corner is that cell; slab (0, 0) is the
-map itself. Levels go up to the longest bin that the pool shape can give on
-the map. A bin of length L along an axis, with 3**a <= L < 3**(a+1), is
+Revisited", 2000). The table is channel-last: slab (a, b) holds, for each
+cell, the max of every channel over the 3**a x 3**b window whose top-left
+corner is that cell, the C channels of a cell side by side; slab (0, 0) is
+the map itself. Levels go up to the longest bin that the pool shape can give
+on the map. A bin of length L along an axis, with 3**a <= L < 3**(a+1), is
 covered by k = ceil(L / 3**a) <= 3 windows of side 3**a, starting at r0,
 r0 + 3**a and r0 + 2 * 3**a, each clamped to end at the bin's end. Max is
 idempotent, so overlapping windows, and extra windows clamped onto the last,
 give the bin's max exactly. All boxes of a call are pooled together in chunks,
-one vectorised gather per lookup; per chunk and axis, the lookup count is the
-largest k among the chunk's bins, so a bin costs at most 3 x 3 lookups. For a
-128x128 map with 3 channels and 6x6 bins the table has 3 x 3 slabs, 3.2 MiB;
-a 256x256 map needs 4 x 4 slabs, 22.3 MiB.
+one vectorised gather per lookup that fetches every channel of each bin's
+cell; per chunk and axis, the lookup count is the largest k among the chunk's
+bins, so a bin costs at most 3 x 3 lookups. For a 128x128 map with 3 channels
+and 6x6 bins the table has 3 x 3 slabs, 3.2 MiB; a 256x256 map needs 4 x 4
+slabs, 22.3 MiB.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ import numpy as np
 POOL = 6
 FEATURE_DIM = 3 * POOL * POOL + 4
 
-# Pooled values per chunk of boxes; bounds each of the four pooling
-# temporaries to 128 KiB.
-_CHUNK = 1 << 14
+# Pooled values per chunk of boxes; bounds each pooling temporary to 256 KiB.
+# A chunk has a fixed cost (two _windows calls and the index set-up) about as
+# large as the lookups of a small chunk, so one chunk holds a whole pass over
+# the 197-box test grid.
+_CHUNK = 1 << 15
 
 # Window sides 3**k, for every k whose power fits in an int64.
 _SIDES = 3 ** np.arange(40, dtype=np.int64)
@@ -64,13 +68,14 @@ def _max3(src: np.ndarray, step: int, axis: int, out: np.ndarray):
 
 
 class FeatureMap:
-    """Dense per-pixel features, channel-major (C, H, W), with the base-3
-    range-max table that pooling into pool_h x pool_w bins reads, every slab
-    in one flat buffer. Immutable by convention.
+    """Dense per-pixel features with the base-3 range-max table that pooling
+    into pool_h x pool_w bins reads, every slab in one buffer `flat` of shape
+    (cells, C). Immutable by convention.
 
-    Slab (a, b) has shape (C, rows[a], cols[b]), with rows[a] = H - 3**a + 1
-    and cols[b] = W - 3**b + 1 window starts, and begins at offsets[a, b].
-    Slab (0, 0) is the map itself, exposed as `data`.
+    Slab (a, b) is the channel-last view (rows[a], cols[b], C) of flat,
+    with rows[a] = H - 3**a + 1 and cols[b] = W - 3**b + 1 window starts,
+    beginning at cell offsets[a, b]. Slab (0, 0) is the map itself, exposed
+    channel-major as the (C, H, W) view `data`.
     """
 
     def __init__(self, channels, pool_h: int = POOL, pool_w: int = POOL):
@@ -85,50 +90,55 @@ class FeatureMap:
         self.levels = (_levels(h, pool_h), _levels(w, pool_w))
         self.rows = h + 1 - _SIDES[:self.levels[0]]
         self.cols = w + 1 - _SIDES[:self.levels[1]]
-        sizes = c * np.outer(self.rows, self.cols)
+        sizes = np.outer(self.rows, self.cols)
         self.offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-        self.flat = np.empty(int(sizes.sum()), dtype=np.float64)
+        self.flat = np.empty((int(sizes.sum()), c), dtype=np.float64)
 
         def slab(a, b):
             start = self.offsets[a, b]
             return self.flat[start:start + sizes[a, b]].reshape(
-                c, self.rows[a], self.cols[b])
+                self.rows[a], self.cols[b], c)
 
-        self.data = np.stack(channels, out=slab(0, 0))
+        self.data = np.stack(channels, axis=2, out=slab(0, 0)).transpose(
+            2, 0, 1)
         for a in range(self.levels[0]):
             if a:
-                _max3(slab(a - 1, 0), _SIDES[a - 1], 1, slab(a, 0))
+                _max3(slab(a - 1, 0), _SIDES[a - 1], 0, slab(a, 0))
             for b in range(1, self.levels[1]):
-                _max3(slab(a, b - 1), _SIDES[b - 1], 2, slab(a, b))
+                _max3(slab(a, b - 1), _SIDES[b - 1], 1, slab(a, b))
 
     def pool(self, y0, y1, x0, x1, out: np.ndarray):
         """Write into out (n, C * pool_h * pool_w) the per-channel max of every
         bin of the n cell ranges [y0, y1) x [x0, x1), each non-empty."""
-        chan = np.arange(self.channels)[:, None, None]
+        c, ph, pw = self.channels, self.pool_h, self.pool_w
         chunk = max(1, _CHUNK // out.shape[1])
         for lo in range(0, len(y0), chunk):
             hi = min(lo + chunk, len(y0))
-            ay, ys = _windows(y0[lo:hi], y1[lo:hi], self.pool_h)
-            ax, xs = _windows(x0[lo:hi], x1[lo:hi], self.pool_w)
-            # Flat index of lookup (ky, kx) of every bin, laid out as (box,
-            # channel, bin row, bin column) like the rows of out, in which the
-            # max of the chunk's len(ys) x len(xs) lookups accumulates.
-            stride = self.cols[ax][:, None, None, :]             # (m, 1, 1, pw)
-            slab = self.offsets[ay[:, :, None], ax[:, None, :]]  # (m, ph, pw)
-            plane = self.rows[ay][:, None, :, None] * stride     # (m, 1, ph, pw)
-            first = slab[:, None] + chan * plane                 # (m, C, ph, pw)
+            ay, ys = _windows(y0[lo:hi], y1[lo:hi], ph)
+            ax, xs = _windows(x0[lo:hi], x1[lo:hi], pw)
+            # Cell index of lookup (ky, kx) of every bin, laid out as (box,
+            # bin row, bin column); its C channels are one row of flat. The
+            # max of the chunk's len(ys) x len(xs) lookups accumulates in acc,
+            # then goes to out channel-major in one transposed copy.
+            stride = self.cols[ax][:, None, :]                   # (m, 1, pw)
+            first = self.offsets[ay[:, :, None], ax[:, None, :]]  # (m, ph, pw)
             index = np.empty_like(first)
-            values = np.empty(first.shape).reshape(hi - lo, -1)
-            rows = out[lo:hi]
+            acc = np.empty(first.shape + (c,))                   # (m, ph, pw, C)
+            values = np.empty_like(acc)
             for ky, y in enumerate(ys):
-                row = y[:, None, :, None] * stride + first
+                row = y[:, :, None] * stride + first
                 for kx, x in enumerate(xs):
-                    np.add(row, x[:, None, None, :], out=index)
-                    self.flat.take(index.reshape(values.shape), out=values)
+                    np.add(row, x[:, None, :], out=index)
+                    # Picks are in range by construction; "clip" skips the
+                    # buffered copy numpy makes for out= under "raise".
                     if ky or kx:
-                        np.maximum(rows, values, out=rows)
+                        self.flat.take(index, axis=0, out=values, mode="clip")
+                        np.maximum(acc, values, out=acc)
                     else:
-                        rows[...] = values
+                        self.flat.take(index, axis=0, out=acc, mode="clip")
+            # Splitting the columns of out is always a view, never a copy.
+            out[lo:hi].reshape(hi - lo, c, ph, pw)[...] = \
+                acc.transpose(0, 3, 1, 2)
 
 
 def _windows(start, end, pool: int):

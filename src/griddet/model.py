@@ -60,6 +60,12 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        if not self.fg_bg_ratio > 0:
+            raise ValueError(
+                f"fg_bg_ratio must be > 0, got {self.fg_bg_ratio!r}")
+        if not 0.0 <= self.bg_threshold < 1.0:
+            raise ValueError(
+                f"bg_threshold must be in [0, 1), got {self.bg_threshold!r}")
 
 
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:

@@ -14,7 +14,8 @@ from .evaluate import (DetRecord, evaluate_detections, format_report,
                        fp_breakdown, read_detection_dump, write_detection_dump)
 from .model import (MODES, load_checkpoint, precompute_scene_tensors,
                     save_checkpoint, train_models)
-from .synth import generate_dataset, load_manifest, save_manifest
+from .synth import (generate_dataset, load_ground_truth, load_manifest,
+                    save_manifest)
 
 TRAIN_MANIFEST = "train_manifest.json"
 TEST_MANIFEST = "test_manifest.json"
@@ -40,12 +41,12 @@ def _check_scene_counts(**counts):
             raise ValueError(f"{name} must be >= 1, got {n}")
 
 
-def _check_classes(manifest_path: str, scenes, num_classes: int):
-    for scene in scenes:
-        for gt in scene.gts:
+def _check_classes(manifest_path: str, gts: dict, num_classes: int):
+    for scene_id, scene_gts in gts.items():
+        for gt in scene_gts:
             if gt.class_label > num_classes:
                 raise ValueError(
-                    f"manifest {manifest_path}: scene_id {scene.scene_id} "
+                    f"manifest {manifest_path}: scene_id {scene_id} "
                     f"has class {gt.class_label}, above num_classes "
                     f"{num_classes}")
 
@@ -69,7 +70,8 @@ def cmd_train(config: ExperimentConfig, manifest_path: str,
     num_classes = config.synth.num_classes
     if not scenes:
         raise ValueError(f"manifest {manifest_path}: no scenes to train on")
-    _check_classes(manifest_path, scenes, num_classes)
+    _check_classes(manifest_path, {s.scene_id: s.gts for s in scenes},
+                   num_classes)
     [(regressor, classifier, log)] = train(config, scenes)
     save_checkpoint(checkpoint_path, regressor, classifier,
                     config=config.train, mode=config.mode,
@@ -135,9 +137,8 @@ def cmd_eval(config: ExperimentConfig, detections_path: str,
              manifest_path: str, report_path: str | None = None):
     """Score a detection dump against a dataset manifest."""
     detections = read_detection_dump(detections_path)
-    _, scenes = load_manifest(manifest_path)
-    _check_classes(manifest_path, scenes, config.synth.num_classes)
-    gts = {s.scene_id: s.gts for s in scenes}
+    gts = load_ground_truth(manifest_path)
+    _check_classes(manifest_path, gts, config.synth.num_classes)
     per_class_ap, map_value = evaluate_detections(
         detections, gts, config.synth.num_classes, config.iou_match)
     breakdown = fp_breakdown(detections, gts,

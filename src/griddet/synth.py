@@ -187,10 +187,24 @@ def save_manifest(path, config: SynthConfig, scenes: list[Scene],
 def load_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     """Load a dataset: read images from the binary dump if present, otherwise
     regenerate them procedurally. Ground truth always comes from the manifest."""
-    try:
-        return _read_manifest(path)
-    except KeyError as exc:
-        raise ValueError(f"manifest {path}: missing key {exc}") from None
+    config, records, blob_path = _read_manifest(path)
+    images = None
+    if blob_path:
+        w, h = config.image_size
+        images = np.fromfile(blob_path, dtype="<f8").reshape(len(records), h, w)
+    scenes = []
+    for i, (scene_id, seed, gts) in enumerate(records):
+        image = (images[i].copy() if images is not None
+                 else generate_scene(config, scene_id).image)
+        scenes.append(Scene(image, gts, scene_id, seed))
+    return config, scenes
+
+
+def load_ground_truth(path) -> dict[int, list[GroundTruth]]:
+    """The ground truth of a dataset manifest by scene_id, without reading or
+    regenerating its images; the image dump's size is still checked."""
+    _, records, _ = _read_manifest(path)
+    return {scene_id: gts for scene_id, _, gts in records}
 
 
 def _ground_truth(g) -> GroundTruth:
@@ -201,7 +215,16 @@ def _ground_truth(g) -> GroundTruth:
     return GroundTruth(Box(*coords), g["class_label"])
 
 
-def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
+def _read_manifest(path):
+    """A manifest's config, its (scene_id, seed, gts) per scene, and the path
+    of its image dump (None if it has none), checked but not loaded."""
+    try:
+        return _parse_manifest(path)
+    except KeyError as exc:
+        raise ValueError(f"manifest {path}: missing key {exc}") from None
+
+
+def _parse_manifest(path):
     import os
     with open(path) as f:
         try:
@@ -217,21 +240,20 @@ def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     if not isinstance(doc["scenes"], list):
         raise ValueError(f"manifest {path}: scenes is not a list")
     w, h = config.image_size
-    images, images_file = None, doc.get("images_file")
+    blob_path, images_file = None, doc.get("images_file")
     if images_file is not None and not isinstance(images_file, str):
         raise ValueError(f"manifest {path}: images_file must be a file name, "
                          f"got {images_file!r}")
     if images_file:
         blob_path = os.path.join(os.path.dirname(str(path)) or ".",
                                  images_file)
-        shape = (len(doc["scenes"]), h, w)
+        n = len(doc["scenes"])
         size = os.path.getsize(blob_path)
-        if size != 8 * shape[0] * h * w:
+        if size != 8 * n * h * w:
             raise ValueError(
                 f"manifest {path}: image blob {blob_path} has {size} bytes, "
-                f"expected {shape[0]} scenes x {h} x {w} float64 values")
-        images = np.fromfile(blob_path, dtype="<f8").reshape(shape)
-    scenes = []
+                f"expected {n} scenes x {h} x {w} float64 values")
+    records, seen = [], set()
     for i, rec in enumerate(doc["scenes"]):
         try:
             gts = [_ground_truth(g) for g in rec["gts"]]
@@ -243,10 +265,10 @@ def _read_manifest(path) -> tuple[SynthConfig, list[Scene]]:
             if not is_int(v) or v < 0:
                 raise ValueError(f"manifest {path}: scene {i} {key} must be "
                                  f"a non-negative integer, got {v!r}")
-        if images is not None:
-            scene = Scene(images[i].copy(), gts, rec["scene_id"], rec["seed"])
-        else:
-            scene = generate_scene(config, rec["scene_id"])
-            scene = Scene(scene.image, gts, rec["scene_id"], rec["seed"])
-        scenes.append(scene)
-    return config, scenes
+        # Ground truth and detections are matched by scene_id.
+        if rec["scene_id"] in seen:
+            raise ValueError(f"manifest {path}: scene {i} repeats scene_id "
+                             f"{rec['scene_id']}")
+        seen.add(rec["scene_id"])
+        records.append((rec["scene_id"], rec["seed"], gts))
+    return config, records, blob_path

@@ -6,11 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from griddet import pipeline
+from griddet import pipeline, synth
 from griddet.cli import main
 from griddet.config import (ExperimentConfig, load_config, save_config)
-from griddet.evaluate import (DetRecord, evaluate_detections,
-                              read_detection_dump, write_detection_dump)
+from griddet.evaluate import (DetRecord, evaluate_detections, format_report,
+                              fp_breakdown, read_detection_dump,
+                              write_detection_dump)
 from griddet.grid import GridSpec, generate_grid
 from griddet.model import (CHECKPOINT_MAGIC, TrainConfig, load_checkpoint,
                            make_classifier, make_regressor, save_checkpoint)
@@ -61,6 +62,10 @@ MALFORMED_CONFIGS = {
     "grid_test_no_overlaps": ("grid_test:\n  scales: [2, 4]\n", "grid_test",
                               "overlaps"),
     "train_not_mapping": ("train: 5\n", "train", "train"),
+    "train_fg_bg_ratio_negative": ("train:\n  fg_bg_ratio: -1\n", "train",
+                                   "fg_bg_ratio must be > 0, got -1"),
+    "train_bg_threshold_one": ("train:\n  bg_threshold: 1.0\n", "train",
+                               "bg_threshold must be in [0, 1), got 1.0"),
 }
 
 
@@ -222,6 +227,13 @@ MALFORMED_FILES = {
                                    "class_label": 1.5}]}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
         "scene 0 is malformed: a ground truth needs numbers"),
+    "manifest_scene_id_repeated": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": 0, "seed": 0, "gts": []},
+                                         {"scene_id": 0, "seed": 0, "gts": []}
+                                         ]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        "scene 1 repeats scene_id 0"),
     "dump_record_without_class": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 0, "score": 0.5, "box": [4, 4, 2, 2]}\n',
@@ -462,22 +474,32 @@ def test_detect_s_test_zero_dumps_unmoved_grid_boxes(tmp_path):
         assert (d.box.cx, d.box.cy, d.box.w, d.box.h) in grid
 
 
-def test_eval_cross_checks_library_map(tmp_path):
+def test_eval_cross_checks_library_map(tmp_path, monkeypatch):
     cfg = tiny_config(s_test=2)
     train_path, test_path = cmd_generate(cfg, 3, 2, str(tmp_path))
     ckpt = str(tmp_path / "m.ckpt")
     cmd_train(cfg, train_path, ckpt)
     det_path, _ = cmd_detect(cfg, ckpt, test_path, str(tmp_path / "d"))
+    renders = []
+    generate_scene = synth.generate_scene
+    monkeypatch.setattr(synth, "generate_scene",
+                        lambda *args: renders.append(args) or
+                        generate_scene(*args))
     report_path = tmp_path / "report.txt"
     per_class, map_value, breakdown, report = cmd_eval(
         cfg, det_path, test_path, report_path=str(report_path))
+    # Scoring reads ground truth only: it renders no image.
+    assert renders == []
     _, scenes = load_manifest(test_path)
+    assert len(renders) == 2
     gts = {s.scene_id: s.gts for s in scenes}
+    detections = read_detection_dump(det_path)
     ref_per_class, ref_map = evaluate_detections(
-        read_detection_dump(det_path), gts, cfg.synth.num_classes,
-        cfg.iou_match)
+        detections, gts, cfg.synth.num_classes, cfg.iou_match)
     assert per_class == ref_per_class
     assert map_value == ref_map
+    assert report == format_report(ref_per_class, ref_map, fp_breakdown(
+        detections, gts, cfg.synth.class_similarity_groups, cfg.iou_match))
     assert f"mAP = {map_value:.4f}" in report
     assert report_path.read_text() == report
 

@@ -8,11 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from griddet import features
 from griddet.boxes import Box, boxes_to_array
-from griddet.detect import detect
+from griddet.config import ExperimentConfig
+from griddet.detect import detect, move_boxes
 from griddet.features import (FEATURE_DIM, BoxOutsideImageError,
                               FeatureExtractor, FeatureMap,
                               build_roi_features)
-from griddet.grid import GridSpec
+from griddet.grid import GridSpec, grid_array
 
 
 def reference_features(image):
@@ -345,3 +346,100 @@ def test_default_map_builds_three_by_three_slabs():
     assert fm.rows.tolist() == fm.cols.tolist() == [128, 126, 120]
     assert fm.offsets.shape == (3, 3)
     assert fm.flat.nbytes == 3 * (128 + 126 + 120) ** 2 * 8  # 3.2 MiB
+
+
+def reference_pool(fm, y0, y1, x0, x1, out):
+    """FeatureMap.pool on the channel-major table the channel-last one
+    replaced: slab (a, b) of shape (C, rows[a], cols[b]) at value offset
+    offsets[a, b] of one flat buffer, one gather of single values per (box,
+    channel, bin) and lookup, in chunks of 1 << 14 values."""
+    c = fm.channels
+    sizes = c * np.outer(fm.rows, fm.cols)
+    offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+    flat = np.empty(int(sizes.sum()))
+
+    def slab(a, b):
+        start = offsets[a, b]
+        return flat[start:start + sizes[a, b]].reshape(c, fm.rows[a],
+                                                       fm.cols[b])
+
+    slab(0, 0)[...] = fm.data
+    for a in range(fm.levels[0]):
+        if a:
+            features._max3(slab(a - 1, 0), 3 ** (a - 1), 1, slab(a, 0))
+        for b in range(1, fm.levels[1]):
+            features._max3(slab(a, b - 1), 3 ** (b - 1), 2, slab(a, b))
+    chan = np.arange(c)[:, None, None]
+    chunk = max(1, (1 << 14) // out.shape[1])
+    for lo in range(0, len(y0), chunk):
+        hi = min(lo + chunk, len(y0))
+        ay, ys = features._windows(y0[lo:hi], y1[lo:hi], fm.pool_h)
+        ax, xs = features._windows(x0[lo:hi], x1[lo:hi], fm.pool_w)
+        stride = fm.cols[ax][:, None, None, :]
+        first_slab = offsets[ay[:, :, None], ax[:, None, :]]
+        plane = fm.rows[ay][:, None, :, None] * stride
+        first = first_slab[:, None] + chan * plane
+        index = np.empty_like(first)
+        values = np.empty(first.shape).reshape(hi - lo, -1)
+        rows = out[lo:hi]
+        for ky, y in enumerate(ys):
+            row = y[:, None, :, None] * stride + first
+            for kx, x in enumerate(xs):
+                np.add(row, x[:, None, None, :], out=index)
+                flat.take(index.reshape(values.shape), out=values)
+                if ky or kx:
+                    np.maximum(rows, values, out=rows)
+                else:
+                    rows[...] = values
+
+
+def reference_roi_pool(fm, boxes):
+    """build_roi_features with reference_pool in place of FeatureMap.pool."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FeatureMap, "pool", reference_pool)
+        return build_roi_features(fm, boxes)
+
+
+@pytest.mark.parametrize("channels", (1, 2, 3))
+def test_pool_matches_the_channel_major_reference(channels):
+    rng = np.random.default_rng(channels)
+    data = rng.uniform(-1, 1, size=(channels, 128, 128))
+    grid = grid_array(ExperimentConfig().grid_test, 128, 128)
+    # Boxes after a few regression steps: shifted, rescaled and clipped.
+    moved = grid
+    for _ in range(3):
+        moved = move_boxes(moved, rng.normal(0, 0.3, size=moved.shape),
+                           128, 128)
+    assert not np.array_equal(moved, grid)
+    fm = FeatureMap(data)
+    for boxes in (grid, moved):
+        assert build_roi_features(fm, boxes).tobytes() == \
+            reference_roi_pool(fm, boxes).tobytes()
+
+
+def test_a_test_grid_pass_is_one_chunk(monkeypatch):
+    calls = []
+
+    def spy(start, end, pool):
+        calls.append(len(start))
+        return windows(start, end, pool)
+
+    windows = features._windows
+    monkeypatch.setattr(features, "_windows", spy)
+    grid = grid_array(ExperimentConfig().grid_test, 128, 128)
+    assert len(grid) == 197
+    fm = FeatureExtractor().compute_global_features(np.zeros((128, 128)))
+    build_roi_features(fm, grid)
+    assert calls == [197, 197]  # rows and columns of one chunk
+
+
+def test_data_is_a_channel_major_view_of_the_channel_last_table():
+    rng = np.random.default_rng(4)
+    channels = rng.uniform(size=(3, 20, 30))
+    fm = FeatureMap(channels)
+    assert fm.data.shape == (3, 20, 30)
+    assert fm.flat.shape[1] == 3
+    assert np.shares_memory(fm.data, fm.flat)
+    assert fm.data.tobytes() == channels.tobytes()
+    assert fm.flat[:20 * 30].tobytes() == \
+        channels.transpose(1, 2, 0).tobytes()
