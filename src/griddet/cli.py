@@ -104,7 +104,11 @@ def main(argv=None) -> int:
             sys.stdout.write(report)
             print(f"mAP = {map_value:.4f}")
         elif args.command == "ablation":
-            seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+            try:
+                seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+            except ValueError:
+                raise ValueError(f"--seeds must be comma-separated integers, "
+                                 f"got {args.seeds!r}") from None
             pipeline.cmd_ablation(cfg, seeds, args.out,
                                   n_train=args.n_train, n_test=args.n_test,
                                   progress=lambda msg: print(msg, flush=True))

@@ -66,6 +66,9 @@ class TrainConfig:
         if not 0.0 <= self.bg_threshold < 1.0:
             raise ValueError(
                 f"bg_threshold must be in [0, 1), got {self.bg_threshold!r}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
@@ -82,6 +85,14 @@ def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
         biases.append(flat[at:at + fan_out])
         at += fan_out
     return weights, biases
+
+
+def _param_shapes(layer_sizes) -> list[list[int]]:
+    """The shapes of MLP(layer_sizes).params(), in order, as lists."""
+    shapes = []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        shapes += [[fan_in, fan_out], [fan_out]]
+    return shapes
 
 
 class Grads(tuple):
@@ -106,19 +117,13 @@ class MLP:
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.layer_sizes = list(layer_sizes)
-        pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
-        self.flat = np.zeros(sum((fan_in + 1) * fan_out
-                                 for fan_in, fan_out in pairs))
+        self.flat = np.zeros(sum(map(math.prod, _param_shapes(layer_sizes))))
         self.weights, self.biases = _layer_views(self.flat, self.layer_sizes)
         if rng is None:
             return
-        for (fan_in, fan_out), w in zip(pairs, self.weights):
-            bound = 1.0 / np.sqrt(fan_in)
-            w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
+        for w in self.weights:
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
 
     @property
     def output_dim(self) -> int:
@@ -128,9 +133,9 @@ class MLP:
         """Return (output, cache) for a (B, D) batch. The cache lists the
         input and every layer's output; the layer outputs are fresh arrays."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise DimensionMismatchError(
-                f"expected (B, {self.input_dim}) input, got {x.shape}")
+                f"expected (B, {self.layer_sizes[0]}) input, got {x.shape}")
         activations = [x]
         h = x
         last = len(self.weights) - 1
@@ -162,20 +167,6 @@ class MLP:
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
         return out
-
-    def set_params(self, arrays: list[np.ndarray]):
-        """Copy arrays, in params() order, into the parameters; every shape
-        is checked before anything is copied."""
-        params = self.params()
-        if len(arrays) != len(params):
-            raise DimensionMismatchError(
-                f"expected {len(params)} arrays, got {len(arrays)}")
-        for i, (p, a) in enumerate(zip(params, arrays)):
-            if np.shape(a) != p.shape:
-                raise DimensionMismatchError(
-                    f"array {i}: expected shape {p.shape}, got {np.shape(a)}")
-        for p, a in zip(params, arrays):
-            p[...] = a
 
 
 def make_regressor(input_dim: int, hidden_sizes, num_classes: int,
@@ -492,8 +483,8 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
 def save_checkpoint(path, regressor: MLP, classifier: MLP, *,
                     config: TrainConfig, mode: str, num_classes: int,
                     stage: int):
-    """Write a versioned binary checkpoint: JSON header + raw float64 blobs."""
-    arrays = regressor.params() + classifier.params()
+    """Write a versioned binary checkpoint: a JSON header, then the
+    regressor's and the classifier's flat vectors as little-endian float64."""
     header = {
         "config": to_plain(config),
         "mode": mode,
@@ -502,17 +493,19 @@ def save_checkpoint(path, regressor: MLP, classifier: MLP, *,
         "stage": stage,
         "regressor_sizes": regressor.layer_sizes,
         "classifier_sizes": classifier.layer_sizes,
-        "arrays": [list(a.shape) for a in arrays],
+        "arrays": (_param_shapes(regressor.layer_sizes)
+                   + _param_shapes(classifier.layer_sizes)),
     }
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        for model in (regressor, classifier):
+            f.write(model.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (regressor, classifier, meta dict)."""
+    """Read a checkpoint; returns (regressor, classifier, meta dict). The
+    models are built only once the header's sizes match the blob's length."""
     try:
         return _read_checkpoint(path)
     except KeyError as exc:
@@ -532,36 +525,24 @@ def _read_checkpoint(path):
         if not isinstance(header, dict):
             raise ValueError(f"checkpoint {path}: header is not a JSON object")
         blob = f.read()
-    if not isinstance(header["arrays"], list):
-        raise ValueError(f"checkpoint {path}: arrays is not a list of shapes")
-    arrays = []
-    at = 0
-    for shape in header["arrays"]:
-        if not (isinstance(shape, list) and all(
-                isinstance(d, int) and d >= 0 for d in shape)):
-            raise ValueError(f"checkpoint {path}: array {len(arrays)} has "
-                             f"shape {shape!r}, not a list of sizes")
-        n = math.prod(shape)
-        if at + 8 * n > len(blob):
-            raise ValueError(f"checkpoint {path}: truncated: array "
-                             f"{len(arrays)} needs {8 * n} bytes, "
-                             f"{len(blob) - at} left")
-        arrays.append(np.frombuffer(blob, dtype="<f8", count=n,
-                                    offset=at).reshape(shape))
-        at += 8 * n
-    if at != len(blob):
-        raise ValueError(f"checkpoint {path}: {len(blob) - at} trailing bytes "
-                         f"after the last array")
-    try:
-        regressor = MLP(header["regressor_sizes"])
-        classifier = MLP(header["classifier_sizes"])
-        n_reg = len(regressor.params())
-        regressor.set_params(arrays[:n_reg])
-        classifier.set_params(arrays[n_reg:])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"checkpoint {path}: arrays do not fit regressor_sizes and "
-            f"classifier_sizes: {exc}") from None
+    reg_sizes = header["regressor_sizes"]
+    cls_sizes = header["classifier_sizes"]
+    for name, sizes in (("regressor_sizes", reg_sizes),
+                        ("classifier_sizes", cls_sizes)):
+        if not (isinstance(sizes, list) and len(sizes) >= 2
+                and all(is_int(d) and d > 0 for d in sizes)):
+            raise ValueError(f"checkpoint {path}: {name} must be a list of at "
+                             f"least two positive integers, got {sizes!r}")
+    shapes = _param_shapes(reg_sizes) + _param_shapes(cls_sizes)
+    if header["arrays"] != shapes:
+        raise ValueError(f"checkpoint {path}: arrays {header['arrays']!r} are "
+                         f"not the parameter shapes {shapes} of "
+                         f"regressor_sizes and classifier_sizes")
+    n_params = sum(map(math.prod, shapes))
+    if len(blob) != 8 * n_params:
+        raise ValueError(f"checkpoint {path}: parameter blob has {len(blob)} "
+                         f"bytes, expected {8 * n_params} for {n_params} "
+                         f"float64 parameters")
     if header["extractor"] != CHECKPOINT_EXTRACTOR:
         raise ValueError(f"checkpoint {path}: extractor record "
                          f"{header['extractor']!r} is not the feature layout "
@@ -570,12 +551,12 @@ def _read_checkpoint(path):
     if not is_int(num_classes) or num_classes < 1:
         raise ValueError(f"checkpoint {path}: num_classes must be a positive "
                          f"integer, got {num_classes!r}")
-    for name, model, outputs in (("regressor", regressor, 4 * num_classes),
-                                 ("classifier", classifier, num_classes + 1)):
-        if (model.input_dim, model.output_dim) != (FEATURE_DIM, outputs):
+    for name, sizes, outputs in (("regressor", reg_sizes, 4 * num_classes),
+                                 ("classifier", cls_sizes, num_classes + 1)):
+        if (sizes[0], sizes[-1]) != (FEATURE_DIM, outputs):
             raise ValueError(
-                f"checkpoint {path}: {name} maps {model.input_dim} inputs to "
-                f"{model.output_dim} outputs, expected {FEATURE_DIM} to "
+                f"checkpoint {path}: {name} maps {sizes[0]} inputs to "
+                f"{sizes[-1]} outputs, expected {FEATURE_DIM} to "
                 f"{outputs} for num_classes {num_classes}")
     meta = {
         "config": from_plain(TrainConfig, header["config"],
@@ -584,4 +565,9 @@ def _read_checkpoint(path):
         "num_classes": num_classes,
         "stage": header["stage"],
     }
+    regressor, classifier = MLP(reg_sizes), MLP(cls_sizes)
+    regressor.flat[...] = np.frombuffer(blob, dtype="<f8",
+                                        count=regressor.flat.size)
+    classifier.flat[...] = np.frombuffer(blob, dtype="<f8",
+                                         offset=regressor.flat.nbytes)
     return regressor, classifier, meta

@@ -41,14 +41,13 @@ def _check_scene_counts(**counts):
             raise ValueError(f"{name} must be >= 1, got {n}")
 
 
-def _check_classes(manifest_path: str, gts: dict, num_classes: int):
-    for scene_id, scene_gts in gts.items():
-        for gt in scene_gts:
-            if gt.class_label > num_classes:
-                raise ValueError(
-                    f"manifest {manifest_path}: scene_id {scene_id} "
-                    f"has class {gt.class_label}, above num_classes "
-                    f"{num_classes}")
+def _check_classes(source: str, labels, num_classes: int):
+    """Raise, naming source and the item, if any (item, class) pair of
+    labels has a class outside 1..num_classes."""
+    for item, label in labels:
+        if not 1 <= label <= num_classes:
+            raise ValueError(f"{source}: {item} has class {label}, outside "
+                             f"1..num_classes {num_classes}")
 
 
 def train(config: ExperimentConfig, scenes, modes=None):
@@ -70,8 +69,9 @@ def cmd_train(config: ExperimentConfig, manifest_path: str,
     num_classes = config.synth.num_classes
     if not scenes:
         raise ValueError(f"manifest {manifest_path}: no scenes to train on")
-    _check_classes(manifest_path, {s.scene_id: s.gts for s in scenes},
-                   num_classes)
+    _check_classes(f"manifest {manifest_path}",
+                   ((f"scene_id {s.scene_id}", gt.class_label)
+                    for s in scenes for gt in s.gts), num_classes)
     [(regressor, classifier, log)] = train(config, scenes)
     save_checkpoint(checkpoint_path, regressor, classifier,
                     config=config.train, mode=config.mode,
@@ -138,7 +138,13 @@ def cmd_eval(config: ExperimentConfig, detections_path: str,
     """Score a detection dump against a dataset manifest."""
     detections = read_detection_dump(detections_path)
     gts = load_ground_truth(manifest_path)
-    _check_classes(manifest_path, gts, config.synth.num_classes)
+    _check_classes(f"manifest {manifest_path}",
+                   ((f"scene_id {i}", gt.class_label)
+                    for i, scene_gts in gts.items() for gt in scene_gts),
+                   config.synth.num_classes)
+    _check_classes(f"detection dump {detections_path}",
+                   ((f"image_id {d.image_id}", d.class_label)
+                    for d in detections), config.synth.num_classes)
     per_class_ap, map_value = evaluate_detections(
         detections, gts, config.synth.num_classes, config.iou_match)
     breakdown = fp_breakdown(detections, gts,
@@ -166,9 +172,9 @@ def run_ablation(config: ExperimentConfig, seeds: list[int],
     n_test = config.n_test if n_test is None else n_test
     _check_scene_counts(n_train=n_train, n_test=n_test)
     num_classes = config.synth.num_classes
+    seed_cfgs = [config.with_seed(s) for s in seeds]  # checks every seed
     rows = []
-    for seed in seeds:
-        seed_cfg = config.with_seed(seed)
+    for seed, seed_cfg in zip(seeds, seed_cfgs):
         train_scenes = generate_dataset(seed_cfg.synth, n_train, start_id=0)
         test_scenes = generate_dataset(seed_cfg.synth, n_test,
                                        start_id=n_train)

@@ -53,6 +53,9 @@ class SynthConfig:
         if flat != list(range(1, self.num_classes + 1)):
             raise ValueError("class_similarity_groups must partition "
                              f"1..{self.num_classes}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
     def group_of(self, class_label: int) -> int:
         for gi, group in enumerate(self.class_similarity_groups):

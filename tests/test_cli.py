@@ -5,13 +5,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from griddet import pipeline, synth
+from griddet.boxes import Box
 from griddet.cli import main
 from griddet.config import (ExperimentConfig, load_config, save_config)
 from griddet.evaluate import (DetRecord, evaluate_detections, format_report,
                               fp_breakdown, read_detection_dump,
                               write_detection_dump)
+from griddet.features import FEATURE_DIM
 from griddet.grid import GridSpec, generate_grid
 from griddet.model import (CHECKPOINT_MAGIC, TrainConfig, load_checkpoint,
                            make_classifier, make_regressor, save_checkpoint)
@@ -66,6 +70,12 @@ MALFORMED_CONFIGS = {
                                    "fg_bg_ratio must be > 0, got -1"),
     "train_bg_threshold_one": ("train:\n  bg_threshold: 1.0\n", "train",
                                "bg_threshold must be in [0, 1), got 1.0"),
+    "train_seed_a_float": ("train:\n  seed: 1.5\n", "train",
+                           "seed must be a non-negative integer, got 1.5"),
+    "train_seed_a_bool": ("train:\n  seed: true\n", "train",
+                          "seed must be a non-negative integer, got True"),
+    "synth_seed_negative": ("synth:\n  seed: -1\n", "synth",
+                            "seed must be a non-negative integer, got -1"),
 }
 
 
@@ -123,7 +133,9 @@ MALFORMED_FILES = {
         "c.yaml", "train: [\n",
         ["generate", "--config", "{f}", "--out", "{d}/out"], "YAML"),
     "checkpoint_without_arrays": (
-        "m.ckpt", CHECKPOINT_MAGIC.decode() + "{}\n", DETECT_ARGV, "arrays"),
+        "m.ckpt", CHECKPOINT_MAGIC.decode() + json.dumps(
+            {"regressor_sizes": [112, 16], "classifier_sizes": [112, 5]})
+        + "\n", DETECT_ARGV, "header lacks key 'arrays'"),
     "checkpoint_classifier_of_too_many_classes": (
         "m.ckpt", _checkpoint_text([112, 16], [112, 6]), DETECT_ARGV,
         "classifier maps 112 inputs to 6 outputs, expected 112 to 5"),
@@ -205,14 +217,14 @@ MALFORMED_FILES = {
                                   {"cx": 8, "cy": 8, "w": 6, "h": 6,
                                    "class_label": 9}]}]}),
         ["train", "--dataset", "{f}", "--out", "{d}/m.ckpt"],
-        "scene_id 7 has class 9, above num_classes 4"),
+        "scene_id 7 has class 9, outside 1..num_classes 4"),
     "manifest_class_above_num_classes_at_eval": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": [{"scene_id": 7, "seed": 0, "gts": [
                                   {"cx": 8, "cy": 8, "w": 6, "h": 6,
                                    "class_label": 9}]}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "scene_id 7 has class 9, above num_classes 4"),
+        "scene_id 7 has class 9, outside 1..num_classes 4"),
     "manifest_gt_coordinate_a_boolean": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": [{"scene_id": 0, "seed": 0, "gts": [
@@ -314,20 +326,47 @@ def _transposing_first_array(header, blob):
     return json.dumps(header).encode(), blob
 
 
+def _with(**changes):
+    """An edit that sets header keys and keeps the blob."""
+    return lambda h, b: (json.dumps({**h, **changes}).encode(), b)
+
+
 # (edit as in _corrupt_checkpoint, words the error must contain). The
-# regressor is 3 -> 2 -> 4 and the classifier 3 -> 2 -> 2: 8 arrays.
+# regressor is 3 -> 2 -> 4 and the classifier 3 -> 2 -> 2: 8 arrays of 34
+# parameters, 272 bytes.
 MALFORMED_CHECKPOINTS = {
     "trailing_bytes": (lambda h, b: (json.dumps(h).encode(), b + bytes(8)),
-                       "8 trailing bytes"),
+                       "parameter blob has 280 bytes, expected 272 for 34"),
     "truncated": (lambda h, b: (json.dumps(h).encode(), b[:-8]),
-                  "truncated: array 7 needs 16 bytes, 8 left"),
+                  "parameter blob has 264 bytes, expected 272 for 34"),
     "header_not_json": (lambda h, b: (b"{oops", b), "header is not JSON"),
     "header_not_an_object": (lambda h, b: (b"[]", b), "not a JSON object"),
-    "shape_not_sizes": (lambda h, b: (json.dumps({**h, "arrays": [[-1]]})
-                                      .encode(), b), "not a list of sizes"),
-    "too_few_arrays": (_dropping_last_array, "expected 4 arrays, got 3"),
+    "shape_not_sizes": (_with(arrays=[[-1]]),
+                        "arrays [[-1]] are not the parameter shapes"),
+    "too_few_arrays": (_dropping_last_array, "are not the parameter shapes"),
     "wrong_shape": (_transposing_first_array,
-                    "array 0: expected shape (3, 2), got (2, 3)"),
+                    "arrays [[2, 3], [2], [2, 4], [4], [3, 2], [2], [2, 2], "
+                    "[2]] are not the parameter shapes [[3, 2], [2], [2, 4]"),
+    "sizes_too_large_for_arrays": (
+        _with(regressor_sizes=[112, 10 ** 12]),
+        "are not the parameter shapes [[112, 1000000000000], "
+        "[1000000000000], [3, 2]"),
+    "sizes_and_arrays_too_large_for_blob": (
+        _with(regressor_sizes=[112, 10 ** 12],
+              arrays=[[112, 10 ** 12], [10 ** 12], [3, 2], [2], [2, 2], [2]]),
+        "parameter blob has 272 bytes, expected 904000000000112"),
+    "sizes_of_one_layer": (
+        _with(regressor_sizes=[112]),
+        "regressor_sizes must be a list of at least two positive integers, "
+        "got [112]"),
+    "sizes_with_a_zero": (
+        _with(classifier_sizes=[112, 0]),
+        "classifier_sizes must be a list of at least two positive integers, "
+        "got [112, 0]"),
+    "sizes_with_a_string": (
+        _with(regressor_sizes=[112, "x"]),
+        "regressor_sizes must be a list of at least two positive integers, "
+        "got [112, 'x']"),
 }
 
 
@@ -343,6 +382,65 @@ def test_cli_detect_reports_malformed_checkpoint(tmp_path, capsys, edit,
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert f"checkpoint {path}" in lines[0] and words in lines[0]
+
+
+# Any JSON value, to put in place of one header value.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_load_checkpoint_returns_or_names_the_file(tmp_path, data):
+    path = tmp_path / "m.ckpt"
+    rng = np.random.default_rng(0)
+    save_checkpoint(path, make_regressor(FEATURE_DIM, (2,), 1, rng),
+                    make_classifier(FEATURE_DIM, (2,), 1, rng),
+                    config=TrainConfig(), mode="gcnn", num_classes=1, stage=3)
+    raw = path.read_bytes()
+    magic, header, blob = raw.split(b"\n", 2)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "swap"]))
+    if kind == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif kind == "flip":
+        # In the magic, the header or the first parameters: a flip further
+        # into the blob only changes one parameter's value.
+        at = data.draw(st.integers(0, len(magic) + len(header) + 16))
+        flipped = raw[at] ^ data.draw(st.integers(1, 255))
+        raw = raw[:at] + bytes([flipped]) + raw[at + 1:]
+    else:
+        doc = json.loads(header)
+        section = data.draw(st.sampled_from(["", "config"]))
+        values = doc[section] if section else doc
+        values[data.draw(st.sampled_from(sorted(values)))] = data.draw(
+            JSON_VALUES)
+        raw = magic + b"\n" + json.dumps(doc).encode() + b"\n" + blob
+    path.write_bytes(raw)
+    try:
+        load_checkpoint(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+
+
+@pytest.mark.parametrize("label", [0, -3, 9])
+def test_cli_eval_rejects_detection_class_out_of_range(tmp_path, capsys,
+                                                       label):
+    _, test_path = cmd_generate(tiny_config(), 3, 2, str(tmp_path))
+    dump = tmp_path / "d.jsonl"
+    write_detection_dump(dump, [DetRecord(3, 1, 0.5, Box(8, 8, 4, 4)),
+                                DetRecord(4, label, 0.9, Box(8, 8, 4, 4))])
+    rc = main(["eval", "--detections", str(dump), "--dataset", test_path])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"detection dump {dump}" in lines[0]
+    assert f"image_id 4 has class {label}, outside 1..num_classes 4" \
+        in lines[0]
 
 
 def test_cli_eval_reports_image_blob_of_wrong_size(tmp_path, capsys):
@@ -557,6 +655,40 @@ def test_cli_ablation_rejects_empty_seed_list(tmp_path, capsys, monkeypatch,
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(lines) == 1 and "seeds must list at least one seed" in lines[0]
+    assert not (tmp_path / "out" / "ablation.json").exists()
+
+
+# (arguments before --out, words the one error line must contain).
+BAD_SEEDS = {
+    "seeds_not_integers": (["ablation", "--seeds", "x"],
+                           "--seeds must be comma-separated integers, "
+                           "got 'x'"),
+    "seeds_with_a_float": (["ablation", "--seeds", "0,1.5"],
+                           "--seeds must be comma-separated integers, "
+                           "got '0,1.5'"),
+    "seeds_negative": (["ablation", "--seeds", "-1"],
+                       "seed must be a non-negative integer, got -1"),
+    "seeds_negative_after_a_good_one": (
+        ["ablation", "--seeds", "0,-1"],
+        "seed must be a non-negative integer, got -1"),
+    "seed_negative": (["generate", "--seed", "-1"],
+                      "seed must be a non-negative integer, got -1"),
+    "seed_negative_at_ablation": (
+        ["ablation", "--seed", "-1", "--seeds", "0"],
+        "seed must be a non-negative integer, got -1"),
+}
+
+
+@pytest.mark.parametrize("argv, words", BAD_SEEDS.values(),
+                         ids=BAD_SEEDS.keys())
+def test_cli_rejects_bad_seeds_before_generating(tmp_path, capsys,
+                                                 monkeypatch, argv, words):
+    monkeypatch.setattr(pipeline, "generate_dataset", _no_data)
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert words in lines[0]
     assert not (tmp_path / "out" / "ablation.json").exists()
 
 

@@ -11,12 +11,14 @@ from griddet.config import ExperimentConfig
 from griddet.features import (FEATURE_DIM, FeatureExtractor,
                               build_roi_features)
 from griddet.grid import GridSpec, generate_grid
-from griddet.model import (MLP, MODES, Grads, SceneTensors, SGDOptimizer,
-                           TrainConfig, classifier_loss, load_checkpoint,
-                           make_classifier, make_regressor,
-                           precompute_scene_tensors, regression_loss_arrays,
-                           save_checkpoint, smooth_l1, train_models)
+from griddet.model import (CHECKPOINT_EXTRACTOR, CHECKPOINT_MAGIC, MLP, MODES,
+                           Grads, SceneTensors, SGDOptimizer, TrainConfig,
+                           classifier_loss, load_checkpoint, make_classifier,
+                           make_regressor, precompute_scene_tensors,
+                           regression_loss_arrays, save_checkpoint, smooth_l1,
+                           train_models)
 from griddet.pipeline import train
+from griddet.records import to_plain
 from griddet.synth import Scene, SynthConfig, generate_dataset
 
 
@@ -192,20 +194,6 @@ def test_parameters_are_views_of_one_flat_vector():
                           model.flat)
     model.flat[:] = 0.0
     assert all(np.all(p == 0.0) for p in model.params())
-
-
-def test_set_params_checks_every_shape_before_copying():
-    model = MLP([3, 2, 4])
-    before = model.flat.copy()
-    assert not before.any()  # built without an rng: all zeros
-    good = [np.full(p.shape, 7.0) for p in model.params()]
-    with pytest.raises(ValueError, match="expected 4 arrays, got 3"):
-        model.set_params(good[:3])
-    with pytest.raises(ValueError, match=r"array 2: expected shape \(2, 4\)"):
-        model.set_params(good[:2] + [np.zeros((4, 2)), good[3]])
-    assert np.array_equal(model.flat, before)
-    model.set_params(good)
-    assert np.all(model.flat == 7.0)
 
 
 def test_forward_and_backward_return_fresh_arrays():
@@ -740,6 +728,98 @@ def test_checkpoint_round_trip(tmp_path, small_training_setup):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def reference_save_checkpoint(path, regressor, classifier, *, config, mode,
+                              num_classes, stage):
+    """The per-array checkpoint writer save_checkpoint replaced: every array
+    of params(), in order, written on its own."""
+    arrays = regressor.params() + classifier.params()
+    header = {
+        "config": to_plain(config),
+        "mode": mode,
+        "num_classes": num_classes,
+        "extractor": CHECKPOINT_EXTRACTOR,
+        "stage": stage,
+        "regressor_sizes": regressor.layer_sizes,
+        "classifier_sizes": classifier.layer_sizes,
+        "arrays": [list(a.shape) for a in arrays],
+    }
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("hidden_sizes", [(), (7,), (9, 5)])
+def test_checkpoint_matches_reference_writer(tmp_path, hidden_sizes):
+    rng = np.random.default_rng(len(hidden_sizes))
+    reg = make_regressor(FEATURE_DIM, hidden_sizes, 3, rng)
+    cls = make_classifier(FEATURE_DIM, hidden_sizes, 3, rng)
+    kwargs = dict(config=TrainConfig(hidden_sizes=hidden_sizes), mode="1step",
+                  num_classes=3, stage=2)
+    save_checkpoint(tmp_path / "a.ckpt", reg, cls, **kwargs)
+    reference_save_checkpoint(tmp_path / "b.ckpt", reg, cls, **kwargs)
+    data = (tmp_path / "a.ckpt").read_bytes()
+    assert data == (tmp_path / "b.ckpt").read_bytes()
+    # The blob is the regressor's flat vector, then the classifier's.
+    assert data.endswith(reg.flat.tobytes() + cls.flat.tobytes())
+    reg2, cls2, _ = load_checkpoint(tmp_path / "a.ckpt")
+    assert reg2.layer_sizes == reg.layer_sizes
+    assert cls2.layer_sizes == cls.layer_sizes
+    assert np.array_equal(reg2.flat, reg.flat)
+    assert np.array_equal(cls2.flat, cls.flat)
+
+
+def _rewrite_header(path, edit):
+    magic, header, blob = path.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    edit(header)
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n"
+                     + blob)
+
+
+def test_reader_checks_every_shape_before_building_models(tmp_path,
+                                                          monkeypatch):
+    reg = MLP([FEATURE_DIM, 2, 4])
+    cls = MLP([FEATURE_DIM, 2, 2])
+    reg.flat[:] = 7.0
+    cls.flat[:] = 7.0
+    built = []
+    init = MLP.__init__
+
+    def counting(self, layer_sizes, rng=None):
+        built.append(list(layer_sizes))
+        init(self, layer_sizes, rng)
+
+    monkeypatch.setattr(MLP, "__init__", counting)
+    path = tmp_path / "m.ckpt"
+    kwargs = dict(config=TrainConfig(), mode="gcnn", num_classes=1, stage=3)
+
+    def count(header):  # one array fewer than the sizes give
+        header["arrays"].pop()
+
+    def shape(header):  # the regressor's last weight matrix transposed
+        header["arrays"][2].reverse()
+
+    def sizes(header):  # sizes whose models would not fit the blob
+        header["regressor_sizes"] = [FEATURE_DIM, 10 ** 12]
+
+    for edit in (count, shape, sizes):
+        save_checkpoint(path, reg, cls, **kwargs)
+        _rewrite_header(path, edit)
+        with pytest.raises(ValueError, match="are not the parameter shapes"):
+            load_checkpoint(path)
+    save_checkpoint(path, reg, cls, **kwargs)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="parameter blob has"):
+        load_checkpoint(path)
+    assert built == []
+    save_checkpoint(path, reg, cls, **kwargs)
+    reg2, cls2, _ = load_checkpoint(path)
+    assert built == [[FEATURE_DIM, 2, 4], [FEATURE_DIM, 2, 2]]
+    assert np.all(reg2.flat == 7.0) and np.all(cls2.flat == 7.0)
+
+
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
@@ -747,6 +827,9 @@ def test_invalid_config_rejected():
         TrainConfig(s_train=0)
     with pytest.raises(ValueError):
         TrainConfig(momentum=1.0)
+    for seed in (-1, 1.5, True, "0"):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            TrainConfig(seed=seed)
 
 
 def test_unknown_mode_rejected(small_training_setup):
