@@ -8,7 +8,7 @@ import yaml
 
 from .grid import GridSpec
 from .model import MODES, TrainConfig
-from .records import from_plain, to_plain
+from .records import from_plain, is_int, is_number, to_plain
 from .synth import SynthConfig
 
 
@@ -32,8 +32,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.s_test < 0:
-            raise ValueError("s_test must be >= 0")
+        if not (is_int(self.s_test) and self.s_test >= 0):
+            raise ValueError(f"s_test must be a non-negative integer, got "
+                             f"{self.s_test!r}")
+        for name in ("score_threshold", "nms_iou", "iou_match"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0.0 <= value <= 1.0):
+                raise ValueError(
+                    f"{name} must be a number in [0, 1], got {value!r}")
 
     def with_seed(self, seed: int) -> ExperimentConfig:
         """This config with `seed` as both the data and the training seed."""

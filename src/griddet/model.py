@@ -52,10 +52,21 @@ class TrainConfig:
     max_bg_per_scene: int = 256
 
     def __post_init__(self):
-        if self.s_train < 1 or self.n_iter_per_stage < 1:
-            raise ValueError("counts must be >= 1")
-        if self.images_per_batch < 1 or self.samples_per_image_per_step < 1:
-            raise ValueError("batch sizes must be >= 1")
+        # Counts and buffer sizes: a bad value is named here, not left to
+        # fail deep inside numpy.
+        for name in ("s_train", "n_iter_per_stage", "images_per_batch",
+                     "samples_per_image_per_step"):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= 1):
+                raise ValueError(
+                    f"{name} must be a positive integer, got {value!r}")
+        if not (is_int(self.max_bg_per_scene) and self.max_bg_per_scene >= 0):
+            raise ValueError(f"max_bg_per_scene must be a non-negative "
+                             f"integer, got {self.max_bg_per_scene!r}")
+        if not (isinstance(self.hidden_sizes, tuple)
+                and all(is_int(d) and d >= 1 for d in self.hidden_sizes)):
+            raise ValueError(f"hidden_sizes must be a tuple of positive "
+                             f"integers, got {self.hidden_sizes!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -147,26 +158,75 @@ class MLP:
             activations.append(h)
         return h, activations
 
-    def backward(self, activations: list[np.ndarray],
-                 dout: np.ndarray) -> Grads:
+    def backward(self, activations: list[np.ndarray], dout: np.ndarray,
+                 workspace: Workspace | None = None) -> Grads:
         """Gradients of a scalar loss w.r.t. all parameters, given
-        d(loss)/d(out), in one fresh flat vector; dout is left as given."""
-        grads = Grads(np.empty_like(self.flat), self.layer_sizes)
-        grads_w, grads_b = grads
+        d(loss)/d(out), in the workspace's flat gradient vector; dout is left
+        as given. Without a workspace, one is made for the call, so the
+        gradients are fresh."""
+        if workspace is None:
+            workspace = Workspace(self, len(dout))
+        grads_w, grads_b = workspace.grads
+        n = len(dout)
         g = dout
         for i in reversed(range(len(self.weights))):
             np.matmul(activations[i].T, g, out=grads_w[i])
             np.add.reduce(g, axis=0, out=grads_b[i])
             if i > 0:
-                g = g @ self.weights[i].T
-                g *= activations[i] > 0
-        return grads
+                g = np.matmul(g, self.weights[i].T,
+                              out=workspace.backprop[i - 1][:n])
+                g *= np.greater(activations[i], 0,
+                                out=workspace.masks[i - 1][:n])
+        return workspace.grads
 
     def params(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend([w, b])
         return out
+
+
+class Workspace:
+    """Buffers for one MLP's backward passes on batches of up to ``rows``
+    rows, made once per training run so that a step's loss and backward pass
+    allocate no arrays: the gradients propagated back to each hidden layer's
+    output with its rectifier mask, and one gradient vector laid out as
+    MLP.flat, with its Grads views. A batch of n rows uses the leading n rows
+    of each buffer.
+    """
+
+    def __init__(self, model: MLP, rows: int):
+        sizes = model.layer_sizes
+        self.backprop = [np.empty((rows, d)) for d in sizes[1:-1]]
+        self.masks = [np.empty((rows, d), dtype=bool) for d in sizes[1:-1]]
+        self.grads = Grads(np.empty_like(model.flat), sizes)
+
+
+class _RegressionWorkspace(Workspace):
+    """A regressor's Workspace plus the regression loss's scratch. Viewed as
+    (rows * num_classes, 4), row r's output holds the deltas of class l in
+    row ``r * num_classes + l - 1``."""
+
+    def __init__(self, model: MLP, rows: int):
+        super().__init__(model, rows)
+        self.head_start = np.arange(rows) * (model.output_dim // 4) - 1
+        self.head = np.empty(rows, dtype=np.int64)
+        self.residual = np.empty((rows, 4))
+        self.dout = np.empty((rows, model.output_dim))
+
+
+class _ClassifierWorkspace(Workspace):
+    """A classifier's Workspace plus the cross-entropy's scratch. Flattened,
+    row r's output holds the logit of class l at ``r * (num_classes + 1) +
+    l``."""
+
+    def __init__(self, model: MLP, rows: int):
+        super().__init__(model, rows)
+        self.entry_start = np.arange(rows) * model.output_dim
+        self.entry = np.empty(rows, dtype=np.int64)
+        self.row_stat = np.empty((rows, 1))
+        self.true_prob = np.empty(rows)
+        self.log_prob = np.empty(rows)
 
 
 def make_regressor(input_dim: int, hidden_sizes, num_classes: int,
@@ -193,66 +253,96 @@ def regression_loss_arrays(model: MLP, feats: np.ndarray, labels: np.ndarray,
 
     labels are 1-based foreground class ids; only the head of each row's own
     class receives gradient. Returns (loss, grads, all_background) where
-    grads is a Grads and all_background flags an empty foreground batch
-    (zero loss/grads).
+    grads is a fresh Grads and all_background flags an empty foreground
+    batch (zero loss/grads).
     """
     feats = np.asarray(feats, dtype=np.float64)
-    n = feats.shape[0]
-    if n == 0:
-        return 0.0, Grads(np.zeros_like(model.flat), model.layer_sizes), True
-    out, cache = model.forward(feats)
-    k = model.output_dim // 4
-    idx = np.asarray(labels, dtype=np.int64) - 1
-    if idx.min() < 0 or idx.max() >= k:
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(feats) and (labels.min() < 1
+                       or labels.max() > model.output_dim // 4):
         raise ValueError("regression labels must be in [1, num_classes]")
-    rows = np.arange(n)
-    residual = out.reshape(n, k, 4)[rows, idx]
-    residual -= np.asarray(targets, dtype=np.float64)
+    return _regression_loss(model, feats, labels,
+                            np.asarray(targets, dtype=np.float64),
+                            _RegressionWorkspace(model, len(feats)))
+
+
+def _regression_loss(model: MLP, feats, labels, targets,
+                     ws: _RegressionWorkspace):
+    """regression_loss_arrays on checked float64/int64 arrays, computed in
+    ws; the grads returned are ws.grads."""
+    n = len(feats)
+    if n == 0:
+        ws.grads.flat.fill(0.0)
+        return 0.0, ws.grads, True
+    out, cache = model.forward(feats)
+    head = np.add(ws.head_start[:n], labels, out=ws.head[:n])
+    residual = out.reshape(-1, 4).take(head, axis=0, out=ws.residual[:n],
+                                       mode="clip")
+    residual -= targets
     loss = float(smooth_l1(residual).sum() / n)
     # d smooth_l1 / dx = clip(x, -1, 1), written over the residual.
     np.maximum(residual, -1.0, out=residual)
     np.minimum(residual, 1.0, out=residual)
     residual /= n
-    dout = np.zeros_like(out)
-    dout.reshape(n, k, 4)[rows, idx] = residual
-    return loss, model.backward(cache, dout), False
+    dout = ws.dout[:n]
+    dout.fill(0.0)
+    dout.reshape(-1, 4)[head] = residual
+    return loss, model.backward(cache, dout, ws), False
 
 
-def _softmax_in_place(logits: np.ndarray) -> np.ndarray:
-    """Overwrite (B, K) logits with their row-wise softmax; return them."""
-    logits -= logits.max(axis=1, keepdims=True)
+def _softmax_in_place(logits: np.ndarray, row_stat: np.ndarray) -> np.ndarray:
+    """Overwrite (B, K) logits with their row-wise softmax; return them.
+    row_stat is (B, 1) scratch."""
+    np.maximum.reduce(logits, axis=1, keepdims=True, out=row_stat)
+    logits -= row_stat
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
+    np.add.reduce(logits, axis=1, keepdims=True, out=row_stat)
+    logits /= row_stat
     return logits
 
 
 def softmax_probs(model: MLP, feats: np.ndarray) -> np.ndarray:
-    return _softmax_in_place(model.forward(feats)[0])
+    logits = model.forward(feats)[0]
+    return _softmax_in_place(logits, np.empty((len(logits), 1)))
 
 
 def classifier_loss(model: MLP, feats: np.ndarray, labels: np.ndarray):
     """Softmax cross-entropy over num_classes + 1 (0 = background).
 
-    Returns (loss, grads) with grads a Grads.
+    Returns (loss, grads) with grads a fresh Grads.
     """
     feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n = feats.shape[0]
+    if len(feats) and (labels.min() < 0 or labels.max() >= model.output_dim):
+        raise ValueError("classifier labels must be in [0, num_classes]")
+    return _classifier_loss(model, feats, labels,
+                            _ClassifierWorkspace(model, len(feats)))
+
+
+def _classifier_loss(model: MLP, feats, labels, ws: _ClassifierWorkspace):
+    """classifier_loss on checked float64/int64 arrays, computed in ws; the
+    grads returned are ws.grads."""
+    n = len(feats)
     if n == 0:
-        return 0.0, Grads(np.zeros_like(model.flat), model.layer_sizes)
+        ws.grads.flat.fill(0.0)
+        return 0.0, ws.grads
     logits, cache = model.forward(feats)
     # The logits are fresh and backward does not read them: they become the
     # softmax probabilities in place, and then d(loss)/d(logits).
-    probs = _softmax_in_place(logits)
-    rows = np.arange(n)
-    nll = probs[rows, labels]
-    np.maximum(nll, 1e-300, out=nll)
-    np.log(nll, out=nll)
-    np.negative(nll, out=nll)
-    loss = float(nll.sum() / n)
-    probs[rows, labels] -= 1.0
+    probs = _softmax_in_place(logits, ws.row_stat[:n])
+    entry = np.add(ws.entry_start[:n], labels, out=ws.entry[:n])
+    flat_probs = probs.reshape(-1)
+    true_prob = flat_probs.take(entry, out=ws.true_prob[:n], mode="clip")
+    log_prob = np.maximum(true_prob, 1e-300, out=ws.log_prob[:n])
+    np.log(log_prob, out=log_prob)
+    # The sum of the negated log-probabilities, negated after summing
+    # (negation is exact). 0.0 - sum keeps the +0.0 that summing negated
+    # zeros gives when every true probability is 1; -sum would be -0.0.
+    loss = float((0.0 - np.add.reduce(log_prob)) / n)
+    true_prob -= 1.0
+    flat_probs[entry] = true_prob
     probs /= n
-    return loss, model.backward(cache, probs)
+    return loss, model.backward(cache, probs, ws)
 
 
 class SGDOptimizer:
@@ -368,60 +458,67 @@ class _BatchSampler:
     the next draw.
     """
 
-    def __init__(self, tensors: list[SceneTensors], config: TrainConfig):
+    def __init__(self, tensors: list[SceneTensors], config: TrainConfig,
+                 num_classes: int):
+        # Checked once here, so that the losses can index by label unchecked.
+        for i, t in enumerate(tensors):
+            if len(t.fg_labels) and (t.fg_labels.min() < 1
+                                     or t.fg_labels.max() > num_classes):
+                raise ValueError(
+                    f"scene tensors {i}: foreground labels must be in "
+                    f"1..{num_classes}, got {t.fg_labels.min()}.."
+                    f"{t.fg_labels.max()}")
         self.tensors = tensors
         self.per_image = config.samples_per_image_per_step
         self.n_fg_cls = max(1, int(round(
             self.per_image / (1.0 + config.fg_bg_ratio))))
         self.n_bg_cls = self.per_image - self.n_fg_cls
         self.step1_pools = [np.flatnonzero(t.fg_steps == 1) for t in tensors]
-        self.reg_pools = self.step1_pools
-        self.direct = False
+        self.reg_parts = []
         rows = config.images_per_batch * self.per_image
-        self.reg_feats = np.empty((rows, FEATURE_DIM))
-        self.reg_labels = np.empty(rows, dtype=np.int64)
-        self.reg_targets = np.empty((rows, 4))
-        self.cls_feats = np.empty((rows, FEATURE_DIM))
-        self.cls_labels = np.empty(rows, dtype=np.int64)
+        self.reg_buffers = (np.empty((rows, FEATURE_DIM)),
+                            np.empty(rows, dtype=np.int64), np.empty((rows, 4)))
+        self.cls_buffers = (np.empty((rows, FEATURE_DIM)),
+                            np.empty(rows, dtype=np.int64))
 
     def start_phase(self, stage: int, direct: bool):
         """Direct phases regress step-1 rows to their full-path targets;
-        stepwise phases draw from the rows of steps 1..stage."""
-        self.direct = direct
-        self.reg_pools = self.step1_pools if direct else [
-            np.flatnonzero(t.fg_steps <= stage) for t in self.tensors]
+        stepwise phases draw from the rows of steps 1..stage. Per scene, the
+        phase's regression draws read (pool, source arrays)."""
+        self.reg_parts = []
+        for t, step1 in zip(self.tensors, self.step1_pools):
+            pool = step1 if direct else np.flatnonzero(t.fg_steps <= stage)
+            targets = t.direct_targets if direct else t.fg_targets
+            self.reg_parts.append((pool, (t.fg_feats, t.fg_labels, targets)))
 
     def sample(self, rng: np.random.Generator, scene_ids: np.ndarray):
         """(reg_feats, reg_labels, reg_targets, cls_feats, cls_labels)."""
         n_reg = n_cls = 0
+        reg_buffers, cls_buffers = self.reg_buffers, self.cls_buffers
         for sid in scene_ids.tolist():
             t = self.tensors[sid]
-            pool = self.reg_pools[sid]
+            pool, sources = self.reg_parts[sid]
             if len(pool) > 0:
-                pick = pool[rng.integers(0, len(pool), size=self.per_image)]
-                targets = t.direct_targets if self.direct else t.fg_targets
-                n_reg = _gather(pick, n_reg, (t.fg_feats, self.reg_feats),
-                                (t.fg_labels, self.reg_labels),
-                                (targets, self.reg_targets))
+                pick = pool[rng.integers(len(pool), size=self.per_image)]
+                n_reg = _gather(pick, n_reg, sources, reg_buffers)
             step1 = self.step1_pools[sid]
             if len(step1) > 0:
-                pick = step1[rng.integers(0, len(step1), size=self.n_fg_cls)]
-                n_cls = _gather(pick, n_cls, (t.fg_feats, self.cls_feats),
-                                (t.fg_labels, self.cls_labels))
+                pick = step1[rng.integers(len(step1), size=self.n_fg_cls)]
+                n_cls = _gather(pick, n_cls, (t.fg_feats, t.fg_labels),
+                                cls_buffers)
             if len(t.bg_feats) > 0:
-                pick = rng.integers(0, len(t.bg_feats), size=self.n_bg_cls)
-                self.cls_labels[n_cls:n_cls + self.n_bg_cls] = 0
-                n_cls = _gather(pick, n_cls, (t.bg_feats, self.cls_feats))
-        return (self.reg_feats[:n_reg], self.reg_labels[:n_reg],
-                self.reg_targets[:n_reg], self.cls_feats[:n_cls],
-                self.cls_labels[:n_cls])
+                pick = rng.integers(len(t.bg_feats), size=self.n_bg_cls)
+                cls_buffers[1][n_cls:n_cls + self.n_bg_cls] = 0
+                n_cls = _gather(pick, n_cls, (t.bg_feats,), cls_buffers)
+        return (*(b[:n_reg] for b in reg_buffers),
+                *(b[:n_cls] for b in cls_buffers))
 
 
-def _gather(pick: np.ndarray, start: int, *pairs) -> int:
-    """Copy rows pick of each (source, buffer) pair into the buffer from row
-    start on; return the row after the last one written."""
+def _gather(pick: np.ndarray, start: int, sources, buffers) -> int:
+    """Copy rows pick of each source into the matching buffer from row start
+    on; return the row after the last one written."""
     end = start + len(pick)
-    for source, buffer in pairs:
+    for source, buffer in zip(sources, buffers):
         # Picks are in range by construction; "clip" skips the buffered copy
         # numpy makes for out= under the default mode "raise".
         source.take(pick, axis=0, out=buffer[start:end], mode="clip")
@@ -435,10 +532,12 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
     gcnn: stages c = 1..s_train, each n_iter_per_stage iterations on the
     cumulative tuple pool of steps 1..c. 1step: one phase on the full pool.
     ifrcnn: one phase on step-1 states with direct (full-path) targets.
-    All modes run s_train * n_iter_per_stage total iterations.
+    All modes run s_train * n_iter_per_stage total iterations. Each model's
+    losses and backward passes run in one Workspace made here.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    sampler = _BatchSampler(tensors, config, num_classes)
     ss = np.random.SeedSequence(config.seed)
     init_reg, init_cls, batch_ss = ss.spawn(3)
     regressor = make_regressor(FEATURE_DIM, config.hidden_sizes, num_classes,
@@ -447,6 +546,9 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
                                  np.random.default_rng(init_cls))
     opt_reg = SGDOptimizer(regressor, config.learning_rate, config.momentum)
     opt_cls = SGDOptimizer(classifier, config.learning_rate, config.momentum)
+    rows = config.images_per_batch * config.samples_per_image_per_step
+    reg_ws = _RegressionWorkspace(regressor, rows)
+    cls_ws = _ClassifierWorkspace(classifier, rows)
     rng = np.random.default_rng(batch_ss)
     log = TrainLog()
 
@@ -459,7 +561,6 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
     else:
         phases = [(1, config.s_train * config.n_iter_per_stage, True)]
 
-    sampler = _BatchSampler(tensors, config)
     n_scenes = len(tensors)
     replace = n_scenes < config.images_per_batch
     for stage, n_iter, direct in phases:
@@ -469,11 +570,11 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
             scene_ids = rng.choice(n_scenes, size=config.images_per_batch,
                                    replace=replace)
             rf, rl, rt, cf, cl = sampler.sample(rng, scene_ids)
-            reg_loss, reg_grads, all_bg = regression_loss_arrays(
-                regressor, rf, rl, rt)
+            reg_loss, reg_grads, all_bg = _regression_loss(
+                regressor, rf, rl, rt, reg_ws)
             if not all_bg:
                 opt_reg.step(reg_grads)
-            cls_loss, cls_grads = classifier_loss(classifier, cf, cl)
+            cls_loss, cls_grads = _classifier_loss(classifier, cf, cl, cls_ws)
             if len(cf) > 0:
                 opt_cls.step(cls_grads)
             log.add(stage, it, reg_loss, cls_loss, all_bg)

@@ -76,7 +76,45 @@ MALFORMED_CONFIGS = {
                           "seed must be a non-negative integer, got True"),
     "synth_seed_negative": ("synth:\n  seed: -1\n", "synth",
                             "seed must be a non-negative integer, got -1"),
+    # TrainConfig checks the values its training buffers are sized from.
+    "train_samples_per_image_a_float": (
+        "train:\n  samples_per_image_per_step: 1.5\n", "train",
+        "samples_per_image_per_step must be a positive integer, got 1.5"),
+    "train_images_per_batch_a_float": (
+        "train:\n  images_per_batch: 2.5\n", "train",
+        "images_per_batch must be a positive integer, got 2.5"),
+    "train_n_iter_per_stage_a_float": (
+        "train:\n  n_iter_per_stage: 1.5\n", "train",
+        "n_iter_per_stage must be a positive integer, got 1.5"),
+    "train_hidden_sizes_zero": (
+        "train:\n  hidden_sizes: [0]\n", "train",
+        "hidden_sizes must be a tuple of positive integers, got (0,)"),
+    "train_hidden_sizes_a_string": (
+        "train:\n  hidden_sizes: ab\n", "train",
+        "hidden_sizes must be a tuple of positive integers, got 'ab'"),
+    "train_hidden_sizes_negative": (
+        "train:\n  hidden_sizes: [-3]\n", "train",
+        "hidden_sizes must be a tuple of positive integers, got (-3,)"),
+    "train_max_bg_per_scene_negative": (
+        "train:\n  max_bg_per_scene: -1\n", "train",
+        "max_bg_per_scene must be a non-negative integer, got -1"),
+    # Detection settings, at the top level ("" names no section).
+    "score_threshold_null": (
+        "score_threshold: null\n", "",
+        "score_threshold must be a number in [0, 1], got None"),
+    "s_test_a_float": ("s_test: 1.5\n", "",
+                       "s_test must be a non-negative integer, got 1.5"),
+    "nms_iou_a_string": ("nms_iou: x\n", "",
+                         "nms_iou must be a number in [0, 1], got 'x'"),
+    "iou_match_above_one": ("iou_match: 1.5\n", "",
+                            "iou_match must be a number in [0, 1], got 1.5"),
 }
+
+
+def _section_prefix(path, section) -> str:
+    """How an error names a config section: the file, then ".section", or
+    ":" for a top-level field."""
+    return f"config file {path}" + (f".{section}" if section else ":")
 
 
 @pytest.mark.parametrize("text, section, key", MALFORMED_CONFIGS.values(),
@@ -87,7 +125,7 @@ def test_config_errors_name_section_and_key(tmp_path, text, section, key):
     with pytest.raises(ValueError) as info:
         load_config(path)
     message = str(info.value)
-    assert f"config file {path}.{section}" in message
+    assert _section_prefix(path, section) in message
     assert key in message
 
 
@@ -102,7 +140,7 @@ def test_cli_generate_reports_malformed_config(tmp_path, capsys, text,
     assert rc == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert f".{section}" in lines[0] and key in lines[0]
+    assert _section_prefix(path, section) in lines[0] and key in lines[0]
     assert not (tmp_path / "d").exists()
 
 
@@ -125,6 +163,10 @@ def _checkpoint_text(regressor_sizes, classifier_sizes, num_classes=4,
 
 DETECT_ARGV = ["detect", "--checkpoint", "{f}", "--dataset", "{d}/none.json",
                "--out", "{d}/out"]
+# detect with {f} as its config: the config is read before any other file.
+DETECT_CONFIG_ARGV = ["detect", "--config", "{f}", "--checkpoint",
+                      "{d}/none.ckpt", "--dataset", "{d}/none.json", "--out",
+                      "{d}/out"]
 
 # (file name, contents, CLI arguments with {f} for the file and {d} for its
 # directory, word the error must contain): one malformed file per reader.
@@ -132,6 +174,23 @@ MALFORMED_FILES = {
     "config_yaml_syntax": (
         "c.yaml", "train: [\n",
         ["generate", "--config", "{f}", "--out", "{d}/out"], "YAML"),
+    "config_score_threshold_null_at_detect": (
+        "c.yaml", "score_threshold: null\n", DETECT_CONFIG_ARGV,
+        "score_threshold must be a number in [0, 1], got None"),
+    "config_s_test_a_float_at_detect": (
+        "c.yaml", "s_test: 1.5\n", DETECT_CONFIG_ARGV,
+        "s_test must be a non-negative integer, got 1.5"),
+    "config_nms_iou_a_string_at_detect": (
+        "c.yaml", "nms_iou: x\n", DETECT_CONFIG_ARGV,
+        "nms_iou must be a number in [0, 1], got 'x'"),
+    "config_iou_match_above_one_at_detect": (
+        "c.yaml", "iou_match: 1.5\n", DETECT_CONFIG_ARGV,
+        "iou_match must be a number in [0, 1], got 1.5"),
+    "config_samples_per_image_a_float_at_train": (
+        "c.yaml", "train:\n  samples_per_image_per_step: 1.5\n",
+        ["train", "--config", "{f}", "--dataset", "{d}/none.json", "--out",
+         "{d}/m.ckpt"],
+        "samples_per_image_per_step must be a positive integer, got 1.5"),
     "checkpoint_without_arrays": (
         "m.ckpt", CHECKPOINT_MAGIC.decode() + json.dumps(
             {"regressor_sizes": [112, 16], "classifier_sizes": [112, 5]})

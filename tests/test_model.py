@@ -214,6 +214,40 @@ def test_forward_and_backward_return_fresh_arrays():
     assert [g.shape for g in gb] == [b.shape for b in model.biases]
 
 
+def test_losses_return_fresh_gradient_vectors():
+    rng = np.random.default_rng(6)
+    reg = make_regressor(5, (4,), 3, rng)
+    cls = make_classifier(5, (4,), 3, rng)
+    feats = rng.normal(size=(7, 5))
+    labels = np.array([1, 3, 2, 2, 1, 3, 1])
+    targets = rng.normal(size=(7, 4))
+    _, r1, _ = regression_loss_arrays(reg, feats, labels, targets)
+    _, r2, _ = regression_loss_arrays(reg, feats, labels, targets)
+    _, c1 = classifier_loss(cls, feats, labels - 1)
+    _, c2 = classifier_loss(cls, feats, labels - 1)
+    flats = [r1.flat, r2.flat, c1.flat, c2.flat]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(flats) for b in flats[i + 1:])
+    assert not any(np.shares_memory(g, m.flat)
+                   for g, m in zip(flats, (reg, reg, cls, cls)))
+    assert r1.flat.tobytes() == r2.flat.tobytes()
+    assert c1.flat.tobytes() == c2.flat.tobytes()
+
+
+def test_public_losses_check_labels():
+    rng = np.random.default_rng(6)
+    reg = make_regressor(5, (), 3, rng)
+    cls = make_classifier(5, (), 3, rng)
+    feats = rng.normal(size=(2, 5))
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match="regression labels"):
+            regression_loss_arrays(reg, feats, np.array([1, bad]),
+                                   np.zeros((2, 4)))
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match="classifier labels"):
+            classifier_loss(cls, feats, np.array([0, bad]))
+
+
 def test_sgd_momentum_step():
     model = MLP([1, 1], np.random.default_rng(0))
     model.weights[0][:] = 1.0
@@ -426,19 +460,27 @@ def _without_foreground(t):
         direct_targets=t.direct_targets[:0])
 
 
+def _short(ts):
+    """Scene 1 without foreground rows and scene 2 without background rows,
+    so that batches which draw them come out short."""
+    return [ts[0], _without_foreground(ts[1]),
+            dataclasses.replace(ts[2], bg_feats=ts[2].bg_feats[:0]), *ts[3:]]
+
+
 # case -> (TrainConfig overrides, scene tensors from the fixture's list)
 REFERENCE_CASES = {
-    # Scene 1 has no foreground rows and scene 2 no background rows, so
-    # batches that draw them come out short.
-    "short_batches": ({}, lambda ts: [
-        ts[0], _without_foreground(ts[1]),
-        dataclasses.replace(ts[2], bg_feats=ts[2].bg_feats[:0]), *ts[3:]]),
+    "short_batches": ({}, _short),
     # Fewer scenes than images per batch: scenes are drawn with replacement,
     # and a batch of only the foreground-free scene is all background.
     "replace": ({"images_per_batch": 3},
                 lambda ts: [ts[0], _without_foreground(ts[1])]),
     "no_hidden_layer": ({"hidden_sizes": ()}, lambda ts: ts),
     "two_hidden_layers": ({"hidden_sizes": (16, 8)}, lambda ts: ts),
+    # One row per head, or none: numpy sends one-row products to gemv, and
+    # the workspace's one-row views must give the allocating loop's bits.
+    # Batches of scene 1 alone are all background.
+    "one_row_batches": ({"images_per_batch": 1,
+                         "samples_per_image_per_step": 1}, _short),
 }
 
 
@@ -459,6 +501,36 @@ def test_train_models_matches_reference_loop(small_training_setup, mode,
     assert log.stage_boundaries == boundaries
     if "images_per_batch" in overrides:
         assert any(e["all_background"] for e in entries)
+
+
+@pytest.mark.parametrize("bad_label", [0, 5])
+def test_train_models_rejects_labels_outside_classes(small_training_setup,
+                                                     bad_label):
+    _, config, _, tensors = small_training_setup
+    t = tensors[1]
+    labels = t.fg_labels.copy()
+    labels[-1] = bad_label
+    tensors = [tensors[0], dataclasses.replace(t, fg_labels=labels)]
+    with pytest.raises(ValueError, match=r"scene tensors 1: foreground "
+                       r"labels must be in 1\.\.4"):
+        train_models(tensors, config, "gcnn", 4)
+
+
+def test_train_models_steps_from_one_buffer_per_model(small_training_setup,
+                                                      monkeypatch):
+    _, config, _, tensors = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=5)
+    seen = []
+    step = SGDOptimizer.step
+
+    def record(self, grads):
+        seen.append((id(self.model), grads.flat.ctypes.data))
+        return step(self, grads)
+
+    monkeypatch.setattr(SGDOptimizer, "step", record)
+    train_models(tensors, config, "gcnn", 4)
+    assert len(seen) == 2 * 3 * 5
+    assert len(set(seen)) == 2 and len({m for m, _ in seen}) == 2
 
 
 def test_stage_pool_size(small_training_setup):
@@ -830,6 +902,22 @@ def test_invalid_config_rejected():
     for seed in (-1, 1.5, True, "0"):
         with pytest.raises(ValueError, match="seed must be a non-negative"):
             TrainConfig(seed=seed)
+    for name in ("s_train", "n_iter_per_stage", "images_per_batch",
+                 "samples_per_image_per_step"):
+        for value in (0, -2, 1.5, True, "3"):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be a positive integer"):
+                TrainConfig(**{name: value})
+    for value in (-1, 2.0, None):
+        with pytest.raises(ValueError, match="max_bg_per_scene must be a "
+                           "non-negative integer"):
+            TrainConfig(max_bg_per_scene=value)
+    assert TrainConfig(max_bg_per_scene=0).max_bg_per_scene == 0
+    for value in ((0,), (-3,), (48, 1.5), [48], "ab", 48):
+        with pytest.raises(ValueError, match="hidden_sizes must be a tuple "
+                           "of positive integers"):
+            TrainConfig(hidden_sizes=value)
+    assert TrainConfig(hidden_sizes=()).hidden_sizes == ()
 
 
 def test_unknown_mode_rejected(small_training_setup):
