@@ -168,14 +168,9 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
         if s:
             t0 = time.perf_counter()
             boxes = history[s - 1]
-            feats = build_roi_features(fm, boxes)
-            probs = classifier_fn(feats, boxes, grid_indices)
-            if probs.shape[0] != len(boxes):
-                raise ModelMismatchError(
-                    "classifier output rows != number of boxes")
+            probs, deltas = _pool_and_classify(
+                fm, boxes, grid_indices, classifier_fn, regressor_fn)
             labels = np.argmax(probs, axis=1)
-            deltas = np.asarray(regressor_fn(feats, boxes, grid_indices),
-                                dtype=np.float64)
             moving = np.flatnonzero(labels)
             history[s] = boxes
             history[s, moving] = move_boxes(
@@ -188,14 +183,37 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
     return out
 
 
+def _pool_and_classify(fm, boxes, grid_indices, classifier_fn,
+                       regressor_fn=None):
+    """Pool the boxes from fm and classify them, and regress them if given a
+    regressor: (probs, deltas), checked to be (N, C) and (N, K >= C - 1, 4)
+    for N boxes; deltas is None without a regressor."""
+    n = len(boxes)
+    feats = build_roi_features(fm, boxes)
+    probs = np.asarray(classifier_fn(feats, boxes, grid_indices))
+    if probs.ndim != 2 or len(probs) != n:
+        raise ModelMismatchError(f"classifier output has shape "
+                                 f"{probs.shape}, expected ({n}, C)")
+    if regressor_fn is None:
+        return probs, None
+    deltas = np.asarray(regressor_fn(feats, boxes, grid_indices),
+                        dtype=np.float64)
+    heads = probs.shape[1] - 1
+    if not (deltas.ndim == 3 and len(deltas) == n and deltas.shape[2] == 4
+            and deltas.shape[1] >= heads):
+        raise ModelMismatchError(
+            f"regressor output has shape {deltas.shape}, expected ({n}, K, 4) "
+            f"with K >= {heads}")
+    return probs, deltas
+
+
 def _finalize(fm, history, grid_indices, classifier_fn, score_threshold: float,
               nms_iou: float) -> list[DetectionResult]:
     """Score the last boxes of history, drop background/low scores, and apply
     per-class NMS. Results come by descending score, ties toward the lower
     grid index; only survivors get a Box and their trajectory."""
     boxes = history[-1]
-    feats = build_roi_features(fm, boxes)
-    probs = classifier_fn(feats, boxes, grid_indices)
+    probs, _ = _pool_and_classify(fm, boxes, grid_indices, classifier_fn)
     labels = np.argmax(probs, axis=1)
     scores = probs[np.arange(len(boxes)), labels]
     candidates = np.flatnonzero((labels > 0) & (scores >= score_threshold))

@@ -20,7 +20,7 @@ from .assign import (assign_boxes, assign_grid, build_train_tuples,
 from .boxes import box_deltas, boxes_to_array
 from .features import FEATURE_DIM, POOL, FeatureExtractor, build_roi_features
 from .grid import GridSpec, generate_grid, grid_array
-from .records import from_plain, is_int, to_plain
+from .records import from_plain, is_int, is_number, to_plain
 
 MODES = ("gcnn", "1step", "ifrcnn")
 
@@ -67,16 +67,14 @@ class TrainConfig:
                 and all(is_int(d) and d >= 1 for d in self.hidden_sizes)):
             raise ValueError(f"hidden_sizes must be a tuple of positive "
                              f"integers, got {self.hidden_sizes!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if not self.fg_bg_ratio > 0:
-            raise ValueError(
-                f"fg_bg_ratio must be > 0, got {self.fg_bg_ratio!r}")
-        if not 0.0 <= self.bg_threshold < 1.0:
-            raise ValueError(
-                f"bg_threshold must be in [0, 1), got {self.bg_threshold!r}")
+        for name in ("learning_rate", "fg_bg_ratio"):
+            value = getattr(self, name)
+            if not (is_number(value) and value > 0):
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        for name in ("momentum", "bg_threshold"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0.0 <= value < 1.0):
+                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
         if not (is_int(self.seed) and self.seed >= 0):
             raise ValueError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
@@ -86,7 +84,7 @@ def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
     """Per-layer weight and bias views into a flat parameter vector.
 
     Layer by layer, the (fan_in, fan_out) weight matrix comes first, then the
-    fan_out biases: the order of MLP.params() and of checkpoint arrays.
+    fan_out biases: the order of checkpoint arrays.
     """
     weights, biases = [], []
     at = 0
@@ -99,7 +97,7 @@ def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
 
 
 def _param_shapes(layer_sizes) -> list[list[int]]:
-    """The shapes of MLP(layer_sizes).params(), in order, as lists."""
+    """The shapes of each layer's weights, then biases, in order, as lists."""
     shapes = []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         shapes += [[fan_in, fan_out], [fan_out]]
@@ -159,13 +157,10 @@ class MLP:
         return h, activations
 
     def backward(self, activations: list[np.ndarray], dout: np.ndarray,
-                 workspace: Workspace | None = None) -> Grads:
+                 workspace: Workspace) -> Grads:
         """Gradients of a scalar loss w.r.t. all parameters, given
         d(loss)/d(out), in the workspace's flat gradient vector; dout is left
-        as given. Without a workspace, one is made for the call, so the
-        gradients are fresh."""
-        if workspace is None:
-            workspace = Workspace(self, len(dout))
+        as given."""
         grads_w, grads_b = workspace.grads
         n = len(dout)
         g = dout
@@ -178,12 +173,6 @@ class MLP:
                 g *= np.greater(activations[i], 0,
                                 out=workspace.masks[i - 1][:n])
         return workspace.grads
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
 
 
 class Workspace:
@@ -243,8 +232,7 @@ def smooth_l1(x):
     """Robust loss: 0.5 x^2 for |x| < 1, |x| - 0.5 otherwise. Elementwise."""
     x = np.asarray(x, dtype=np.float64)
     absx = np.abs(x)
-    out = np.where(absx < 1.0, 0.5 * x * x, absx - 0.5)
-    return float(out) if out.ndim == 0 else out
+    return np.where(absx < 1.0, 0.5 * x * x, absx - 0.5)
 
 
 def regression_loss_arrays(model: MLP, feats: np.ndarray, labels: np.ndarray,

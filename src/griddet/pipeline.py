@@ -111,7 +111,11 @@ def cmd_detect(config: ExperimentConfig, checkpoint_path: str,
     """Run detection over every scene of a manifest; write the detection dump
     and the per-step trajectory export for surviving detections."""
     s_test = config.s_test if s_test is None else s_test
-    regressor, classifier, _ = load_checkpoint(checkpoint_path)
+    regressor, classifier, meta = load_checkpoint(checkpoint_path)
+    if meta["num_classes"] != config.synth.num_classes:
+        raise ValueError(f"checkpoint {checkpoint_path}: trained for "
+                         f"num_classes {meta['num_classes']}, but the config "
+                         f"has num_classes {config.synth.num_classes}")
     _, scenes = load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     det_path = os.path.join(out_dir, "detections.jsonl")

@@ -29,6 +29,31 @@ class PlacementFailureError(RuntimeError):
     """Could not place an object within the retry budget."""
 
 
+def _at_least(low):
+    return lambda v: is_int(v) and v >= low
+
+
+def _pair(ok):
+    return lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(ok, v))
+
+
+# (field, check, rule in words), checked in order before the class groups,
+# so that a bad value is named and does not fail deep inside generation.
+_FIELD_CHECKS = (
+    ("num_classes", _at_least(1), "a positive integer"),
+    ("image_size", _pair(_at_least(1)), "two positive integers"),
+    ("objects_per_scene", lambda v: _pair(_at_least(0))(v) and v[0] <= v[1],
+     "two non-negative integers in order"),
+    ("size_range", lambda v: _pair(is_number)(v) and 0 < v[0] <= v[1] <= 1,
+     "two numbers within (0, 1], in order"),
+    ("noise_sigma", lambda v: is_number(v) and v >= 0, "a number >= 0"),
+    ("seed", _at_least(0), "a non-negative integer"),
+    ("max_gt_overlap", lambda v: is_number(v) and 0 <= v <= 1,
+     "a number in [0, 1]"),
+    ("max_place_tries", _at_least(1), "a positive integer"),
+)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     image_size: tuple[int, int] = (128, 128)  # (W, H)
@@ -42,20 +67,14 @@ class SynthConfig:
     max_place_tries: int = 200
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        if self.objects_per_scene[0] < 0 or \
-                self.objects_per_scene[0] > self.objects_per_scene[1]:
-            raise ValueError("objects_per_scene range is ill-ordered")
-        if not 0 < self.size_range[0] <= self.size_range[1] <= 1.0:
-            raise ValueError("size_range must be within (0, 1] and ordered")
+        for name, ok, rule in _FIELD_CHECKS:
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
         flat = sorted(c for g in self.class_similarity_groups for c in g)
         if flat != list(range(1, self.num_classes + 1)):
             raise ValueError("class_similarity_groups must partition "
                              f"1..{self.num_classes}")
-        if not (is_int(self.seed) and self.seed >= 0):
-            raise ValueError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
 
     def group_of(self, class_label: int) -> int:
         for gi, group in enumerate(self.class_similarity_groups):
@@ -152,16 +171,12 @@ def generate_dataset(config: SynthConfig, n_scenes: int,
     return [generate_scene(config, start_id + i) for i in range(n_scenes)]
 
 
-def save_manifest(path, config: SynthConfig, scenes: list[Scene],
-                  images_file: str | None = None):
-    """Write a manifest sufficient to regenerate the dataset procedurally.
-
-    If images_file is given, the raw images are additionally dumped next to
-    the manifest as flat little-endian float64 (n_scenes, H, W)."""
+def save_manifest(path, config: SynthConfig, scenes: list[Scene]):
+    """Write a manifest sufficient to regenerate the dataset procedurally."""
     doc = {
         "format_version": MANIFEST_VERSION,
         "config": to_plain(config),
-        "images_file": images_file,
+        "images_file": None,  # images regenerate from (config, scene_id)
         "scenes": [
             {
                 "scene_id": s.scene_id,
@@ -175,38 +190,24 @@ def save_manifest(path, config: SynthConfig, scenes: list[Scene],
             for s in scenes
         ],
     }
-    path = str(path)
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    if images_file is not None:
-        import os
-        blob = np.stack([s.image for s in scenes]).astype("<f8")
-        with open(os.path.join(os.path.dirname(path) or ".", images_file),
-                  "wb") as f:
-            f.write(blob.tobytes())
 
 
 def load_manifest(path) -> tuple[SynthConfig, list[Scene]]:
-    """Load a dataset: read images from the binary dump if present, otherwise
-    regenerate them procedurally. Ground truth always comes from the manifest."""
-    config, records, blob_path = _read_manifest(path)
-    images = None
-    if blob_path:
-        w, h = config.image_size
-        images = np.fromfile(blob_path, dtype="<f8").reshape(len(records), h, w)
-    scenes = []
-    for i, (scene_id, seed, gts) in enumerate(records):
-        image = (images[i].copy() if images is not None
-                 else generate_scene(config, scene_id).image)
-        scenes.append(Scene(image, gts, scene_id, seed))
-    return config, scenes
+    """Load a dataset: ground truth from the manifest, images regenerated
+    procedurally."""
+    config, records = _read_manifest(path)
+    return config, [Scene(generate_scene(config, scene_id).image, gts,
+                          scene_id, seed)
+                    for scene_id, seed, gts in records]
 
 
 def load_ground_truth(path) -> dict[int, list[GroundTruth]]:
-    """The ground truth of a dataset manifest by scene_id, without reading or
-    regenerating its images; the image dump's size is still checked."""
-    _, records, _ = _read_manifest(path)
+    """The ground truth of a dataset manifest by scene_id, without
+    regenerating its images."""
+    _, records = _read_manifest(path)
     return {scene_id: gts for scene_id, _, gts in records}
 
 
@@ -219,8 +220,7 @@ def _ground_truth(g) -> GroundTruth:
 
 
 def _read_manifest(path):
-    """A manifest's config, its (scene_id, seed, gts) per scene, and the path
-    of its image dump (None if it has none), checked but not loaded."""
+    """A manifest's config and its (scene_id, seed, gts) per scene."""
     try:
         return _parse_manifest(path)
     except KeyError as exc:
@@ -228,7 +228,6 @@ def _read_manifest(path):
 
 
 def _parse_manifest(path):
-    import os
     with open(path) as f:
         try:
             doc = json.load(f)
@@ -242,20 +241,10 @@ def _parse_manifest(path):
                         f"manifest {path}.config")
     if not isinstance(doc["scenes"], list):
         raise ValueError(f"manifest {path}: scenes is not a list")
-    w, h = config.image_size
-    blob_path, images_file = None, doc.get("images_file")
-    if images_file is not None and not isinstance(images_file, str):
-        raise ValueError(f"manifest {path}: images_file must be a file name, "
-                         f"got {images_file!r}")
-    if images_file:
-        blob_path = os.path.join(os.path.dirname(str(path)) or ".",
-                                 images_file)
-        n = len(doc["scenes"])
-        size = os.path.getsize(blob_path)
-        if size != 8 * n * h * w:
-            raise ValueError(
-                f"manifest {path}: image blob {blob_path} has {size} bytes, "
-                f"expected {n} scenes x {h} x {w} float64 values")
+    if doc.get("images_file") is not None:
+        raise ValueError(f"manifest {path}: images_file must be null, since "
+                         f"images regenerate from the config, got "
+                         f"{doc['images_file']!r}")
     records, seen = [], set()
     for i, rec in enumerate(doc["scenes"]):
         try:
@@ -274,4 +263,4 @@ def _parse_manifest(path):
                              f"{rec['scene_id']}")
         seen.add(rec["scene_id"])
         records.append((rec["scene_id"], rec["seed"], gts))
-    return config, records, blob_path
+    return config, records

@@ -22,8 +22,7 @@ from griddet.model import (CHECKPOINT_MAGIC, TrainConfig, load_checkpoint,
 from griddet.pipeline import (ablation_means, cmd_ablation, cmd_detect,
                               cmd_eval, cmd_generate, cmd_train,
                               format_ablation_table, run_ablation)
-from griddet.synth import (MANIFEST_VERSION, SynthConfig, generate_dataset,
-                           load_manifest, save_manifest)
+from griddet.synth import MANIFEST_VERSION, SynthConfig, load_manifest
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -98,6 +97,45 @@ MALFORMED_CONFIGS = {
     "train_max_bg_per_scene_negative": (
         "train:\n  max_bg_per_scene: -1\n", "train",
         "max_bg_per_scene must be a non-negative integer, got -1"),
+    # A rate or threshold that is not a number is named, not compared.
+    "train_learning_rate_a_string": ("train:\n  learning_rate: x\n", "train",
+                                     "learning_rate must be > 0, got 'x'"),
+    "train_momentum_a_string": ("train:\n  momentum: x\n", "train",
+                                "momentum must be in [0, 1), got 'x'"),
+    "train_fg_bg_ratio_a_string": ("train:\n  fg_bg_ratio: x\n", "train",
+                                   "fg_bg_ratio must be > 0, got 'x'"),
+    "train_bg_threshold_a_string": ("train:\n  bg_threshold: x\n", "train",
+                                    "bg_threshold must be in [0, 1), got 'x'"),
+    # SynthConfig checks every field before scenes are generated.
+    "synth_num_classes_a_float": (
+        "synth:\n  num_classes: 1.5\n", "synth",
+        "num_classes must be a positive integer, got 1.5"),
+    "synth_image_size_a_string": (
+        "synth:\n  image_size: ab\n", "synth",
+        "image_size must be two positive integers, got 'ab'"),
+    "synth_image_size_zero": (
+        "synth:\n  image_size: [0, 0]\n", "synth",
+        "image_size must be two positive integers, got (0, 0)"),
+    "synth_objects_per_scene_empty": (
+        "synth:\n  objects_per_scene: []\n", "synth",
+        "objects_per_scene must be two non-negative integers in order, "
+        "got ()"),
+    "synth_objects_per_scene_a_float": (
+        "synth:\n  objects_per_scene: [1.5, 2]\n", "synth",
+        "objects_per_scene must be two non-negative integers in order, "
+        "got (1.5, 2)"),
+    "synth_size_range_a_string": (
+        "synth:\n  size_range: x\n", "synth",
+        "size_range must be two numbers within (0, 1], in order, got 'x'"),
+    "synth_noise_sigma_a_string": (
+        "synth:\n  noise_sigma: x\n", "synth",
+        "noise_sigma must be a number >= 0, got 'x'"),
+    "synth_max_gt_overlap_a_string": (
+        "synth:\n  max_gt_overlap: x\n", "synth",
+        "max_gt_overlap must be a number in [0, 1], got 'x'"),
+    "synth_max_place_tries_zero": (
+        "synth:\n  max_place_tries: 0\n", "synth",
+        "max_place_tries must be a positive integer, got 0"),
     # Detection settings, at the top level ("" names no section).
     "score_threshold_null": (
         "score_threshold: null\n", "",
@@ -210,7 +248,8 @@ MALFORMED_FILES = {
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "images_file": 5, "scenes": []}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "images_file must be a file name, got 5"),
+        "images_file must be null, since images regenerate from the config, "
+        "got 5"),
     "manifest_without_scenes": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {}}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
@@ -502,20 +541,43 @@ def test_cli_eval_rejects_detection_class_out_of_range(tmp_path, capsys,
         in lines[0]
 
 
-def test_cli_eval_reports_image_blob_of_wrong_size(tmp_path, capsys):
-    synth = SynthConfig(seed=3, image_size=(16, 16))
+def test_cli_detect_rejects_checkpoint_of_other_class_count(tmp_path,
+                                                           capsys):
+    rng = np.random.default_rng(0)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, make_regressor(FEATURE_DIM, (2,), 4, rng),
+                    make_classifier(FEATURE_DIM, (2,), 4, rng),
+                    config=TrainConfig(), mode="gcnn", num_classes=4, stage=3)
+    cfg_path = tmp_path / "c.yaml"
+    save_config(tiny_config(synth=SynthConfig(
+        seed=3, image_size=(48, 48), num_classes=2,
+        class_similarity_groups=((1,), (2,)))), cfg_path)
+    # The dataset does not exist: the check comes before any scene loads.
+    rc = main(["detect", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+               "--dataset", str(tmp_path / "none.json"),
+               "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert (f"checkpoint {ckpt}: trained for num_classes 4, but the config "
+            f"has num_classes 2") in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_eval_rejects_an_image_dump(tmp_path, capsys):
+    _, test_path = cmd_generate(tiny_config(), 3, 2, str(tmp_path))
+    doc = json.loads(read_bytes(test_path))
     path = tmp_path / "m.json"
-    save_manifest(path, synth, generate_dataset(synth, 2), images_file="m.bin")
-    blob = tmp_path / "m.bin"
-    blob.write_bytes(blob.read_bytes()[:100])
+    path.write_text(json.dumps({**doc, "images_file": "images.f64"}))
+    (tmp_path / "images.f64").write_bytes(bytes(8 * 2 * 48 * 48))
     write_detection_dump(tmp_path / "empty.jsonl", [])
     rc = main(["eval", "--detections", str(tmp_path / "empty.jsonl"),
                "--dataset", str(path)])
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert f"manifest {path}" in lines[0]
-    assert "has 100 bytes, expected 2 scenes x 16 x 16" in lines[0]
+    assert f"manifest {path}: images_file must be null" in lines[0]
+    assert "got 'images.f64'" in lines[0]
 
 
 def test_generate_idempotent_byte_equal(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import struct
 
 import numpy as np
@@ -12,8 +13,8 @@ from griddet.boxes import (Box, DeltaParams, apply_deltas, boxes_to_array,
                            clip_boxes, iou)
 from griddet.config import ExperimentConfig
 from griddet.detect import (MAX_LOG_SCALE, DetectionResult, DetectStats,
-                            detect, detect_multi, model_fns, move_boxes, nms,
-                            oracle_fns)
+                            ModelMismatchError, detect, detect_multi,
+                            model_fns, move_boxes, nms, oracle_fns)
 from griddet.features import FeatureExtractor, build_roi_features
 from griddet.grid import GridSpec, generate_grid
 from griddet.model import TrainConfig
@@ -179,6 +180,49 @@ def test_eval_steps_must_be_nonnegative():
     with pytest.raises(ValueError):
         detect_multi(np.zeros((20, 20)), GRID, zero_regressor(1),
                      constant_classifier(1, 1), eval_steps=[-1])
+
+
+def one_row_short(fn):
+    def short(feats, boxes, grid_indices):
+        return fn(feats, boxes, grid_indices)[:-1]
+    return short
+
+
+def flat_regressor(num_classes):
+    """The regressor MLP's raw (N, 4K) output, not reshaped to (N, K, 4)."""
+    def regress(feats, boxes, grid_indices):
+        return np.zeros((len(boxes), 4 * num_classes))
+    return regress
+
+
+# (regressor, classifier, s_test, the error with N for the box count). The
+# step and the final scoring pass check the same shapes.
+BAD_OUTPUTS = {
+    "classifier_one_row_short_at_s_test_0": (
+        zero_regressor(2), one_row_short(constant_classifier(2, 1)), 0,
+        "classifier output has shape (N-1, 3), expected (N, C)"),
+    "regressor_one_row_short": (
+        one_row_short(zero_regressor(2)), constant_classifier(2, 1), 1,
+        "regressor output has shape (N-1, 2, 4), expected (N, K, 4) with "
+        "K >= 2"),
+    "regressor_output_flat": (
+        flat_regressor(2), constant_classifier(2, 1), 1,
+        "regressor output has shape (N, 8), expected (N, K, 4) with K >= 2"),
+    "regressor_of_too_few_classes": (
+        zero_regressor(1), constant_classifier(2, 2), 1,
+        "regressor output has shape (N, 1, 4), expected (N, K, 4) with "
+        "K >= 2"),
+}
+
+
+@pytest.mark.parametrize("regressor, classifier, s_test, message",
+                         BAD_OUTPUTS.values(), ids=BAD_OUTPUTS.keys())
+def test_model_outputs_of_the_wrong_shape_are_named(regressor, classifier,
+                                                    s_test, message):
+    n = len(generate_grid(GRID, 40, 40))
+    message = message.replace("N-1", str(n - 1)).replace("N", str(n))
+    with pytest.raises(ModelMismatchError, match=re.escape(message)):
+        detect(np.zeros((40, 40)), GRID, regressor, classifier, s_test=s_test)
 
 
 EXTREME = (800.0, -800.0, np.inf, -np.inf, np.nan)

@@ -13,10 +13,10 @@ from griddet.features import (FEATURE_DIM, FeatureExtractor,
 from griddet.grid import GridSpec, generate_grid
 from griddet.model import (CHECKPOINT_EXTRACTOR, CHECKPOINT_MAGIC, MLP, MODES,
                            Grads, SceneTensors, SGDOptimizer, TrainConfig,
-                           classifier_loss, load_checkpoint, make_classifier,
-                           make_regressor, precompute_scene_tensors,
-                           regression_loss_arrays, save_checkpoint, smooth_l1,
-                           train_models)
+                           Workspace, classifier_loss, load_checkpoint,
+                           make_classifier, make_regressor,
+                           precompute_scene_tensors, regression_loss_arrays,
+                           save_checkpoint, smooth_l1, train_models)
 from griddet.pipeline import train
 from griddet.records import to_plain
 from griddet.synth import Scene, SynthConfig, generate_dataset
@@ -41,12 +41,10 @@ def numeric_gradient(f, params, eps=1e-5):
     return grads
 
 
-def flatten_grads(grads):
-    gw, gb = grads
-    out = []
-    for w, b in zip(gw, gb):
-        out.extend([w, b])
-    return out
+def layer_arrays(model):
+    """Every weight and bias array of model, layer by layer, weights first:
+    the order of model.flat and of checkpoint arrays."""
+    return [a for pair in zip(model.weights, model.biases) for a in pair]
 
 
 def max_rel_error(analytic, numeric):
@@ -98,8 +96,8 @@ def test_regression_gradient_check():
         return regression_loss_arrays(model, feats, labels, targets)[0]
 
     _, grads, _ = regression_loss_arrays(model, feats, labels, targets)
-    numeric = numeric_gradient(f, model.params())
-    assert max_rel_error(flatten_grads(grads), numeric) < 1e-4
+    numeric = numeric_gradient(f, [model.flat])
+    assert max_rel_error([grads.flat], numeric) < 1e-4
 
 
 def test_classifier_loss_uniform_logits():
@@ -137,8 +135,8 @@ def test_classifier_gradient_check():
         return classifier_loss(model, feats, labels)[0]
 
     _, grads = classifier_loss(model, feats, labels)
-    numeric = numeric_gradient(f, model.params())
-    assert max_rel_error(flatten_grads(grads), numeric) < 1e-4
+    numeric = numeric_gradient(f, [model.flat])
+    assert max_rel_error([grads.flat], numeric) < 1e-4
 
 
 def test_per_class_head_isolation():
@@ -189,11 +187,12 @@ def test_dimension_mismatch():
 def test_parameters_are_views_of_one_flat_vector():
     model = make_regressor(5, (4,), 2, np.random.default_rng(2))
     assert model.flat.shape == (5 * 4 + 4 + 4 * 8 + 8,)
-    assert all(np.shares_memory(p, model.flat) for p in model.params())
-    assert np.array_equal(np.concatenate([p.ravel() for p in model.params()]),
+    arrays = layer_arrays(model)
+    assert all(np.shares_memory(p, model.flat) for p in arrays)
+    assert np.array_equal(np.concatenate([p.ravel() for p in arrays]),
                           model.flat)
     model.flat[:] = 0.0
-    assert all(np.all(p == 0.0) for p in model.params())
+    assert all(np.all(p == 0.0) for p in arrays)
 
 
 def test_forward_and_backward_return_fresh_arrays():
@@ -204,9 +203,13 @@ def test_forward_and_backward_return_fresh_arrays():
     assert not any(np.shares_memory(out, a) for a in (x, model.flat))
     dout = rng.normal(size=out.shape)
     kept = dout.copy()
-    g1 = model.backward(cache, dout)
-    g2 = model.backward(cache, dout)
+    ws1, ws2 = Workspace(model, len(dout)), Workspace(model, len(dout))
+    g1 = model.backward(cache, dout, ws1)
+    g2 = model.backward(cache, dout, ws2)
     assert np.array_equal(dout, kept)
+    assert g1 is ws1.grads and g2 is ws2.grads
+    assert not any(np.shares_memory(g, a) for g in (g1.flat, g2.flat)
+                   for a in (x, model.flat, dout, *cache))
     assert not np.shares_memory(g1.flat, g2.flat)
     assert np.array_equal(g1.flat, g2.flat)
     gw, gb = g1
@@ -294,8 +297,8 @@ def test_training_deterministic(small_training_setup):
     _, config, _, tensors = small_training_setup
     r1, c1, _ = train_models(tensors, config, "gcnn", 4)
     r2, c2, _ = train_models(tensors, config, "gcnn", 4)
-    for a, b in zip(r1.params() + c1.params(), r2.params() + c2.params()):
-        assert np.array_equal(a, b)
+    assert r1.flat.tobytes() == r2.flat.tobytes()
+    assert c1.flat.tobytes() == c2.flat.tobytes()
 
 
 def test_single_stage_modes_coincide(small_training_setup):
@@ -304,8 +307,8 @@ def test_single_stage_modes_coincide(small_training_setup):
     tensors = precompute_scene_tensors(scenes, grid_spec, cfg1)
     rg, cg, lg = train_models(tensors, cfg1, "gcnn", 4)
     ro, co, lo = train_models(tensors, cfg1, "1step", 4)
-    for a, b in zip(rg.params() + cg.params(), ro.params() + co.params()):
-        assert np.array_equal(a, b)
+    assert rg.flat.tobytes() == ro.flat.tobytes()
+    assert cg.flat.tobytes() == co.flat.tobytes()
     assert [e["reg_loss"] for e in lg.entries] == \
         [e["reg_loss"] for e in lo.entries]
 
@@ -494,7 +497,7 @@ def test_train_models_matches_reference_loop(small_training_setup, mode,
     tensors = pick(all_tensors)
     reg, cls, log = train_models(tensors, config, mode, 4)
     params, entries, boundaries = _reference_train(tensors, config, mode, 4)
-    got = reg.params() + cls.params()
+    got = layer_arrays(reg) + layer_arrays(cls)
     assert [a.shape for a in got] == [a.shape for a in params]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, params))
     assert log.entries == entries
@@ -784,9 +787,8 @@ def test_checkpoint_round_trip(tmp_path, small_training_setup):
     kwargs = dict(config=config, mode="gcnn", num_classes=4, stage=3)
     save_checkpoint(path, reg, cls, **kwargs)
     reg2, cls2, meta = load_checkpoint(path)
-    for a, b in zip(reg.params() + cls.params(),
-                    reg2.params() + cls2.params()):
-        assert np.array_equal(a, b)
+    assert reg.flat.tobytes() == reg2.flat.tobytes()
+    assert cls.flat.tobytes() == cls2.flat.tobytes()
     assert meta == {"config": config, "mode": "gcnn", "num_classes": 4,
                     "stage": 3}
     # The header records the one feature layout, in its fixed form.
@@ -802,9 +804,9 @@ def test_checkpoint_round_trip(tmp_path, small_training_setup):
 
 def reference_save_checkpoint(path, regressor, classifier, *, config, mode,
                               num_classes, stage):
-    """The per-array checkpoint writer save_checkpoint replaced: every array
-    of params(), in order, written on its own."""
-    arrays = regressor.params() + classifier.params()
+    """The per-array checkpoint writer save_checkpoint replaced: every weight
+    and bias array, layer by layer, written on its own."""
+    arrays = layer_arrays(regressor) + layer_arrays(classifier)
     header = {
         "config": to_plain(config),
         "mode": mode,

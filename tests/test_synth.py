@@ -1,12 +1,14 @@
 import collections
+import json
+import re
 
 import numpy as np
 import pytest
 
 from griddet.boxes import iou
 from griddet.synth import (PlacementFailureError, Scene, SynthConfig,
-                           generate_dataset, generate_scene, load_manifest,
-                           save_manifest)
+                           generate_dataset, generate_scene,
+                           load_ground_truth, load_manifest, save_manifest)
 
 
 def test_same_config_and_seed_bit_identical():
@@ -127,14 +129,21 @@ def test_manifest_round_trip_procedural(tmp_path):
         assert a.scene_id == b.scene_id
 
 
-def test_manifest_round_trip_with_image_dump(tmp_path):
+@pytest.mark.parametrize("images_file", ["images.f64", ""],
+                         ids=["a_file", "empty"])
+def test_manifest_rejects_an_image_dump(tmp_path, images_file):
     cfg = SynthConfig(seed=17)
-    scenes = generate_dataset(cfg, 3)
     path = tmp_path / "manifest.json"
-    save_manifest(path, cfg, scenes, images_file="images.f64")
-    _, loaded = load_manifest(path)
-    for a, b in zip(scenes, loaded):
-        assert np.array_equal(a.image, b.image)
+    save_manifest(path, cfg, generate_dataset(cfg, 3))
+    doc = json.loads(path.read_text())
+    assert doc["images_file"] is None
+    (tmp_path / "images.f64").write_bytes(bytes(8 * 3 * 128 * 128))
+    path.write_text(json.dumps({**doc, "images_file": images_file}))
+    for read in (load_manifest, load_ground_truth):
+        with pytest.raises(ValueError, match=re.escape(
+                f"manifest {path}: images_file must be null, since images "
+                f"regenerate from the config, got {images_file!r}")):
+            read(path)
 
 
 def test_manifest_rejects_unknown_version(tmp_path):
