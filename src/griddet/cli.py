@@ -15,11 +15,9 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    if getattr(args, "mode", None) is not None:
-        cfg = dataclasses.replace(cfg, mode=args.mode)
-    if getattr(args, "s_test", None) is not None:
-        cfg = dataclasses.replace(cfg, s_test=args.s_test)
-    return cfg
+    overrides = {k: getattr(args, k, None) for k in ("mode", "s_test")}
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,8 +93,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out} ({log.total_iterations} iterations)")
         elif args.command == "detect":
             det_path, traj_path = pipeline.cmd_detect(
-                cfg, args.checkpoint, args.dataset, args.out,
-                s_test=args.s_test)
+                cfg, args.checkpoint, args.dataset, args.out)
             print(f"wrote {det_path} and {traj_path}")
         elif args.command == "eval":
             _, map_value, _, report = pipeline.cmd_eval(

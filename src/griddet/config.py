@@ -8,7 +8,8 @@ import yaml
 
 from .grid import GridSpec
 from .model import MODES, TrainConfig
-from .records import from_plain, is_int, is_number, to_plain
+from .records import (NON_NEGATIVE_INT, POSITIVE_INT, UNIT_NUMBER,
+                      check_fields, from_plain, to_plain)
 from .synth import SynthConfig
 
 
@@ -30,16 +31,12 @@ class ExperimentConfig:
     n_test: int = 100
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (is_int(self.s_test) and self.s_test >= 0):
-            raise ValueError(f"s_test must be a non-negative integer, got "
-                             f"{self.s_test!r}")
-        for name in ("score_threshold", "nms_iou", "iou_match"):
-            value = getattr(self, name)
-            if not (is_number(value) and 0.0 <= value <= 1.0):
-                raise ValueError(
-                    f"{name} must be a number in [0, 1], got {value!r}")
+        check_fields(self, {
+            "s_test": NON_NEGATIVE_INT,
+            "mode": (lambda v: v in MODES, f"one of {MODES}"),
+            **dict.fromkeys(("score_threshold", "nms_iou", "iou_match"),
+                            UNIT_NUMBER),
+            **dict.fromkeys(("n_train", "n_test"), POSITIVE_INT)})
 
     def with_seed(self, seed: int) -> ExperimentConfig:
         """This config with `seed` as both the data and the training seed."""

@@ -9,13 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import Box
+from .records import check_fields
 
 # Guards against float noise in stride counts like (128-64)/6.4.
 _EPS = 1e-9
-
-
-class EmptyGridError(ValueError):
-    """A scale produced no boxes (cell larger than the image)."""
 
 
 @dataclass(frozen=True)
@@ -30,19 +27,15 @@ class GridSpec:
     overlaps: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.scales:
-            raise ValueError("scales must be non-empty")
-        if any(int(k) != k or k <= 0 for k in self.scales):
-            raise ValueError(f"scales must be positive integers, got {self.scales}")
-        if len(self.overlaps) != len(self.scales):
-            raise ValueError("overlaps must have the same length as scales")
-        if any(not (0.0 <= a < 1.0) for a in self.overlaps):
-            raise ValueError(f"overlaps must lie in [0, 1), got {self.overlaps}")
+        check_fields(self, {
+            "scales": (lambda v: v and min(v) >= 1,
+                       "a non-empty tuple of positive integers"),
+            "overlaps": (lambda v: len(v) == len(self.scales)
+                         and all(0 <= a < 1 for a in v),
+                         "one number in [0, 1) per scale")})
 
 
 def _axis_count(dim: float, cell: float, stride: float) -> int:
-    if cell > dim + _EPS:
-        return 0
     return int(math.floor((dim - cell) / stride + _EPS)) + 1
 
 
@@ -66,9 +59,6 @@ def grid_array(spec: GridSpec, image_width: float,
         stride_y = cell_h * (1.0 - alpha)
         nx = _axis_count(image_width, cell_w, stride_x)
         ny = _axis_count(image_height, cell_h, stride_y)
-        if nx == 0 or ny == 0:
-            raise EmptyGridError(f"scale {k} yields no boxes in a "
-                                 f"{image_width}x{image_height} image")
         scale = np.empty((ny, nx, 4))
         scale[:, :, 0] = np.arange(nx) * stride_x + cell_w / 2.0
         scale[:, :, 1] = (np.arange(ny) * stride_y + cell_h / 2.0)[:, None]

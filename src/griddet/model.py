@@ -20,7 +20,8 @@ from .assign import (assign_boxes, assign_grid, build_train_tuples,
 from .boxes import box_deltas, boxes_to_array
 from .features import FEATURE_DIM, POOL, FeatureExtractor, build_roi_features
 from .grid import GridSpec, generate_grid, grid_array
-from .records import from_plain, is_int, is_number, to_plain
+from .records import (NON_NEGATIVE_INT, POSITIVE_INT, check_fields,
+                      from_plain, is_int, to_plain)
 
 MODES = ("gcnn", "1step", "ifrcnn")
 
@@ -52,32 +53,17 @@ class TrainConfig:
     max_bg_per_scene: int = 256
 
     def __post_init__(self):
-        # Counts and buffer sizes: a bad value is named here, not left to
-        # fail deep inside numpy.
-        for name in ("s_train", "n_iter_per_stage", "images_per_batch",
-                     "samples_per_image_per_step"):
-            value = getattr(self, name)
-            if not (is_int(value) and value >= 1):
-                raise ValueError(
-                    f"{name} must be a positive integer, got {value!r}")
-        if not (is_int(self.max_bg_per_scene) and self.max_bg_per_scene >= 0):
-            raise ValueError(f"max_bg_per_scene must be a non-negative "
-                             f"integer, got {self.max_bg_per_scene!r}")
-        if not (isinstance(self.hidden_sizes, tuple)
-                and all(is_int(d) and d >= 1 for d in self.hidden_sizes)):
-            raise ValueError(f"hidden_sizes must be a tuple of positive "
-                             f"integers, got {self.hidden_sizes!r}")
-        for name in ("learning_rate", "fg_bg_ratio"):
-            value = getattr(self, name)
-            if not (is_number(value) and value > 0):
-                raise ValueError(f"{name} must be > 0, got {value!r}")
-        for name in ("momentum", "bg_threshold"):
-            value = getattr(self, name)
-            if not (is_number(value) and 0.0 <= value < 1.0):
-                raise ValueError(f"{name} must be in [0, 1), got {value!r}")
-        if not (is_int(self.seed) and self.seed >= 0):
-            raise ValueError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
+        check_fields(self, {
+            **dict.fromkeys(("s_train", "n_iter_per_stage", "images_per_batch",
+                             "samples_per_image_per_step"), POSITIVE_INT),
+            "max_bg_per_scene": NON_NEGATIVE_INT,
+            "hidden_sizes": (lambda v: all(d >= 1 for d in v),
+                             "a tuple of positive integers"),
+            **dict.fromkeys(("learning_rate", "fg_bg_ratio"),
+                            (lambda v: v > 0, "> 0")),
+            **dict.fromkeys(("momentum", "bg_threshold"),
+                            (lambda v: 0 <= v < 1, "in [0, 1)")),
+            "seed": NON_NEGATIVE_INT})
 
 
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:

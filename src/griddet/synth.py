@@ -15,7 +15,8 @@ import numpy as np
 
 from .assign import GroundTruth
 from .boxes import Box, iou
-from .records import from_plain, is_int, is_number, to_plain
+from .records import (NON_NEGATIVE_INT, POSITIVE_INT, UNIT_NUMBER,
+                      check_fields, from_plain, is_int, is_number, to_plain)
 
 MANIFEST_VERSION = 1
 
@@ -27,31 +28,6 @@ _FILLS = (0.95, 0.55, 0.75, 0.40)
 
 class PlacementFailureError(RuntimeError):
     """Could not place an object within the retry budget."""
-
-
-def _at_least(low):
-    return lambda v: is_int(v) and v >= low
-
-
-def _pair(ok):
-    return lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(ok, v))
-
-
-# (field, check, rule in words), checked in order before the class groups,
-# so that a bad value is named and does not fail deep inside generation.
-_FIELD_CHECKS = (
-    ("num_classes", _at_least(1), "a positive integer"),
-    ("image_size", _pair(_at_least(1)), "two positive integers"),
-    ("objects_per_scene", lambda v: _pair(_at_least(0))(v) and v[0] <= v[1],
-     "two non-negative integers in order"),
-    ("size_range", lambda v: _pair(is_number)(v) and 0 < v[0] <= v[1] <= 1,
-     "two numbers within (0, 1], in order"),
-    ("noise_sigma", lambda v: is_number(v) and v >= 0, "a number >= 0"),
-    ("seed", _at_least(0), "a non-negative integer"),
-    ("max_gt_overlap", lambda v: is_number(v) and 0 <= v <= 1,
-     "a number in [0, 1]"),
-    ("max_place_tries", _at_least(1), "a positive integer"),
-)
 
 
 @dataclass(frozen=True)
@@ -67,14 +43,21 @@ class SynthConfig:
     max_place_tries: int = 200
 
     def __post_init__(self):
-        for name, ok, rule in _FIELD_CHECKS:
-            value = getattr(self, name)
-            if not ok(value):
-                raise ValueError(f"{name} must be {rule}, got {value!r}")
-        flat = sorted(c for g in self.class_similarity_groups for c in g)
-        if flat != list(range(1, self.num_classes + 1)):
-            raise ValueError("class_similarity_groups must partition "
-                             f"1..{self.num_classes}")
+        check_fields(self, {
+            "image_size": (lambda v: min(v) >= 1, "two positive integers"),
+            "num_classes": POSITIVE_INT,
+            "objects_per_scene": (lambda v: 0 <= v[0] <= v[1],
+                                  "two non-negative integers in order"),
+            "size_range": (lambda v: 0 < v[0] <= v[1] <= 1,
+                           "two numbers within (0, 1], in order"),
+            "noise_sigma": (lambda v: v >= 0, "a number >= 0"),
+            "class_similarity_groups": (
+                lambda v: sum(map(len, v)) == self.num_classes
+                and sorted(sum(v, ())) == list(range(1, self.num_classes + 1)),
+                f"a partition of 1..{self.num_classes}"),
+            "seed": NON_NEGATIVE_INT,
+            "max_gt_overlap": UNIT_NUMBER,
+            "max_place_tries": POSITIVE_INT})
 
     def group_of(self, class_label: int) -> int:
         for gi, group in enumerate(self.class_similarity_groups):

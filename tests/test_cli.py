@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import functools
 import math
+import operator
 import os
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,7 @@ from griddet.model import (CHECKPOINT_MAGIC, TrainConfig, load_checkpoint,
 from griddet.pipeline import (ablation_means, cmd_ablation, cmd_detect,
                               cmd_eval, cmd_generate, cmd_train,
                               format_ablation_table, run_ablation)
+from griddet.records import to_plain
 from griddet.synth import MANIFEST_VERSION, SynthConfig, load_manifest
 
 
@@ -146,6 +150,36 @@ MALFORMED_CONFIGS = {
                          "nms_iou must be a number in [0, 1], got 'x'"),
     "iou_match_above_one": ("iou_match: 1.5\n", "",
                             "iou_match must be a number in [0, 1], got 1.5"),
+    # Every field is checked against its type hint, with or without a range.
+    "n_train_a_string": ("n_train: x\n", "",
+                         "n_train must be a positive integer, got 'x'"),
+    "n_test_zero": ("n_test: 0\n", "",
+                    "n_test must be a positive integer, got 0"),
+    "output_dir_an_int": ("output_dir: 5\n", "",
+                          "output_dir must be a string, got 5"),
+    "synth_class_similarity_groups_an_int": (
+        "synth:\n  class_similarity_groups: 5\n", "synth",
+        "class_similarity_groups must be a partition of 1..4, got 5"),
+    "synth_class_similarity_groups_a_string_class": (
+        "synth:\n  class_similarity_groups: [[1, x], [3, 4]]\n", "synth",
+        "class_similarity_groups must be a partition of 1..4, "
+        "got ((1, 'x'), (3, 4))"),
+    "synth_class_similarity_groups_a_float_class": (
+        "synth:\n  class_similarity_groups: [[1.0, 2], [3, 4]]\n", "synth",
+        "class_similarity_groups must be a partition of 1..4, "
+        "got ((1.0, 2), (3, 4))"),
+    "grid_test_scales_a_string": (
+        "grid_test:\n  scales: [x, 5]\n  overlaps: [0.5, 0.0]\n",
+        "grid_test", "scales must be a non-empty tuple of positive integers, "
+        "got ('x', 5)"),
+    "grid_test_scales_a_bool": (
+        "grid_test:\n  scales: [true, 5, 10]\n  overlaps: [0.7, 0.5, 0.0]\n",
+        "grid_test", "scales must be a non-empty tuple of positive integers, "
+        "got (True, 5, 10)"),
+    "grid_test_overlaps_a_string": (
+        "grid_test:\n  scales: [2, 5, 10]\n  overlaps: [x, 0.5, 0.0]\n",
+        "grid_test", "overlaps must be one number in [0, 1) per scale, "
+        "got ('x', 0.5, 0.0)"),
 }
 
 
@@ -523,6 +557,43 @@ def test_load_checkpoint_returns_or_names_the_file(tmp_path, data):
         load_checkpoint(path)
     except ValueError as exc:
         assert str(path) in str(exc)
+
+
+def _leaves(plain, path=()):
+    """The path of every value in a plain config that is not a mapping:
+    scalars, lists and list items."""
+    if isinstance(plain, dict):
+        for key, value in plain.items():
+            yield from _leaves(value, path + (key,))
+        return
+    yield path
+    if isinstance(plain, list):
+        for i, value in enumerate(plain):
+            yield from _leaves(value, path + (i,))
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_generate_runs_or_names_the_config_file(tmp_path, capsys,
+                                                    monkeypatch, data):
+    # No scene is rendered, whatever the config asks for.
+    monkeypatch.setattr(pipeline, "generate_dataset", lambda *a, **k: [])
+    plain = to_plain(tiny_config())
+    *parents, last = data.draw(st.sampled_from(list(_leaves(plain))))
+    functools.reduce(operator.getitem, parents, plain)[last] = data.draw(
+        JSON_VALUES)
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(plain))
+    rc = main(["generate", "--config", str(path), "--out",
+               str(tmp_path / "d")])
+    lines = capsys.readouterr().err.splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert rc == 1 and len(lines) == 1, lines
+        assert lines[0].startswith("error:")
+        assert f"config file {path}" in lines[0]
 
 
 @pytest.mark.parametrize("label", [0, -3, 9])

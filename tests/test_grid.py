@@ -26,6 +26,15 @@ def test_spec_validation():
         GridSpec((0,), (0.5,))
 
 
+@pytest.mark.parametrize("scale", [2.0, True])
+def test_spec_rejects_scales_that_are_not_integers(scale):
+    # 2.0 equals an integer and True counts as 1 in arithmetic; neither is
+    # an integer scale.
+    with pytest.raises(ValueError, match="scales must be a non-empty tuple "
+                       "of positive integers"):
+        GridSpec((scale,), (0.5,))
+
+
 def test_600_square_test_overlaps_count():
     boxes = generate_grid(GridSpec((2, 5, 10), (0.7, 0.5, 0.0)), 600, 600)
     assert len(boxes) == 197  # 16 + 81 + 100
