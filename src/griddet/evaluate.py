@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assign import GroundTruth
 from .boxes import Box, iou
-from .records import is_int, is_number
+from .records import check_fields, from_json, to_plain
 
 FP_CATEGORIES = ("Loc", "Sim", "BG", "Oth")
 
@@ -189,61 +189,46 @@ def fp_breakdown(detections: list[DetRecord],
     return FPBreakdown([cat for _, cat in fps])
 
 
+@dataclass(frozen=True)
+class _DumpHeader:
+    format_version: int
+
+    def __post_init__(self):
+        check_fields(self, {"format_version": (lambda v: v == 1, "1")})
+
+
+@dataclass(frozen=True)
+class _DumpLine:
+    image_id: int
+    class_label: int = field(metadata={"key": "class"})
+    score: float
+    box: tuple[float, float, float, float]
+
+    def __post_init__(self):
+        check_fields(self, {"score": (math.isfinite, "a finite number"),
+                            "box": (None, "4 numbers (cx, cy, w, h)")})
+        Box(*self.box)  # the Box check: finite, with positive sides
+
+
 def write_detection_dump(path, detections: list[DetRecord]):
     """Line-delimited JSON records: image id, class, score, box (cx cy w h)."""
     with open(path, "w") as f:
-        f.write(json.dumps({"format_version": 1}) + "\n")
+        f.write(json.dumps(to_plain(_DumpHeader(1))) + "\n")
         for d in detections:
-            f.write(json.dumps({
-                "image_id": d.image_id,
-                "class": d.class_label,
-                "score": d.score,
-                "box": [d.box.cx, d.box.cy, d.box.w, d.box.h],
-            }) + "\n")
-
-
-def _parse_line(path, n: int, line: str):
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"detection dump {path} line {n}: not valid JSON "
-                         f"({exc})") from None
+            line = _DumpLine(d.image_id, d.class_label, d.score,
+                             (d.box.cx, d.box.cy, d.box.w, d.box.h))
+            f.write(json.dumps(to_plain(line)) + "\n")
 
 
 def read_detection_dump(path) -> list[DetRecord]:
     """Records of a dump written by write_detection_dump. A malformed header
     or record raises ValueError naming the file and the line."""
-    out = []
-    with open(path) as f:
-        header = _parse_line(path, 1, f.readline())
-        if not isinstance(header, dict) or header.get("format_version") != 1:
-            raise ValueError(f"unsupported detection dump version in {path}")
-        for n, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            rec = _parse_line(path, n, line)
-            try:
-                image_id, label, score, box = (rec["image_id"], rec["class"],
-                                               rec["score"], rec["box"])
-                if not (is_int(image_id) and is_int(label)):
-                    raise ValueError(f"image_id and class must be integers, "
-                                     f"got {image_id!r} and {label!r}")
-                if not (is_number(score) and math.isfinite(score)):
-                    raise ValueError(f"score must be a finite number, "
-                                     f"got {score!r}")
-                if not (isinstance(box, list) and len(box) == 4
-                        and all(map(is_number, box))):
-                    raise ValueError(f"box must be 4 numbers (cx, cy, w, h), "
-                                     f"got {box!r}")
-                out.append(DetRecord(image_id, label, score, Box(*box)))
-            except KeyError as exc:
-                raise ValueError(f"detection dump {path} line {n}: missing "
-                                 f"key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"detection dump {path} line {n}: {exc}") \
-                    from None
-    return out
+    with open(path, "rb") as f:
+        from_json(_DumpHeader, f.readline(), f"detection dump {path} line 1")
+        lines = [from_json(_DumpLine, line, f"detection dump {path} line {n}")
+                 for n, line in enumerate(f, start=2) if line.strip()]
+    return [DetRecord(r.image_id, r.class_label, r.score, Box(*r.box))
+            for r in lines]
 
 
 def format_report(per_class_ap: dict[int, float], map_value: float,

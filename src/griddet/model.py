@@ -21,7 +21,7 @@ from .boxes import box_deltas, boxes_to_array
 from .features import FEATURE_DIM, POOL, FeatureExtractor, build_roi_features
 from .grid import GridSpec, generate_grid, grid_array
 from .records import (NON_NEGATIVE_INT, POSITIVE_INT, check_fields,
-                      from_plain, is_int, to_plain)
+                      from_json, to_plain)
 
 MODES = ("gcnn", "1step", "ifrcnn")
 
@@ -82,11 +82,11 @@ def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
     return weights, biases
 
 
-def _param_shapes(layer_sizes) -> list[list[int]]:
-    """The shapes of each layer's weights, then biases, in order, as lists."""
-    shapes = []
+def _param_shapes(layer_sizes) -> tuple[tuple[int, ...], ...]:
+    """The shapes of each layer's weights, then biases, in order."""
+    shapes = ()
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        shapes += [[fan_in, fan_out], [fan_out]]
+        shapes += ((fan_in, fan_out), (fan_out,))
     return shapes
 
 
@@ -555,25 +555,47 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
     return regressor, classifier, log
 
 
+@dataclass(frozen=True)
+class _CheckpointHeader:
+    config: TrainConfig
+    mode: str
+    num_classes: int
+    extractor: dict
+    stage: int
+    regressor_sizes: tuple[int, ...]
+    classifier_sizes: tuple[int, ...]
+    arrays: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        sizes = (lambda v: len(v) >= 2 and min(v) >= 1,
+                 "a list of at least two positive integers")
+        check_fields(self, {
+            "mode": (lambda v: v in MODES, f"one of {MODES}"),
+            **dict.fromkeys(("num_classes", "stage"), POSITIVE_INT),
+            "extractor": (lambda v: v == CHECKPOINT_EXTRACTOR,
+                          f"the feature layout {CHECKPOINT_EXTRACTOR}"),
+            **dict.fromkeys(("regressor_sizes", "classifier_sizes"), sizes)})
+        shapes = (_param_shapes(self.regressor_sizes)
+                  + _param_shapes(self.classifier_sizes))
+        if self.arrays != shapes:
+            raise ValueError(f"arrays must be the parameter shapes {shapes} "
+                             f"of regressor_sizes and classifier_sizes, got "
+                             f"{self.arrays}")
+
+
 def save_checkpoint(path, regressor: MLP, classifier: MLP, *,
                     config: TrainConfig, mode: str, num_classes: int,
                     stage: int):
     """Write a versioned binary checkpoint: a JSON header, then the
     regressor's and the classifier's flat vectors as little-endian float64."""
-    header = {
-        "config": to_plain(config),
-        "mode": mode,
-        "num_classes": num_classes,
-        "extractor": CHECKPOINT_EXTRACTOR,
-        "stage": stage,
-        "regressor_sizes": regressor.layer_sizes,
-        "classifier_sizes": classifier.layer_sizes,
-        "arrays": (_param_shapes(regressor.layer_sizes)
-                   + _param_shapes(classifier.layer_sizes)),
-    }
+    header = _CheckpointHeader(
+        config, mode, num_classes, CHECKPOINT_EXTRACTOR, stage,
+        tuple(regressor.layer_sizes), tuple(classifier.layer_sizes),
+        _param_shapes(regressor.layer_sizes)
+        + _param_shapes(classifier.layer_sizes))
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        f.write(json.dumps(to_plain(header), sort_keys=True).encode() + b"\n")
         for model in (regressor, classifier):
             f.write(model.flat.astype("<f8", copy=False).tobytes())
 
@@ -581,66 +603,30 @@ def save_checkpoint(path, regressor: MLP, classifier: MLP, *,
 def load_checkpoint(path):
     """Read a checkpoint; returns (regressor, classifier, meta dict). The
     models are built only once the header's sizes match the blob's length."""
-    try:
-        return _read_checkpoint(path)
-    except KeyError as exc:
-        raise ValueError(f"checkpoint {path}: header lacks key {exc}") from None
-
-
-def _read_checkpoint(path):
     with open(path, "rb") as f:
-        magic = f.readline()
-        if magic != CHECKPOINT_MAGIC:
+        if f.readline() != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        try:
-            header = json.loads(f.readline())
-        except ValueError as exc:
-            raise ValueError(
-                f"checkpoint {path}: header is not JSON: {exc}") from None
-        if not isinstance(header, dict):
-            raise ValueError(f"checkpoint {path}: header is not a JSON object")
+        header = from_json(_CheckpointHeader, f.readline(),
+                           f"checkpoint {path} header")
         blob = f.read()
-    reg_sizes = header["regressor_sizes"]
-    cls_sizes = header["classifier_sizes"]
-    for name, sizes in (("regressor_sizes", reg_sizes),
-                        ("classifier_sizes", cls_sizes)):
-        if not (isinstance(sizes, list) and len(sizes) >= 2
-                and all(is_int(d) and d > 0 for d in sizes)):
-            raise ValueError(f"checkpoint {path}: {name} must be a list of at "
-                             f"least two positive integers, got {sizes!r}")
-    shapes = _param_shapes(reg_sizes) + _param_shapes(cls_sizes)
-    if header["arrays"] != shapes:
-        raise ValueError(f"checkpoint {path}: arrays {header['arrays']!r} are "
-                         f"not the parameter shapes {shapes} of "
-                         f"regressor_sizes and classifier_sizes")
-    n_params = sum(map(math.prod, shapes))
+    n_params = sum(map(math.prod, header.arrays))
     if len(blob) != 8 * n_params:
         raise ValueError(f"checkpoint {path}: parameter blob has {len(blob)} "
                          f"bytes, expected {8 * n_params} for {n_params} "
                          f"float64 parameters")
-    if header["extractor"] != CHECKPOINT_EXTRACTOR:
-        raise ValueError(f"checkpoint {path}: extractor record "
-                         f"{header['extractor']!r} is not the feature layout "
-                         f"{CHECKPOINT_EXTRACTOR!r}")
-    num_classes = header["num_classes"]
-    if not is_int(num_classes) or num_classes < 1:
-        raise ValueError(f"checkpoint {path}: num_classes must be a positive "
-                         f"integer, got {num_classes!r}")
-    for name, sizes, outputs in (("regressor", reg_sizes, 4 * num_classes),
-                                 ("classifier", cls_sizes, num_classes + 1)):
+    num_classes = header.num_classes
+    for name, sizes, outputs in (
+            ("regressor", header.regressor_sizes, 4 * num_classes),
+            ("classifier", header.classifier_sizes, num_classes + 1)):
         if (sizes[0], sizes[-1]) != (FEATURE_DIM, outputs):
             raise ValueError(
                 f"checkpoint {path}: {name} maps {sizes[0]} inputs to "
                 f"{sizes[-1]} outputs, expected {FEATURE_DIM} to "
                 f"{outputs} for num_classes {num_classes}")
-    meta = {
-        "config": from_plain(TrainConfig, header["config"],
-                             f"checkpoint {path}.config"),
-        "mode": header["mode"],
-        "num_classes": num_classes,
-        "stage": header["stage"],
-    }
-    regressor, classifier = MLP(reg_sizes), MLP(cls_sizes)
+    meta = {"config": header.config, "mode": header.mode,
+            "num_classes": num_classes, "stage": header.stage}
+    regressor = MLP(header.regressor_sizes)
+    classifier = MLP(header.classifier_sizes)
     regressor.flat[...] = np.frombuffer(blob, dtype="<f8",
                                         count=regressor.flat.size)
     classifier.flat[...] = np.frombuffer(blob, dtype="<f8",

@@ -16,7 +16,7 @@ import numpy as np
 from .assign import GroundTruth
 from .boxes import Box, iou
 from .records import (NON_NEGATIVE_INT, POSITIVE_INT, UNIT_NUMBER,
-                      check_fields, from_plain, is_int, is_number, to_plain)
+                      check_fields, from_json, to_plain)
 
 MANIFEST_VERSION = 1
 
@@ -154,96 +154,86 @@ def generate_dataset(config: SynthConfig, n_scenes: int,
     return [generate_scene(config, start_id + i) for i in range(n_scenes)]
 
 
+@dataclass(frozen=True)
+class _GroundTruthRecord:
+    cx: float
+    cy: float
+    w: float
+    h: float
+    class_label: int
+
+    def __post_init__(self):
+        check_fields(self, {})
+        self.ground_truth()  # the Box and GroundTruth checks
+
+    def ground_truth(self) -> GroundTruth:
+        return GroundTruth(Box(self.cx, self.cy, self.w, self.h),
+                           self.class_label)
+
+
+@dataclass(frozen=True)
+class _SceneRecord:
+    scene_id: int
+    seed: int
+    gts: tuple[_GroundTruthRecord, ...]
+
+    def __post_init__(self):
+        check_fields(self, dict.fromkeys(("scene_id", "seed"),
+                                         NON_NEGATIVE_INT))
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    format_version: int
+    config: SynthConfig
+    scenes: tuple[_SceneRecord, ...]
+    images_file: None = None  # images regenerate from (config, scene_id)
+
+    def __post_init__(self):
+        check_fields(self, {
+            "format_version": (lambda v: v == MANIFEST_VERSION,
+                               str(MANIFEST_VERSION)),
+            "images_file": (None, "null, since images regenerate from the "
+                                  "config")})
+
+
 def save_manifest(path, config: SynthConfig, scenes: list[Scene]):
     """Write a manifest sufficient to regenerate the dataset procedurally."""
-    doc = {
-        "format_version": MANIFEST_VERSION,
-        "config": to_plain(config),
-        "images_file": None,  # images regenerate from (config, scene_id)
-        "scenes": [
-            {
-                "scene_id": s.scene_id,
-                "seed": s.seed,
-                "gts": [
-                    {"cx": g.box.cx, "cy": g.box.cy, "w": g.box.w,
-                     "h": g.box.h, "class_label": g.class_label}
-                    for g in s.gts
-                ],
-            }
-            for s in scenes
-        ],
-    }
+    manifest = _Manifest(MANIFEST_VERSION, config, tuple(
+        _SceneRecord(s.scene_id, s.seed, tuple(
+            _GroundTruthRecord(g.box.cx, g.box.cy, g.box.w, g.box.h,
+                               g.class_label) for g in s.gts))
+        for s in scenes))
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump(to_plain(manifest), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
 def load_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     """Load a dataset: ground truth from the manifest, images regenerated
     procedurally."""
-    config, records = _read_manifest(path)
-    return config, [Scene(generate_scene(config, scene_id).image, gts,
-                          scene_id, seed)
-                    for scene_id, seed, gts in records]
+    manifest = _read_manifest(path)
+    return manifest.config, [
+        Scene(generate_scene(manifest.config, s.scene_id).image,
+              [g.ground_truth() for g in s.gts], s.scene_id, s.seed)
+        for s in manifest.scenes]
 
 
 def load_ground_truth(path) -> dict[int, list[GroundTruth]]:
     """The ground truth of a dataset manifest by scene_id, without
     regenerating its images."""
-    _, records = _read_manifest(path)
-    return {scene_id: gts for scene_id, _, gts in records}
+    return {s.scene_id: [g.ground_truth() for g in s.gts]
+            for s in _read_manifest(path).scenes}
 
 
-def _ground_truth(g) -> GroundTruth:
-    coords = [g["cx"], g["cy"], g["w"], g["h"]]
-    if not (all(map(is_number, coords)) and is_int(g["class_label"])):
-        raise ValueError(f"a ground truth needs numbers cx, cy, w, h and an "
-                         f"integer class_label, got {g!r}")
-    return GroundTruth(Box(*coords), g["class_label"])
-
-
-def _read_manifest(path):
-    """A manifest's config and its (scene_id, seed, gts) per scene."""
-    try:
-        return _parse_manifest(path)
-    except KeyError as exc:
-        raise ValueError(f"manifest {path}: missing key {exc}") from None
-
-
-def _parse_manifest(path):
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except ValueError as exc:
-            raise ValueError(f"manifest {path}: not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"manifest {path}: top level is not a JSON object")
-    if doc.get("format_version") != MANIFEST_VERSION:
-        raise ValueError(f"unsupported manifest version in {path}")
-    config = from_plain(SynthConfig, doc.get("config"),
-                        f"manifest {path}.config")
-    if not isinstance(doc["scenes"], list):
-        raise ValueError(f"manifest {path}: scenes is not a list")
-    if doc.get("images_file") is not None:
-        raise ValueError(f"manifest {path}: images_file must be null, since "
-                         f"images regenerate from the config, got "
-                         f"{doc['images_file']!r}")
-    records, seen = [], set()
-    for i, rec in enumerate(doc["scenes"]):
-        try:
-            gts = [_ground_truth(g) for g in rec["gts"]]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"manifest {path}: scene {i} is malformed: {exc}") from None
-        for key in ("scene_id", "seed"):
-            v = rec[key]
-            if not is_int(v) or v < 0:
-                raise ValueError(f"manifest {path}: scene {i} {key} must be "
-                                 f"a non-negative integer, got {v!r}")
+def _read_manifest(path) -> _Manifest:
+    with open(path, "rb") as f:
+        manifest = from_json(_Manifest, f.read(), f"manifest {path}")
+    seen = set()
+    for i, scene in enumerate(manifest.scenes):
         # Ground truth and detections are matched by scene_id.
-        if rec["scene_id"] in seen:
-            raise ValueError(f"manifest {path}: scene {i} repeats scene_id "
-                             f"{rec['scene_id']}")
-        seen.add(rec["scene_id"])
-        records.append((rec["scene_id"], rec["seed"], gts))
-    return config, records
+        if scene.scene_id in seen:
+            raise ValueError(f"manifest {path}.scenes[{i}]: scene_id must be "
+                             f"unique, got {scene.scene_id}")
+        seen.add(scene.scene_id)
+    return manifest

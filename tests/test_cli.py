@@ -4,6 +4,9 @@ import functools
 import math
 import operator
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import griddet
 from griddet import pipeline, synth
 from griddet.boxes import Box
 from griddet.cli import main
@@ -27,6 +31,12 @@ from griddet.pipeline import (ablation_means, cmd_ablation, cmd_detect,
                               format_ablation_table, run_ablation)
 from griddet.records import to_plain
 from griddet.synth import MANIFEST_VERSION, SynthConfig, load_manifest
+
+
+# An integer too large for a float: 400 digits.
+BIG = 10 ** 399
+# A list depth that JSON parses and a record's checks cannot recurse through.
+DEEP = sys.getrecursionlimit() * 2 // 3
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -176,6 +186,9 @@ MALFORMED_CONFIGS = {
         "grid_test:\n  scales: [true, 5, 10]\n  overlaps: [0.7, 0.5, 0.0]\n",
         "grid_test", "scales must be a non-empty tuple of positive integers, "
         "got (True, 5, 10)"),
+    "synth_noise_sigma_too_large_for_a_float": (
+        f"synth:\n  noise_sigma: {BIG}\n", "synth",
+        f"noise_sigma must be a number >= 0, got {BIG}"),
     "grid_test_overlaps_a_string": (
         "grid_test:\n  scales: [2, 5, 10]\n  overlaps: [x, 0.5, 0.0]\n",
         "grid_test", "overlaps must be one number in [0, 1) per scale, "
@@ -263,10 +276,17 @@ MALFORMED_FILES = {
         ["train", "--config", "{f}", "--dataset", "{d}/none.json", "--out",
          "{d}/m.ckpt"],
         "samples_per_image_per_step must be a positive integer, got 1.5"),
+    "config_learning_rate_too_large_for_a_float_at_train": (
+        "c.yaml", f"train:\n  learning_rate: {BIG}\n",
+        ["train", "--config", "{f}", "--dataset", "{d}/none.json", "--out",
+         "{d}/m.ckpt"],
+        f".train: learning_rate must be > 0, got {BIG}"),
     "checkpoint_without_arrays": (
         "m.ckpt", CHECKPOINT_MAGIC.decode() + json.dumps(
             {"regressor_sizes": [112, 16], "classifier_sizes": [112, 5]})
-        + "\n", DETECT_ARGV, "header lacks key 'arrays'"),
+        + "\n", DETECT_ARGV,
+        " header: missing keys ['config', 'mode', 'num_classes', 'extractor', "
+        "'stage', 'arrays']"),
     "checkpoint_classifier_of_too_many_classes": (
         "m.ckpt", _checkpoint_text([112, 16], [112, 6]), DETECT_ARGV,
         "classifier maps 112 inputs to 6 outputs, expected 112 to 5"),
@@ -277,7 +297,12 @@ MALFORMED_FILES = {
         "m.ckpt", _checkpoint_text([112, 16], [112, 5], extractor={
             "extra_filters": [[[1.0]]], "include_box_coords": True,
             "include_gradients": True, "pool_h": 6, "pool_w": 6}),
-        DETECT_ARGV, "extractor record"),
+        DETECT_ARGV,
+        " header: extractor must be the feature layout {'extra_filters': [], "
+        "'include_box_coords': True, 'include_gradients': True, 'pool_h': 6, "
+        "'pool_w': 6}, got {'extra_filters': [[[1.0]]], "
+        "'include_box_coords': True, 'include_gradients': True, 'pool_h': 6, "
+        "'pool_w': 6}"),
     "manifest_images_file_not_a_string": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "images_file": 5, "scenes": []}),
@@ -295,18 +320,18 @@ MALFORMED_FILES = {
     "manifest_not_an_object": (
         "m.json", "[1, 2]",
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "not a JSON object"),
+        " must be a mapping, got list"),
     "manifest_scenes_not_a_list": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": 5}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "scenes is not a list"),
+        ".scenes must be a list, got int"),
     "manifest_gt_not_an_object": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": [{"scene_id": 0, "seed": 0,
                                           "gts": [1]}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "scene 0 is malformed"),
+        ".scenes[0].gts[0] must be a mapping, got int"),
     "manifest_gt_of_zero_width": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": [{"scene_id": 0, "seed": 0, "gts": [
@@ -319,25 +344,30 @@ MALFORMED_FILES = {
                               "scenes": [{"scene_id": "x", "seed": 0,
                                           "gts": []}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "scene 0 scene_id must be a non-negative integer"),
+        ".scenes[0]: scene_id must be a non-negative integer, got 'x'"),
     "manifest_scene_id_a_float": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": [{"scene_id": 1.5, "seed": 0,
                                           "gts": []}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "scene 0 scene_id must be a non-negative integer"),
+        ".scenes[0]: scene_id must be a non-negative integer, got 1.5"),
     "manifest_scene_id_negative": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": [{"scene_id": -1, "seed": 0,
                                           "gts": []}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "scene 0 scene_id must be a non-negative integer"),
+        ".scenes[0]: scene_id must be a non-negative integer, got -1"),
     "manifest_seed_a_bool": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": [{"scene_id": 0, "seed": True,
                                           "gts": []}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "scene 0 seed must be a non-negative integer"),
+        ".scenes[0]: seed must be a non-negative integer, got True"),
+    "manifest_config_nested_too_deeply": (
+        "m.json", '{"format_version": 1, "scenes": [], "config": '
+                  '{"image_size": ' + "[" * DEEP + "]" * DEEP + "}}",
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        " is nested too deeply"),
     "manifest_without_training_scenes": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": []}),
@@ -363,21 +393,28 @@ MALFORMED_FILES = {
                                   {"cx": True, "cy": 8, "w": 6, "h": 6,
                                    "class_label": 1}]}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "scene 0 is malformed: a ground truth needs numbers"),
+        ".scenes[0].gts[0]: cx must be a number, got True"),
+    "manifest_gt_coordinate_too_large_for_a_float": (
+        "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
+                              "scenes": [{"scene_id": 0, "seed": 0, "gts": [
+                                  {"cx": BIG, "cy": 8, "w": 6, "h": 6,
+                                   "class_label": 1}]}]}),
+        ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
+        f".scenes[0].gts[0]: cx must be a number, got {BIG}"),
     "manifest_gt_class_a_float": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": [{"scene_id": 0, "seed": 0, "gts": [
                                   {"cx": 8, "cy": 8, "w": 6, "h": 6,
                                    "class_label": 1.5}]}]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "scene 0 is malformed: a ground truth needs numbers"),
+        ".scenes[0].gts[0]: class_label must be an integer, got 1.5"),
     "manifest_scene_id_repeated": (
         "m.json", json.dumps({"format_version": MANIFEST_VERSION, "config": {},
                               "scenes": [{"scene_id": 0, "seed": 0, "gts": []},
                                          {"scene_id": 0, "seed": 0, "gts": []}
                                          ]}),
         ["eval", "--detections", "{d}/empty.jsonl", "--dataset", "{f}"],
-        "scene 1 repeats scene_id 0"),
+        ".scenes[1]: scene_id must be unique, got 0"),
     "dump_record_without_class": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 0, "score": 0.5, "box": [4, 4, 2, 2]}\n',
@@ -394,6 +431,12 @@ MALFORMED_FILES = {
                    '"box": [true, 4, 2, 2]}\n',
         ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
         "line 2: box must be 4 numbers"),
+    "dump_box_value_too_large_for_a_float": (
+        "d.jsonl", '{"format_version": 1}\n'
+                   '{"image_id": 0, "class": 1, "score": 0.5, '
+                   f'"box": [4, {BIG}, 2, 2]}}\n',
+        ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
+        f" line 2: box must be 4 numbers (cx, cy, w, h), got (4, {BIG}, 2, 2)"),
     "dump_box_of_zero_width": (
         "d.jsonl", '{"format_version": 1}\n\n'
                    '{"image_id": 0, "class": 1, "score": 0.5, "box": [4, 4, 0, 2]}\n',
@@ -404,13 +447,19 @@ MALFORMED_FILES = {
                    '{"image_id": true, "class": true, "score": 0.5, '
                    '"box": [4, 4, 2, 2]}\n',
         ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
-        "line 2: image_id and class must be integers"),
+        " line 2: image_id must be an integer, got True"),
     "dump_score_a_boolean": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 1, "class": 1, "score": false, '
                    '"box": [4, 4, 2, 2]}\n',
         ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
         "line 2: score must be a finite number"),
+    "dump_score_too_large_for_a_float": (
+        "d.jsonl", '{"format_version": 1}\n'
+                   f'{{"image_id": 1, "class": 1, "score": {BIG}, '
+                   '"box": [4, 4, 2, 2]}\n',
+        ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
+        f" line 2: score must be a finite number, got {BIG}"),
     "dump_score_not_a_number": (
         "d.jsonl", '{"format_version": 1}\n'
                    '{"image_id": 0, "class": 1, "score": "x", "box": [4, 4, 2, 2]}\n',
@@ -419,7 +468,8 @@ MALFORMED_FILES = {
     "dump_line_not_json": (
         "d.jsonl", '{"format_version": 1}\n{"image_id": 0, "class": 1,\n',
         ["eval", "--detections", "{f}", "--dataset", "{d}/none.json"],
-        "line 2: not valid JSON"),
+        " line 2 is not JSON: Expecting property name enclosed in double "
+        "quotes"),
 }
 
 
@@ -466,39 +516,45 @@ def _with(**changes):
 # (edit as in _corrupt_checkpoint, words the error must contain). The
 # regressor is 3 -> 2 -> 4 and the classifier 3 -> 2 -> 2: 8 arrays of 34
 # parameters, 272 bytes.
+ARRAYS_MUST_BE = (" header: arrays must be the parameter shapes ((3, 2), (2,), (2, 4), (4,), (3, 2), (2,), (2, 2), (2,)) of "
+                  "regressor_sizes and classifier_sizes, ")
 MALFORMED_CHECKPOINTS = {
     "trailing_bytes": (lambda h, b: (json.dumps(h).encode(), b + bytes(8)),
                        "parameter blob has 280 bytes, expected 272 for 34"),
     "truncated": (lambda h, b: (json.dumps(h).encode(), b[:-8]),
                   "parameter blob has 264 bytes, expected 272 for 34"),
     "header_not_json": (lambda h, b: (b"{oops", b), "header is not JSON"),
-    "header_not_an_object": (lambda h, b: (b"[]", b), "not a JSON object"),
+    "header_not_an_object": (lambda h, b: (b"[]", b),
+                             " header must be a mapping, got list"),
     "shape_not_sizes": (_with(arrays=[[-1]]),
-                        "arrays [[-1]] are not the parameter shapes"),
-    "too_few_arrays": (_dropping_last_array, "are not the parameter shapes"),
-    "wrong_shape": (_transposing_first_array,
-                    "arrays [[2, 3], [2], [2, 4], [4], [3, 2], [2], [2, 2], "
-                    "[2]] are not the parameter shapes [[3, 2], [2], [2, 4]"),
+                        ARRAYS_MUST_BE + "got ((-1,),)"),
+    "too_few_arrays": (_dropping_last_array, ARRAYS_MUST_BE
+                       + "got ((3, 2), (2,), (2, 4), (4,), (3, 2), (2,), "
+                       "(2, 2))"),
+    "wrong_shape": (_transposing_first_array, ARRAYS_MUST_BE
+                    + "got ((2, 3), (2,), (2, 4), (4,), (3, 2), (2,), "
+                    "(2, 2), (2,))"),
     "sizes_too_large_for_arrays": (
         _with(regressor_sizes=[112, 10 ** 12]),
-        "are not the parameter shapes [[112, 1000000000000], "
-        "[1000000000000], [3, 2]"),
+        " header: arrays must be the parameter shapes ((112, 1000000000000), "
+        "(1000000000000,), (3, 2), (2,), (2, 2), (2,)) of regressor_sizes and "
+        "classifier_sizes, got ((3, 2), (2,), (2, 4), (4,), (3, 2), (2,), (2, 2), (2,))"),
     "sizes_and_arrays_too_large_for_blob": (
         _with(regressor_sizes=[112, 10 ** 12],
               arrays=[[112, 10 ** 12], [10 ** 12], [3, 2], [2], [2, 2], [2]]),
         "parameter blob has 272 bytes, expected 904000000000112"),
     "sizes_of_one_layer": (
         _with(regressor_sizes=[112]),
-        "regressor_sizes must be a list of at least two positive integers, "
-        "got [112]"),
+        " header: regressor_sizes must be a list of at least two positive "
+        "integers, got (112,)"),
     "sizes_with_a_zero": (
         _with(classifier_sizes=[112, 0]),
-        "classifier_sizes must be a list of at least two positive integers, "
-        "got [112, 0]"),
+        " header: classifier_sizes must be a list of at least two positive "
+        "integers, got (112, 0)"),
     "sizes_with_a_string": (
         _with(regressor_sizes=[112, "x"]),
-        "regressor_sizes must be a list of at least two positive integers, "
-        "got [112, 'x']"),
+        " header: regressor_sizes must be a list of at least two positive "
+        "integers, got (112, 'x')"),
 }
 
 
@@ -594,6 +650,73 @@ def test_cli_generate_runs_or_names_the_config_file(tmp_path, capsys,
         assert rc == 1 and len(lines) == 1, lines
         assert lines[0].startswith("error:")
         assert f"config file {path}" in lines[0]
+
+
+def _json_lines(raw: bytes) -> list:
+    """The JSON documents of a manifest (one) or a dump (one per line)."""
+    return [json.loads(line) for line in raw.splitlines()] \
+        if raw.startswith(b'{"format_version"') else [json.loads(raw)]
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_eval_runs_or_names_the_manifest_or_dump(tmp_path, capsys, data):
+    config = tiny_config().synth
+    scenes = synth.generate_dataset(config, 2)
+    manifest, dump = tmp_path / "m.json", tmp_path / "d.jsonl"
+    synth.save_manifest(manifest, config, scenes)
+    write_detection_dump(dump, [
+        DetRecord(s.scene_id, g.class_label, 0.5 + 0.1 * i, g.box)
+        for s in scenes for i, g in enumerate(s.gts)]
+        + [DetRecord(0, 1, 0.25, Box(8, 8, 4, 4))])
+    path = data.draw(st.sampled_from([manifest, dump]))
+    raw = path.read_bytes()
+    kind = data.draw(st.sampled_from(["truncate", "flip", "swap"]))
+    if kind == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif kind == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) \
+            + raw[at + 1:]
+    else:
+        docs = _json_lines(raw)
+        # Any value but the list of documents itself, a whole document
+        # included.
+        *parents, last = data.draw(st.sampled_from(list(_leaves(docs))[1:]))
+        functools.reduce(operator.getitem, parents, docs)[last] = data.draw(
+            JSON_VALUES)
+        raw = "".join(json.dumps(doc) + "\n" for doc in docs).encode()
+    path.write_bytes(raw)
+    rc = main(["eval", "--detections", str(dump), "--dataset", str(manifest)])
+    lines = capsys.readouterr().err.splitlines()
+    if rc == 0:
+        assert lines == []
+    else:
+        assert rc == 1 and len(lines) == 1, lines
+        assert lines[0].startswith("error:") and str(path) in lines[0]
+
+
+def test_cli_reports_an_allocation_too_large_in_one_line(tmp_path):
+    # Run with a 2 GB address space in a child process: without the limit, a
+    # request for hundreds of GiB can succeed under overcommit.
+    path = tmp_path / "c.yaml"
+    path.write_text("synth:\n  image_size: [100000, 100000]\n")
+    limit = 2_000_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "griddet.cli", "generate", "--config",
+         str(path), "--n-train", "1", "--n-test", "1", "--out",
+         str(tmp_path / "d")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(griddet.__file__))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: out of memory: ")
+    assert "allocate" in lines[0]
 
 
 @pytest.mark.parametrize("label", [0, -3, 9])

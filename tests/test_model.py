@@ -878,11 +878,20 @@ def test_reader_checks_every_shape_before_building_models(tmp_path,
     def sizes(header):  # sizes whose models would not fit the blob
         header["regressor_sizes"] = [FEATURE_DIM, 10 ** 12]
 
-    for edit in (count, shape, sizes):
+    shapes = ((FEATURE_DIM, 2), (2,), (2, 4), (4,), (FEATURE_DIM, 2), (2,),
+              (2, 2), (2,))
+    for edit, expected, got in (
+            (count, shapes, shapes[:-1]),
+            (shape, shapes, shapes[:2] + ((4, 2),) + shapes[3:]),
+            (sizes, ((FEATURE_DIM, 10 ** 12), (10 ** 12,)) + shapes[4:],
+             shapes)):
         save_checkpoint(path, reg, cls, **kwargs)
         _rewrite_header(path, edit)
-        with pytest.raises(ValueError, match="are not the parameter shapes"):
+        with pytest.raises(ValueError) as info:
             load_checkpoint(path)
+        assert str(info.value) == (
+            f"checkpoint {path} header: arrays must be the parameter shapes "
+            f"{expected} of regressor_sizes and classifier_sizes, got {got}")
     save_checkpoint(path, reg, cls, **kwargs)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="parameter blob has"):

@@ -1,12 +1,13 @@
 import dataclasses
+import sys
 
 import pytest
 
 from griddet.config import ExperimentConfig
 from griddet.grid import GridSpec
 from griddet.model import TrainConfig
-from griddet.records import (POSITIVE_INT, _hints, check_fields, conforms,
-                             from_plain, to_plain)
+from griddet.records import (POSITIVE_INT, _fields, check_fields, conforms,
+                             from_json, from_plain, to_plain)
 from griddet.synth import SynthConfig
 
 
@@ -63,6 +64,9 @@ GROUPS = tuple[tuple[int, ...], ...]
     ((2.5, 1), tuple[int, float], False),
     (((1, 2), (3,)), GROUPS, True), (((1, 2), 3), GROUPS, False),
     (((1, 2), (3, "x")), GROUPS, False), ((1, 2), GROUPS, False),
+    # An int is a float only if a float can hold it.
+    (2 ** 1023, float, True), (10 ** 400, float, False),
+    (-10 ** 400, float, False), (10 ** 400, int, True),
 ])
 def test_conforms(value, hint, ok):
     assert conforms(value, hint) is ok
@@ -99,7 +103,78 @@ def test_empty_values_of_the_right_type_are_valid():
 
 def test_type_hints_resolve_once_per_class():
     ExperimentConfig()
-    misses = _hints.cache_info().misses
+    misses = _fields.cache_info().misses
     for _ in range(3):
         dataclasses.replace(ExperimentConfig(), output_dir="elsewhere")
-    assert _hints.cache_info().misses == misses
+    assert _fields.cache_info().misses == misses
+
+
+@dataclasses.dataclass(frozen=True)
+class _Item:
+    label: int = dataclasses.field(metadata={"key": "class"})
+    score: float = 0.0
+
+    def __post_init__(self):
+        check_fields(self, {"label": POSITIVE_INT})
+
+
+@dataclasses.dataclass(frozen=True)
+class _Batch:
+    items: tuple[_Item, ...]
+
+
+def test_a_metadata_key_names_the_field_in_plain_form_and_in_errors():
+    plain = to_plain(_Item(3, 0.5))
+    assert plain == {"class": 3, "score": 0.5}
+    assert from_plain(_Item, plain, "r") == _Item(3, 0.5)
+    with pytest.raises(ValueError, match=r"^r: unknown keys \['label'\]$"):
+        from_plain(_Item, {"label": 3}, "r")
+    with pytest.raises(ValueError, match=r"^r: missing keys \['class'\]$"):
+        from_plain(_Item, {}, "r")
+    with pytest.raises(ValueError) as info:
+        from_plain(_Item, {"class": 0}, "r")
+    assert str(info.value) == "r: class must be a positive integer, got 0"
+
+
+def test_a_tuple_of_records_is_built_item_by_item():
+    batch = from_plain(_Batch, {"items": [{"class": 1},
+                                          {"class": 2, "score": 0.5}]}, "r")
+    assert batch == _Batch((_Item(1), _Item(2, 0.5)))
+    assert to_plain(batch) == {"items": [{"class": 1, "score": 0.0},
+                                         {"class": 2, "score": 0.5}]}
+    assert from_plain(_Batch, {"items": []}, "r") == _Batch(())
+
+
+@pytest.mark.parametrize("items, message", [
+    (5, "r.items must be a list, got int"),
+    ({"class": 1}, "r.items must be a list, got dict"),
+    ([{"class": 1}, 7], "r.items[1] must be a mapping, got int"),
+    ([{"class": 1}, {"class": True}],
+     "r.items[1]: class must be a positive integer, got True"),
+])
+def test_a_malformed_tuple_of_records_names_the_item(items, message):
+    with pytest.raises(ValueError) as info:
+        from_plain(_Batch, {"items": items}, "r")
+    assert str(info.value) == message
+
+
+def test_from_json_reads_text_or_bytes():
+    text = '{"items": [{"class": 4}]}'
+    assert from_json(_Batch, text, "r") == _Batch((_Item(4),))
+    assert from_json(_Batch, text.encode(), "r") == _Batch((_Item(4),))
+
+
+@pytest.mark.parametrize("text", ["", "{", "[1,]", "{'items': []}",
+                                  b"\xff{}", "[" * 10 ** 5 + "]" * 10 ** 5])
+def test_from_json_names_text_that_is_not_json(text):
+    with pytest.raises(ValueError, match=r"^r is not JSON: "):
+        from_json(_Batch, text, "r")
+
+
+def test_from_json_names_a_record_nested_too_deeply_to_build():
+    # Deep enough for the record's checks, not for the JSON parser.
+    depth = sys.getrecursionlimit() * 2 // 3
+    text = '{"items": [{"class": 1, "score": ' + "[" * depth + "]" * depth
+    with pytest.raises(ValueError) as info:
+        from_json(_Batch, text + "}]}", "r")
+    assert str(info.value) == "r is nested too deeply"
