@@ -41,9 +41,6 @@ class Box:
         hw, hh = self.w / 2.0, self.h / 2.0
         return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
 
-    def area(self) -> float:
-        return self.w * self.h
-
 
 @dataclass(frozen=True, slots=True)
 class DeltaParams:
@@ -69,21 +66,8 @@ class DeltaParams:
 
 
 def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes, in [0, 1].
-
-    Boxes sharing only an edge or a point have intersection area 0 and
-    therefore IoU 0.
-    """
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.area() + b.area() - inter
-    # Rounding can push the ratio a hair past 1 for near-identical boxes.
-    return min(inter / union, 1.0)
+    """Intersection over union of two boxes; see iou_matrix."""
+    return float(iou_matrix(boxes_to_array([a]), boxes_to_array([b]))[0, 0])
 
 
 def delta(b: Box, t: Box) -> DeltaParams:
@@ -181,23 +165,18 @@ def clip_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (N, 4) and (M, 4) center/size arrays."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
-    ax1 = a[:, 0] - a[:, 2] / 2.0
-    ay1 = a[:, 1] - a[:, 3] / 2.0
-    ax2 = a[:, 0] + a[:, 2] / 2.0
-    ay2 = a[:, 1] + a[:, 3] / 2.0
-    bx1 = b[:, 0] - b[:, 2] / 2.0
-    by1 = b[:, 1] - b[:, 3] / 2.0
-    bx2 = b[:, 0] + b[:, 2] / 2.0
-    by2 = b[:, 1] + b[:, 3] / 2.0
-    iw = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(ax1[:, None], bx1[None, :])
-    ih = np.minimum(ay2[:, None], by2[None, :]) - np.maximum(ay1[:, None], by1[None, :])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_a = a[:, 2] * a[:, 3]
-    area_b = b[:, 2] * b[:, 3]
-    union = area_a[:, None] + area_b[None, :] - inter
+    """Pairwise IoU between two (N, 4) and (M, 4) center/size arrays, in
+    [0, 1]. Boxes sharing only an edge or a point have intersection area 0
+    and therefore IoU 0; rounding can push a ratio a hair past 1 for
+    near-identical boxes, so ratios are clipped to 1."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(1, -1, 4)
+    lo = np.maximum(a[..., :2] - a[..., 2:] / 2.0, b[..., :2] - b[..., 2:] / 2.0)
+    hi = np.minimum(a[..., :2] + a[..., 2:] / 2.0, b[..., :2] + b[..., 2:] / 2.0)
+    # The overlap's width and height, 0 where the boxes do not overlap.
+    wh = np.maximum(hi - lo, 0.0)
+    inter = wh[..., 0] * wh[..., 1]
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=inter > 0)
     return np.clip(out, 0.0, 1.0)

@@ -45,13 +45,16 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
+    with open(path, "rb") as f:
         try:
             doc = yaml.safe_load(f)
         except yaml.YAMLError as exc:
             # YAML errors span lines; one line keeps the CLI's error line whole.
             raise ValueError(f"config file {path}: invalid YAML: "
                              f"{' '.join(str(exc).split())}") from None
+        except RecursionError:
+            raise ValueError(f"config file {path} is nested too deeply") \
+                from None
     return from_plain(ExperimentConfig, doc, f"config file {path}")
 
 

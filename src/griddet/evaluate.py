@@ -3,7 +3,9 @@
 AP uses greedy score-ordered matching at an IoU threshold and the
 precision-envelope area under the PR curve (the continuous VOC rule). False
 positives are split into Loc / Sim / BG / Oth by their overlap with
-same-class, similar-class, and other-class ground truth.
+same-class, similar-class, and other-class ground truth. Matching and the
+split each read one iou_matrix per image: its detections (or its false
+positives) by its ground truths.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assign import GroundTruth
-from .boxes import Box, iou
+# iou stays importable here for the benchmark's call counters.
+from .boxes import Box, boxes_to_array, iou, iou_matrix
 from .records import check_fields, from_json, to_plain
 
 FP_CATEGORIES = ("Loc", "Sim", "BG", "Oth")
@@ -54,30 +57,36 @@ def _score_order(scores: list[float]) -> list[int]:
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
+def _by_image(indices, images) -> dict[int, list[int]]:
+    """The indices of each image, in the order given."""
+    groups: dict[int, list[int]] = {}
+    for i in indices:
+        groups.setdefault(images[i], []).append(i)
+    return groups
+
+
 def match_detections(detections: list[tuple[int, float, Box]],
                      gts: dict[int, list[Box]],
                      iou_match: float = 0.5) -> list[bool]:
     """Greedy matching in score order for one class.
 
     A detection is a TP if it overlaps an unmatched ground truth of the same
-    image with IoU >= iou_match (highest-IoU unmatched one is consumed);
-    duplicates on matched ground truth are FPs. Equal scores break by index.
-    Returns one TP flag per detection, in the input order.
+    image with IoU >= iou_match and > 0 (the first highest-IoU unmatched one
+    is consumed); duplicates on matched ground truth are FPs. Equal scores
+    break by index. Returns one TP flag per detection, in the input order.
     """
-    used = {img: [False] * len(boxes) for img, boxes in gts.items()}
+    order = _score_order([d[1] for d in detections])
     flags = [False] * len(detections)
-    for i in _score_order([d[1] for d in detections]):
-        img, _, box = detections[i]
-        best_j, best_iou = -1, 0.0
-        for j, g in enumerate(gts.get(img, [])):
-            if used.get(img, [])[j]:
-                continue
-            v = iou(box, g)
-            if v >= iou_match and v > best_iou:
-                best_j, best_iou = j, v
-        if best_j >= 0:
-            used[img][best_j] = True
-            flags[i] = True
+    for img, rows in _by_image(order, [d[0] for d in detections]).items():
+        if not gts.get(img):
+            continue
+        ious = iou_matrix(boxes_to_array([detections[i][2] for i in rows]),
+                          boxes_to_array(gts[img]))
+        for i, row in zip(rows, ious):
+            j = int(np.argmax(row))
+            if row[j] >= iou_match and row[j] > 0:
+                ious[:, j] = 0.0  # a matched ground truth is used up
+                flags[i] = True
     return flags
 
 
@@ -157,36 +166,32 @@ def fp_breakdown(detections: list[DetRecord],
     group_of = {c: gi for gi, g in enumerate(similarity_groups) for c in g}
     per_cls_det, per_cls_gt = _split_by_class(detections, gts, num_classes)
 
-    fps: list[tuple[float, str]] = []
+    fps = []  # (score, image, class, box), in (class, detection) order
     for c in range(1, num_classes + 1):
         dets = per_cls_det.get(c, [])
         flags = match_detections(dets, per_cls_gt.get(c, {}), iou_match)
-        for (img, score, box), is_tp in zip(dets, flags):
-            if is_tp:
-                continue
-            max_same = 0.0
-            max_sim = 0.0
-            max_oth = 0.0
-            for g in gts.get(img, []):
-                v = iou(box, g.box)
-                if g.class_label == c:
-                    max_same = max(max_same, v)
-                elif group_of[g.class_label] == group_of[c]:
-                    max_sim = max(max_sim, v)
-                else:
-                    max_oth = max(max_oth, v)
-            if max_same >= 0.1:
-                cat = "Loc"
-            elif max_sim >= 0.1:
-                cat = "Sim"
-            elif max_oth >= 0.1:
-                cat = "Oth"
-            else:
-                cat = "BG"
-            fps.append((score, cat))
+        fps += [(score, img, c, box)
+                for (img, score, box), is_tp in zip(dets, flags) if not is_tp]
 
-    fps.sort(key=lambda t: -t[0])
-    return FPBreakdown([cat for _, cat in fps])
+    cats = ["BG"] * len(fps)
+    for img, ks in _by_image(range(len(fps)), [fp[1] for fp in fps]).items():
+        glist = gts.get(img, [])
+        hits = iou_matrix(boxes_to_array([fps[k][3] for k in ks]),
+                          boxes_to_array([g.box for g in glist])) >= 0.1
+        gt_class = np.array([g.class_label for g in glist])
+        gt_group = np.array([group_of[g.class_label] for g in glist])
+        for k, hit in zip(ks, hits):
+            c = fps[k][2]
+            # Loc > Sim > Oth: each test sees only hits the one before missed.
+            if hit[gt_class == c].any():
+                cats[k] = "Loc"
+            elif hit[gt_group == group_of[c]].any():
+                cats[k] = "Sim"
+            elif hit.any():
+                cats[k] = "Oth"
+
+    order = sorted(range(len(fps)), key=lambda k: -fps[k][0])
+    return FPBreakdown([cats[k] for k in order])
 
 
 @dataclass(frozen=True)

@@ -223,11 +223,55 @@ def test_clip_idempotent(b, w, h):
     assert c2.h == pytest.approx(c1.h, abs=1e-12)
 
 
-def test_iou_matrix_agrees_with_scalar():
-    rng = np.random.default_rng(0)
-    a = [Box(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2)) for _ in range(8)]
-    b = [Box(*rng.uniform(0, 50, 2), *rng.uniform(1, 30, 2)) for _ in range(5)]
+def scalar_iou(a, b):
+    """The scalar IoU formula that iou_matrix replaced, kept as its exact
+    reference: corners, min/max overlap, 0 without a positive overlap on
+    both axes, and the ratio clipped to 1."""
+    ax1, ay1, ax2, ay2 = a.corners()
+    bx1, by1, bx2, by2 = b.corners()
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = a.w * a.h + b.w * b.h - inter
+    return min(inter / union, 1.0)
+
+
+@st.composite
+def related_pairs(draw):
+    """A box and a second one that is independent of it, disjoint from it,
+    touching one of its edges, nested in it, nearly identical to it, or
+    much smaller or larger than it."""
+    a = draw(boxes())
+    x1, y1, x2, y2 = a.corners()
+    kind = draw(st.sampled_from(["independent", "disjoint", "edge", "nested",
+                                 "near", "tiny", "huge"]))
+    if kind == "independent":
+        b = draw(boxes())
+    elif kind == "disjoint":
+        b = Box(a.cx + a.w + draw(side), a.cy, draw(side), draw(side))
+    elif kind == "edge":
+        b = Box.from_corners(x2, y1, x2 + draw(side), y2)
+    elif kind == "nested":
+        u = draw(st.floats(0.01, 0.99))
+        b = Box(a.cx, a.cy, a.w * u, a.h * u)
+    elif kind == "near":
+        b = Box(math.nextafter(a.cx, math.inf), a.cy, a.w,
+                math.nextafter(a.h, math.inf))
+    else:
+        s = draw(st.floats(1e-6, 1e-3) if kind == "tiny" else
+                 st.floats(1e3, 1e6))
+        b = Box(a.cx, a.cy, a.w * s, a.h * s)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@given(st.lists(related_pairs(), min_size=1, max_size=6))
+@settings(max_examples=300)
+def test_iou_matrix_agrees_with_scalar(pairs):
+    a, b = [p[0] for p in pairs], [p[1] for p in pairs]
     m = iou_matrix(boxes_to_array(a), boxes_to_array(b))
     for i, bi in enumerate(a):
         for j, bj in enumerate(b):
-            assert m[i, j] == pytest.approx(iou(bi, bj), abs=1e-12)
+            assert m[i, j] == scalar_iou(bi, bj)
+            assert iou(bi, bj) == scalar_iou(bi, bj)

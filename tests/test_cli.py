@@ -259,6 +259,14 @@ MALFORMED_FILES = {
     "config_yaml_syntax": (
         "c.yaml", "train: [\n",
         ["generate", "--config", "{f}", "--out", "{d}/out"], "YAML"),
+    "config_not_utf8": (
+        "c.yaml", b'mode: "\xff\xfe"\n',
+        ["generate", "--config", "{f}", "--out", "{d}/out"], "invalid YAML"),
+    # Deeper than PyYAML's composer can recurse.
+    "config_nested_too_deeply": (
+        "c.yaml", "train:\n  hidden_sizes: " + "[" * 600 + "]" * 600 + "\n",
+        ["generate", "--config", "{f}", "--out", "{d}/out"],
+        " is nested too deeply"),
     "config_score_threshold_null_at_detect": (
         "c.yaml", "score_threshold: null\n", DETECT_CONFIG_ARGV,
         "score_threshold must be a number in [0, 1], got None"),
@@ -477,7 +485,10 @@ MALFORMED_FILES = {
                          ids=MALFORMED_FILES.keys())
 def test_cli_reports_malformed_file(tmp_path, capsys, name, text, argv, word):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     write_detection_dump(tmp_path / "empty.jsonl", [])
     rc = main([a.format(f=path, d=tmp_path) for a in argv])
     lines = capsys.readouterr().err.splitlines()
@@ -628,6 +639,15 @@ def _leaves(plain, path=()):
             yield from _leaves(value, path + (i,))
 
 
+def _cut_or_flip(data, raw: bytes, kind: str) -> bytes:
+    """raw cut short ("truncate") or with one byte changed ("flip")."""
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if kind == "truncate":
+        return raw[:at]
+    return raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) \
+        + raw[at + 1:]
+
+
 @settings(deadline=None, max_examples=300,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
@@ -636,11 +656,17 @@ def test_cli_generate_runs_or_names_the_config_file(tmp_path, capsys,
     # No scene is rendered, whatever the config asks for.
     monkeypatch.setattr(pipeline, "generate_dataset", lambda *a, **k: [])
     plain = to_plain(tiny_config())
-    *parents, last = data.draw(st.sampled_from(list(_leaves(plain))))
-    functools.reduce(operator.getitem, parents, plain)[last] = data.draw(
-        JSON_VALUES)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "swap"]))
+    if kind == "swap":
+        *parents, last = data.draw(st.sampled_from(list(_leaves(plain))))
+        functools.reduce(operator.getitem, parents, plain)[last] = data.draw(
+            JSON_VALUES)
+    raw = yaml.safe_dump(plain).encode()
+    if kind != "swap":
+        # A flip to a byte in 0x80-0xff leaves the file not UTF-8.
+        raw = _cut_or_flip(data, raw, kind)
     path = tmp_path / "c.yaml"
-    path.write_text(yaml.safe_dump(plain))
+    path.write_bytes(raw)
     rc = main(["generate", "--config", str(path), "--out",
                str(tmp_path / "d")])
     lines = capsys.readouterr().err.splitlines()
@@ -673,12 +699,8 @@ def test_cli_eval_runs_or_names_the_manifest_or_dump(tmp_path, capsys, data):
     path = data.draw(st.sampled_from([manifest, dump]))
     raw = path.read_bytes()
     kind = data.draw(st.sampled_from(["truncate", "flip", "swap"]))
-    if kind == "truncate":
-        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
-    elif kind == "flip":
-        at = data.draw(st.integers(0, len(raw) - 1))
-        raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) \
-            + raw[at + 1:]
+    if kind != "swap":
+        raw = _cut_or_flip(data, raw, kind)
     else:
         docs = _json_lines(raw)
         # Any value but the list of documents itself, a whole document

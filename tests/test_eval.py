@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from griddet.assign import GroundTruth
 from griddet.boxes import Box, iou
@@ -72,6 +74,98 @@ def reference_ap(detections, gts, iou_match=0.5):
     for i in range(1, len(recalls)):
         ap += (recalls[i] - recalls[i - 1]) * env[i]
     return float(ap)
+
+
+def reference_match(detections, gts, iou_match=0.5):
+    """The nested loops that match_detections replaced, kept as its
+    reference: per detection in score order, the first unused ground truth
+    of the highest scalar IoU, if that IoU is >= iou_match and > 0."""
+    used = {img: [False] * len(boxes) for img, boxes in gts.items()}
+    flags = [False] * len(detections)
+    order = sorted(range(len(detections)),
+                   key=lambda i: (-detections[i][1], i))
+    for i in order:
+        img, _, box = detections[i]
+        best_j, best_iou = -1, 0.0
+        for j, g in enumerate(gts.get(img, [])):
+            if used.get(img, [])[j]:
+                continue
+            v = iou(box, g)
+            if v >= iou_match and v > best_iou:
+                best_j, best_iou = j, v
+        if best_j >= 0:
+            used[img][best_j] = True
+            flags[i] = True
+    return flags
+
+
+def reference_fp_categories(detections, gts, similarity_groups,
+                            iou_match=0.5):
+    """The nested loops that fp_breakdown replaced, kept as its reference:
+    each false positive's highest scalar IoU with same-class, same-group
+    and other ground truth of its image, Loc > Sim > Oth at 0.1, then a
+    stable sort by descending score over (class, detection) order."""
+    group_of = {c: gi for gi, g in enumerate(similarity_groups) for c in g}
+    fps = []
+    for c in sorted(group_of):
+        dets = [(d.image_id, d.score, d.box) for d in detections
+                if d.class_label == c]
+        cls_gts = {img: [g.box for g in glist if g.class_label == c]
+                   for img, glist in gts.items()}
+        flags = reference_match(dets, cls_gts, iou_match)
+        for (img, score, box), is_tp in zip(dets, flags):
+            if is_tp:
+                continue
+            max_same = max_sim = max_oth = 0.0
+            for g in gts.get(img, []):
+                v = iou(box, g.box)
+                if g.class_label == c:
+                    max_same = max(max_same, v)
+                elif group_of[g.class_label] == group_of[c]:
+                    max_sim = max(max_sim, v)
+                else:
+                    max_oth = max(max_oth, v)
+            if max_same >= 0.1:
+                cat = "Loc"
+            elif max_sim >= 0.1:
+                cat = "Sim"
+            elif max_oth >= 0.1:
+                cat = "Oth"
+            else:
+                cat = "BG"
+            fps.append((score, cat))
+    fps.sort(key=lambda t: -t[0])
+    return [cat for _, cat in fps]
+
+
+# Boxes on a coarse lattice, so that detections often coincide with,
+# touch, nest in or partly overlap ground truth, and overlaps tie.
+# Sides of 10 against 2 give IoUs of exactly 0.1, the taxonomy's threshold.
+lattice_boxes = st.builds(Box, st.sampled_from([4, 6, 8, 10]),
+                          st.sampled_from([4, 8]),
+                          st.sampled_from([2, 4, 6, 10]),
+                          st.sampled_from([2, 4, 6, 10]))
+tied_scores = st.sampled_from([0.25, 0.5, 0.5, 0.75, 0.9])
+IOU_MATCHES = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@st.composite
+def labelled_scenes(draw):
+    """Ground truth for images 0..2 (some with none), and detections on
+    images 0..3 (image 3 never has ground truth) that often copy a ground
+    truth box or each other."""
+    gts = {img: draw(st.lists(st.builds(GroundTruth, lattice_boxes,
+                                        st.integers(1, 4)), max_size=4))
+           for img in range(3)}
+    pool = [g.box for glist in gts.values() for g in glist]
+    dets = []
+    for _ in range(draw(st.integers(0, 14))):
+        choices = pool + [d.box for d in dets]
+        box = draw(st.sampled_from(choices) if choices and draw(st.booleans())
+                   else lattice_boxes)
+        dets.append(DetRecord(draw(st.integers(0, 3)), draw(st.integers(1, 4)),
+                              draw(tied_scores), box))
+    return dets, gts
 
 
 def b(x, y, s=4.0):
@@ -154,6 +248,19 @@ def test_matching_is_deterministic_for_equal_scores():
     assert flags == [True, False]
 
 
+@given(labelled_scenes(), IOU_MATCHES)
+@settings(max_examples=300)
+def test_matching_equals_reference_loops(scene, iou_match):
+    dets, gts = scene
+    for c in range(1, 5):
+        cls_dets = [(d.image_id, d.score, d.box) for d in dets
+                    if d.class_label == c]
+        cls_gts = {img: [g.box for g in glist if g.class_label == c]
+                   for img, glist in gts.items()}
+        assert match_detections(cls_dets, cls_gts, iou_match) == \
+            reference_match(cls_dets, cls_gts, iou_match)
+
+
 def test_mean_ap_simple_means():
     gts = {0: [GroundTruth(b(10, 10), 1), GroundTruth(b(30, 30), 2)]}
     dets = [DetRecord(0, 1, 0.9, b(10, 10))]
@@ -233,6 +340,15 @@ def test_fp_categories_partition_all_false_positives():
         assert all(type(n) is int for n in counts.values())
         assert counts == {**prev, cat: prev[cat] + 1}
         prev = counts
+
+
+@given(labelled_scenes(), IOU_MATCHES)
+@settings(max_examples=300)
+def test_fp_breakdown_equals_reference_loops(scene, iou_match):
+    dets, gts = scene
+    groups = ((1, 2), (3, 4))
+    assert fp_breakdown(dets, gts, groups, iou_match).categories == \
+        reference_fp_categories(dets, gts, groups, iou_match)
 
 
 def test_at_rank_zero_and_without_false_positives():
