@@ -5,7 +5,8 @@ precision-envelope area under the PR curve (the continuous VOC rule). False
 positives are split into Loc / Sim / BG / Oth by their overlap with
 same-class, similar-class, and other-class ground truth. Matching and the
 split each read one iou_matrix per image: its detections (or its false
-positives) by its ground truths.
+positives) by its ground truths. score_detections gives both from one
+matching per class.
 """
 
 from __future__ import annotations
@@ -100,7 +101,13 @@ def average_precision(detections: list[tuple[int, float, Box]],
     n_gt = sum(len(v) for v in gts.values())
     if n_gt == 0 or not detections:
         return 0.0
-    flags = match_detections(detections, gts, iou_match)
+    return _precision_area(detections,
+                           match_detections(detections, gts, iou_match), n_gt)
+
+
+def _precision_area(detections, flags: list[bool], n_gt: int) -> float:
+    """average_precision of detections with match_detections' flags, for
+    n_gt > 0 ground truths; 0 without detections."""
     order = _score_order([d[1] for d in detections])
     tp = np.cumsum([flags[i] for i in order])
     recalls = np.concatenate(([0.0], tp / n_gt))
@@ -114,18 +121,34 @@ def average_precision(detections: list[tuple[int, float, Box]],
     return float(ap)
 
 
-def _split_by_class(detections: list[DetRecord],
-                    gts: dict[int, list[GroundTruth]], num_classes: int):
+def _class_matches(detections: list[DetRecord],
+                   gts: dict[int, list[GroundTruth]], num_classes: int,
+                   iou_match: float):
+    """Per class 1..num_classes: its detections as (image, score, box), its
+    ground-truth boxes by image, and match_detections' flags for them."""
     per_cls_det = {c: [] for c in range(1, num_classes + 1)}
     for d in detections:
-        per_cls_det.setdefault(d.class_label, []).append(
-            (d.image_id, d.score, d.box))
+        if d.class_label in per_cls_det:
+            per_cls_det[d.class_label].append((d.image_id, d.score, d.box))
     per_cls_gt = {c: {} for c in range(1, num_classes + 1)}
     for img, glist in gts.items():
         for g in glist:
-            per_cls_gt.setdefault(g.class_label, {})
-            per_cls_gt[g.class_label].setdefault(img, []).append(g.box)
-    return per_cls_det, per_cls_gt
+            if g.class_label in per_cls_gt:
+                per_cls_gt[g.class_label].setdefault(img, []).append(g.box)
+    return {c: (dets, per_cls_gt[c],
+                match_detections(dets, per_cls_gt[c], iou_match))
+            for c, dets in per_cls_det.items()}
+
+
+def _mean_ap(matches) -> tuple[dict[int, float], float]:
+    """Per-class AP of every class with ground truth, and their mean."""
+    per_class_ap = {}
+    for c, (dets, cls_gts, flags) in matches.items():
+        n_gt = sum(len(v) for v in cls_gts.values())
+        if n_gt:
+            per_class_ap[c] = _precision_area(dets, flags, n_gt)
+    m = float(np.mean(list(per_class_ap.values()))) if per_class_ap else 0.0
+    return per_class_ap, m
 
 
 def evaluate_detections(detections: list[DetRecord],
@@ -134,16 +157,7 @@ def evaluate_detections(detections: list[DetRecord],
     """Per-class AP and mAP for a full detection dump.
 
     Returns (per_class_ap, map_value)."""
-    per_cls_det, per_cls_gt = _split_by_class(detections, gts, num_classes)
-    per_class_ap = {}
-    for c in range(1, num_classes + 1):
-        n_gt = sum(len(v) for v in per_cls_gt.get(c, {}).values())
-        if n_gt == 0:
-            continue
-        per_class_ap[c] = average_precision(per_cls_det.get(c, []),
-                                            per_cls_gt[c], iou_match)
-    m = float(np.mean(list(per_class_ap.values()))) if per_class_ap else 0.0
-    return per_class_ap, m
+    return _mean_ap(_class_matches(detections, gts, num_classes, iou_match))
 
 
 def fp_breakdown(detections: list[DetRecord],
@@ -157,19 +171,26 @@ def fp_breakdown(detections: list[DetRecord],
     class of another group. BG: under 0.1 with everything. Precedence is
     Loc > Sim > Oth. The categories come in descending score order.
     """
+    return score_detections(detections, gts, similarity_groups, iou_match)[2]
+
+
+def score_detections(detections: list[DetRecord],
+                     gts: dict[int, list[GroundTruth]], similarity_groups,
+                     iou_match: float = 0.5):
+    """evaluate_detections and fp_breakdown of one dump, for the classes
+    1..K that similarity_groups partitions, from one matching per class.
+
+    Returns (per_class_ap, map_value, breakdown)."""
     classes = sorted(c for g in similarity_groups for c in g)
     if len(classes) != len(set(classes)) or \
             classes != list(range(1, len(classes) + 1)):
         raise InvalidSimilarityGroupsError(
             f"groups must partition 1..K, got {similarity_groups}")
-    num_classes = len(classes)
     group_of = {c: gi for gi, g in enumerate(similarity_groups) for c in g}
-    per_cls_det, per_cls_gt = _split_by_class(detections, gts, num_classes)
+    matches = _class_matches(detections, gts, len(classes), iou_match)
 
     fps = []  # (score, image, class, box), in (class, detection) order
-    for c in range(1, num_classes + 1):
-        dets = per_cls_det.get(c, [])
-        flags = match_detections(dets, per_cls_gt.get(c, {}), iou_match)
+    for c, (dets, _, flags) in matches.items():
         fps += [(score, img, c, box)
                 for (img, score, box), is_tp in zip(dets, flags) if not is_tp]
 
@@ -191,7 +212,7 @@ def fp_breakdown(detections: list[DetRecord],
                 cats[k] = "Oth"
 
     order = sorted(range(len(fps)), key=lambda k: -fps[k][0])
-    return FPBreakdown([cats[k] for k in order])
+    return (*_mean_ap(matches), FPBreakdown([cats[k] for k in order]))
 
 
 @dataclass(frozen=True)

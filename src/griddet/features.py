@@ -14,16 +14,19 @@ on the map. A bin of length L along an axis, with 3**a <= L < 3**(a+1), is
 covered by k = ceil(L / 3**a) <= 3 windows of side 3**a, starting at r0,
 r0 + 3**a and r0 + 2 * 3**a, each clamped to end at the bin's end. Max is
 idempotent, so overlapping windows, and extra windows clamped onto the last,
-give the bin's max exactly. All boxes of a call are pooled together in chunks,
-one vectorised gather per lookup that fetches every channel of each bin's
-cell; per chunk and axis, the lookup count is the largest k among the chunk's
-bins, so a bin costs at most 3 x 3 lookups. For a 128x128 map with 3 channels
-and 6x6 bins the table has 3 x 3 slabs, 3.2 MiB; a 256x256 map needs 4 x 4
-slabs, 22.3 MiB.
+give the bin's max exactly. The window offsets of every range length on an
+axis are computed once per axis size and pool count (_window_table); a range
+finds its bins' levels and windows there by its length. All boxes of a call
+are pooled together in chunks, one vectorised gather per lookup that fetches
+every channel of each bin's cell; each row takes only the windows its own
+bins need (at most 3 x 3), the rows sorted by that count so that each lookup
+gathers a suffix of them. For a 128x128 map with 3 channels and 6x6 bins the
+table has 3 x 3 slabs, 3.2 MiB; a 256x256 map needs 4 x 4 slabs, 22.3 MiB.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +37,9 @@ POOL = 6
 FEATURE_DIM = 3 * POOL * POOL + 4
 
 # Pooled values per chunk of boxes; bounds each pooling temporary to 256 KiB.
-# A chunk has a fixed cost (two _windows calls and the index set-up) about as
-# large as the lookups of a small chunk, so one chunk holds a whole pass over
-# the 197-box test grid.
+# A chunk has a fixed cost (the sort, the window gathers and the index
+# set-up) about as large as the lookups of a small chunk, so one chunk holds a
+# whole pass over the 197-box test grid.
 _CHUNK = 1 << 15
 
 # Window sides 3**k, for every k whose power fits in an int64.
@@ -111,51 +114,78 @@ class FeatureMap:
         """Write into out (n, C * pool_h * pool_w) the per-channel max of every
         bin of the n cell ranges [y0, y1) x [x0, x1), each non-empty."""
         c, ph, pw = self.channels, self.pool_h, self.pool_w
+        ylevel, ystarts, yneed = _window_table(self.height, ph)
+        xlevel, xstarts, xneed = _window_table(self.width, pw)
         chunk = max(1, _CHUNK // out.shape[1])
         for lo in range(0, len(y0), chunk):
             hi = min(lo + chunk, len(y0))
-            ay, ys = _windows(y0[lo:hi], y1[lo:hi], ph)
-            ax, xs = _windows(x0[lo:hi], x1[lo:hi], pw)
+            ny, nx = y1[lo:hi] - y0[lo:hi], x1[lo:hi] - x0[lo:hi]
+            # Rows in ascending order of their window count k, so that the
+            # rows taking lookup (ky, kx), those with k > max(ky, kx), are
+            # the suffix from_k[max(ky, kx)]: on each axis a row repeats its
+            # last window up to k, which max absorbs.
+            need_y, need_x = yneed[ny], xneed[nx]
+            k = np.maximum(need_y, need_x)
+            order = np.argsort(k, kind="stable")
+            from_k = np.searchsorted(k[order], np.arange(3), side="right")
+            ny, nx = ny[order], nx[order]
+            ay, ax = ylevel[ny], xlevel[nx]                      # (m, p)
+            ys = ystarts[ny] + y0[lo:hi][order, None, None]      # (m, 3, ph)
+            xs = xstarts[nx] + x0[lo:hi][order, None, None]      # (m, 3, pw)
             # Cell index of lookup (ky, kx) of every bin, laid out as (box,
             # bin row, bin column); its C channels are one row of flat. The
-            # max of the chunk's len(ys) x len(xs) lookups accumulates in acc,
-            # then goes to out channel-major in one transposed copy.
+            # max of a row's lookups accumulates in acc, then goes to out
+            # channel-major, in the rows' own order, in one scatter.
             stride = self.cols[ax][:, None, :]                   # (m, 1, pw)
             first = self.offsets[ay[:, :, None], ax[:, None, :]]  # (m, ph, pw)
-            index = np.empty_like(first)
+            row, index = np.empty_like(first), np.empty_like(first)
             acc = np.empty(first.shape + (c,))                   # (m, ph, pw, C)
             values = np.empty_like(acc)
-            for ky, y in enumerate(ys):
-                row = y[:, :, None] * stride + first
-                for kx, x in enumerate(xs):
-                    np.add(row, x[:, None, :], out=index)
+            for ky in range(need_y.max()):
+                s = from_k[ky]
+                np.multiply(ys[s:, ky, :, None], stride[s:], out=row[s:])
+                row[s:] += first[s:]
+                for kx in range(need_x.max()):
+                    s = from_k[max(ky, kx)]
+                    np.add(row[s:], xs[s:, kx, None, :], out=index[s:])
                     # Picks are in range by construction; "clip" skips the
                     # buffered copy numpy makes for out= under "raise".
                     if ky or kx:
-                        self.flat.take(index, axis=0, out=values, mode="clip")
-                        np.maximum(acc, values, out=acc)
+                        self.flat.take(index[s:], axis=0, out=values[s:],
+                                       mode="clip")
+                        np.maximum(acc[s:], values[s:], out=acc[s:])
                     else:
                         self.flat.take(index, axis=0, out=acc, mode="clip")
             # Splitting the columns of out is always a view, never a copy.
-            out[lo:hi].reshape(hi - lo, c, ph, pw)[...] = \
+            out[lo:hi].reshape(hi - lo, c, ph, pw)[order] = \
                 acc.transpose(0, 3, 1, 2)
 
 
-def _windows(start, end, pool: int):
-    """Per bin of each cell range: the table level (m, pool) and the window
-    starts (k, m, pool), k the most windows any of the bins needs.
+@functools.lru_cache(maxsize=8)
+def _window_table(n_max: int, pool: int):
+    """Per range length n in 0..n_max pooled into `pool` bins: the table
+    level of each bin (n, pool), the starts of its three windows relative to
+    the range's start (n, 3, pool) and the most windows any of its bins
+    needs (n,); read-only, cached per axis size.
 
-    Bin i of a range of n cells spans [floor(i*n/p), ceil((i+1)*n/p)). A bin
-    needing fewer than k windows repeats its last one.
+    Bin i of a range of n cells spans [floor(i*n/p), ceil((i+1)*n/p)), of
+    length L at level a = floor(log3 L); its windows start at r0, r0 + 3**a
+    and r0 + 2 * 3**a, each clamped to end at the bin's end, so a bin needing
+    fewer than 3 windows repeats its last one. Row 0 is filler: a pooled
+    range is never empty.
     """
-    n = (end - start)[:, None]
+    n = np.arange(n_max + 1)[:, None]
     i = np.arange(pool)
-    r0 = start[:, None] + (i * n) // pool
-    r1 = start[:, None] - ((-(i + 1) * n) // pool)
-    level = _level(r1 - r0)
+    r0 = (i * n) // pool
+    r1 = -((-(i + 1) * n) // pool)
+    level = _level(np.maximum(r1 - r0, 1))
     side = _SIDES[level]
-    k = int((-((r0 - r1) // side)).max())
-    return level, np.minimum(r0 + side * np.arange(k)[:, None, None], r1 - side)
+    starts = np.minimum(r0[:, None] + side[:, None] * np.arange(3)[:, None],
+                        (r1 - side)[:, None])
+    need = (-((r0 - r1) // side)).max(axis=1)
+    for table in (level, starts, need):
+        table.flags.writeable = False
+    return level, starts, need
 
 
 @dataclass

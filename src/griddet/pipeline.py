@@ -10,8 +10,10 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .detect import DetectionResult, detect_multi, model_fns
+# fp_breakdown stays importable here for the benchmark's tracer.
 from .evaluate import (DetRecord, evaluate_detections, format_report,
-                       fp_breakdown, read_detection_dump, write_detection_dump)
+                       fp_breakdown, read_detection_dump, score_detections,
+                       write_detection_dump)
 from .model import (MODES, load_checkpoint, precompute_scene_tensors,
                     save_checkpoint, train_models)
 from .synth import (generate_dataset, load_ground_truth, load_manifest,
@@ -149,11 +151,9 @@ def cmd_eval(config: ExperimentConfig, detections_path: str,
     _check_classes(f"detection dump {detections_path}",
                    ((f"image_id {d.image_id}", d.class_label)
                     for d in detections), config.synth.num_classes)
-    per_class_ap, map_value = evaluate_detections(
-        detections, gts, config.synth.num_classes, config.iou_match)
-    breakdown = fp_breakdown(detections, gts,
-                             config.synth.class_similarity_groups,
-                             config.iou_match)
+    per_class_ap, map_value, breakdown = score_detections(
+        detections, gts, config.synth.class_similarity_groups,
+        config.iou_match)
     report = format_report(per_class_ap, map_value, breakdown)
     if report_path:
         with open(report_path, "w") as f:

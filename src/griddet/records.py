@@ -41,6 +41,8 @@ def _fields(cls) -> tuple:
 
 def to_plain(obj):
     """Dicts, lists and scalars for a record or tuple, recursively."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
     if dataclasses.is_dataclass(obj):
         return {key: to_plain(getattr(obj, name))
                 for name, key, *_ in _fields(type(obj))}

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import griddet
-from griddet import pipeline, synth
+from griddet import evaluate, pipeline, synth
 from griddet.boxes import Box
 from griddet.cli import main
 from griddet.config import (ExperimentConfig, load_config, save_config)
@@ -937,6 +937,27 @@ def test_eval_cross_checks_library_map(tmp_path, monkeypatch):
         detections, gts, cfg.synth.class_similarity_groups, cfg.iou_match))
     assert f"mAP = {map_value:.4f}" in report
     assert report_path.read_text() == report
+
+
+def test_eval_matches_each_class_once(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    _, test_path = cmd_generate(cfg, 3, 2, str(tmp_path))
+    gts = synth.load_ground_truth(test_path)
+    # Every ground truth found, plus a miss of every class on image 0.
+    dets = [DetRecord(img, g.class_label, 0.9, g.box)
+            for img, glist in gts.items() for g in glist]
+    dets += [DetRecord(0, c, 0.5, Box(3, 3, 2, 2))
+             for c in range(1, cfg.synth.num_classes + 1)]
+    dump = tmp_path / "d.jsonl"
+    write_detection_dump(dump, dets)
+    calls = []
+    match = evaluate.match_detections
+    monkeypatch.setattr(evaluate, "match_detections",
+                        lambda *args: calls.append(args) or match(*args))
+    per_class, map_value, breakdown, _ = cmd_eval(cfg, str(dump), test_path)
+    assert len(calls) == cfg.synth.num_classes
+    assert map_value == 1.0
+    assert breakdown.totals()["BG"] == cfg.synth.num_classes
 
 
 def test_eval_empty_dump_zero_map(tmp_path):

@@ -11,7 +11,7 @@ from griddet.evaluate import (FP_CATEGORIES, DetRecord,
                               InvalidSimilarityGroupsError, average_precision,
                               evaluate_detections, format_report, fp_breakdown,
                               match_detections, read_detection_dump,
-                              write_detection_dump)
+                              score_detections, write_detection_dump)
 
 
 def naive_ap(detections, gts, iou_match=0.5):
@@ -349,6 +349,19 @@ def test_fp_breakdown_equals_reference_loops(scene, iou_match):
     groups = ((1, 2), (3, 4))
     assert fp_breakdown(dets, gts, groups, iou_match).categories == \
         reference_fp_categories(dets, gts, groups, iou_match)
+
+
+@given(labelled_scenes(), IOU_MATCHES)
+@settings(max_examples=100)
+def test_score_detections_is_ap_and_breakdown_of_one_matching(scene,
+                                                              iou_match):
+    dets, gts = scene
+    groups = ((1, 2), (3, 4))
+    per_class_ap, map_value, breakdown = score_detections(dets, gts, groups,
+                                                          iou_match)
+    assert (per_class_ap, map_value) == \
+        evaluate_detections(dets, gts, 4, iou_match)
+    assert breakdown == fp_breakdown(dets, gts, groups, iou_match)
 
 
 def test_at_rank_zero_and_without_false_positives():

@@ -298,10 +298,10 @@ def test_level_is_exact_floor_log3():
 @pytest.mark.parametrize("pool", (1, 2, 3))
 def test_edge_bin_lengths_take_their_window_count(length, pool):
     n = pool * length
-    level, starts = features._windows(np.array([5]), np.array([5 + n]), pool)
+    level, _, need = features._window_table(n, pool)
     side = 3 ** floor_log3(length)
-    assert level.tolist() == [[floor_log3(length)] * pool]
-    assert len(starts) == -(-length // side)
+    assert level[n].tolist() == [floor_log3(length)] * pool
+    assert need[n] == -(-length // side)
     rng = np.random.default_rng(length * 10 + pool)
     data = rng.uniform(-1, 1, size=(2, n + 9, n + 7))
     boxes = [Box.from_corners(5, 5, 5 + n, 5 + n),
@@ -312,32 +312,75 @@ def test_edge_bin_lengths_take_their_window_count(length, pool):
         reference_roi_features(data, boxes, pool, pool).tobytes()
 
 
-def test_chunks_take_their_own_lookup_counts(monkeypatch):
+def reference_windows(start, end, pool: int):
+    """Per bin of each cell range: the table level (m, pool) and the window
+    starts (k, m, pool), k the most windows any of the bins needs.
+
+    Bin i of a range of n cells spans [floor(i*n/p), ceil((i+1)*n/p)). A bin
+    needing fewer than k windows repeats its last one.
+    """
+    n = (end - start)[:, None]
+    i = np.arange(pool)
+    r0 = start[:, None] + (i * n) // pool
+    r1 = start[:, None] - ((-(i + 1) * n) // pool)
+    level = features._level(r1 - r0)
+    side = features._SIDES[level]
+    k = int((-((r0 - r1) // side)).max())
+    return level, np.minimum(r0 + side * np.arange(k)[:, None, None], r1 - side)
+
+
+@pytest.mark.parametrize("pool", range(1, 8))
+def test_window_table_matches_the_per_range_windows(pool):
+    lengths = sorted(set(range(1, 129)) | {pool * n for n in EDGE_LENGTHS})
+    level, starts, need = features._window_table(lengths[-1], pool)
+    for n in lengths:
+        for s in (0, 5):
+            ref_level, ref_starts = reference_windows(np.array([s]),
+                                                      np.array([s + n]), pool)
+            assert level[n].tolist() == ref_level[0].tolist()
+            assert need[n] == len(ref_starts)
+            assert (s + starts[n, :need[n]]).tolist() == \
+                ref_starts[:, 0].tolist()
+
+
+class _CountingTable(np.ndarray):
+    """A range-max table that records the rows of every lookup's gather."""
+
+    gathered: list
+
+    def take(self, index, *args, **kwargs):
+        self.gathered.append(len(index))
+        return np.asarray(self).take(index, *args, **kwargs)
+
+
+def test_rows_take_their_own_window_counts():
     per_chunk = features._CHUNK // (3 * 6 * 6)  # 3 channels of 6x6 bins
     rng = np.random.default_rng(3)
     data = rng.uniform(size=(3, 64, 64))
-    # Three chunks of boxes with bins of 3 cells (1 window per axis), of 3
-    # and 8 cells alternating (3 windows), and of 2 cells (2 windows), the
-    # last chunk a partial one.
-    lengths = ([3] * per_chunk + [(3, 8)[j % 2] for j in range(per_chunk)]
-               + [2] * (per_chunk // 2))
+    # Bins of 3 cells need 1 window per axis, of 2 cells 2 and of 8 cells 3;
+    # (3, 8) bins need 1 window down and 3 across. Interleaved over one and a
+    # half chunks, so both chunks mix every count.
+    lengths = [(3, 3), (2, 2), (8, 8), (3, 8)]
+    picks = [lengths[j % 4] for j in range(per_chunk + per_chunk // 2)]
     boxes = []
-    for length in lengths:
-        x, y = rng.integers(0, 64 - 6 * length + 1, size=2).tolist()
-        boxes.append(Box.from_corners(x, y, x + 6 * length, y + 6 * length))
-    counts = []
-
-    def spy(start, end, pool):
-        level, starts = windows(start, end, pool)
-        counts.append(len(starts))
-        return level, starts
-
-    windows = features._windows
-    monkeypatch.setattr(features, "_windows", spy)
-    feats = build_roi_features(FeatureMap(data), boxes_to_array(boxes))
-    assert counts == [1, 1, 3, 3, 2, 2]  # (rows, columns) per chunk
+    for ly, lx in picks:
+        y = int(rng.integers(0, 64 - 6 * ly + 1))
+        x = int(rng.integers(0, 64 - 6 * lx + 1))
+        boxes.append(Box.from_corners(x, y, x + 6 * lx, y + 6 * ly))
+    fm = FeatureMap(data)
+    fm.flat = fm.flat.view(_CountingTable)
+    fm.flat.gathered = []
+    feats = build_roi_features(fm, boxes_to_array(boxes))
     assert feats.tobytes() == \
         reference_roi_features(data, boxes, 6, 6).tobytes()
+    # Lookup (ky, kx) gathers the rows whose count k exceeds max(ky, kx).
+    need = {(3, 3): 1, (2, 2): 2, (8, 8): 3, (3, 8): 3}
+    expected = []
+    for lo in range(0, len(picks), per_chunk):
+        k = [need[p] for p in picks[lo:lo + per_chunk]]
+        expected += [sum(v > max(ky, kx) for v in k)
+                     for ky in range(3) for kx in range(3)]
+    assert fm.flat.gathered == expected
 
 
 def test_default_map_builds_three_by_three_slabs():
@@ -373,8 +416,8 @@ def reference_pool(fm, y0, y1, x0, x1, out):
     chunk = max(1, (1 << 14) // out.shape[1])
     for lo in range(0, len(y0), chunk):
         hi = min(lo + chunk, len(y0))
-        ay, ys = features._windows(y0[lo:hi], y1[lo:hi], fm.pool_h)
-        ax, xs = features._windows(x0[lo:hi], x1[lo:hi], fm.pool_w)
+        ay, ys = reference_windows(y0[lo:hi], y1[lo:hi], fm.pool_h)
+        ax, xs = reference_windows(x0[lo:hi], x1[lo:hi], fm.pool_w)
         stride = fm.cols[ax][:, None, None, :]
         first_slab = offsets[ay[:, :, None], ax[:, None, :]]
         plane = fm.rows[ay][:, None, :, None] * stride
@@ -418,19 +461,27 @@ def test_pool_matches_the_channel_major_reference(channels):
 
 
 def test_a_test_grid_pass_is_one_chunk(monkeypatch):
-    calls = []
+    writes = []
 
-    def spy(start, end, pool):
-        calls.append(len(start))
-        return windows(start, end, pool)
+    class RecordingOut(np.ndarray):
+        """A pooling output that records the rows of every indexed write."""
 
-    windows = features._windows
-    monkeypatch.setattr(features, "_windows", spy)
+        def __setitem__(self, key, value):
+            if isinstance(key, np.ndarray):
+                writes.append(len(key))
+            super().__setitem__(key, value)
+
+    pool = FeatureMap.pool
+
+    def spy(self, y0, y1, x0, x1, out):
+        pool(self, y0, y1, x0, x1, out.view(RecordingOut))
+
+    monkeypatch.setattr(FeatureMap, "pool", spy)
     grid = grid_array(ExperimentConfig().grid_test, 128, 128)
     assert len(grid) == 197
     fm = FeatureExtractor().compute_global_features(np.zeros((128, 128)))
     build_roi_features(fm, grid)
-    assert calls == [197, 197]  # rows and columns of one chunk
+    assert writes == [197]  # one chunk, scattered back in one write
 
 
 def test_data_is_a_channel_major_view_of_the_channel_last_table():
