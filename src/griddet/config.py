@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import yaml
 
-from .grid import GridSpec
+from .grid import MAX_GRID_BOXES, GridSpec, fits_bound
 from .model import MODES, TrainConfig
 from .records import (NON_NEGATIVE_INT, POSITIVE_INT, UNIT_NUMBER,
                       check_fields, from_plain, to_plain)
@@ -31,7 +31,13 @@ class ExperimentConfig:
     n_test: int = 100
 
     def __post_init__(self):
+        # Checked before any grid is placed: a grid's array and its pooled
+        # features grow with its box count.
+        grid_fits = (lambda v: fits_bound(v, *self.synth.image_size),
+                     f"a grid of at most {MAX_GRID_BOXES:,} boxes on "
+                     f"synth.image_size")
         check_fields(self, {
+            "grid_train": grid_fits, "grid_test": grid_fits,
             "s_test": NON_NEGATIVE_INT,
             "mode": (lambda v: v in MODES, f"one of {MODES}"),
             **dict.fromkeys(("score_threshold", "nms_iou", "iou_match"),

@@ -9,19 +9,26 @@ per image (a 2-d sparse table; Bender & Farach-Colton, "The LCA Problem
 Revisited", 2000). The table is channel-last: slab (a, b) holds, for each
 cell, the max of every channel over the 3**a x 3**b window whose top-left
 corner is that cell, the C channels of a cell side by side; slab (0, 0) is
-the map itself. Levels go up to the longest bin that the pool shape can give
-on the map. A bin of length L along an axis, with 3**a <= L < 3**(a+1), is
-covered by k = ceil(L / 3**a) <= 3 windows of side 3**a, starting at r0,
-r0 + 3**a and r0 + 2 * 3**a, each clamped to end at the bin's end. Max is
-idempotent, so overlapping windows, and extra windows clamped onto the last,
-give the bin's max exactly. The window offsets of every range length on an
-axis are computed once per axis size and pool count (_window_table); a range
-finds its bins' levels and windows there by its length. All boxes of a call
-are pooled together in chunks, one vectorised gather per lookup that fetches
-every channel of each bin's cell; each row takes only the windows its own
-bins need (at most 3 x 3), the rows sorted by that count so that each lookup
-gathers a suffix of them. For a 128x128 map with 3 channels and 6x6 bins the
-table has 3 x 3 slabs, 3.2 MiB; a 256x256 map needs 4 x 4 slabs, 22.3 MiB.
+the map itself. Every slab has the map's full H x W x C stride, so a shift by
+s rows or s columns is a shift of one contiguous run: each level is the max
+of three shifted runs of the level below, read up to its last valid window
+start. A start within 3**b of a row's end mixes in the next row; no bin reads
+it. Levels go up to the longest bin that the pool shape can give on the map.
+A bin of length L along an axis, with 3**a <= L < 3**(a+1), is covered by
+k = ceil(L / 3**a) <= 3 windows of side 3**a, starting at r0, r0 + 3**a and
+r0 + 2 * 3**a, each clamped to end at the bin's end. Max is idempotent, so
+overlapping windows, and extra windows clamped onto the last, give the bin's
+max exactly. The window offsets of every range length on an axis are computed
+once per axis size and pool count (_window_table); a range finds its bins'
+levels and windows there by its length. A window's cell in the table is a row
+term (its slab row a and start row y) plus a column term (its slab column b
+and start column x), each cached per range length (_index_terms). All boxes
+of a call are pooled together in chunks, one vectorised gather per lookup
+that fetches every channel of each bin's cell; each row takes only the
+windows its own bins need (at most 3 x 3), the rows sorted by that count so
+that each lookup gathers a suffix of them. For a 128x128 map with 3 channels
+and 6x6 bins the table has 3 x 3 slabs, 3.375 MiB; a 256x256 map needs 4 x 4
+slabs, 24 MiB.
 """
 
 from __future__ import annotations
@@ -61,23 +68,22 @@ def _levels(n: int, pool: int) -> int:
     return int(_level(min(n, -(-n // pool) + 1))) + 1
 
 
-def _max3(src: np.ndarray, step: int, axis: int, out: np.ndarray):
-    """out = max of the three slices of src along axis starting at k * step."""
-    n = out.shape[axis]
-    lead = (slice(None),) * axis
-    part = lambda k: src[lead + (slice(k * step, k * step + n),)]
-    np.maximum(part(0), part(1), out=out)
-    np.maximum(out, part(2), out=out)
+def _max3(run: np.ndarray, src: int, dst: int, step: int, n: int):
+    """run[dst:dst + n] = max of the three runs of n values of run starting
+    at src, src + step and src + 2 * step."""
+    out = run[dst:dst + n]
+    np.maximum(run[src:src + n], run[src + step:src + step + n], out=out)
+    np.maximum(out, run[src + 2 * step:src + 2 * step + n], out=out)
 
 
 class FeatureMap:
     """Dense per-pixel features with the base-3 range-max table that pooling
     into pool_h x pool_w bins reads, every slab in one buffer `flat` of shape
-    (cells, C). Immutable by convention.
+    (levels_y * levels_x * H * W, C). Immutable by convention.
 
-    Slab (a, b) is the channel-last view (rows[a], cols[b], C) of flat,
-    with rows[a] = H - 3**a + 1 and cols[b] = W - 3**b + 1 window starts,
-    beginning at cell offsets[a, b]. Slab (0, 0) is the map itself, exposed
+    Slab (a, b) is block a * levels_x + b of H * W cells of flat, the
+    channel-last view (H, W, C); only its starts y <= H - 3**a and
+    x <= W - 3**b are valid windows. Slab (0, 0) is the map itself, exposed
     channel-major as the (C, H, W) view `data`.
     """
 
@@ -90,32 +96,30 @@ class FeatureMap:
         c, (h, w) = len(channels), channels[0].shape
         self.channels, self.height, self.width = c, h, w
         self.pool_h, self.pool_w = pool_h, pool_w
-        self.levels = (_levels(h, pool_h), _levels(w, pool_w))
-        self.rows = h + 1 - _SIDES[:self.levels[0]]
-        self.cols = w + 1 - _SIDES[:self.levels[1]]
-        sizes = np.outer(self.rows, self.cols)
-        self.offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
-        self.flat = np.empty((int(sizes.sum()), c), dtype=np.float64)
-
-        def slab(a, b):
-            start = self.offsets[a, b]
-            return self.flat[start:start + sizes[a, b]].reshape(
-                self.rows[a], self.cols[b], c)
-
-        self.data = np.stack(channels, axis=2, out=slab(0, 0)).transpose(
-            2, 0, 1)
-        for a in range(self.levels[0]):
-            if a:
-                _max3(slab(a - 1, 0), _SIDES[a - 1], 0, slab(a, 0))
-            for b in range(1, self.levels[1]):
-                _max3(slab(a, b - 1), _SIDES[b - 1], 1, slab(a, b))
+        self.levels = ly, lx = _levels(h, pool_h), _levels(w, pool_w)
+        self.flat = np.empty((ly * lx * h * w, c), dtype=np.float64)
+        self.data = np.stack(channels, axis=2,
+                             out=self.flat[:h * w].reshape(h, w, c)
+                             ).transpose(2, 0, 1)
+        # Slab (a, b) starts at value (a * lx + b) * h * w * c of run and is
+        # built up to its last valid start, cell (h - 3**a) * w + w - 3**b.
+        run, slab = self.flat.reshape(-1), h * w * c
+        for a in range(ly):
+            for b in range(lx):
+                n = ((h - _SIDES[a]) * w + w - _SIDES[b] + 1) * c
+                dst = (a * lx + b) * slab
+                if b:
+                    _max3(run, dst - slab, dst, _SIDES[b - 1] * c, n)
+                elif a:
+                    _max3(run, dst - lx * slab, dst, _SIDES[a - 1] * w * c, n)
 
     def pool(self, y0, y1, x0, x1, out: np.ndarray):
         """Write into out (n, C * pool_h * pool_w) the per-channel max of every
         bin of the n cell ranges [y0, y1) x [x0, x1), each non-empty."""
-        c, ph, pw = self.channels, self.pool_h, self.pool_w
-        ylevel, ystarts, yneed = _window_table(self.height, ph)
-        xlevel, xstarts, xneed = _window_table(self.width, pw)
+        c, h, w, ph, pw = (self.channels, self.height, self.width,
+                           self.pool_h, self.pool_w)
+        yterm, yneed = _index_terms(h, ph, w, self.levels[1] * h * w)
+        xterm, xneed = _index_terms(w, pw, 1, h * w)
         chunk = max(1, _CHUNK // out.shape[1])
         for lo in range(0, len(y0), chunk):
             hi = min(lo + chunk, len(y0))
@@ -128,26 +132,21 @@ class FeatureMap:
             k = np.maximum(need_y, need_x)
             order = np.argsort(k, kind="stable")
             from_k = np.searchsorted(k[order], np.arange(3), side="right")
-            ny, nx = ny[order], nx[order]
-            ay, ax = ylevel[ny], xlevel[nx]                      # (m, p)
-            ys = ystarts[ny] + y0[lo:hi][order, None, None]      # (m, 3, ph)
-            xs = xstarts[nx] + x0[lo:hi][order, None, None]      # (m, 3, pw)
+            ys = yterm[ny[order]] + (y0[lo:hi][order] * w)[:, None, None]
+            xs = xterm[nx[order]] + x0[lo:hi][order, None, None]
             # Cell index of lookup (ky, kx) of every bin, laid out as (box,
-            # bin row, bin column); its C channels are one row of flat. The
-            # max of a row's lookups accumulates in acc, then goes to out
-            # channel-major, in the rows' own order, in one scatter.
-            stride = self.cols[ax][:, None, :]                   # (m, 1, pw)
-            first = self.offsets[ay[:, :, None], ax[:, None, :]]  # (m, ph, pw)
-            row, index = np.empty_like(first), np.empty_like(first)
-            acc = np.empty(first.shape + (c,))                   # (m, ph, pw, C)
+            # bin row, bin column): its row term plus its column term; its C
+            # channels are one row of flat. The max of a row's lookups
+            # accumulates in acc, then goes to out channel-major, in the
+            # rows' own order, in one scatter.
+            index = np.empty((hi - lo, ph, pw), dtype=ys.dtype)
+            acc = np.empty(index.shape + (c,))                   # (m, ph, pw, C)
             values = np.empty_like(acc)
             for ky in range(need_y.max()):
-                s = from_k[ky]
-                np.multiply(ys[s:, ky, :, None], stride[s:], out=row[s:])
-                row[s:] += first[s:]
                 for kx in range(need_x.max()):
                     s = from_k[max(ky, kx)]
-                    np.add(row[s:], xs[s:, kx, None, :], out=index[s:])
+                    np.add(ys[s:, ky, :, None], xs[s:, kx, None, :],
+                           out=index[s:])
                     # Picks are in range by construction; "clip" skips the
                     # buffered copy numpy makes for out= under "raise".
                     if ky or kx:
@@ -188,6 +187,22 @@ def _window_table(n_max: int, pool: int):
     return level, starts, need
 
 
+@functools.lru_cache(maxsize=8)
+def _index_terms(n_max: int, pool: int, cell: int, slab: int):
+    """Per range length n in 0..n_max of an axis pooled into `pool` bins: the
+    part of each window's table cell index that this axis gives, relative to
+    the range's start, (n, 3, pool), and the window counts of _window_table;
+    read-only, cached per map shape.
+
+    A window at level a starting r cells into the range adds a * slab + r *
+    cell: slab is the cells between the table's consecutive slabs along this
+    axis, cell those between consecutive cells along it."""
+    level, starts, need = _window_table(n_max, pool)
+    terms = level[:, None, :] * slab + starts * cell
+    terms.flags.writeable = False
+    return terms, need
+
+
 @dataclass
 class FeatureExtractor:
     """Computes global features; keeps an invocation counter for cost checks."""
@@ -223,24 +238,23 @@ def build_roi_features(fm: FeatureMap, boxes: np.ndarray) -> np.ndarray:
     feats[:, d:] = boxes / (fm.width, fm.height, fm.width, fm.height)
     if not len(boxes):
         return feats
-    cx, cy, w, h = boxes.T
-    x1, y1 = cx - w / 2.0, cy - h / 2.0
-    x2, y2 = cx + w / 2.0, cy + h / 2.0
-    outside = (x2 <= 0) | (y2 <= 0) | (x1 >= fm.width) | (y1 >= fm.height)
+    # Corners as (x, y) columns: lo the top-left, hi the bottom-right.
+    half = boxes[:, 2:] / 2.0
+    lo, hi = boxes[:, :2] - half, boxes[:, :2] + half
+    size = (fm.width, fm.height)
+    outside = ((hi <= 0) | (lo >= size)).any(axis=1)
     if outside.any():
         row = int(np.argmax(outside))
         raise BoxOutsideImageError(
             f"box row {row} {boxes[row].tolist()} does not intersect the "
             f"{fm.width}x{fm.height} feature map")
     # Clip in floats, where a huge box cannot overflow the integer cast.
-    ix1 = np.maximum(np.floor(x1), 0).astype(np.intp)
-    iy1 = np.maximum(np.floor(y1), 0).astype(np.intp)
-    ix2 = np.minimum(np.ceil(x2), fm.width).astype(np.intp)
-    iy2 = np.minimum(np.ceil(y2), fm.height).astype(np.intp)
+    lo = np.maximum(np.floor(lo), 0).astype(np.intp)
+    hi = np.minimum(np.ceil(hi), size).astype(np.intp)
     # A box whose corners round together spans no cell: pool one cell, then
     # zero its row.
-    empty = (ix2 <= ix1) | (iy2 <= iy1)
-    fm.pool(iy1, np.maximum(iy2, iy1 + 1), ix1, np.maximum(ix2, ix1 + 1),
-            feats[:, :d])
+    empty = (hi <= lo).any(axis=1)
+    hi = np.maximum(hi, lo + 1)
+    fm.pool(lo[:, 1], hi[:, 1], lo[:, 0], hi[:, 0], feats[:, :d])
     feats[empty, :d] = 0.0
     return feats

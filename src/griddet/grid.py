@@ -35,8 +35,35 @@ class GridSpec:
                          "one number in [0, 1) per scale")})
 
 
+# The most boxes a grid may place on the config's image size, about 65 times
+# the default train grid's 1,523: its array is 3.2 MB, its pooled features
+# 90 MB per image.
+MAX_GRID_BOXES = 100_000
+
+
 def _axis_count(dim: float, cell: float, stride: float) -> int:
     return int(math.floor((dim - cell) / stride + _EPS)) + 1
+
+
+def _scales(spec: GridSpec, image_width: float, image_height: float):
+    """Per scale of spec: (cell, stride, box count) along x, then along y."""
+    for k, alpha in zip(spec.scales, spec.overlaps):
+        axes = []
+        for dim in (image_width, image_height):
+            cell = dim / k
+            stride = cell * (1.0 - alpha)
+            axes.append((cell, stride, _axis_count(dim, cell, stride)))
+        yield axes
+
+
+def fits_bound(spec: GridSpec, image_width: float,
+               image_height: float) -> bool:
+    """Whether grid_array places at most MAX_GRID_BOXES boxes, counted
+    without placing them. A scale k places at least k boxes per axis, so a
+    larger one fails before its cell size can underflow."""
+    return max(spec.scales) <= MAX_GRID_BOXES and sum(
+        nx * ny for (_, _, nx), (_, _, ny)
+        in _scales(spec, image_width, image_height)) <= MAX_GRID_BOXES
 
 
 @functools.lru_cache(maxsize=8)
@@ -52,13 +79,8 @@ def grid_array(spec: GridSpec, image_width: float,
     if image_width <= 0 or image_height <= 0:
         raise ValueError("image dimensions must be positive")
     rows = []
-    for k, alpha in zip(spec.scales, spec.overlaps):
-        cell_w = image_width / k
-        cell_h = image_height / k
-        stride_x = cell_w * (1.0 - alpha)
-        stride_y = cell_h * (1.0 - alpha)
-        nx = _axis_count(image_width, cell_w, stride_x)
-        ny = _axis_count(image_height, cell_h, stride_y)
+    for (cell_w, stride_x, nx), (cell_h, stride_y, ny) in _scales(
+            spec, image_width, image_height):
         scale = np.empty((ny, nx, 4))
         scale[:, :, 0] = np.arange(nx) * stride_x + cell_w / 2.0
         scale[:, :, 1] = (np.arange(ny) * stride_y + cell_h / 2.0)[:, None]

@@ -189,6 +189,18 @@ MALFORMED_CONFIGS = {
     "synth_noise_sigma_too_large_for_a_float": (
         f"synth:\n  noise_sigma: {BIG}\n", "synth",
         f"noise_sigma must be a number >= 0, got {BIG}"),
+    # 10^10 boxes (298 GiB), 160,000 and 10^400 per axis: each is rejected
+    # before grid_array places a box.
+    "grid_test_too_many_boxes": (
+        "grid_test:\n  scales: [100000]\n  overlaps: [0.0]\n", "",
+        "grid_test must be a grid of at most 100,000 boxes on "
+        "synth.image_size"),
+    "grid_train_too_many_boxes": (
+        "grid_train:\n  scales: [2, 400]\n  overlaps: [0.5, 0.0]\n", "",
+        "grid_train must be a grid of at most 100,000 boxes"),
+    "grid_train_scale_underflows_its_cell": (
+        f"grid_train:\n  scales: [{10 ** 400}]\n  overlaps: [0.5]\n", "",
+        "grid_train must be a grid of at most 100,000 boxes"),
     "grid_test_overlaps_a_string": (
         "grid_test:\n  scales: [2, 5, 10]\n  overlaps: [x, 0.5, 0.0]\n",
         "grid_test", "overlaps must be one number in [0, 1) per scale, "

@@ -386,54 +386,155 @@ def test_rows_take_their_own_window_counts():
 def test_default_map_builds_three_by_three_slabs():
     fm = FeatureExtractor().compute_global_features(np.zeros((128, 128)))
     assert fm.levels == (3, 3)
-    assert fm.rows.tolist() == fm.cols.tolist() == [128, 126, 120]
-    assert fm.offsets.shape == (3, 3)
-    assert fm.flat.nbytes == 3 * (128 + 126 + 120) ** 2 * 8  # 3.2 MiB
+    assert fm.flat.shape == (9 * 128 * 128, 3)
+    assert fm.flat.nbytes == 9 * 128 * 128 * 3 * 8  # 3.375 MiB
+
+
+def slab_starts(fm, a, b):
+    """The valid window starts of slab (a, b), (H - 3**a + 1, W - 3**b + 1,
+    C): the part of the full-stride block that pooling may read."""
+    h, w = fm.height, fm.width
+    block = fm.flat.reshape(*fm.levels, h, w, fm.channels)[a, b]
+    return block[:h - 3 ** a + 1, :w - 3 ** b + 1]
+
+
+def brute_window_max(data, a, b):
+    """Per window start (y, x), the per-channel max over the 3**a x 3**b
+    window there, by direct loops: (H - 3**a + 1, W - 3**b + 1, C)."""
+    c, h, w = data.shape
+    sy, sx = 3 ** a, 3 ** b
+    out = np.empty((h - sy + 1, w - sx + 1, c))
+    for y in range(h - sy + 1):
+        for x in range(w - sx + 1):
+            out[y, x] = data[:, y:y + sy, x:x + sx].max(axis=(1, 2))
+    return out
+
+
+def assert_slabs_are_window_maxima(fm, data):
+    for a in range(fm.levels[0]):
+        for b in range(fm.levels[1]):
+            assert slab_starts(fm, a, b).tobytes() == \
+                brute_window_max(data, a, b).tobytes(), (a, b)
+
+
+@pytest.mark.parametrize("shape,pool,levels", [
+    ((20, 30), (1, 1), (3, 4)), ((20, 30), (6, 6), (2, 2)),
+    ((4, 6), (1, 1), (2, 2)), ((4, 6), (2, 3), (2, 2)),
+    ((1, 1), (1, 1), (1, 1)), ((27, 2), (1, 1), (4, 1))])
+def test_slab_starts_are_the_window_maxima(shape, pool, levels):
+    rng = np.random.default_rng(sum(shape))
+    data = rng.uniform(-1, 1, size=(2,) + shape)
+    fm = FeatureMap(data, *pool)
+    assert fm.levels == levels
+    assert_slabs_are_window_maxima(fm, data)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 3), st.integers(1, 40), st.integers(1, 40),
+       st.integers(1, 7), st.integers(1, 7), st.data())
+def test_slab_starts_are_the_window_maxima_on_any_map(c, h, w, pool_h,
+                                                      pool_w, data):
+    values = data.draw(arrays(np.float64, (c, h, w),
+                              elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    values = values + 0.0  # no negative zeros, as in pooling_cases
+    assert_slabs_are_window_maxima(FeatureMap(values, pool_h, pool_w), values)
+
+
+class _DecodingTable(np.ndarray):
+    """A range-max table that records every index its lookups gather."""
+
+    gathered: list
+
+    def take(self, index, *args, **kwargs):
+        self.gathered.append(np.array(index))
+        return np.asarray(self).take(index, *args, **kwargs)
+
+
+@pytest.mark.parametrize("shape", ((128, 128), (37, 53), (4, 6)))
+def test_lookups_read_only_valid_window_starts(shape):
+    h, w = shape
+    rng = np.random.default_rng(h + w)
+    data = rng.uniform(-1, 1, size=(3, h, w))
+    grid = grid_array(ExperimentConfig().grid_test, w, h)
+    # Boxes after regression steps, and boxes flush with the right and
+    # bottom edges, whose last bins take the last valid starts.
+    moved = move_boxes(grid, rng.normal(0, 0.5, size=grid.shape), w, h)
+    edge = np.array([[w - bw / 2, h - bh / 2, bw, bh]
+                     for bw in (1, 2, w / 2, w) for bh in (1, 3, h / 3, h)])
+    boxes = np.concatenate([grid, moved, edge])
+    fm = FeatureMap(data)
+    fm.flat = fm.flat.view(_DecodingTable)
+    fm.flat.gathered = []
+    feats = build_roi_features(fm, boxes)
+    assert feats.tobytes() == reference_roi_features(
+        data, [Box(*row) for row in boxes.tolist()], 6, 6).tobytes()
+    index = np.concatenate([i.ravel() for i in fm.flat.gathered])
+    ly, lx = fm.levels
+    a, b = index // (lx * h * w), index // (h * w) % lx
+    y, x = index // w % h, index % w
+    assert np.all(a < ly)
+    assert np.all(y <= h - 3 ** a) and np.all(x <= w - 3 ** b)
+    # Pooling reads the top levels and the last valid starts.
+    assert a.max() == ly - 1 and b.max() == lx - 1
+    assert np.any(y == h - 3 ** a) and np.any(x == w - 3 ** b)
+
+
+def _max3(src: np.ndarray, step: int, axis: int, out: np.ndarray):
+    """out = max of the three slices of src along axis starting at k * step:
+    the level builder of the packed table."""
+    n = out.shape[axis]
+    lead = (slice(None),) * axis
+    part = lambda k: src[lead + (slice(k * step, k * step + n),)]
+    np.maximum(part(0), part(1), out=out)
+    np.maximum(out, part(2), out=out)
 
 
 def reference_pool(fm, y0, y1, x0, x1, out):
-    """FeatureMap.pool on the channel-major table the channel-last one
-    replaced: slab (a, b) of shape (C, rows[a], cols[b]) at value offset
-    offsets[a, b] of one flat buffer, one gather of single values per (box,
-    channel, bin) and lookup, in chunks of 1 << 14 values."""
+    """FeatureMap.pool on the channel-major packed table that the
+    channel-last full-stride one replaced: slab (a, b) of shape (C, rows[a],
+    cols[b]), with rows[a] = H - 3**a + 1 and cols[b] = W - 3**b + 1 window
+    starts, at value offset offsets[a, b] of one flat buffer, built by _max3
+    on strided slices; one gather of single values per (box, channel, bin)
+    and lookup, in chunks of 1 << 14 values."""
     c = fm.channels
-    sizes = c * np.outer(fm.rows, fm.cols)
+    rows = fm.height + 1 - 3 ** np.arange(fm.levels[0])
+    cols = fm.width + 1 - 3 ** np.arange(fm.levels[1])
+    sizes = c * np.outer(rows, cols)
     offsets = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
     flat = np.empty(int(sizes.sum()))
 
     def slab(a, b):
         start = offsets[a, b]
-        return flat[start:start + sizes[a, b]].reshape(c, fm.rows[a],
-                                                       fm.cols[b])
+        return flat[start:start + sizes[a, b]].reshape(c, rows[a], cols[b])
 
     slab(0, 0)[...] = fm.data
     for a in range(fm.levels[0]):
         if a:
-            features._max3(slab(a - 1, 0), 3 ** (a - 1), 1, slab(a, 0))
+            _max3(slab(a - 1, 0), 3 ** (a - 1), 1, slab(a, 0))
         for b in range(1, fm.levels[1]):
-            features._max3(slab(a, b - 1), 3 ** (b - 1), 2, slab(a, b))
+            _max3(slab(a, b - 1), 3 ** (b - 1), 2, slab(a, b))
     chan = np.arange(c)[:, None, None]
     chunk = max(1, (1 << 14) // out.shape[1])
     for lo in range(0, len(y0), chunk):
         hi = min(lo + chunk, len(y0))
         ay, ys = reference_windows(y0[lo:hi], y1[lo:hi], fm.pool_h)
         ax, xs = reference_windows(x0[lo:hi], x1[lo:hi], fm.pool_w)
-        stride = fm.cols[ax][:, None, None, :]
+        stride = cols[ax][:, None, None, :]
         first_slab = offsets[ay[:, :, None], ax[:, None, :]]
-        plane = fm.rows[ay][:, None, :, None] * stride
+        plane = rows[ay][:, None, :, None] * stride
         first = first_slab[:, None] + chan * plane
         index = np.empty_like(first)
         values = np.empty(first.shape).reshape(hi - lo, -1)
-        rows = out[lo:hi]
+        pooled = out[lo:hi]
         for ky, y in enumerate(ys):
             row = y[:, None, :, None] * stride + first
             for kx, x in enumerate(xs):
                 np.add(row, x[:, None, None, :], out=index)
                 flat.take(index.reshape(values.shape), out=values)
                 if ky or kx:
-                    np.maximum(rows, values, out=rows)
+                    np.maximum(pooled, values, out=pooled)
                 else:
-                    rows[...] = values
+                    pooled[...] = values
 
 
 def reference_roi_pool(fm, boxes):

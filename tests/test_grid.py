@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from griddet.boxes import boxes_to_array
-from griddet.grid import GridSpec, _axis_count, generate_grid, grid_array
+from griddet.config import ExperimentConfig
+from griddet.grid import (MAX_GRID_BOXES, GridSpec, _axis_count, fits_bound,
+                          generate_grid, grid_array)
 
 
 def brute_force_count(dim, cell, stride):
@@ -129,3 +131,23 @@ def test_grid_array_is_cached_read_only_and_matches_the_box_loop(spec, size):
     assert grid.dtype == np.float64 and grid.shape == (len(grid), 4)
     assert grid.tobytes() == boxes_to_array(generate_grid(spec, *size)).tobytes()
     assert grid.tobytes() == reference_grid(spec, *size).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec((316,), (0.0,)), GridSpec((317,), (0.0,)),
+    GridSpec((2, 5, 10), (0.9, 0.8, 0.7)), GridSpec((1, 100), (0.0, 0.5))])
+@pytest.mark.parametrize("size", [(128, 128), (100, 37)])
+def test_fits_bound_counts_the_boxes_grid_array_places(spec, size):
+    assert fits_bound(spec, *size) == (len(grid_array(spec, *size))
+                                       <= MAX_GRID_BOXES)
+
+
+def test_grid_bound_sits_far_above_the_default_grids():
+    cfg = ExperimentConfig()
+    for spec in (cfg.grid_train, cfg.grid_test):
+        assert len(grid_array(spec, *cfg.synth.image_size)) * 50 \
+            < MAX_GRID_BOXES
+    # 316 x 316 boxes fit and 317 x 317 do not.
+    assert fits_bound(GridSpec((316,), (0.0,)), 128, 128)
+    assert not fits_bound(GridSpec((317,), (0.0,)), 128, 128)
+    assert not fits_bound(GridSpec((10 ** 400,), (0.5,)), 128, 128)
