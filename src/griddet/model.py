@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,8 @@ CHECKPOINT_MAGIC = b"GRIDDET-CKPT 1\n"
 CHECKPOINT_EXTRACTOR = {"extra_filters": [], "include_box_coords": True,
                         "include_gradients": True, "pool_h": POOL,
                         "pool_w": POOL}
+# Rows per batch, images_per_batch * samples_per_image_per_step, at most.
+MAX_BATCH_ROWS = 100_000
 
 
 class DimensionMismatchError(ValueError):
@@ -64,6 +67,10 @@ class TrainConfig:
             **dict.fromkeys(("momentum", "bg_threshold"),
                             (lambda v: 0 <= v < 1, "in [0, 1)")),
             "seed": NON_NEGATIVE_INT})
+        rows = self.images_per_batch * self.samples_per_image_per_step
+        if rows > MAX_BATCH_ROWS:
+            raise ValueError(f"samples_per_image_per_step x images_per_batch "
+                             f"must be at most {MAX_BATCH_ROWS:,}, got {rows:,}")
 
 
 def _layer_views(flat: np.ndarray, layer_sizes) -> tuple[list, list]:
@@ -360,35 +367,33 @@ class TrainLog:
 
 
 @dataclass
-class SceneTensors:
-    """Pooled features and targets for one scene, fixed for the whole run.
+class TrainingTable:
+    """Pooled rows of every training scene. Scene i owns rows offsets[i]:
+    offsets[i + 1]: its foreground rows box by box, steps 1..s_train within
+    each box, then its background rows, whose other columns are all 0."""
 
-    Foreground rows cover steps 1..s_train of the stepwise schedule;
-    direct_targets holds the full-path delta for step-1 rows (single-step
-    baseline training).
-    """
-
-    fg_feats: np.ndarray       # (F, D)
-    fg_labels: np.ndarray      # (F,) 1-based class ids
-    fg_steps: np.ndarray       # (F,)
-    fg_targets: np.ndarray     # (F, 4) stepwise schedule targets
-    direct_targets: np.ndarray  # (F, 4), valid where fg_steps == 1
-    bg_feats: np.ndarray       # (B, D)
+    feats: np.ndarray    # (R, FEATURE_DIM)
+    labels: np.ndarray   # (R,) 1-based class ids
+    steps: np.ndarray    # (R,)
+    targets: np.ndarray  # (R, 4) stepwise schedule targets
+    direct: np.ndarray   # (R, 4) full-path targets on step-1 rows, else 0
+    offsets: np.ndarray  # (scenes + 1,)
 
 
 def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
-                             ) -> list[SceneTensors]:
+                             ) -> TrainingTable:
     """Pool features for every box state of every scene's training schedule.
 
     Box states never depend on the model (approximate update), so everything
     can be pooled once up front. Background boxes are subsampled to
     max_bg_per_scene classifier negatives per scene, deterministically.
     """
-    extractor = FeatureExtractor()
+    if not scenes:
+        raise ValueError("no scenes to train on")
     s_train = config.s_train
-    out = []
+    # Pass 1: per scene, the foreground boxes, their objects and the background.
+    staged = []
     for scene in scenes:
-        fm = extractor.compute_global_features(scene.image)
         h, w = scene.image.shape
         grid = grid_array(grid_spec, w, h)
         gt_boxes = boxes_to_array([g.box for g in scene.gts])
@@ -403,22 +408,30 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
                                  replace=False)
             bg = bg[np.sort(keep)]
         fg_gt = gt_index[fg]
-        fg_grid, targets = grid[fg], gt_boxes[fg_gt]
-        states, fg_targets = train_schedule(fg_grid, targets, s_train,
-                                            s_train)
-        fg_feats = build_roi_features(fm, states)
-        bg_feats = build_roi_features(fm, grid[bg])
-        # Free this scene's map and range-max table before the next is built.
-        del fm
-        # Rows run box by box, steps 1..s_train within each box.
-        fg_labels = np.repeat(gt_labels[fg_gt], s_train)
-        fg_steps = np.tile(np.arange(1, s_train + 1, dtype=np.int64), len(fg))
-        # Direct (non-scheduled) targets for the step-1 box states.
-        direct = np.zeros_like(fg_targets)
-        direct[::s_train] = box_deltas(fg_grid, targets)
-        out.append(SceneTensors(fg_feats, fg_labels, fg_steps, fg_targets,
-                                direct, bg_feats))
-    return out
+        staged.append((grid[fg], gt_boxes[fg_gt], gt_labels[fg_gt], grid[bg]))
+    # Pass 2: one table; per scene, the schedule and one pooling call.
+    offsets = np.cumsum([0] + [len(fg) * s_train + len(bg)
+                               for fg, _, _, bg in staged])
+    # Features in an anonymous map (of at least one byte), not on the heap:
+    # freeing a block this large would let glibc's heap keep twice its size.
+    feats = np.frombuffer(mmap.mmap(-1, 8 * FEATURE_DIM * offsets[-1] or 1),
+                          count=FEATURE_DIM * offsets[-1])
+    labels, steps = np.zeros((2, offsets[-1]), dtype=np.int64)
+    table = TrainingTable(feats.reshape(-1, FEATURE_DIM), labels, steps,
+                          *np.zeros((2, offsets[-1], 4)), offsets)
+    extractor = FeatureExtractor()
+    for scene, start, end in zip(scenes, offsets, offsets[1:]):
+        fg_grid, targets, fg_labels, bg_boxes = staged.pop(0)
+        states, fg_targets = train_schedule(fg_grid, targets, s_train, s_train)
+        fg = slice(start, start + len(states))
+        table.labels[fg] = np.repeat(fg_labels, s_train)
+        table.steps[fg] = np.tile(np.arange(1, s_train + 1), len(fg_grid))
+        table.targets[fg] = fg_targets
+        table.direct[fg][::s_train] = box_deltas(fg_grid, targets)
+        table.feats[start:end] = build_roi_features(
+            extractor.compute_global_features(scene.image),
+            np.concatenate([states, bg_boxes]))
+    return table
 
 
 class _BatchSampler:
@@ -426,80 +439,66 @@ class _BatchSampler:
 
     Per image, in scene_ids order: samples_per_image regression rows from the
     phase's pool, then the step-1 foreground and the background classifier
-    rows. An image whose pool is empty adds no rows of that kind, so a batch
-    can come out short. The random draws are one ``integers`` call per part,
-    in that order. The returned arrays are views of the buffers, valid until
-    the next draw.
+    rows, each part picked by one ``integers`` draw of table rows. An image
+    whose pool is empty adds no rows of that kind, so a batch can come out
+    short. One take from the table fills each buffer; the returned arrays
+    are views of the buffers, valid until the next draw.
     """
 
-    def __init__(self, tensors: list[SceneTensors], config: TrainConfig,
+    def __init__(self, table: TrainingTable, config: TrainConfig,
                  num_classes: int):
         # Checked once here, so that the losses can index by label unchecked.
-        for i, t in enumerate(tensors):
-            if len(t.fg_labels) and (t.fg_labels.min() < 1
-                                     or t.fg_labels.max() > num_classes):
-                raise ValueError(
-                    f"scene tensors {i}: foreground labels must be in "
-                    f"1..{num_classes}, got {t.fg_labels.min()}.."
-                    f"{t.fg_labels.max()}")
-        self.tensors = tensors
-        self.per_image = config.samples_per_image_per_step
-        self.n_fg_cls = max(1, int(round(
-            self.per_image / (1.0 + config.fg_bg_ratio))))
-        self.n_bg_cls = self.per_image - self.n_fg_cls
-        self.step1_pools = [np.flatnonzero(t.fg_steps == 1) for t in tensors]
-        self.reg_parts = []
-        rows = config.images_per_batch * self.per_image
-        self.reg_buffers = (np.empty((rows, FEATURE_DIM)),
-                            np.empty(rows, dtype=np.int64), np.empty((rows, 4)))
-        self.cls_buffers = (np.empty((rows, FEATURE_DIM)),
-                            np.empty(rows, dtype=np.int64))
+        bad = np.flatnonzero((table.steps > 0) & (
+            (table.labels < 1) | (table.labels > num_classes)))
+        if len(bad):
+            scene = np.searchsorted(table.offsets, bad[0], side="right") - 1
+            raise ValueError(
+                f"scene tensors {scene}: foreground labels must be in "
+                f"1..{num_classes}, got {table.labels[bad[0]]} in row {bad[0]}")
+        self.table = table
+        per_image = config.samples_per_image_per_step
+        n_fg_cls = max(1, int(round(per_image / (1.0 + config.fg_bg_ratio))))
+        self.sizes = (per_image, n_fg_cls, per_image - n_fg_cls)
+        rows = config.images_per_batch * per_image
+        # Per head, regressor then classifier: the picked rows and buffers.
+        self.picks = np.empty((2, rows), dtype=np.intp)
+        feats = np.empty((2, rows, FEATURE_DIM))
+        labels = np.empty((2, rows), dtype=np.int64)
+        self.buffers = (feats[0], labels[0], np.empty((rows, 4)), feats[1],
+                        labels[1])
 
     def start_phase(self, stage: int, direct: bool):
         """Direct phases regress step-1 rows to their full-path targets;
         stepwise phases draw from the rows of steps 1..stage. Per scene, the
-        phase's regression draws read (pool, source arrays)."""
-        self.reg_parts = []
-        for t, step1 in zip(self.tensors, self.step1_pools):
-            pool = step1 if direct else np.flatnonzero(t.fg_steps <= stage)
-            targets = t.direct_targets if direct else t.fg_targets
-            self.reg_parts.append((pool, (t.fg_feats, t.fg_labels, targets)))
+        phase's pools are its (regression, step-1, background) table rows."""
+        t = self.table
+        self.sources = (t.feats, t.labels, t.direct if direct else t.targets,
+                        t.feats, t.labels)
+        step1 = t.steps == 1
+        reg = step1 if direct else (t.steps >= 1) & (t.steps <= stage)
+        self.pools = [[start + np.flatnonzero(part[start:end])
+                       for part in (reg, step1, t.steps == 0)]
+                      for start, end in zip(t.offsets, t.offsets[1:])]
 
     def sample(self, rng: np.random.Generator, scene_ids: np.ndarray):
         """(reg_feats, reg_labels, reg_targets, cls_feats, cls_labels)."""
-        n_reg = n_cls = 0
-        reg_buffers, cls_buffers = self.reg_buffers, self.cls_buffers
+        counts = [0, 0]  # rows picked so far per head
         for sid in scene_ids.tolist():
-            t = self.tensors[sid]
-            pool, sources = self.reg_parts[sid]
-            if len(pool) > 0:
-                pick = pool[rng.integers(len(pool), size=self.per_image)]
-                n_reg = _gather(pick, n_reg, sources, reg_buffers)
-            step1 = self.step1_pools[sid]
-            if len(step1) > 0:
-                pick = step1[rng.integers(len(step1), size=self.n_fg_cls)]
-                n_cls = _gather(pick, n_cls, (t.fg_feats, t.fg_labels),
-                                cls_buffers)
-            if len(t.bg_feats) > 0:
-                pick = rng.integers(len(t.bg_feats), size=self.n_bg_cls)
-                cls_buffers[1][n_cls:n_cls + self.n_bg_cls] = 0
-                n_cls = _gather(pick, n_cls, (t.bg_feats,), cls_buffers)
-        return (*(b[:n_reg] for b in reg_buffers),
-                *(b[:n_cls] for b in cls_buffers))
-
-
-def _gather(pick: np.ndarray, start: int, sources, buffers) -> int:
-    """Copy rows pick of each source into the matching buffer from row start
-    on; return the row after the last one written."""
-    end = start + len(pick)
-    for source, buffer in zip(sources, buffers):
+            for head, pool, size in zip((0, 1, 1), self.pools[sid], self.sizes):
+                if len(pool) > 0:
+                    pick = pool[rng.integers(len(pool), size=size)]
+                    self.picks[head, counts[head]:counts[head] + size] = pick
+                    counts[head] += size
         # Picks are in range by construction; "clip" skips the buffered copy
         # numpy makes for out= under the default mode "raise".
-        source.take(pick, axis=0, out=buffer[start:end], mode="clip")
-    return end
+        return tuple(
+            source.take(self.picks[head, :counts[head]], axis=0,
+                        out=buffer[:counts[head]], mode="clip")
+            for head, source, buffer in zip((0, 0, 0, 1, 1), self.sources,
+                                            self.buffers))
 
 
-def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
+def train_models(table: TrainingTable, config: TrainConfig, mode: str,
                  num_classes: int):
     """Run the SGD schedule for one of the three training strategies.
 
@@ -511,7 +510,7 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    sampler = _BatchSampler(tensors, config, num_classes)
+    sampler = _BatchSampler(table, config, num_classes)
     ss = np.random.SeedSequence(config.seed)
     init_reg, init_cls, batch_ss = ss.spawn(3)
     regressor = make_regressor(FEATURE_DIM, config.hidden_sizes, num_classes,
@@ -535,7 +534,7 @@ def train_models(tensors: list[SceneTensors], config: TrainConfig, mode: str,
     else:
         phases = [(1, config.s_train * config.n_iter_per_stage, True)]
 
-    n_scenes = len(tensors)
+    n_scenes = len(table.offsets) - 1
     replace = n_scenes < config.images_per_batch
     for stage, n_iter, direct in phases:
         log.stage_boundaries.append(log.total_iterations)

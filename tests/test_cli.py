@@ -201,6 +201,12 @@ MALFORMED_CONFIGS = {
     "grid_train_scale_underflows_its_cell": (
         f"grid_train:\n  scales: [{10 ** 400}]\n  overlaps: [0.5]\n", "",
         "grid_train must be a grid of at most 100,000 boxes"),
+    # 10^9 images of 64 rows: rejected before the sampler's buffers or the
+    # workspaces are allocated.
+    "train_batch_too_many_rows": (
+        "train:\n  images_per_batch: 1000000000\n", "train",
+        "samples_per_image_per_step x images_per_batch must be at most "
+        "100,000, got 64,000,000,000"),
     "grid_test_overlaps_a_string": (
         "grid_test:\n  scales: [2, 5, 10]\n  overlaps: [x, 0.5, 0.0]\n",
         "grid_test", "overlaps must be one number in [0, 1) per scale, "

@@ -11,12 +11,13 @@ from griddet.config import ExperimentConfig
 from griddet.features import (FEATURE_DIM, FeatureExtractor,
                               build_roi_features)
 from griddet.grid import GridSpec, generate_grid
-from griddet.model import (CHECKPOINT_EXTRACTOR, CHECKPOINT_MAGIC, MLP, MODES,
-                           Grads, SceneTensors, SGDOptimizer, TrainConfig,
-                           Workspace, classifier_loss, load_checkpoint,
-                           make_classifier, make_regressor,
-                           precompute_scene_tensors, regression_loss_arrays,
-                           save_checkpoint, smooth_l1, train_models)
+from griddet.model import (CHECKPOINT_EXTRACTOR, CHECKPOINT_MAGIC,
+                           MAX_BATCH_ROWS, MLP, MODES, Grads, SGDOptimizer,
+                           TrainConfig, TrainingTable, Workspace,
+                           classifier_loss, load_checkpoint, make_classifier,
+                           make_regressor, precompute_scene_tensors,
+                           regression_loss_arrays, save_checkpoint, smooth_l1,
+                           train_models)
 from griddet.pipeline import train
 from griddet.records import to_plain
 from griddet.synth import Scene, SynthConfig, generate_dataset
@@ -273,30 +274,30 @@ def small_training_setup():
     scenes = generate_dataset(synth, 6)
     config = TrainConfig(seed=3, n_iter_per_stage=60, learning_rate=0.05)
     grid_spec = GridSpec((2, 4), (0.8, 0.7))
-    tensors = precompute_scene_tensors(scenes, grid_spec, config)
-    return scenes, config, grid_spec, tensors
+    table = precompute_scene_tensors(scenes, grid_spec, config)
+    return scenes, config, grid_spec, table
 
 
 def test_training_modes_equal_total_iterations(small_training_setup):
-    _, config, _, tensors = small_training_setup
+    _, config, _, table = small_training_setup
     for mode in ("gcnn", "1step", "ifrcnn"):
-        _, _, log = train_models(tensors, config, mode, 4)
+        _, _, log = train_models(table, config, mode, 4)
         assert log.total_iterations == config.s_train * config.n_iter_per_stage
 
 
 def test_gcnn_has_stage_boundaries(small_training_setup):
-    _, config, _, tensors = small_training_setup
-    _, _, log = train_models(tensors, config, "gcnn", 4)
+    _, config, _, table = small_training_setup
+    _, _, log = train_models(table, config, "gcnn", 4)
     assert log.stage_boundaries == [0, config.n_iter_per_stage,
                                     2 * config.n_iter_per_stage]
-    _, _, log1 = train_models(tensors, config, "1step", 4)
+    _, _, log1 = train_models(table, config, "1step", 4)
     assert log1.stage_boundaries == [0]
 
 
 def test_training_deterministic(small_training_setup):
-    _, config, _, tensors = small_training_setup
-    r1, c1, _ = train_models(tensors, config, "gcnn", 4)
-    r2, c2, _ = train_models(tensors, config, "gcnn", 4)
+    _, config, _, table = small_training_setup
+    r1, c1, _ = train_models(table, config, "gcnn", 4)
+    r2, c2, _ = train_models(table, config, "gcnn", 4)
     assert r1.flat.tobytes() == r2.flat.tobytes()
     assert c1.flat.tobytes() == c2.flat.tobytes()
 
@@ -304,20 +305,20 @@ def test_training_deterministic(small_training_setup):
 def test_single_stage_modes_coincide(small_training_setup):
     scenes, config, grid_spec, _ = small_training_setup
     cfg1 = dataclasses.replace(config, s_train=1, n_iter_per_stage=30)
-    tensors = precompute_scene_tensors(scenes, grid_spec, cfg1)
-    rg, cg, lg = train_models(tensors, cfg1, "gcnn", 4)
-    ro, co, lo = train_models(tensors, cfg1, "1step", 4)
+    table = precompute_scene_tensors(scenes, grid_spec, cfg1)
+    rg, cg, lg = train_models(table, cfg1, "gcnn", 4)
+    ro, co, lo = train_models(table, cfg1, "1step", 4)
     assert rg.flat.tobytes() == ro.flat.tobytes()
     assert cg.flat.tobytes() == co.flat.tobytes()
     assert [e["reg_loss"] for e in lg.entries] == \
         [e["reg_loss"] for e in lo.entries]
 
 
-def _reference_train(tensors, config, mode, num_classes):
+def _reference_train(table, config, mode, num_classes):
     """Straightforward training loop, kept as the reference for train_models:
     per-layer parameter arrays replaced by allocating updates, and batches
-    concatenated from per-image parts. Returns (params, log entries, stage
-    boundaries)."""
+    concatenated from per-image parts of each scene's slice of the table.
+    Returns (params, log entries, stage boundaries)."""
 
     def init(sizes, seed):
         rng = np.random.default_rng(seed)
@@ -391,23 +392,26 @@ def _reference_train(tensors, config, mode, num_classes):
         reg_feats, reg_labels, reg_targets = [], [], []
         cls_feats, cls_labels = [], []
         for sid in scene_ids:
-            t = tensors[sid]
-            pool = np.flatnonzero(t.fg_steps == 1 if direct
-                                  else t.fg_steps <= stage)
+            rows = slice(table.offsets[sid], table.offsets[sid + 1])
+            feats, labels = table.feats[rows], table.labels[rows]
+            steps = table.steps[rows]
+            targets = (table.direct if direct else table.targets)[rows]
+            pool = np.flatnonzero(steps == 1 if direct
+                                  else (steps >= 1) & (steps <= stage))
             if len(pool) > 0:
                 pick = pool[rng.integers(0, len(pool), size=per_image)]
-                reg_feats.append(t.fg_feats[pick])
-                reg_labels.append(t.fg_labels[pick])
-                reg_targets.append(t.direct_targets[pick] if direct
-                                   else t.fg_targets[pick])
-            step1 = np.flatnonzero(t.fg_steps == 1)
+                reg_feats.append(feats[pick])
+                reg_labels.append(labels[pick])
+                reg_targets.append(targets[pick])
+            step1 = np.flatnonzero(steps == 1)
             if len(step1) > 0:
                 pick = step1[rng.integers(0, len(step1), size=n_fg_cls)]
-                cls_feats.append(t.fg_feats[pick])
-                cls_labels.append(t.fg_labels[pick])
-            if len(t.bg_feats) > 0:
-                pick = rng.integers(0, len(t.bg_feats), size=n_bg_cls)
-                cls_feats.append(t.bg_feats[pick])
+                cls_feats.append(feats[pick])
+                cls_labels.append(labels[pick])
+            bg = np.flatnonzero(steps == 0)
+            if len(bg) > 0:
+                pick = bg[rng.integers(0, len(bg), size=n_bg_cls)]
+                cls_feats.append(feats[pick])
                 cls_labels.append(np.zeros(n_bg_cls, dtype=np.int64))
 
         def stack(parts, width):
@@ -435,9 +439,10 @@ def _reference_train(tensors, config, mode, num_classes):
     for stage, iterations, direct in phases:
         boundaries.append(len(entries))
         for it in range(iterations):
+            n_scenes = len(table.offsets) - 1
             scene_ids = rng.choice(
-                len(tensors), size=config.images_per_batch,
-                replace=len(tensors) < config.images_per_batch)
+                n_scenes, size=config.images_per_batch,
+                replace=n_scenes < config.images_per_batch)
             rf, rl, rt, cf, cl = sample_batch(scene_ids, rng, stage, direct)
             all_bg = len(rf) == 0
             reg_loss = 0.0
@@ -456,47 +461,52 @@ def _reference_train(tensors, config, mode, num_classes):
     return params, entries, boundaries
 
 
-def _without_foreground(t):
-    return dataclasses.replace(
-        t, fg_feats=t.fg_feats[:0], fg_labels=t.fg_labels[:0],
-        fg_steps=t.fg_steps[:0], fg_targets=t.fg_targets[:0],
-        direct_targets=t.direct_targets[:0])
+def _keep_rows(table, kinds):
+    """The first len(kinds) scenes of table, each with only its rows of one
+    kind, "fg", "bg" or "all", and the offsets recomputed."""
+    keep = np.zeros(len(table.steps), dtype=bool)
+    for kind, start, end in zip(kinds, table.offsets, table.offsets[1:]):
+        fg = table.steps[start:end] > 0
+        keep[start:end] = {"fg": fg, "bg": ~fg, "all": True}[kind]
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    return TrainingTable(
+        table.feats[keep], table.labels[keep], table.steps[keep],
+        table.targets[keep], table.direct[keep],
+        kept[table.offsets[:len(kinds) + 1]])
 
 
-def _short(ts):
-    """Scene 1 without foreground rows and scene 2 without background rows,
-    so that batches which draw them come out short."""
-    return [ts[0], _without_foreground(ts[1]),
-            dataclasses.replace(ts[2], bg_feats=ts[2].bg_feats[:0]), *ts[3:]]
+# Scene 1 without foreground rows and scene 2 without background rows, so
+# that batches which draw them come out short.
+SHORT = ("all", "bg", "fg", "all", "all", "all")
 
-
-# case -> (TrainConfig overrides, scene tensors from the fixture's list)
+# case -> (TrainConfig overrides, kinds of rows kept per scene of the
+# fixture's table)
 REFERENCE_CASES = {
-    "short_batches": ({}, _short),
+    "short_batches": ({}, SHORT),
     # Fewer scenes than images per batch: scenes are drawn with replacement,
     # and a batch of only the foreground-free scene is all background.
-    "replace": ({"images_per_batch": 3},
-                lambda ts: [ts[0], _without_foreground(ts[1])]),
-    "no_hidden_layer": ({"hidden_sizes": ()}, lambda ts: ts),
-    "two_hidden_layers": ({"hidden_sizes": (16, 8)}, lambda ts: ts),
+    "replace": ({"images_per_batch": 3}, ("all", "bg")),
+    "no_hidden_layer": ({"hidden_sizes": ()}, ("all",) * 6),
+    "two_hidden_layers": ({"hidden_sizes": (16, 8)}, ("all",) * 6),
     # One row per head, or none: numpy sends one-row products to gemv, and
     # the workspace's one-row views must give the allocating loop's bits.
     # Batches of scene 1 alone are all background.
     "one_row_batches": ({"images_per_batch": 1,
-                         "samples_per_image_per_step": 1}, _short),
+                         "samples_per_image_per_step": 1}, SHORT),
 }
 
 
 @pytest.mark.parametrize("mode", ["gcnn", "1step", "ifrcnn"])
-@pytest.mark.parametrize("overrides, pick", REFERENCE_CASES.values(),
+@pytest.mark.parametrize("overrides, kinds", REFERENCE_CASES.values(),
                          ids=REFERENCE_CASES.keys())
 def test_train_models_matches_reference_loop(small_training_setup, mode,
-                                             overrides, pick):
-    _, config, _, all_tensors = small_training_setup
+                                             overrides, kinds):
+    _, config, _, full = small_training_setup
     config = dataclasses.replace(config, n_iter_per_stage=20, **overrides)
-    tensors = pick(all_tensors)
-    reg, cls, log = train_models(tensors, config, mode, 4)
-    params, entries, boundaries = _reference_train(tensors, config, mode, 4)
+    table = _keep_rows(full, kinds)
+    assert len(table.offsets) == len(kinds) + 1
+    reg, cls, log = train_models(table, config, mode, 4)
+    params, entries, boundaries = _reference_train(table, config, mode, 4)
     got = layer_arrays(reg) + layer_arrays(cls)
     assert [a.shape for a in got] == [a.shape for a in params]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, params))
@@ -509,19 +519,19 @@ def test_train_models_matches_reference_loop(small_training_setup, mode,
 @pytest.mark.parametrize("bad_label", [0, 5])
 def test_train_models_rejects_labels_outside_classes(small_training_setup,
                                                      bad_label):
-    _, config, _, tensors = small_training_setup
-    t = tensors[1]
-    labels = t.fg_labels.copy()
-    labels[-1] = bad_label
-    tensors = [tensors[0], dataclasses.replace(t, fg_labels=labels)]
+    _, config, _, table = small_training_setup
+    start, end = table.offsets[1:3]
+    labels = table.labels.copy()
+    labels[start + np.flatnonzero(table.steps[start:end])[-1]] = bad_label
+    table = dataclasses.replace(table, labels=labels)
     with pytest.raises(ValueError, match=r"scene tensors 1: foreground "
                        r"labels must be in 1\.\.4"):
-        train_models(tensors, config, "gcnn", 4)
+        train_models(table, config, "gcnn", 4)
 
 
 def test_train_models_steps_from_one_buffer_per_model(small_training_setup,
                                                       monkeypatch):
-    _, config, _, tensors = small_training_setup
+    _, config, _, table = small_training_setup
     config = dataclasses.replace(config, n_iter_per_stage=5)
     seen = []
     step = SGDOptimizer.step
@@ -531,18 +541,45 @@ def test_train_models_steps_from_one_buffer_per_model(small_training_setup,
         return step(self, grads)
 
     monkeypatch.setattr(SGDOptimizer, "step", record)
-    train_models(tensors, config, "gcnn", 4)
+    train_models(table, config, "gcnn", 4)
     assert len(seen) == 2 * 3 * 5
     assert len(set(seen)) == 2 and len({m for m, _ in seen}) == 2
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_train_models_gathers_each_batch_in_five_takes(small_training_setup,
+                                                        mode):
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=4)
+    takes = []
+
+    class Counting(np.ndarray):
+        def take(self, *args, **kwargs):
+            takes.append(self.shape)
+            return super().take(*args, **kwargs)
+
+    counted = TrainingTable(*(getattr(table, f.name).view(Counting)
+                              for f in dataclasses.fields(TrainingTable)))
+    train_models(counted, config, mode, 4)
+    # Per batch: features, labels and targets of the regression rows, then
+    # features and labels of the classifier rows.
+    per_batch = [table.feats.shape, table.labels.shape, table.targets.shape,
+                 table.feats.shape, table.labels.shape]
+    assert takes == per_batch * (3 * 4)
+
+
 def test_stage_pool_size(small_training_setup):
-    scenes, config, grid_spec, tensors = small_training_setup
-    for t in tensors:
-        n_fg_boxes = int(np.sum(t.fg_steps == 1))
+    scenes, config, grid_spec, table = small_training_setup
+    assert len(table.offsets) == len(scenes) + 1
+    for start, end in zip(table.offsets, table.offsets[1:]):
+        steps = table.steps[start:end]
+        n_fg_boxes = int(np.sum(steps == 1))
         for stage in (1, 2, 3):
-            pool = int(np.sum(t.fg_steps <= stage))
+            pool = int(np.sum((steps >= 1) & (steps <= stage)))
             assert pool == n_fg_boxes * stage
+        # Foreground rows first, then background rows.
+        assert (steps[:3 * n_fg_boxes] > 0).all()
+        assert (steps[3 * n_fg_boxes:] == 0).all()
 
 
 # The object path that precompute_scene_tensors replaced, kept as its
@@ -605,8 +642,13 @@ def reference_precompute(scenes, grid_spec, config):
         direct_targets = np.zeros_like(fg_targets)
         direct_targets[fg_steps == 1] = np.reshape(
             [d.as_array() for d in direct], (-1, 4))
-        out.append(SceneTensors(fg_feats, fg_labels, fg_steps, fg_targets,
-                                direct_targets, bg_feats))
+        # Per table column, the scene's foreground and background rows.
+        zeros = np.zeros(len(bg), dtype=np.int64)
+        out.append({"feats": (fg_feats, bg_feats),
+                    "labels": (fg_labels, zeros),
+                    "steps": (fg_steps, zeros),
+                    "targets": (fg_targets, np.zeros((len(bg), 4))),
+                    "direct": (direct_targets, np.zeros((len(bg), 4)))})
     return out
 
 
@@ -638,6 +680,8 @@ PRECOMPUTE_CASES = {
                   dict(s_train=5, max_bg_per_scene=20)),
     "no_ground_truth": (lambda: [_hand_scene(1)], HAND_GRID,
                         dict(max_bg_per_scene=8)),
+    "no_rows": (lambda: [_hand_scene(1), _hand_scene(2)], HAND_GRID,
+                dict(max_bg_per_scene=0)),
     "all_background": (lambda: [_hand_scene(2, ((62, 62, 2, 2), 1))],
                        HAND_GRID, dict(max_bg_per_scene=8)),
     "fewer_background_than_max": (
@@ -663,29 +707,32 @@ def test_precompute_matches_reference_object_path(make_scenes, grid_spec,
     config = TrainConfig(seed=9, **overrides)
     got = precompute_scene_tensors(scenes, grid_spec, config)
     want = reference_precompute(scenes, grid_spec, config)
-    assert len(got) == len(want) == len(scenes)
-    for g, w in zip(got, want):
-        for f in dataclasses.fields(SceneTensors):
-            a, b = getattr(g, f.name), getattr(w, f.name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
-            assert a.tobytes() == b.tobytes(), f.name
+    assert len(got.offsets) - 1 == len(want) == len(scenes)
+    assert got.offsets[0] == 0 and got.offsets[-1] == len(got.steps)
+    for start, end, w in zip(got.offsets, got.offsets[1:], want):
+        for name, parts in w.items():
+            a, b = getattr(got, name)[start:end], np.concatenate(parts)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_precompute_cases_exercise_their_edge():
-    def tensors(name):
+    def table(name):
         make_scenes, grid_spec, overrides = PRECOMPUTE_CASES[name]
         return precompute_scene_tensors(make_scenes(), grid_spec,
-                                        TrainConfig(**overrides))[0]
-    assert len(tensors("no_ground_truth").fg_labels) == 0
-    assert len(tensors("all_background").fg_labels) == 0
-    assert len(tensors("fewer_background_than_max").bg_feats) < 10_000
+                                        TrainConfig(**overrides))
+    assert not table("no_ground_truth").steps.any()
+    assert table("no_rows").feats.shape == (0, FEATURE_DIM)
+    assert not table("all_background").steps.any()
+    assert np.sum(table("fewer_background_than_max").steps == 0) < 10_000
     # The first grid box overlaps both ground truths at IoU 0.6 and takes
     # the first one's class.
     assert iou_matrix([[16, 16, 32, 32]], [[8, 16, 32, 32], [24, 16, 32, 32]]
                       ).tolist() == [[0.6, 0.6]]
-    assert tensors("tied_ground_truths").fg_labels[0] == 1
-    on_grid = tensors("ground_truth_on_a_grid_box")
-    assert on_grid.fg_targets[0].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert table("tied_ground_truths").labels[0] == 1
+    on_grid = table("ground_truth_on_a_grid_box")
+    assert on_grid.steps[0] == 1
+    assert on_grid.targets[0].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert iou_matrix([[16, 16, 32, 32]], [[3.2, 16, 6.4, 32]])[0, 0] == 0.2
 
 
@@ -697,9 +744,9 @@ def test_precompute_builds_no_box_or_tuple_objects(monkeypatch):
             built[cls] += 1
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", count)
-    tensors = precompute_scene_tensors(scenes, GridSpec((2, 4), (0.8, 0.7)),
-                                       TrainConfig(max_bg_per_scene=20))
-    assert sum(len(t.fg_labels) for t in tensors) > 0
+    table = precompute_scene_tensors(scenes, GridSpec((2, 4), (0.8, 0.7)),
+                                     TrainConfig(max_bg_per_scene=20))
+    assert table.steps.any()
     assert built == {cls: 0 for cls in built}
     Box(1, 1, 1, 1)
     assert built[Box] == 1
@@ -713,8 +760,8 @@ def test_training_loss_decreases():
     scenes = generate_dataset(synth, 1)
     config = TrainConfig(seed=7, n_iter_per_stage=120, learning_rate=0.05)
     grid_spec = GridSpec((2, 4), (0.8, 0.7))
-    tensors = precompute_scene_tensors(scenes, grid_spec, config)
-    _, _, log = train_models(tensors, config, "gcnn", 4)
+    table = precompute_scene_tensors(scenes, grid_spec, config)
+    _, _, log = train_models(table, config, "gcnn", 4)
     losses = [e["reg_loss"] for e in log.entries if not e["all_background"]]
     head = np.mean(losses[:5])
     tail = np.mean(losses[-5:])
@@ -730,9 +777,9 @@ def experiment(config, grid_spec, **overrides) -> ExperimentConfig:
 def reference_train(config: ExperimentConfig, scenes, mode):
     """The precompute + train_models sequence that the training entry points
     each wrote out before pipeline.train; kept as its reference."""
-    tensors = precompute_scene_tensors(scenes, config.grid_train,
-                                       config.train)
-    return train_models(tensors, config.train, mode,
+    table = precompute_scene_tensors(scenes, config.grid_train,
+                                     config.train)
+    return train_models(table, config.train, mode,
                         config.synth.num_classes)
 
 
@@ -780,9 +827,37 @@ def test_train_pools_once_for_all_modes(small_training_setup, monkeypatch):
     assert len(calls) == len(scenes)
 
 
+def test_precompute_pools_each_scene_in_one_call(small_training_setup,
+                                                 monkeypatch):
+    scenes, config, grid_spec, table = small_training_setup
+    calls = []
+
+    def spy(fm, boxes):
+        calls.append(build_roi_features(fm, boxes))
+        return calls[-1]
+
+    monkeypatch.setattr("griddet.model.build_roi_features", spy)
+    precompute_scene_tensors(scenes, grid_spec, config)
+    want = reference_precompute(scenes, grid_spec, config)
+    assert len(calls) == len(want) == len(scenes)
+    # One call per scene pools its foreground rows, then its background rows,
+    # into the scene's rows of the table.
+    assert all(len(w["feats"][0]) and len(w["feats"][1]) for w in want)
+    for feats, w, start, end in zip(calls, want, table.offsets,
+                                    table.offsets[1:]):
+        assert feats.tobytes() == np.concatenate(w["feats"]).tobytes()
+        assert feats.tobytes() == table.feats[start:end].tobytes()
+
+
+def test_train_rejects_an_empty_training_set(small_training_setup):
+    _, config, grid_spec, _ = small_training_setup
+    with pytest.raises(ValueError, match="^no scenes to train on$"):
+        train(experiment(config, grid_spec), [])
+
+
 def test_checkpoint_round_trip(tmp_path, small_training_setup):
-    _, config, _, tensors = small_training_setup
-    reg, cls, _ = train_models(tensors, config, "gcnn", 4)
+    _, config, _, table = small_training_setup
+    reg, cls, _ = train_models(table, config, "gcnn", 4)
     path = tmp_path / "model.ckpt"
     kwargs = dict(config=config, mode="gcnn", num_classes=4, stage=3)
     save_checkpoint(path, reg, cls, **kwargs)
@@ -931,7 +1006,22 @@ def test_invalid_config_rejected():
     assert TrainConfig(hidden_sizes=()).hidden_sizes == ()
 
 
+def test_batch_rows_are_bounded():
+    # images_per_batch * samples_per_image_per_step rows size the sampler's
+    # buffers and both workspaces; the config is rejected before any exists.
+    assert MAX_BATCH_ROWS == 100_000
+    for ipb, spi, rows in ((10 ** 9, 64, "64,000,000,000"),
+                           (2, 50_001, "100,002"),
+                           (MAX_BATCH_ROWS + 1, 1, "100,001")):
+        with pytest.raises(ValueError, match=(
+                "^samples_per_image_per_step x images_per_batch must be at "
+                f"most 100,000, got {rows}$")):
+            TrainConfig(images_per_batch=ipb, samples_per_image_per_step=spi)
+    for ipb, spi in ((2, 50_000), (MAX_BATCH_ROWS, 1)):
+        TrainConfig(images_per_batch=ipb, samples_per_image_per_step=spi)
+
+
 def test_unknown_mode_rejected(small_training_setup):
-    _, config, _, tensors = small_training_setup
+    _, config, _, table = small_training_setup
     with pytest.raises(ValueError):
-        train_models(tensors, config, "bogus", 4)
+        train_models(table, config, "bogus", 4)
