@@ -90,6 +90,9 @@ def main(argv=None) -> int:
         elif args.command == "train":
             _, _, log = pipeline.cmd_train(cfg, args.dataset, args.out,
                                            log_path=args.log)
+            warning = pipeline.divergence_warning(f"mode {cfg.mode}", log)
+            if warning:
+                print(warning, file=sys.stderr)
             print(f"wrote {args.out} ({log.total_iterations} iterations)")
         elif args.command == "detect":
             det_path, traj_path = pipeline.cmd_detect(

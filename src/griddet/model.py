@@ -7,6 +7,7 @@ the classifier outputs logits over num_classes + 1 (index 0 = background).
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import mmap
@@ -351,6 +352,8 @@ class SGDOptimizer:
 class TrainLog:
     entries: list = field(default_factory=list)  # dicts per iteration
     stage_boundaries: list = field(default_factory=list)  # global iter index at stage start
+    # (stage, iteration) of the first entry with a loss that is not finite
+    diverged_at: tuple[int, int] | None = None
 
     def add(self, stage, iteration, reg_loss, cls_loss, all_background):
         self.entries.append({
@@ -360,6 +363,9 @@ class TrainLog:
             "cls_loss": cls_loss,
             "all_background": all_background,
         })
+        if self.diverged_at is None and not (math.isfinite(reg_loss)
+                                             and math.isfinite(cls_loss)):
+            self.diverged_at = (stage, iteration)
 
     @property
     def total_iterations(self) -> int:
@@ -414,8 +420,15 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
                                for fg, _, _, bg in staged])
     # Features in an anonymous map (of at least one byte), not on the heap:
     # freeing a block this large would let glibc's heap keep twice its size.
-    feats = np.frombuffer(mmap.mmap(-1, 8 * FEATURE_DIM * offsets[-1] or 1),
-                          count=FEATURE_DIM * offsets[-1])
+    n_bytes = 8 * FEATURE_DIM * int(offsets[-1])
+    try:
+        feats = np.frombuffer(mmap.mmap(-1, n_bytes or 1),
+                              count=FEATURE_DIM * offsets[-1])
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"the training table's {offsets[-1]:,} rows need "
+                          f"{n_bytes:,} bytes of features") from None
     labels, steps = np.zeros((2, offsets[-1]), dtype=np.int64)
     table = TrainingTable(feats.reshape(-1, FEATURE_DIM), labels, steps,
                           *np.zeros((2, offsets[-1], 4)), offsets)
@@ -442,7 +455,7 @@ class _BatchSampler:
     rows, each part picked by one ``integers`` draw of table rows. An image
     whose pool is empty adds no rows of that kind, so a batch can come out
     short. One take from the table fills each buffer; the returned arrays
-    are views of the buffers, valid until the next draw.
+    are views of the buffers, valid until the next draw or take.
     """
 
     def __init__(self, table: TrainingTable, config: TrainConfig,
@@ -464,24 +477,24 @@ class _BatchSampler:
         self.picks = np.empty((2, rows), dtype=np.intp)
         feats = np.empty((2, rows, FEATURE_DIM))
         labels = np.empty((2, rows), dtype=np.int64)
-        self.buffers = (feats[0], labels[0], np.empty((rows, 4)), feats[1],
-                        labels[1])
+        self.buffers = ((feats[0], labels[0], np.empty((rows, 4))),
+                        (feats[1], labels[1]))
 
     def start_phase(self, stage: int, direct: bool):
         """Direct phases regress step-1 rows to their full-path targets;
         stepwise phases draw from the rows of steps 1..stage. Per scene, the
         phase's pools are its (regression, step-1, background) table rows."""
         t = self.table
-        self.sources = (t.feats, t.labels, t.direct if direct else t.targets,
-                        t.feats, t.labels)
+        self.sources = ((t.feats, t.labels, t.direct if direct else t.targets),
+                        (t.feats, t.labels))
         step1 = t.steps == 1
         reg = step1 if direct else (t.steps >= 1) & (t.steps <= stage)
         self.pools = [[start + np.flatnonzero(part[start:end])
                        for part in (reg, step1, t.steps == 0)]
                       for start, end in zip(t.offsets, t.offsets[1:])]
 
-    def sample(self, rng: np.random.Generator, scene_ids: np.ndarray):
-        """(reg_feats, reg_labels, reg_targets, cls_feats, cls_labels)."""
+    def draw(self, rng: np.random.Generator, scene_ids: np.ndarray):
+        """The table rows of one batch, (regressor picks, classifier picks)."""
         counts = [0, 0]  # rows picked so far per head
         for sid in scene_ids.tolist():
             for head, pool, size in zip((0, 1, 1), self.pools[sid], self.sizes):
@@ -489,17 +502,51 @@ class _BatchSampler:
                     pick = pool[rng.integers(len(pool), size=size)]
                     self.picks[head, counts[head]:counts[head] + size] = pick
                     counts[head] += size
+        return self.picks[0, :counts[0]], self.picks[1, :counts[1]]
+
+    def take(self, head: int, picks: np.ndarray):
+        """The regressor's (feats, labels, targets) (head 0) or the
+        classifier's (feats, labels) (head 1) at the table rows picks."""
         # Picks are in range by construction; "clip" skips the buffered copy
         # numpy makes for out= under the default mode "raise".
-        return tuple(
-            source.take(self.picks[head, :counts[head]], axis=0,
-                        out=buffer[:counts[head]], mode="clip")
-            for head, source, buffer in zip((0, 0, 0, 1, 1), self.sources,
-                                            self.buffers))
+        return tuple(source.take(picks, axis=0, out=buffer[:len(picks)],
+                                 mode="clip")
+                     for source, buffer in zip(self.sources[head],
+                                               self.buffers[head]))
+
+
+class ClassifierRecord:
+    """The classifier's training in the first of several train_models calls
+    on one table and config, for the later calls to reuse: per iteration,
+    the classifier's table rows and loss, and the final parameters. Holds
+    iterations x batch rows x 4 bytes of rows.
+
+    The modes differ only in the regressor's pools and targets. The scene
+    choice does not depend on the mode, and an ``integers`` draw consumes
+    the same stream words whatever its pool's length, bar a rare rejection
+    in numpy's bounded sampler. So every mode's classifier rows, and hence
+    its classifier, almost always come out the same.
+    """
+
+    flat = None  # the first call's final classifier parameters
+
+    def start(self, iterations: int, rows: int, table_rows: int):
+        dtype = np.int32 if table_rows < 2 ** 31 else np.int64
+        self.picks = np.empty((iterations, rows), dtype=dtype)
+        self.counts = np.empty(iterations, dtype=np.intp)
+        self.losses = []
+
+    def add(self, i: int, picks: np.ndarray, loss: float):
+        self.picks[i, :len(picks)] = picks
+        self.counts[i] = len(picks)
+        self.losses.append(loss)
+
+    def batch(self, i: int) -> np.ndarray:
+        return self.picks[i, :self.counts[i]]
 
 
 def train_models(table: TrainingTable, config: TrainConfig, mode: str,
-                 num_classes: int):
+                 num_classes: int, *, shared: ClassifierRecord | None = None):
     """Run the SGD schedule for one of the three training strategies.
 
     gcnn: stages c = 1..s_train, each n_iter_per_stage iterations on the
@@ -507,6 +554,12 @@ def train_models(table: TrainingTable, config: TrainConfig, mode: str,
     ifrcnn: one phase on step-1 states with direct (full-path) targets.
     All modes run s_train * n_iter_per_stage total iterations. Each model's
     losses and backward passes run in one Workspace made here.
+
+    Calls on one table and config may share one ClassifierRecord: the first
+    fills it, and each later one trains no classifier while its classifier
+    rows match the record's. If they first differ at iteration i, it rebuilds
+    the classifier by replaying the record's batches 0..i-1 and trains on
+    from there. Every call returns the bits it would return alone.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -534,23 +587,50 @@ def train_models(table: TrainingTable, config: TrainConfig, mode: str,
     else:
         phases = [(1, config.s_train * config.n_iter_per_stage, True)]
 
+    recording = shared is not None and shared.flat is None
+    reusing = shared is not None and not recording
+    if recording:
+        shared.start(config.s_train * config.n_iter_per_stage, rows,
+                     len(table.labels))
+
+    def train_classifier(picks):
+        cf, cl = sampler.take(1, picks)
+        cls_loss, cls_grads = _classifier_loss(classifier, cf, cl, cls_ws)
+        if len(cf) > 0:
+            opt_cls.step(cls_grads)
+        return cls_loss
+
     n_scenes = len(table.offsets) - 1
     replace = n_scenes < config.images_per_batch
-    for stage, n_iter, direct in phases:
-        log.stage_boundaries.append(log.total_iterations)
-        sampler.start_phase(stage, direct)
-        for it in range(n_iter):
-            scene_ids = rng.choice(n_scenes, size=config.images_per_batch,
-                                   replace=replace)
-            rf, rl, rt, cf, cl = sampler.sample(rng, scene_ids)
-            reg_loss, reg_grads, all_bg = _regression_loss(
-                regressor, rf, rl, rt, reg_ws)
-            if not all_bg:
-                opt_reg.step(reg_grads)
-            cls_loss, cls_grads = _classifier_loss(classifier, cf, cl, cls_ws)
-            if len(cf) > 0:
-                opt_cls.step(cls_grads)
-            log.add(stage, it, reg_loss, cls_loss, all_bg)
+    with np.errstate(all="ignore"):  # a diverged run shows in its log
+        for stage, n_iter, direct in phases:
+            log.stage_boundaries.append(log.total_iterations)
+            sampler.start_phase(stage, direct)
+            for it in range(n_iter):
+                scene_ids = rng.choice(n_scenes, size=config.images_per_batch,
+                                       replace=replace)
+                reg_picks, cls_picks = sampler.draw(rng, scene_ids)
+                reg_loss, reg_grads, all_bg = _regression_loss(
+                    regressor, *sampler.take(0, reg_picks), reg_ws)
+                if not all_bg:
+                    opt_reg.step(reg_grads)
+                i = log.total_iterations
+                if reusing and not np.array_equal(shared.batch(i),
+                                                  cls_picks):
+                    for j in range(i):
+                        train_classifier(shared.batch(j))
+                    reusing = False
+                if reusing:
+                    cls_loss = shared.losses[i]
+                else:
+                    cls_loss = train_classifier(cls_picks)
+                    if recording:
+                        shared.add(i, cls_picks, cls_loss)
+                log.add(stage, it, reg_loss, cls_loss, all_bg)
+    if recording:
+        shared.flat = classifier.flat.copy()
+    elif reusing:
+        classifier.flat[...] = shared.flat
     return regressor, classifier, log
 
 

@@ -4,6 +4,7 @@ evaluation, and the stepwise-vs-single-step ablation."""
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -14,8 +15,8 @@ from .detect import DetectionResult, detect_multi, model_fns
 from .evaluate import (DetRecord, evaluate_detections, format_report,
                        fp_breakdown, read_detection_dump, score_detections,
                        write_detection_dump)
-from .model import (MODES, load_checkpoint, precompute_scene_tensors,
-                    save_checkpoint, train_models)
+from .model import (MODES, ClassifierRecord, load_checkpoint,
+                    precompute_scene_tensors, save_checkpoint, train_models)
 from .synth import (generate_dataset, load_ground_truth, load_manifest,
                     save_manifest)
 
@@ -55,18 +56,33 @@ def _check_classes(source: str, labels, num_classes: int):
 def train(config: ExperimentConfig, scenes, modes=None):
     """Pool the training set of `scenes` once, then train each strategy of
     `modes` (default: config.mode) on it with equal compute. Returns one
-    (regressor, classifier, log) per mode, in order."""
+    (regressor, classifier, log) per mode, in order. With more than one mode,
+    the later modes reuse the first mode's classifier for as long as their
+    classifier batches match its own (see model.ClassifierRecord)."""
     tensors = precompute_scene_tensors(scenes, config.grid_train,
                                        config.train)
+    modes = [config.mode] if modes is None else modes
+    shared = ClassifierRecord() if len(modes) > 1 else None
     return [train_models(tensors, config.train, mode,
-                         config.synth.num_classes)
-            for mode in ([config.mode] if modes is None else modes)]
+                         config.synth.num_classes, shared=shared)
+            for mode in modes]
+
+
+def divergence_warning(who: str, log) -> str | None:
+    """One warning line naming who and the stage and iteration at which
+    training diverged, or None if every loss of the log is finite."""
+    if log.diverged_at is None:
+        return None
+    stage, iteration = log.diverged_at
+    return (f"warning: {who}: training diverged at stage {stage}, iteration "
+            f"{iteration}: a loss is not finite")
 
 
 def cmd_train(config: ExperimentConfig, manifest_path: str,
               checkpoint_path: str, log_path: str | None = None):
     """Train config.mode on a dataset manifest; write a checkpoint and a
-    per-iteration loss log."""
+    per-iteration loss log, strict JSON: a loss that is not finite is null,
+    and diverged_at names the first such entry's stage and iteration."""
     _, scenes = load_manifest(manifest_path)
     num_classes = config.synth.num_classes
     if not scenes:
@@ -79,9 +95,15 @@ def cmd_train(config: ExperimentConfig, manifest_path: str,
                     config=config.train, mode=config.mode,
                     num_classes=num_classes, stage=config.train.s_train)
     if log_path:
+        at = log.diverged_at
         with open(log_path, "w") as f:
-            json.dump({"stage_boundaries": log.stage_boundaries,
-                       "entries": log.entries}, f, sort_keys=True)
+            json.dump({
+                "stage_boundaries": log.stage_boundaries,
+                "entries": [{k: None if isinstance(v, float)
+                             and not math.isfinite(v) else v
+                             for k, v in e.items()} for e in log.entries],
+                "diverged_at": at and {"stage": at[0], "iteration": at[1]},
+            }, f, sort_keys=True, allow_nan=False)
             f.write("\n")
     return regressor, classifier, log
 
@@ -185,6 +207,9 @@ def run_ablation(config: ExperimentConfig, seeds: list[int],
         gts = {s.scene_id: s.gts for s in test_scenes}
         models = train(seed_cfg, train_scenes, MODES)
         for method, (regressor, classifier, log) in zip(MODES, models):
+            warning = divergence_warning(f"seed {seed} method {method}", log)
+            if progress and warning:
+                progress(warning)
             per_step = detect_scenes(config, test_scenes, regressor,
                                      classifier, eval_steps)
             for k in eval_steps:

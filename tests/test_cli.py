@@ -4,9 +4,11 @@ import functools
 import math
 import operator
 import os
+import re
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +26,9 @@ from griddet.evaluate import (DetRecord, evaluate_detections, format_report,
                               write_detection_dump)
 from griddet.features import FEATURE_DIM
 from griddet.grid import GridSpec, generate_grid
-from griddet.model import (CHECKPOINT_MAGIC, TrainConfig, load_checkpoint,
-                           make_classifier, make_regressor, save_checkpoint)
+from griddet.model import (CHECKPOINT_MAGIC, MODES, TrainConfig,
+                           load_checkpoint, make_classifier, make_regressor,
+                           save_checkpoint)
 from griddet.pipeline import (ablation_means, cmd_ablation, cmd_detect,
                               cmd_eval, cmd_generate, cmd_train,
                               format_ablation_table, run_ablation)
@@ -759,6 +762,35 @@ def test_cli_reports_an_allocation_too_large_in_one_line(tmp_path):
     assert "allocate" in lines[0]
 
 
+def test_cli_reports_a_training_table_too_large_in_one_line(tmp_path):
+    # The table's features are one anonymous map; a failed map is an out of
+    # memory error naming its rows and bytes. Run in a child process with a
+    # 2 GB address space, as above.
+    cfg = tiny_config()
+    train_path, _ = cmd_generate(cfg, 3, 2, str(tmp_path))
+    path = tmp_path / "c.yaml"
+    save_config(dataclasses.replace(
+        cfg, train=dataclasses.replace(cfg.train, s_train=10_000_000)), path)
+    limit = 2_000_000 * 1024
+    proc = subprocess.run(
+        [sys.executable, "-m", "griddet.cli", "train", "--config", str(path),
+         "--dataset", train_path, "--out", str(tmp_path / "m.ckpt")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(griddet.__file__))},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1
+    assert len(lines) == 1, lines
+    match = re.fullmatch(r"error: out of memory: the training table's "
+                         r"([\d,]+) rows need ([\d,]+) bytes of features",
+                         lines[0])
+    rows, n_bytes = (int(g.replace(",", "")) for g in match.groups())
+    assert rows > 10_000_000 and n_bytes == 8 * FEATURE_DIM * rows
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 @pytest.mark.parametrize("label", [0, -3, 9])
 def test_cli_eval_rejects_detection_class_out_of_range(tmp_path, capsys,
                                                        label):
@@ -865,6 +897,44 @@ def test_train_writes_loss_log(tmp_path):
     doc = json.loads(log_path.read_text())
     assert len(doc["entries"]) == cfg.train.s_train * cfg.train.n_iter_per_stage
     assert doc["stage_boundaries"][0] == 0
+    assert doc["diverged_at"] is None
+
+
+def _no_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_train_reports_a_diverged_run(tmp_path, capsys):
+    # A learning rate of 1e300 sends both losses to inf or nan at once. The
+    # run still writes its checkpoint and exits 0, but says where it
+    # diverged in one warning line and in its log, which is strict JSON.
+    cfg = tiny_config(train=TrainConfig(seed=3, n_iter_per_stage=5,
+                                        learning_rate=1.0e300))
+    train_path, _ = cmd_generate(cfg, 3, 2, str(tmp_path))
+    config_path = tmp_path / "c.yaml"
+    save_config(cfg, config_path)
+    log_path = tmp_path / "loss.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--config", str(config_path), "--dataset",
+                   train_path, "--out", str(tmp_path / "m.ckpt"), "--log",
+                   str(log_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 0
+    doc = json.loads(log_path.read_text(), parse_constant=_no_constant)
+    at = doc["diverged_at"]
+    assert err == [f"warning: mode gcnn: training diverged at stage "
+                   f"{at['stage']}, iteration {at['iteration']}: a loss is "
+                   f"not finite"]
+    entries = doc["entries"]
+    first = next(i for i, e in enumerate(entries)
+                 if None in (e["reg_loss"], e["cls_loss"]))
+    assert at == {k: entries[first][k] for k in ("stage", "iteration")}
+    assert all(isinstance(e["reg_loss"], float)
+               and isinstance(e["cls_loss"], float) for e in entries[:first])
+    _, _, log = cmd_train(cfg, train_path, str(tmp_path / "n.ckpt"))
+    assert log.diverged_at == (at["stage"], at["iteration"])
+    assert read_bytes(tmp_path / "m.ckpt") == read_bytes(tmp_path / "n.ckpt")
 
 
 def test_detect_outputs_and_determinism(tmp_path):
@@ -1005,6 +1075,19 @@ def test_ablation_methods_share_total_compute(tmp_path):
     rows = run_ablation(cfg, [0], n_train=3, n_test=2)
     iters = {r["method"]: r["total_iterations"] for r in rows}
     assert len(set(iters.values())) == 1
+
+
+def test_ablation_progress_warns_of_each_diverged_method():
+    cfg = tiny_config(s_test=1, train=TrainConfig(
+        seed=3, n_iter_per_stage=5, learning_rate=1.0e300))
+    messages = []
+    run_ablation(cfg, [0], n_train=3, n_test=2, progress=messages.append)
+    assert len(messages) == 2 * len(MODES)
+    for warning, line, method in zip(messages[::2], messages[1::2], MODES):
+        assert re.fullmatch(rf"warning: seed 0 method {method}: training "
+                            r"diverged at stage \d+, iteration \d+: a loss "
+                            r"is not finite", warning), warning
+        assert line.startswith(f"seed 0 method {method}: mAP@1 = ")
 
 
 def _no_data(*args, **kwargs):

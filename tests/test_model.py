@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import itertools
 import json
 import math
 
@@ -12,12 +14,12 @@ from griddet.features import (FEATURE_DIM, FeatureExtractor,
                               build_roi_features)
 from griddet.grid import GridSpec, generate_grid
 from griddet.model import (CHECKPOINT_EXTRACTOR, CHECKPOINT_MAGIC,
-                           MAX_BATCH_ROWS, MLP, MODES, Grads, SGDOptimizer,
-                           TrainConfig, TrainingTable, Workspace,
-                           classifier_loss, load_checkpoint, make_classifier,
-                           make_regressor, precompute_scene_tensors,
-                           regression_loss_arrays, save_checkpoint, smooth_l1,
-                           train_models)
+                           MAX_BATCH_ROWS, MLP, MODES, ClassifierRecord, Grads,
+                           SGDOptimizer, TrainConfig, TrainingTable, Workspace,
+                           _BatchSampler, classifier_loss, load_checkpoint,
+                           make_classifier, make_regressor,
+                           precompute_scene_tensors, regression_loss_arrays,
+                           save_checkpoint, smooth_l1, train_models)
 from griddet.pipeline import train
 from griddet.records import to_plain
 from griddet.synth import Scene, SynthConfig, generate_dataset
@@ -825,6 +827,81 @@ def test_train_pools_once_for_all_modes(small_training_setup, monkeypatch):
                    MODES)
     assert len(models) == len(MODES)
     assert len(calls) == len(scenes)
+
+
+def test_train_steps_each_classifier_once(small_training_setup,
+                                          monkeypatch):
+    # Every batch of the fixture has foreground and classifier rows, so each
+    # regressor steps at every iteration; the classifier of the first mode
+    # serves all three.
+    scenes, config, grid_spec, _ = small_training_setup
+    steps = collections.Counter()
+    step = SGDOptimizer.step
+
+    def counting(self, grads):
+        steps["classifier" if self.model.output_dim == 5 else "regressor"] += 1
+        return step(self, grads)
+
+    monkeypatch.setattr(SGDOptimizer, "step", counting)
+    cfg = experiment(config, grid_spec, n_iter_per_stage=5)
+    train(cfg, scenes, MODES)
+    n = cfg.train.s_train * 5
+    assert steps == {"regressor": 3 * n, "classifier": n}
+
+
+def test_train_returns_distinct_classifiers_with_equal_bytes(
+        small_training_setup):
+    scenes, config, grid_spec, _ = small_training_setup
+    models = train(experiment(config, grid_spec, n_iter_per_stage=5), scenes,
+                   MODES)
+    classifiers = [cls for _, cls, _ in models]
+    for a, b in itertools.combinations(classifiers, 2):
+        assert a is not b and not np.shares_memory(a.flat, b.flat)
+        assert a.flat.tobytes() == b.flat.tobytes()
+
+
+def _perturb_draw(monkeypatch, at, edit):
+    """Make the classifier picks of _BatchSampler.draw's call number `at`
+    (from 0, counted from now) differ: "move" shifts its first pick to the
+    next table row, "drop" leaves its last pick out."""
+    draw = _BatchSampler.draw
+    calls = itertools.count()
+
+    def perturbed(self, rng, scene_ids):
+        reg_picks, cls_picks = draw(self, rng, scene_ids)
+        if next(calls) == at:
+            assert len(cls_picks) > 1
+            if edit == "drop":
+                return reg_picks, cls_picks[:-1]
+            cls_picks[0] = (cls_picks[0] + 1) % len(self.table.labels)
+        return reg_picks, cls_picks
+
+    monkeypatch.setattr(_BatchSampler, "draw", perturbed)
+
+
+@pytest.mark.parametrize("edit", ["move", "drop"])
+@pytest.mark.parametrize("at", [0, 7, 3 * 20 - 1])
+def test_later_mode_replays_the_record_where_its_picks_differ(
+        small_training_setup, monkeypatch, at, edit):
+    # The second mode's classifier picks differ from the first mode's at one
+    # iteration: from there it must train as it would alone, on a classifier
+    # rebuilt from the record's earlier batches.
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=20)
+    shared = ClassifierRecord()
+    _, first_cls, _ = train_models(table, config, "gcnn", 4, shared=shared)
+    _perturb_draw(monkeypatch, at, edit)
+    reg, cls, log = train_models(table, config, "1step", 4, shared=shared)
+    _perturb_draw(monkeypatch, at, edit)
+    want_reg, want_cls, want_log = train_models(table, config, "1step", 4)
+    assert reg.flat.tobytes() == want_reg.flat.tobytes()
+    assert cls.flat.tobytes() == want_cls.flat.tobytes()
+    assert log_bytes(log) == log_bytes(want_log)
+    assert cls.flat.tobytes() != first_cls.flat.tobytes()
+    # The record still holds the first mode's classifier for later modes.
+    monkeypatch.undo()
+    _, third_cls, _ = train_models(table, config, "ifrcnn", 4, shared=shared)
+    assert third_cls.flat.tobytes() == first_cls.flat.tobytes()
 
 
 def test_precompute_pools_each_scene_in_one_call(small_training_setup,
