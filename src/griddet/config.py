@@ -7,7 +7,8 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .grid import MAX_GRID_BOXES, GridSpec, fits_bound
-from .model import MODES, TrainConfig
+from .model import (MAX_PARAMETERS, MODES, TrainConfig,
+                    regressor_parameters)
 from .records import (NON_NEGATIVE_INT, POSITIVE_INT, UNIT_NUMBER,
                       check_fields, from_plain, to_plain)
 from .synth import SynthConfig
@@ -43,6 +44,15 @@ class ExperimentConfig:
             **dict.fromkeys(("score_threshold", "nms_iou", "iou_match"),
                             UNIT_NUMBER),
             **dict.fromkeys(("n_train", "n_test"), POSITIVE_INT)})
+        # Checked here, not in TrainConfig: the models' output layers
+        # depend on synth.num_classes.
+        hidden, classes = self.train.hidden_sizes, self.synth.num_classes
+        n = regressor_parameters(hidden, classes)
+        if n > MAX_PARAMETERS:
+            raise ValueError(
+                f"train.hidden_sizes must give a regressor of at most "
+                f"{MAX_PARAMETERS:,} parameters, got {n:,} for "
+                f"{list(hidden)} and {classes} classes")
 
     def with_seed(self, seed: int) -> ExperimentConfig:
         """This config with `seed` as both the data and the training seed."""

@@ -36,6 +36,8 @@ CHECKPOINT_EXTRACTOR = {"extra_filters": [], "include_box_coords": True,
                         "pool_w": POOL}
 # Rows per batch, images_per_batch * samples_per_image_per_step, at most.
 MAX_BATCH_ROWS = 100_000
+# Parameters per model, at most.
+MAX_PARAMETERS = 10_000_000
 
 
 class DimensionMismatchError(ValueError):
@@ -210,6 +212,13 @@ class _ClassifierWorkspace(Workspace):
         self.row_stat = np.empty((rows, 1))
         self.true_prob = np.empty(rows)
         self.log_prob = np.empty(rows)
+
+
+def regressor_parameters(hidden_sizes, num_classes: int) -> int:
+    """A regressor's parameter count, which its classifier's, with
+    num_classes + 1 outputs to its 4 * num_classes, never exceeds."""
+    sizes = [FEATURE_DIM, *hidden_sizes, 4 * num_classes]
+    return sum(map(math.prod, _param_shapes(sizes)))
 
 
 def make_regressor(input_dim: int, hidden_sizes, num_classes: int,
@@ -448,14 +457,19 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
 
 
 class _BatchSampler:
-    """Draws minibatches into row buffers allocated once per training run.
+    """Draws minibatches as table rows and gathers them into row buffers
+    allocated once per training run.
 
-    Per image, in scene_ids order: samples_per_image regression rows from the
-    phase's pool, then the step-1 foreground and the background classifier
-    rows, each part picked by one ``integers`` draw of table rows. An image
-    whose pool is empty adds no rows of that kind, so a batch can come out
-    short. One take from the table fills each buffer; the returned arrays
-    are views of the buffers, valid until the next draw or take.
+    Per image, in scene_ids order, a batch has samples_per_image regression
+    slots, then the step-1 foreground and the background classifier slots,
+    all picked by one ``integers`` call. An image whose pool is empty adds
+    no rows of that kind, so a batch can come out short. numpy's bounded
+    sampler uses stream words value by value whatever the shape of ``high``,
+    rejections included, and none for a high of 1: the call gives the rows
+    and the generator state of one call per image and non-empty pool
+    (test_one_integers_call_draws_as_one_call_per_pool). One take from the
+    table fills each buffer; the returned arrays are views of the buffers,
+    valid until the next take.
     """
 
     def __init__(self, table: TrainingTable, config: TrainConfig,
@@ -473,8 +487,7 @@ class _BatchSampler:
         n_fg_cls = max(1, int(round(per_image / (1.0 + config.fg_bg_ratio))))
         self.sizes = (per_image, n_fg_cls, per_image - n_fg_cls)
         rows = config.images_per_batch * per_image
-        # Per head, regressor then classifier: the picked rows and buffers.
-        self.picks = np.empty((2, rows), dtype=np.intp)
+        # Per head, regressor then classifier: the buffers.
         feats = np.empty((2, rows, FEATURE_DIM))
         labels = np.empty((2, rows), dtype=np.int64)
         self.buffers = ((feats[0], labels[0], np.empty((rows, 4))),
@@ -483,26 +496,37 @@ class _BatchSampler:
     def start_phase(self, stage: int, direct: bool):
         """Direct phases regress step-1 rows to their full-path targets;
         stepwise phases draw from the rows of steps 1..stage. Per scene, the
-        phase's pools are its (regression, step-1, background) table rows."""
+        phase's pools are its (regression, step-1, background) table rows,
+        laid end to end in pool_rows, kind by kind. Per scene and slot, base
+        is the start of the slot's pool in pool_rows and high its length (1
+        if empty); keep marks the slots of non-empty pools, if any is empty."""
         t = self.table
         self.sources = ((t.feats, t.labels, t.direct if direct else t.targets),
                         (t.feats, t.labels))
         step1 = t.steps == 1
         reg = step1 if direct else (t.steps >= 1) & (t.steps <= stage)
-        self.pools = [[start + np.flatnonzero(part[start:end])
-                       for part in (reg, step1, t.steps == 0)]
-                      for start, end in zip(t.offsets, t.offsets[1:])]
+        kinds = np.stack([reg, step1, t.steps == 0])
+        # nonzero gives a strided view, which take would copy whole per call.
+        self.pool_rows = np.nonzero(kinds)[1].copy()
+        # Per scene and kind, pool rows before the scene's: (scenes + 1, 3).
+        before = np.concatenate([[0], np.cumsum(kinds)])[
+            np.arange(3) * len(t.steps) + t.offsets[:, None]]
+        lengths = np.diff(before, axis=0)
+        self.base = np.repeat(before[:-1], self.sizes, axis=1)
+        self.high = np.repeat(np.maximum(lengths, 1), self.sizes, axis=1)
+        self.keep = (None if lengths.all()
+                     else np.repeat(lengths > 0, self.sizes, axis=1))
 
     def draw(self, rng: np.random.Generator, scene_ids: np.ndarray):
         """The table rows of one batch, (regressor picks, classifier picks)."""
-        counts = [0, 0]  # rows picked so far per head
-        for sid in scene_ids.tolist():
-            for head, pool, size in zip((0, 1, 1), self.pools[sid], self.sizes):
-                if len(pool) > 0:
-                    pick = pool[rng.integers(len(pool), size=size)]
-                    self.picks[head, counts[head]:counts[head] + size] = pick
-                    counts[head] += size
-        return self.picks[0, :counts[0]], self.picks[1, :counts[1]]
+        pos = self.base[scene_ids]
+        pos += rng.integers(0, self.high[scene_ids])
+        rows = self.pool_rows.take(pos)
+        n = self.sizes[0]
+        if self.keep is None:
+            return rows[:, :n].ravel(), rows[:, n:].ravel()
+        keep = self.keep[scene_ids]
+        return rows[:, :n][keep[:, :n]], rows[:, n:][keep[:, n:]]
 
     def take(self, head: int, picks: np.ndarray):
         """The regressor's (feats, labels, targets) (head 0) or the
@@ -517,21 +541,26 @@ class _BatchSampler:
 
 class ClassifierRecord:
     """The classifier's training in the first of several train_models calls
-    on one table and config, for the later calls to reuse: per iteration,
-    the classifier's table rows and loss, and the final parameters. Holds
-    iterations x batch rows x 4 bytes of rows.
+    on one table and config, for the later calls to reuse: the config, the
+    class count and the table's row count, per iteration the classifier's
+    table rows and loss, and the final parameters. Holds iterations x batch
+    rows x 4 bytes of rows.
 
-    The modes differ only in the regressor's pools and targets. The scene
-    choice does not depend on the mode, and an ``integers`` draw consumes
-    the same stream words whatever its pool's length, bar a rare rejection
-    in numpy's bounded sampler. So every mode's classifier rows, and hence
-    its classifier, almost always come out the same.
+    The modes differ only in the regressor's pools and targets, and the
+    scene choice does not depend on the mode. Each batch's regression and
+    classifier slots come from one ``integers`` call, which uses one stream
+    word per slot whatever its pool's length, bar a rare rejection in
+    numpy's bounded sampler. So every mode's classifier slots read the same
+    words, and its classifier rows, and hence its classifier, almost always
+    come out the same.
     """
 
     flat = None  # the first call's final classifier parameters
 
-    def start(self, iterations: int, rows: int, table_rows: int):
-        dtype = np.int32 if table_rows < 2 ** 31 else np.int64
+    def start(self, setup: tuple, iterations: int, rows: int):
+        """setup is the (config, num_classes, table rows) of the call."""
+        self.setup = setup
+        dtype = np.int32 if setup[2] < 2 ** 31 else np.int64
         self.picks = np.empty((iterations, rows), dtype=dtype)
         self.counts = np.empty(iterations, dtype=np.intp)
         self.losses = []
@@ -589,9 +618,13 @@ def train_models(table: TrainingTable, config: TrainConfig, mode: str,
 
     recording = shared is not None and shared.flat is None
     reusing = shared is not None and not recording
+    setup = (config, num_classes, len(table.labels))
     if recording:
-        shared.start(config.s_train * config.n_iter_per_stage, rows,
-                     len(table.labels))
+        shared.start(setup, config.s_train * config.n_iter_per_stage, rows)
+    elif reusing and setup != shared.setup:
+        said = "{1} classes on {2:,} table rows with {0}".format
+        raise ValueError(f"the classifier record was filled by training "
+                         f"{said(*shared.setup)}, not {said(*setup)}")
 
     def train_classifier(picks):
         cf, cl = sampler.take(1, picks)

@@ -210,6 +210,12 @@ MALFORMED_CONFIGS = {
         "train:\n  images_per_batch: 1000000000\n", "train",
         "samples_per_image_per_step x images_per_batch must be at most "
         "100,000, got 64,000,000,000"),
+    # A hidden layer of 10^9 units (961 GiB of weights): rejected before
+    # any model is built.
+    "train_hidden_sizes_too_many_parameters": (
+        "train:\n  hidden_sizes: [1000000000]\n", "",
+        "train.hidden_sizes must give a regressor of at most 10,000,000 "
+        "parameters, got 129,000,000,016 for [1000000000] and 4 classes"),
     "grid_test_overlaps_a_string": (
         "grid_test:\n  scales: [2, 5, 10]\n  overlaps: [x, 0.5, 0.0]\n",
         "grid_test", "overlaps must be one number in [0, 1) per scale, "

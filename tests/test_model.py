@@ -14,12 +14,13 @@ from griddet.features import (FEATURE_DIM, FeatureExtractor,
                               build_roi_features)
 from griddet.grid import GridSpec, generate_grid
 from griddet.model import (CHECKPOINT_EXTRACTOR, CHECKPOINT_MAGIC,
-                           MAX_BATCH_ROWS, MLP, MODES, ClassifierRecord, Grads,
-                           SGDOptimizer, TrainConfig, TrainingTable, Workspace,
-                           _BatchSampler, classifier_loss, load_checkpoint,
-                           make_classifier, make_regressor,
-                           precompute_scene_tensors, regression_loss_arrays,
-                           save_checkpoint, smooth_l1, train_models)
+                           MAX_BATCH_ROWS, MAX_PARAMETERS, MLP, MODES,
+                           ClassifierRecord, Grads, SGDOptimizer, TrainConfig,
+                           TrainingTable, Workspace, _BatchSampler,
+                           classifier_loss, load_checkpoint, make_classifier,
+                           make_regressor, precompute_scene_tensors,
+                           regression_loss_arrays, save_checkpoint, smooth_l1,
+                           train_models)
 from griddet.pipeline import train
 from griddet.records import to_plain
 from griddet.synth import Scene, SynthConfig, generate_dataset
@@ -570,6 +571,44 @@ def test_train_models_gathers_each_batch_in_five_takes(small_training_setup,
     assert takes == per_batch * (3 * 4)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_train_models_draws_each_batch_in_one_integers_call(
+        small_training_setup, monkeypatch, mode):
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=4)
+    calls = []
+
+    class Counting(np.random.Generator):
+        def integers(self, *args, **kwargs):
+            calls.append(args)
+            return super().integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: Counting(np.random.PCG64(seed)))
+    train_models(table, config, mode, 4)
+    assert len(calls) == 3 * 4
+
+
+def test_one_integers_call_draws_as_one_call_per_pool():
+    # _BatchSampler.draw relies on this property of numpy's bounded sampler:
+    # one call with an array of highs gives the values, and leaves the
+    # state, of one call per part, and a high of 1 uses no stream words.
+    # Highs just above 2**31 reject about half of their words.
+    lengths = [0, 1, 2, 3, 7, 100, 2 ** 31 + 1, 2 ** 31 + 12345, 2 ** 32 - 5,
+               2 ** 32]
+    layout = np.random.default_rng(99)
+    for seed in range(300):
+        parts = [(int(layout.integers(6)), lengths[i])
+                 for i in layout.integers(len(lengths), size=8)]
+        one, per_part = (np.random.default_rng(seed) for _ in range(2))
+        got = one.integers(0, np.repeat([max(n, 1) for _, n in parts],
+                                        [k for k, _ in parts]))
+        want = [per_part.integers(n, size=k) if n else np.zeros(k, int)
+                for k, n in parts]
+        assert got.tolist() == np.concatenate(want).tolist()
+        assert one.bit_generator.state == per_part.bit_generator.state
+
+
 def test_stage_pool_size(small_training_setup):
     scenes, config, grid_spec, table = small_training_setup
     assert len(table.offsets) == len(scenes) + 1
@@ -904,6 +943,41 @@ def test_later_mode_replays_the_record_where_its_picks_differ(
     assert third_cls.flat.tobytes() == first_cls.flat.tobytes()
 
 
+# case -> (TrainConfig overrides, kinds of rows kept per scene, num_classes)
+# of a later call on the record of a first call at 20 iterations per stage
+RECORD_MISMATCHES = {
+    "fewer_iterations": ({"n_iter_per_stage": 5}, None, 4),
+    "another_seed": ({"seed": 4}, None, 4),
+    "another_table": ({}, ("all",) * 5, 4),
+    "more_classes": ({}, None, 5),
+}
+
+
+@pytest.mark.parametrize("overrides, kinds, num_classes",
+                         RECORD_MISMATCHES.values(),
+                         ids=RECORD_MISMATCHES.keys())
+def test_classifier_record_rejects_another_setup(small_training_setup,
+                                                  overrides, kinds,
+                                                  num_classes):
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=20)
+    shared = ClassifierRecord()
+    train_models(table, config, "gcnn", 4, shared=shared)
+    later = dataclasses.replace(config, **overrides)
+    later_table = table if kinds is None else _keep_rows(table, kinds)
+    said = r"\d classes on [\d,]+ table rows with TrainConfig\(.*\)"
+    with pytest.raises(ValueError, match=(
+            f"^the classifier record was filled by training {said}, not "
+            f"{said}$")) as info:
+        train_models(later_table, later, "1step", num_classes, shared=shared)
+    message = str(info.value)
+    assert message.count(f"{len(table.labels):,} table rows") == (
+        2 if kinds is None else 1)
+    assert message.count(f"{num_classes} classes") == (
+        2 if num_classes == 4 else 1)
+    assert repr(config) in message and repr(later) in message
+
+
 def test_precompute_pools_each_scene_in_one_call(small_training_setup,
                                                  monkeypatch):
     scenes, config, grid_spec, table = small_training_setup
@@ -1096,6 +1170,31 @@ def test_batch_rows_are_bounded():
             TrainConfig(images_per_batch=ipb, samples_per_image_per_step=spi)
     for ipb, spi in ((2, 50_000), (MAX_BATCH_ROWS, 1)):
         TrainConfig(images_per_batch=ipb, samples_per_image_per_step=spi)
+
+
+def test_model_parameters_are_bounded():
+    # The regressor has at least the classifier's parameters; the bound is
+    # checked before any model exists. A hidden layer of 77,519 units gives
+    # 9,999,967 parameters, one of 77,520 gives 10,000,096.
+    assert MAX_PARAMETERS == 10_000_000
+    defaults = ExperimentConfig()
+    hidden, classes = defaults.train.hidden_sizes, defaults.synth.num_classes
+    rng = np.random.default_rng(0)
+    assert make_regressor(FEATURE_DIM, hidden, classes, rng).flat.size == 6208
+    assert make_classifier(FEATURE_DIM, hidden, classes, rng).flat.size == 5669
+    for hidden, classes, got in (((10 ** 9,), 4, "129,000,000,016"),
+                                 ((77_520,), 4, "10,000,096"),
+                                 ((48,), 52_000, "10,197,424")):
+        train = TrainConfig(hidden_sizes=hidden)
+        synth = dataclasses.replace(defaults.synth, num_classes=classes,
+                                    class_similarity_groups=((*range(
+                                        1, classes + 1),),))
+        with pytest.raises(ValueError, match=(
+                "^train.hidden_sizes must give a regressor of at most "
+                f"10,000,000 parameters, got {got} for "
+                rf"\[{hidden[0]}\] and {classes} classes$")):
+            ExperimentConfig(synth=synth, train=train)
+    ExperimentConfig(train=TrainConfig(hidden_sizes=(77_519,)))
 
 
 def test_unknown_mode_rejected(small_training_setup):
