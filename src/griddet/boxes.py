@@ -136,7 +136,8 @@ def clip_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
     If clamping shrinks a side to MIN_SIDE or below, that side is restored to
     min(MIN_SIDE, image side), centered at the clamped position and kept
     inside the image, so boxes drifting outside never degenerate. Rows that
-    clamping leaves untouched pass through without corner round-trip noise.
+    clamping leaves untouched pass through without corner round-trip noise;
+    when it touches none, the result is a copy of the input.
     Idempotent. Rows are not checked: one whose corners already coincide can
     come out with an empty side.
     """
@@ -150,18 +151,22 @@ def clip_boxes(boxes: np.ndarray, width: float, height: float) -> np.ndarray:
     # the choices of Python's max and min, signed zeros included.
     clo = np.minimum(np.maximum(lo, 0.0), dim)
     chi = np.minimum(np.maximum(hi, 0.0), dim)
+    untouched = (clo == lo) & (chi == hi)
+    if untouched.all():
+        return boxes.copy()
     side = chi - clo
     # Clamping collapsed the side: restore a minimum side centered at the
     # clamped position, shifted to stay inside the image.
     collapsed = (side < hi - lo) & (side <= MIN_SIDE)
-    small = np.minimum(MIN_SIDE, dim)
-    center = np.minimum(np.maximum((clo + chi) / 2.0, small / 2.0),
-                        dim - small / 2.0)
-    clo = np.where(collapsed, center - small / 2.0, clo)
-    chi = np.where(collapsed, center + small / 2.0, chi)
-    untouched = ((clo == lo) & (chi == hi)).all(axis=1, keepdims=True)
+    if collapsed.any():
+        small = np.minimum(MIN_SIDE, dim)
+        center = np.minimum(np.maximum((clo + chi) / 2.0, small / 2.0),
+                            dim - small / 2.0)
+        clo = np.where(collapsed, center - small / 2.0, clo)
+        chi = np.where(collapsed, center + small / 2.0, chi)
+        untouched = (clo == lo) & (chi == hi)
     rebuilt = np.hstack([(clo + chi) / 2.0, chi - clo])
-    return np.where(untouched, boxes, rebuilt)
+    return np.where(untouched.all(axis=1, keepdims=True), boxes, rebuilt)
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

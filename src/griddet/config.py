@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .grid import MAX_GRID_BOXES, GridSpec, fits_bound
-from .model import (MAX_PARAMETERS, MODES, TrainConfig,
+from .model import (MAX_BATCH_UNITS, MAX_PARAMETERS, MODES, TrainConfig,
                     regressor_parameters)
 from .records import (NON_NEGATIVE_INT, POSITIVE_INT, UNIT_NUMBER,
                       check_fields, from_plain, to_plain)
@@ -53,6 +53,13 @@ class ExperimentConfig:
                 f"train.hidden_sizes must give a regressor of at most "
                 f"{MAX_PARAMETERS:,} parameters, got {n:,} for "
                 f"{list(hidden)} and {classes} classes")
+        units = self.train.images_per_batch \
+            * self.train.samples_per_image_per_step * sum(hidden)
+        if units > MAX_BATCH_UNITS:
+            raise ValueError(
+                f"train.samples_per_image_per_step x images_per_batch x "
+                f"sum(hidden_sizes) must be at most {MAX_BATCH_UNITS:,}, got "
+                f"{units:,}")
 
     def with_seed(self, seed: int) -> ExperimentConfig:
         """This config with `seed` as both the data and the training seed."""

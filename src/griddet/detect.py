@@ -65,12 +65,20 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
 
 
 def model_fns(regressor: MLP, classifier: MLP):
-    """Adapt trained models to the (feats, boxes, grid_indices) interface."""
+    """Adapt trained models to the (feats, boxes, grid_indices) interface.
+
+    The regressor gives each row the same bits in a batch of any size, so
+    regressing the gated rows equals regressing every box and keeping those
+    rows. numpy sends a one-row product to BLAS's matrix-vector kernel,
+    whose sums can differ from the matrix-matrix kernel's in the last bit,
+    so a one-row batch is padded to two rows."""
     k = regressor.output_dim // 4
 
     def regress(feats, boxes, grid_indices):
-        out, _ = regressor.forward(feats)
-        return out.reshape(len(boxes), k, 4)
+        n = len(boxes)
+        out, _ = regressor.forward(np.repeat(feats, 2, axis=0) if n == 1
+                                   else feats)
+        return out[:n].reshape(n, k, 4)
 
     def classify(feats, boxes, grid_indices):
         return softmax_probs(classifier, feats)
@@ -128,6 +136,8 @@ def move_boxes(boxes: np.ndarray, deltas: np.ndarray, width: float,
         moved = apply_deltas(boxes, deltas)
         clipped = clip_boxes(moved, width, height)
     ok = _valid(moved) & _valid(clipped)
+    if ok.all():
+        return clipped
     return np.where(ok[:, None], clipped, boxes)
 
 
@@ -146,9 +156,12 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
     The box states after k iterations are identical to a run with
     s_test = k, so one pass to max(eval_steps) yields every prefix.
 
-    The boxes are one (N, 4) array of (cx, cy, w, h) rows, which the
-    callbacks receive. Each step moves the boxes of a non-background class by
-    that class's delta (see move_boxes); background boxes stay put."""
+    The boxes are one (N, 4) array of (cx, cy, w, h) rows. Each step pools
+    and classifies every box, then calls the regressor with only the gated
+    rows, those whose most probable class is not background (their features,
+    boxes and grid indices, in grid order), and not at all when none is
+    gated. It moves each gated box by its class's delta (see move_boxes);
+    background boxes stay put."""
     if any(s < 0 for s in eval_steps):
         raise ValueError("eval_steps must be >= 0")
     extractor = extractor or FeatureExtractor()
@@ -168,13 +181,19 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
         if s:
             t0 = time.perf_counter()
             boxes = history[s - 1]
-            probs, deltas = _pool_and_classify(
-                fm, boxes, grid_indices, classifier_fn, regressor_fn)
+            feats, probs = _pool_and_classify(fm, boxes, grid_indices,
+                                              classifier_fn)
             labels = np.argmax(probs, axis=1)
             moving = np.flatnonzero(labels)
             history[s] = boxes
-            history[s, moving] = move_boxes(
-                boxes[moving], deltas[moving, labels[moving] - 1], w, h)
+            if len(moving):
+                gated = boxes[moving]
+                # grid_indices[i] is i.
+                deltas = _regress(regressor_fn, feats[moving], gated,
+                                  moving.tolist(), probs.shape[1] - 1)
+                history[s, moving] = move_boxes(
+                    gated, deltas[np.arange(len(moving)), labels[moving] - 1],
+                    w, h)
             if stats is not None:
                 stats.iteration_seconds.append(time.perf_counter() - t0)
         if s in eval_steps:
@@ -183,28 +202,29 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
     return out
 
 
-def _pool_and_classify(fm, boxes, grid_indices, classifier_fn,
-                       regressor_fn=None):
-    """Pool the boxes from fm and classify them, and regress them if given a
-    regressor: (probs, deltas), checked to be (N, C) and (N, K >= C - 1, 4)
-    for N boxes; deltas is None without a regressor."""
+def _pool_and_classify(fm, boxes, grid_indices, classifier_fn):
+    """Pool the boxes from fm and classify them: (feats, probs), probs
+    checked to be (N, C) for N boxes."""
     n = len(boxes)
     feats = build_roi_features(fm, boxes)
     probs = np.asarray(classifier_fn(feats, boxes, grid_indices))
     if probs.ndim != 2 or len(probs) != n:
         raise ModelMismatchError(f"classifier output has shape "
                                  f"{probs.shape}, expected ({n}, C)")
-    if regressor_fn is None:
-        return probs, None
+    return feats, probs
+
+
+def _regress(regressor_fn, feats, boxes, grid_indices, heads: int):
+    """The regressor's deltas for M boxes, checked to be (M, K >= heads, 4)."""
+    m = len(boxes)
     deltas = np.asarray(regressor_fn(feats, boxes, grid_indices),
                         dtype=np.float64)
-    heads = probs.shape[1] - 1
-    if not (deltas.ndim == 3 and len(deltas) == n and deltas.shape[2] == 4
+    if not (deltas.ndim == 3 and len(deltas) == m and deltas.shape[2] == 4
             and deltas.shape[1] >= heads):
         raise ModelMismatchError(
-            f"regressor output has shape {deltas.shape}, expected ({n}, K, 4) "
+            f"regressor output has shape {deltas.shape}, expected ({m}, K, 4) "
             f"with K >= {heads}")
-    return probs, deltas
+    return deltas
 
 
 def _finalize(fm, history, grid_indices, classifier_fn, score_threshold: float,
@@ -213,7 +233,7 @@ def _finalize(fm, history, grid_indices, classifier_fn, score_threshold: float,
     per-class NMS. Results come by descending score, ties toward the lower
     grid index; only survivors get a Box and their trajectory."""
     boxes = history[-1]
-    probs, _ = _pool_and_classify(fm, boxes, grid_indices, classifier_fn)
+    _, probs = _pool_and_classify(fm, boxes, grid_indices, classifier_fn)
     labels = np.argmax(probs, axis=1)
     scores = probs[np.arange(len(boxes)), labels]
     candidates = np.flatnonzero((labels > 0) & (scores >= score_threshold))

@@ -11,6 +11,7 @@ matching per class.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -233,7 +234,11 @@ class _DumpLine:
     def __post_init__(self):
         check_fields(self, {"score": (math.isfinite, "a finite number"),
                             "box": (None, "4 numbers (cx, cy, w, h)")})
-        Box(*self.box)  # the Box check: finite, with positive sides
+        self.checked_box  # the Box check: finite, with positive sides
+
+    @functools.cached_property
+    def checked_box(self) -> Box:
+        return Box(*self.box)
 
 
 def write_detection_dump(path, detections: list[DetRecord]):
@@ -253,7 +258,7 @@ def read_detection_dump(path) -> list[DetRecord]:
         from_json(_DumpHeader, f.readline(), f"detection dump {path} line 1")
         lines = [from_json(_DumpLine, line, f"detection dump {path} line {n}")
                  for n, line in enumerate(f, start=2) if line.strip()]
-    return [DetRecord(r.image_id, r.class_label, r.score, Box(*r.box))
+    return [DetRecord(r.image_id, r.class_label, r.score, r.checked_box)
             for r in lines]
 
 

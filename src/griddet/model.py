@@ -36,6 +36,11 @@ CHECKPOINT_EXTRACTOR = {"extra_filters": [], "include_box_coords": True,
                         "pool_w": POOL}
 # Rows per batch, images_per_batch * samples_per_image_per_step, at most.
 MAX_BATCH_ROWS = 100_000
+# Batch rows times the total width of the hidden layers, at most: each
+# model's training workspace holds a float64 and a bool entry per row per
+# hidden unit, and its forward pass one more float64. Checked by
+# ExperimentConfig after MAX_PARAMETERS, which names a too-wide layer first.
+MAX_BATCH_UNITS = 10_000_000
 # Parameters per model, at most.
 MAX_PARAMETERS = 10_000_000
 

@@ -8,6 +8,7 @@ makes them deliberately confusable.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -75,12 +76,12 @@ class Scene:
 
 
 def _shape_mask(shape: str, hh: int, ww: int) -> np.ndarray:
-    ys, xs = np.mgrid[0:hh, 0:ww]
-    # Normalized coordinates in [-1, 1] at pixel centers.
-    ny = (ys + 0.5) / hh * 2.0 - 1.0
-    nx = (xs + 0.5) / ww * 2.0 - 1.0
     if shape == "rect":
         return np.ones((hh, ww), dtype=bool)
+    # Normalized coordinates in [-1, 1] at pixel centers: a column of y and
+    # a row of x, which broadcast to (hh, ww).
+    ny = (np.arange(hh)[:, None] + 0.5) / hh * 2.0 - 1.0
+    nx = (np.arange(ww) + 0.5) / ww * 2.0 - 1.0
     if shape == "disk":
         return nx * nx + ny * ny <= 1.0
     if shape == "cross":
@@ -107,10 +108,17 @@ def generate_scene(config: SynthConfig, scene_id: int) -> Scene:
     seed = scene_seed(config, scene_id)
     rng = np.random.default_rng(seed)
 
-    ys, xs = np.mgrid[0:h, 0:w]
     fx, fy = rng.uniform(0.5, 2.0, size=2)
     phase = rng.uniform(0, 2 * np.pi)
-    image = 0.15 + 0.05 * np.sin(2 * np.pi * (fx * xs / w + fy * ys / h) + phase)
+    # 0.15 + 0.05 * sin(2 pi (fx x / w + fy y / h) + phase), from a row of x
+    # terms and a column of y terms, each later operation in place in the
+    # order of that formula, so every pixel gets the formula's bits.
+    image = np.add(fx * np.arange(w) / w, fy * np.arange(h)[:, None] / h)
+    image *= 2 * np.pi
+    image += phase
+    np.sin(image, out=image)
+    image *= 0.05
+    image += 0.15
 
     n_objects = int(rng.integers(config.objects_per_scene[0],
                                  config.objects_per_scene[1] + 1))
@@ -143,8 +151,9 @@ def generate_scene(config: SynthConfig, scene_id: int) -> Scene:
         patch[mask[:patch.shape[0], :patch.shape[1]]] = fill
 
     if config.noise_sigma > 0:
-        image = image + rng.normal(0.0, config.noise_sigma, size=image.shape)
-    return Scene(np.clip(image, 0.0, 1.0), gts, scene_id, seed)
+        image += rng.normal(0.0, config.noise_sigma, size=image.shape)
+    np.clip(image, 0.0, 1.0, out=image)
+    return Scene(image, gts, scene_id, seed)
 
 
 def generate_dataset(config: SynthConfig, n_scenes: int,
@@ -164,8 +173,9 @@ class _GroundTruthRecord:
 
     def __post_init__(self):
         check_fields(self, {})
-        self.ground_truth()  # the Box and GroundTruth checks
+        self.ground_truth  # the Box and GroundTruth checks
 
+    @functools.cached_property
     def ground_truth(self) -> GroundTruth:
         return GroundTruth(Box(self.cx, self.cy, self.w, self.h),
                            self.class_label)
@@ -215,14 +225,14 @@ def load_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     manifest = _read_manifest(path)
     return manifest.config, [
         Scene(generate_scene(manifest.config, s.scene_id).image,
-              [g.ground_truth() for g in s.gts], s.scene_id, s.seed)
+              [g.ground_truth for g in s.gts], s.scene_id, s.seed)
         for s in manifest.scenes]
 
 
 def load_ground_truth(path) -> dict[int, list[GroundTruth]]:
     """The ground truth of a dataset manifest by scene_id, without
     regenerating its images."""
-    return {s.scene_id: [g.ground_truth() for g in s.gts]
+    return {s.scene_id: [g.ground_truth for g in s.gts]
             for s in _read_manifest(path).scenes}
 
 

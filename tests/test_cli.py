@@ -216,6 +216,13 @@ MALFORMED_CONFIGS = {
         "train:\n  hidden_sizes: [1000000000]\n", "",
         "train.hidden_sizes must give a regressor of at most 10,000,000 "
         "parameters, got 129,000,000,016 for [1000000000] and 4 classes"),
+    # 100,000 rows and a hidden layer of 77,519 units, each within its own
+    # bound: the workspaces (57.8 GiB) are rejected before any pooling.
+    "train_batch_times_hidden_units_too_large": (
+        "train:\n  hidden_sizes: [77519]\n  images_per_batch: 1000\n"
+        "  samples_per_image_per_step: 100\n", "",
+        "train.samples_per_image_per_step x images_per_batch x "
+        "sum(hidden_sizes) must be at most 10,000,000, got 7,751,900,000"),
     "grid_test_overlaps_a_string": (
         "grid_test:\n  scales: [2, 5, 10]\n  overlaps: [x, 0.5, 0.0]\n",
         "grid_test", "overlaps must be one number in [0, 1) per scale, "
@@ -794,6 +801,27 @@ def test_cli_reports_a_training_table_too_large_in_one_line(tmp_path):
                          lines[0])
     rows, n_bytes = (int(g.replace(",", "")) for g in match.groups())
     assert rows > 10_000_000 and n_bytes == 8 * FEATURE_DIM * rows
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_cli_train_rejects_oversized_workspaces_before_pooling(
+        tmp_path, capsys, monkeypatch):
+    train_path, _ = cmd_generate(tiny_config(), 2, 1, str(tmp_path))
+    path = tmp_path / "c.yaml"
+    path.write_text("train:\n  hidden_sizes: [77519]\n  images_per_batch: "
+                    "1000\n  samples_per_image_per_step: 100\n")
+
+    def no_pooling(*args, **kwargs):
+        raise AssertionError("pooled")
+    monkeypatch.setattr(pipeline, "precompute_scene_tensors", no_pooling)
+    rc = main(["train", "--config", str(path), "--dataset", train_path,
+               "--out", str(tmp_path / "m.ckpt")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert lines == [
+        f"error: config file {path}: train.samples_per_image_per_step x "
+        f"images_per_batch x sum(hidden_sizes) must be at most 10,000,000, "
+        f"got 7,751,900,000"]
     assert not (tmp_path / "m.ckpt").exists()
 
 

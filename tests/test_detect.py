@@ -16,7 +16,7 @@ from griddet.detect import (MAX_LOG_SCALE, DetectionResult, DetectStats,
                             ModelMismatchError, detect, detect_multi,
                             model_fns, move_boxes, nms, oracle_fns)
 from griddet.features import FeatureExtractor, build_roi_features
-from griddet.grid import GridSpec, generate_grid
+from griddet.grid import GridSpec, generate_grid, grid_array
 from griddet.model import TrainConfig
 from griddet.pipeline import train
 from griddet.synth import SynthConfig, generate_dataset
@@ -225,6 +225,62 @@ def test_model_outputs_of_the_wrong_shape_are_named(regressor, classifier,
         detect(np.zeros((40, 40)), GRID, regressor, classifier, s_test=s_test)
 
 
+def gating_classifier(num_classes, seen, gate):
+    """Call k gates the rows gate(k, n) (to class 1 or 2 by row parity) and
+    calls every other row background; records each call's arguments and
+    output in seen."""
+    def classify(feats, boxes, grid_indices):
+        probs = np.zeros((len(boxes), num_classes + 1))
+        probs[:, 0] = 1.0
+        gated = gate(len(seen), len(boxes))
+        probs[gated] = 0.0
+        probs[gated, 1 + gated % 2] = 1.0
+        seen.append((feats.copy(), boxes.copy(), list(grid_indices), probs))
+        return probs
+    return classify
+
+
+def test_regressor_sees_only_the_gated_rows():
+    image = np.random.default_rng(3).uniform(size=(40, 40))
+    classified, regressed = [], []
+
+    def gate(k, n):  # nothing gated on the second step
+        return np.array([], dtype=int) if k == 1 else np.arange(k, n, 3)
+
+    def regress(feats, boxes, grid_indices):
+        regressed.append((len(classified) - 1, feats.copy(), boxes.copy(),
+                          list(grid_indices)))
+        return np.full((len(boxes), 2, 4), 0.05)
+    results = detect(image, GRID, regress,
+                     gating_classifier(2, classified, gate), s_test=4)
+    assert results
+    # Four steps and the final scoring pass; no regressor call on step 2.
+    assert len(classified) == 5
+    assert [step for step, *_ in regressed] == [0, 2, 3]
+    for step, feats, boxes, grid_indices in regressed:
+        all_feats, all_boxes, all_indices, probs = classified[step]
+        gated = np.flatnonzero(np.argmax(probs, axis=1))
+        assert gated.tolist() == gate(step, len(all_boxes)).tolist()
+        assert grid_indices == [all_indices[i] for i in gated]
+        assert feats.tobytes() == all_feats[gated].tobytes()
+        assert boxes.dtype == np.float64
+        assert boxes.tobytes() == all_boxes[gated].tobytes()
+        # The gated boxes moved; the others stayed put.
+        later = classified[step + 1][1]
+        assert (later[gated] != all_boxes[gated]).any(axis=1).all()
+        rest = np.setdiff1d(np.arange(len(all_boxes)), gated)
+        assert later[rest].tobytes() == all_boxes[rest].tobytes()
+
+
+def test_gated_regressor_output_of_the_wrong_shape_names_the_gated_count():
+    message = ("regressor output has shape (4, 2, 4), expected (5, K, 4) "
+               "with K >= 2")
+    with pytest.raises(ModelMismatchError, match=re.escape(message)):
+        detect(np.zeros((40, 40)), GRID, one_row_short(zero_regressor(2)),
+               gating_classifier(2, [], lambda k, n: np.arange(5)),
+               s_test=1)
+
+
 EXTREME = (800.0, -800.0, np.inf, -np.inf, np.nan)
 
 
@@ -396,9 +452,14 @@ def reference_detect_multi(image, grid_spec, regressor_fn, classifier_fn,
         array = boxes_to_array(boxes)
         feats = build_roi_features(fm, array)
         labels = np.argmax(classifier_fn(feats, array, grid_indices), axis=1)
-        deltas = regressor_fn(feats, array, grid_indices)
         moving = np.flatnonzero(labels)
-        rows = np.asarray(deltas, dtype=np.float64)[moving, labels[moving] - 1]
+        rows = np.zeros((0, 4))
+        if len(moving):
+            # The regressor sees only the gated rows, in grid order.
+            deltas = regressor_fn(feats[moving], array[moving],
+                                  [grid_indices[i] for i in moving])
+            rows = np.asarray(deltas, dtype=np.float64)[
+                np.arange(len(moving)), labels[moving] - 1]
         np.minimum(rows[:, 2:], MAX_LOG_SCALE, out=rows[:, 2:])
         boxes = list(boxes)
         for i, row in zip(moving.tolist(), rows.tolist()):
@@ -470,6 +531,27 @@ def test_loop_matches_reference_with_trained_models(trained, mode, eval_steps):
             assert_matches_reference(scene.image, grid_spec,
                                      lambda: model_fns(*models[mode]),
                                      eval_steps, **kwargs)
+
+
+@pytest.mark.parametrize("mode", ["gcnn", "1step"])
+def test_regressing_a_subset_gives_the_full_batch_rows(trained, mode):
+    scenes, models = trained
+    regress, _ = model_fns(*models[mode])
+    rng = np.random.default_rng(5)
+    for scene in scenes:
+        h, w = scene.image.shape
+        boxes = grid_array(GridSpec((2, 5, 10), (0.9, 0.8, 0.7)), w, h)
+        n = len(boxes)
+        feats = build_roi_features(
+            FeatureExtractor().compute_global_features(scene.image), boxes)
+        full = regress(feats, boxes, list(range(n)))
+        subsets = [[0], [n - 1], [5], [0, 1], [3, n - 1], [2, 9, 40]]
+        subsets += [np.sort(rng.choice(n, size=size, replace=False)).tolist()
+                    for size in rng.integers(1, n, size=40)]
+        for rows in subsets:
+            got = regress(feats[rows], boxes[rows], rows)
+            assert got.shape == (len(rows), *full.shape[1:])
+            assert got.tobytes() == full[rows].tobytes()
 
 
 def test_loop_matches_reference_with_the_oracle():

@@ -400,6 +400,23 @@ def test_detection_dump_round_trip(tmp_path):
     assert read_detection_dump(path) == dets
 
 
+def test_reading_a_dump_builds_one_box_per_record(tmp_path, monkeypatch):
+    path = tmp_path / "dets.jsonl"
+    dets = [DetRecord(i % 3, 1 + i % 4, 0.125 * i, Box(5.0 + i, 6, 2, 3.5))
+            for i in range(7)]
+    write_detection_dump(path, dets)
+    built = []
+
+    def count(self, init=Box.__post_init__):
+        built.append(self)
+        init(self)
+    monkeypatch.setattr(Box, "__post_init__", count)
+    read = read_detection_dump(path)
+    assert read == dets
+    # The record's checked Box is the one returned.
+    assert [id(d.box) for d in read] == list(map(id, built))
+
+
 def test_detection_dump_rejects_unknown_version(tmp_path):
     path = tmp_path / "dets.jsonl"
     path.write_text('{"format_version": 9}\n')

@@ -14,8 +14,9 @@ from griddet.features import (FEATURE_DIM, FeatureExtractor,
                               build_roi_features)
 from griddet.grid import GridSpec, generate_grid
 from griddet.model import (CHECKPOINT_EXTRACTOR, CHECKPOINT_MAGIC,
-                           MAX_BATCH_ROWS, MAX_PARAMETERS, MLP, MODES,
-                           ClassifierRecord, Grads, SGDOptimizer, TrainConfig,
+                           MAX_BATCH_ROWS, MAX_BATCH_UNITS, MAX_PARAMETERS,
+                           MLP, MODES, ClassifierRecord, Grads, SGDOptimizer,
+                           TrainConfig,
                            TrainingTable, Workspace, _BatchSampler,
                            classifier_loss, load_checkpoint, make_classifier,
                            make_regressor, precompute_scene_tensors,
@@ -1170,6 +1171,33 @@ def test_batch_rows_are_bounded():
             TrainConfig(images_per_batch=ipb, samples_per_image_per_step=spi)
     for ipb, spi in ((2, 50_000), (MAX_BATCH_ROWS, 1)):
         TrainConfig(images_per_batch=ipb, samples_per_image_per_step=spi)
+
+
+def test_batch_rows_times_hidden_units_are_bounded():
+    # Each bound alone admits 100,000 rows and a hidden layer of 77,519
+    # units; together their workspaces would need 57.8 GiB. The config is
+    # rejected before any model or workspace exists.
+    assert MAX_BATCH_UNITS == 10_000_000
+    default = TrainConfig()
+    assert default.images_per_batch * default.samples_per_image_per_step \
+        * sum(default.hidden_sizes) == 6_144
+    for ipb, spi, hidden, units in (
+            (1000, 100, (77_519,), "7,751,900,000"),
+            (3, 64, (77_519,), "14,883,648"),
+            (100_000, 1, (60, 41), "10,100,000")):
+        train = TrainConfig(images_per_batch=ipb,
+                            samples_per_image_per_step=spi,
+                            hidden_sizes=hidden)
+        with pytest.raises(ValueError, match=(
+                "^train.samples_per_image_per_step x images_per_batch x "
+                "sum\\(hidden_sizes\\) must be at most 10,000,000, got "
+                f"{units}$")):
+            ExperimentConfig(train=train)
+    for ipb, spi, hidden in ((2, 64, (77_519,)), (100_000, 1, (60, 40)),
+                             (MAX_BATCH_ROWS, 1, ())):
+        ExperimentConfig(train=TrainConfig(
+            images_per_batch=ipb, samples_per_image_per_step=spi,
+            hidden_sizes=hidden))
 
 
 def test_model_parameters_are_bounded():

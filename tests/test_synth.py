@@ -1,11 +1,12 @@
 import collections
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from griddet.boxes import iou
+from griddet.boxes import Box, iou
 from griddet.synth import (PlacementFailureError, Scene, SynthConfig,
                            generate_dataset, generate_scene,
                            load_ground_truth, load_manifest, save_manifest)
@@ -38,6 +39,43 @@ def test_single_object_config_yields_exact_count():
     cfg = SynthConfig(seed=4, objects_per_scene=(1, 1))
     scenes = generate_dataset(cfg, 100)
     assert sum(len(s.gts) for s in scenes) == 100
+
+
+# SHA-256 of generate_scene(config, scene_id).image.tobytes(), so that a
+# rendering change that moves one bit fails here. The one-class groups render
+# all four shapes: scene 1 a rect, a disk and a cross, scene 5 a ring.
+ONE_CLASS_GROUPS = SynthConfig(
+    seed=5, image_size=(96, 64), objects_per_scene=(3, 3),
+    class_similarity_groups=((1,), (2,), (3,), (4,)))
+PINNED_IMAGES = {
+    (SynthConfig(seed=0), 0):
+        "57c78aae923ea1cdced61922e24b9d2edaa2c8b0446fe691658ecb4148b17d20",
+    (SynthConfig(seed=0), 7):
+        "65ea88bcb1a698dc5f1e916addf96ff8723cc74552ae14146c273173ce4cb968",
+    (SynthConfig(seed=3), 1):
+        "c27ceb2e6cd8333bbe3abddc646b208e869d6f737805e5debf9dd41d55d974a6",
+    (SynthConfig(seed=300), 2):
+        "a81e90a62d234c2f1c1a6e586a60631a8b8dad4314c4bd86ecc8f9130b24ea26",
+    (SynthConfig(seed=301), 5):
+        "765276ea2cd34ce4bb9a0f440a47c55370675c9637e67f559a60eb0a2157d900",
+    (SynthConfig(seed=3, image_size=(48, 40), noise_sigma=0.0), 2):
+        "f15f26e0031ab99458b7285f6a601569b6b9ebed433d67a93f74f1facc553f1d",
+    (ONE_CLASS_GROUPS, 1):
+        "7ba63624d36558872bd3d8dc41a5fdbe0f70e7cbfbb5d30075bfd0f8a9f7d426",
+    (ONE_CLASS_GROUPS, 5):
+        "f052c2b7ab45f97299b6a11ed0310db524221f86932b6a0b9b01e904827c2f83",
+}
+
+
+@pytest.mark.parametrize("config, scene_id", PINNED_IMAGES,
+                         ids=lambda v: f"seed{v.seed}-{v.image_size[0]}x"
+                         f"{v.image_size[1]}" if isinstance(v, SynthConfig)
+                         else str(v))
+def test_rendered_image_bytes_are_pinned(config, scene_id):
+    image = generate_scene(config, scene_id).image
+    assert image.dtype == np.float64 and image.shape == config.image_size[::-1]
+    assert hashlib.sha256(image.tobytes()).hexdigest() == \
+        PINNED_IMAGES[config, scene_id]
 
 
 def test_noiseless_max_intensity_inside_gt_box():
@@ -127,6 +165,25 @@ def test_manifest_round_trip_procedural(tmp_path):
         assert np.array_equal(a.image, b.image)
         assert a.gts == b.gts
         assert a.scene_id == b.scene_id
+
+
+def test_reading_ground_truth_builds_one_box_per_record(tmp_path,
+                                                       monkeypatch):
+    cfg = SynthConfig(seed=17, objects_per_scene=(2, 3))
+    scenes = generate_dataset(cfg, 4)
+    path = tmp_path / "manifest.json"
+    save_manifest(path, cfg, scenes)
+    built = []
+
+    def count(self, init=Box.__post_init__):
+        built.append(self)
+        init(self)
+    monkeypatch.setattr(Box, "__post_init__", count)
+    gts = load_ground_truth(path)
+    assert gts == {s.scene_id: s.gts for s in scenes}
+    # The record's checked Box is the one returned.
+    assert [id(g.box) for s in scenes for g in gts[s.scene_id]] == \
+        list(map(id, built))
 
 
 @pytest.mark.parametrize("images_file", ["images.f64", ""],
