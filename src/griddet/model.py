@@ -386,7 +386,7 @@ class TrainLog:
         return len(self.entries)
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity, as in ClassifierRecord.setup
 class TrainingTable:
     """Pooled rows of every training scene. Scene i owns rows offsets[i]:
     offsets[i + 1]: its foreground rows box by box, steps 1..s_train within
@@ -545,38 +545,17 @@ class _BatchSampler:
 
 
 class ClassifierRecord:
-    """The classifier's training in the first of several train_models calls
-    on one table and config, for the later calls to reuse: the config, the
-    class count and the table's row count, per iteration the classifier's
-    table rows and loss, and the final parameters. Holds iterations x batch
-    rows x 4 bytes of rows.
-
-    The modes differ only in the regressor's pools and targets, and the
-    scene choice does not depend on the mode. Each batch's regression and
-    classifier slots come from one ``integers`` call, which uses one stream
-    word per slot whatever its pool's length, bar a rare rejection in
-    numpy's bounded sampler. So every mode's classifier slots read the same
-    words, and its classifier rows, and hence its classifier, almost always
-    come out the same.
+    """The classifier of the first of several train_models calls, for later
+    calls to reuse. That call sets setup, its (table, config, num_classes);
+    picks, its classifier picks (iterations x batch rows, -1 past each
+    batch's end); losses, its classifier losses; and flat, the classifier's
+    final parameters. Every mode's picks almost always come out the same:
+    the modes differ only in the regressor, and each batch's slots come
+    from one ``integers`` call, which uses one stream word per slot whatever
+    its pool's length, bar a rare rejection in numpy's bounded sampler.
     """
 
-    flat = None  # the first call's final classifier parameters
-
-    def start(self, setup: tuple, iterations: int, rows: int):
-        """setup is the (config, num_classes, table rows) of the call."""
-        self.setup = setup
-        dtype = np.int32 if setup[2] < 2 ** 31 else np.int64
-        self.picks = np.empty((iterations, rows), dtype=dtype)
-        self.counts = np.empty(iterations, dtype=np.intp)
-        self.losses = []
-
-    def add(self, i: int, picks: np.ndarray, loss: float):
-        self.picks[i, :len(picks)] = picks
-        self.counts[i] = len(picks)
-        self.losses.append(loss)
-
-    def batch(self, i: int) -> np.ndarray:
-        return self.picks[i, :self.counts[i]]
+    setup = picks = losses = flat = None
 
 
 def train_models(table: TrainingTable, config: TrainConfig, mode: str,
@@ -589,11 +568,11 @@ def train_models(table: TrainingTable, config: TrainConfig, mode: str,
     All modes run s_train * n_iter_per_stage total iterations. Each model's
     losses and backward passes run in one Workspace made here.
 
-    Calls on one table and config may share one ClassifierRecord: the first
-    fills it, and each later one trains no classifier while its classifier
-    rows match the record's. If they first differ at iteration i, it rebuilds
-    the classifier by replaying the record's batches 0..i-1 and trains on
-    from there. Every call returns the bits it would return alone.
+    The regressor trains first, keeping each batch's classifier picks; the
+    classifier then trains on them. Calls may share a ClassifierRecord: the
+    first fills it, and a later call with the same table object, config,
+    class count and picks copies its classifier and losses. Any other call
+    trains its own, so every call returns the bits it would return alone.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -612,37 +591,25 @@ def train_models(table: TrainingTable, config: TrainConfig, mode: str,
     rng = np.random.default_rng(batch_ss)
     log = TrainLog()
 
+    iterations = config.s_train * config.n_iter_per_stage
     if mode == "gcnn":
         phases = [(c, config.n_iter_per_stage, False)
                   for c in range(1, config.s_train + 1)]
     elif mode == "1step":
-        phases = [(config.s_train,
-                   config.s_train * config.n_iter_per_stage, False)]
+        phases = [(config.s_train, iterations, False)]
     else:
-        phases = [(1, config.s_train * config.n_iter_per_stage, True)]
+        phases = [(1, iterations, True)]
 
-    recording = shared is not None and shared.flat is None
-    reusing = shared is not None and not recording
-    setup = (config, num_classes, len(table.labels))
-    if recording:
-        shared.start(setup, config.s_train * config.n_iter_per_stage, rows)
-    elif reusing and setup != shared.setup:
-        said = "{1} classes on {2:,} table rows with {0}".format
-        raise ValueError(f"the classifier record was filled by training "
-                         f"{said(*shared.setup)}, not {said(*setup)}")
-
-    def train_classifier(picks):
-        cf, cl = sampler.take(1, picks)
-        cls_loss, cls_grads = _classifier_loss(classifier, cf, cl, cls_ws)
-        if len(cf) > 0:
-            opt_cls.step(cls_grads)
-        return cls_loss
-
+    setup = (table, config, num_classes)
+    picks = np.full((iterations, rows), -1, dtype=np.int32
+                    if len(table.labels) < 2 ** 31 else np.int64)
+    counts = np.empty(iterations, dtype=np.intp)
+    reg_steps = []  # (stage, iteration, reg_loss, all_background)
     n_scenes = len(table.offsets) - 1
     replace = n_scenes < config.images_per_batch
     with np.errstate(all="ignore"):  # a diverged run shows in its log
         for stage, n_iter, direct in phases:
-            log.stage_boundaries.append(log.total_iterations)
+            log.stage_boundaries.append(len(reg_steps))
             sampler.start_phase(stage, direct)
             for it in range(n_iter):
                 scene_ids = rng.choice(n_scenes, size=config.images_per_batch,
@@ -652,23 +619,26 @@ def train_models(table: TrainingTable, config: TrainConfig, mode: str,
                     regressor, *sampler.take(0, reg_picks), reg_ws)
                 if not all_bg:
                     opt_reg.step(reg_grads)
-                i = log.total_iterations
-                if reusing and not np.array_equal(shared.batch(i),
-                                                  cls_picks):
-                    for j in range(i):
-                        train_classifier(shared.batch(j))
-                    reusing = False
-                if reusing:
-                    cls_loss = shared.losses[i]
-                else:
-                    cls_loss = train_classifier(cls_picks)
-                    if recording:
-                        shared.add(i, cls_picks, cls_loss)
-                log.add(stage, it, reg_loss, cls_loss, all_bg)
-    if recording:
-        shared.flat = classifier.flat.copy()
-    elif reusing:
-        classifier.flat[...] = shared.flat
+                picks[len(reg_steps), :len(cls_picks)] = cls_picks
+                counts[len(reg_steps)] = len(cls_picks)
+                reg_steps.append((stage, it, reg_loss, all_bg))
+        if (shared is not None and shared.setup == setup
+                and np.array_equal(shared.picks, picks)):
+            classifier.flat[...] = shared.flat
+            cls_losses = shared.losses
+        else:
+            cls_losses = []
+            for batch, n in zip(picks, counts):
+                cf, cl = sampler.take(1, batch[:n])
+                loss, grads = _classifier_loss(classifier, cf, cl, cls_ws)
+                if len(cf) > 0:
+                    opt_cls.step(grads)
+                cls_losses.append(loss)
+            if shared is not None and shared.flat is None:
+                shared.setup, shared.picks = setup, picks
+                shared.losses, shared.flat = cls_losses, classifier.flat.copy()
+    for (stage, it, reg_loss, all_bg), cls_loss in zip(reg_steps, cls_losses):
+        log.add(stage, it, reg_loss, cls_loss, all_bg)
     return regressor, classifier, log
 
 

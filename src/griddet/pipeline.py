@@ -57,8 +57,8 @@ def train(config: ExperimentConfig, scenes, modes=None):
     """Pool the training set of `scenes` once, then train each strategy of
     `modes` (default: config.mode) on it with equal compute. Returns one
     (regressor, classifier, log) per mode, in order. With more than one mode,
-    the later modes reuse the first mode's classifier for as long as their
-    classifier batches match its own (see model.ClassifierRecord)."""
+    a later mode whose classifier batches all equal the first mode's copies
+    the first mode's classifier (see model.ClassifierRecord)."""
     tensors = precompute_scene_tensors(scenes, config.grid_train,
                                        config.train)
     modes = [config.mode] if modes is None else modes

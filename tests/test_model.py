@@ -550,7 +550,8 @@ def test_train_models_steps_from_one_buffer_per_model(small_training_setup,
     assert len(set(seen)) == 2 and len({m for m, _ in seen}) == 2
 
 
-@pytest.mark.parametrize("mode", MODES)
+# "shared": a 1step call on the record of a gcnn call, whose picks match.
+@pytest.mark.parametrize("mode", [*MODES, "shared"])
 def test_train_models_gathers_each_batch_in_five_takes(small_training_setup,
                                                         mode):
     _, config, _, table = small_training_setup
@@ -564,12 +565,20 @@ def test_train_models_gathers_each_batch_in_five_takes(small_training_setup,
 
     counted = TrainingTable(*(getattr(table, f.name).view(Counting)
                               for f in dataclasses.fields(TrainingTable)))
-    train_models(counted, config, mode, 4)
-    # Per batch: features, labels and targets of the regression rows, then
-    # features and labels of the classifier rows.
-    per_batch = [table.feats.shape, table.labels.shape, table.targets.shape,
-                 table.feats.shape, table.labels.shape]
-    assert takes == per_batch * (3 * 4)
+    shared = None
+    if mode == "shared":
+        shared = ClassifierRecord()
+        train_models(counted, config, "gcnn", 4, shared=shared)
+        takes.clear()
+        mode = "1step"
+    train_models(counted, config, mode, 4, shared=shared)
+    # Features, labels and targets of every batch's regression rows, then,
+    # unless the record gives the classifier, features and labels of every
+    # batch's classifier rows.
+    regression = [table.feats.shape, table.labels.shape, table.targets.shape]
+    classifier = [table.feats.shape, table.labels.shape]
+    assert takes == regression * (3 * 4) + (
+        [] if shared else classifier * (3 * 4))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -921,11 +930,10 @@ def _perturb_draw(monkeypatch, at, edit):
 
 @pytest.mark.parametrize("edit", ["move", "drop"])
 @pytest.mark.parametrize("at", [0, 7, 3 * 20 - 1])
-def test_later_mode_replays_the_record_where_its_picks_differ(
+def test_later_mode_trains_its_own_classifier_where_its_picks_differ(
         small_training_setup, monkeypatch, at, edit):
     # The second mode's classifier picks differ from the first mode's at one
-    # iteration: from there it must train as it would alone, on a classifier
-    # rebuilt from the record's earlier batches.
+    # iteration: it must train its own classifier, as it would alone.
     _, config, _, table = small_training_setup
     config = dataclasses.replace(config, n_iter_per_stage=20)
     shared = ClassifierRecord()
@@ -951,32 +959,32 @@ RECORD_MISMATCHES = {
     "another_seed": ({"seed": 4}, None, 4),
     "another_table": ({}, ("all",) * 5, 4),
     "more_classes": ({}, None, 5),
+    # Picks equal to the record's: only the config tells the calls apart.
+    "another_learning_rate": ({"learning_rate": 0.01}, None, 4),
 }
 
 
 @pytest.mark.parametrize("overrides, kinds, num_classes",
                          RECORD_MISMATCHES.values(),
                          ids=RECORD_MISMATCHES.keys())
-def test_classifier_record_rejects_another_setup(small_training_setup,
-                                                  overrides, kinds,
-                                                  num_classes):
+def test_classifier_record_trains_its_own_for_another_setup(
+        small_training_setup, overrides, kinds, num_classes):
     _, config, _, table = small_training_setup
     config = dataclasses.replace(config, n_iter_per_stage=20)
     shared = ClassifierRecord()
-    train_models(table, config, "gcnn", 4, shared=shared)
+    _, first_cls, _ = train_models(table, config, "gcnn", 4, shared=shared)
     later = dataclasses.replace(config, **overrides)
     later_table = table if kinds is None else _keep_rows(table, kinds)
-    said = r"\d classes on [\d,]+ table rows with TrainConfig\(.*\)"
-    with pytest.raises(ValueError, match=(
-            f"^the classifier record was filled by training {said}, not "
-            f"{said}$")) as info:
-        train_models(later_table, later, "1step", num_classes, shared=shared)
-    message = str(info.value)
-    assert message.count(f"{len(table.labels):,} table rows") == (
-        2 if kinds is None else 1)
-    assert message.count(f"{num_classes} classes") == (
-        2 if num_classes == 4 else 1)
-    assert repr(config) in message and repr(later) in message
+    reg, cls, log = train_models(later_table, later, "1step", num_classes,
+                                 shared=shared)
+    want_reg, want_cls, want_log = train_models(later_table, later, "1step",
+                                                num_classes)
+    assert reg.flat.tobytes() == want_reg.flat.tobytes()
+    assert cls.flat.tobytes() == want_cls.flat.tobytes()
+    assert log_bytes(log) == log_bytes(want_log)
+    # The record still gives a matching call the first mode's classifier.
+    _, third_cls, _ = train_models(table, config, "ifrcnn", 4, shared=shared)
+    assert third_cls.flat.tobytes() == first_cls.flat.tobytes()
 
 
 def test_precompute_pools_each_scene_in_one_call(small_training_setup,
