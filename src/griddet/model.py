@@ -386,7 +386,7 @@ class TrainLog:
         return len(self.entries)
 
 
-@dataclass(eq=False)  # compared by identity, as in ClassifierRecord.setup
+@dataclass
 class TrainingTable:
     """Pooled rows of every training scene. Scene i owns rows offsets[i]:
     offsets[i + 1]: its foreground rows box by box, steps 1..s_train within
@@ -461,9 +461,10 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
     return table
 
 
-class _BatchSampler:
-    """Draws minibatches as table rows and gathers them into row buffers
-    allocated once per training run.
+class BatchSampler:
+    """The training context of one seed: its table, config and class count,
+    batches drawn as table rows and gathered into row buffers made once, and
+    the classifier of the first train_models call on it, for later calls.
 
     Per image, in scene_ids order, a batch has samples_per_image regression
     slots, then the step-1 foreground and the background classifier slots,
@@ -475,7 +476,16 @@ class _BatchSampler:
     (test_one_integers_call_draws_as_one_call_per_pool). One take from the
     table fills each buffer; the returned arrays are views of the buffers,
     valid until the next take.
+
+    The first train_models call sets picks, its classifier picks (iterations
+    x batch rows, -1 past each batch's end); losses, its classifier losses;
+    and flat, its classifier's final parameters. Every mode's picks almost
+    always come out the same: the modes differ only in the regressor, and
+    each slot uses one stream word whatever its pool's length, bar a rare
+    rejection in numpy's bounded sampler.
     """
+
+    picks = losses = flat = None
 
     def __init__(self, table: TrainingTable, config: TrainConfig,
                  num_classes: int):
@@ -487,7 +497,7 @@ class _BatchSampler:
             raise ValueError(
                 f"scene tensors {scene}: foreground labels must be in "
                 f"1..{num_classes}, got {table.labels[bad[0]]} in row {bad[0]}")
-        self.table = table
+        self.table, self.config, self.num_classes = table, config, num_classes
         per_image = config.samples_per_image_per_step
         n_fg_cls = max(1, int(round(per_image / (1.0 + config.fg_bg_ratio))))
         self.sizes = (per_image, n_fg_cls, per_image - n_fg_cls)
@@ -502,35 +512,31 @@ class _BatchSampler:
         """Direct phases regress step-1 rows to their full-path targets;
         stepwise phases draw from the rows of steps 1..stage. Per scene, the
         phase's pools are its (regression, step-1, background) table rows,
-        laid end to end in pool_rows, kind by kind. Per scene and slot, base
-        is the start of the slot's pool in pool_rows and high its length (1
-        if empty); keep marks the slots of non-empty pools, if any is empty."""
+        laid end to end in pool_rows, kind by kind, then one spare entry.
+        Per scene and slot, base is the start of the slot's pool in
+        pool_rows, high its length (1 if empty) and keep whether it is
+        non-empty; an empty pool's slots draw base, at most the spare."""
         t = self.table
         self.sources = ((t.feats, t.labels, t.direct if direct else t.targets),
                         (t.feats, t.labels))
         step1 = t.steps == 1
         reg = step1 if direct else (t.steps >= 1) & (t.steps <= stage)
         kinds = np.stack([reg, step1, t.steps == 0])
-        # nonzero gives a strided view, which take would copy whole per call.
-        self.pool_rows = np.nonzero(kinds)[1].copy()
+        self.pool_rows = np.append(np.nonzero(kinds)[1], 0)
         # Per scene and kind, pool rows before the scene's: (scenes + 1, 3).
         before = np.concatenate([[0], np.cumsum(kinds)])[
             np.arange(3) * len(t.steps) + t.offsets[:, None]]
         lengths = np.diff(before, axis=0)
         self.base = np.repeat(before[:-1], self.sizes, axis=1)
         self.high = np.repeat(np.maximum(lengths, 1), self.sizes, axis=1)
-        self.keep = (None if lengths.all()
-                     else np.repeat(lengths > 0, self.sizes, axis=1))
+        self.keep = np.repeat(lengths > 0, self.sizes, axis=1)
 
     def draw(self, rng: np.random.Generator, scene_ids: np.ndarray):
         """The table rows of one batch, (regressor picks, classifier picks)."""
         pos = self.base[scene_ids]
         pos += rng.integers(0, self.high[scene_ids])
-        rows = self.pool_rows.take(pos)
+        rows, keep = self.pool_rows.take(pos), self.keep[scene_ids]
         n = self.sizes[0]
-        if self.keep is None:
-            return rows[:, :n].ravel(), rows[:, n:].ravel()
-        keep = self.keep[scene_ids]
         return rows[:, :n][keep[:, :n]], rows[:, n:][keep[:, n:]]
 
     def take(self, head: int, picks: np.ndarray):
@@ -544,23 +550,9 @@ class _BatchSampler:
                                                self.buffers[head]))
 
 
-class ClassifierRecord:
-    """The classifier of the first of several train_models calls, for later
-    calls to reuse. That call sets setup, its (table, config, num_classes);
-    picks, its classifier picks (iterations x batch rows, -1 past each
-    batch's end); losses, its classifier losses; and flat, the classifier's
-    final parameters. Every mode's picks almost always come out the same:
-    the modes differ only in the regressor, and each batch's slots come
-    from one ``integers`` call, which uses one stream word per slot whatever
-    its pool's length, bar a rare rejection in numpy's bounded sampler.
-    """
-
-    setup = picks = losses = flat = None
-
-
-def train_models(table: TrainingTable, config: TrainConfig, mode: str,
-                 num_classes: int, *, shared: ClassifierRecord | None = None):
-    """Run the SGD schedule for one of the three training strategies.
+def train_models(sampler: BatchSampler, mode: str):
+    """Run the SGD schedule for one of the three training strategies on the
+    sampler's table, config and class count.
 
     gcnn: stages c = 1..s_train, each n_iter_per_stage iterations on the
     cumulative tuple pool of steps 1..c. 1step: one phase on the full pool.
@@ -569,14 +561,14 @@ def train_models(table: TrainingTable, config: TrainConfig, mode: str,
     losses and backward passes run in one Workspace made here.
 
     The regressor trains first, keeping each batch's classifier picks; the
-    classifier then trains on them. Calls may share a ClassifierRecord: the
-    first fills it, and a later call with the same table object, config,
-    class count and picks copies its classifier and losses. Any other call
-    trains its own, so every call returns the bits it would return alone.
+    classifier then trains on them. A call whose picks equal the ones the
+    sampler keeps copies the kept classifier and losses. Any other call
+    trains its own, and the sampler keeps the first one trained on it. So
+    every call returns the bits it would return on a sampler of its own.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    sampler = _BatchSampler(table, config, num_classes)
+    config, num_classes = sampler.config, sampler.num_classes
     ss = np.random.SeedSequence(config.seed)
     init_reg, init_cls, batch_ss = ss.spawn(3)
     regressor = make_regressor(FEATURE_DIM, config.hidden_sizes, num_classes,
@@ -600,12 +592,11 @@ def train_models(table: TrainingTable, config: TrainConfig, mode: str,
     else:
         phases = [(1, iterations, True)]
 
-    setup = (table, config, num_classes)
     picks = np.full((iterations, rows), -1, dtype=np.int32
-                    if len(table.labels) < 2 ** 31 else np.int64)
+                    if len(sampler.table.labels) < 2 ** 31 else np.int64)
     counts = np.empty(iterations, dtype=np.intp)
     reg_steps = []  # (stage, iteration, reg_loss, all_background)
-    n_scenes = len(table.offsets) - 1
+    n_scenes = len(sampler.table.offsets) - 1
     replace = n_scenes < config.images_per_batch
     with np.errstate(all="ignore"):  # a diverged run shows in its log
         for stage, n_iter, direct in phases:
@@ -622,10 +613,9 @@ def train_models(table: TrainingTable, config: TrainConfig, mode: str,
                 picks[len(reg_steps), :len(cls_picks)] = cls_picks
                 counts[len(reg_steps)] = len(cls_picks)
                 reg_steps.append((stage, it, reg_loss, all_bg))
-        if (shared is not None and shared.setup == setup
-                and np.array_equal(shared.picks, picks)):
-            classifier.flat[...] = shared.flat
-            cls_losses = shared.losses
+        if np.array_equal(sampler.picks, picks):
+            classifier.flat[...] = sampler.flat
+            cls_losses = sampler.losses
         else:
             cls_losses = []
             for batch, n in zip(picks, counts):
@@ -634,9 +624,9 @@ def train_models(table: TrainingTable, config: TrainConfig, mode: str,
                 if len(cf) > 0:
                     opt_cls.step(grads)
                 cls_losses.append(loss)
-            if shared is not None and shared.flat is None:
-                shared.setup, shared.picks = setup, picks
-                shared.losses, shared.flat = cls_losses, classifier.flat.copy()
+            if sampler.flat is None:
+                sampler.picks, sampler.losses = picks, cls_losses
+                sampler.flat = classifier.flat.copy()
     for (stage, it, reg_loss, all_bg), cls_loss in zip(reg_steps, cls_losses):
         log.add(stage, it, reg_loss, cls_loss, all_bg)
     return regressor, classifier, log

@@ -15,7 +15,7 @@ from .detect import DetectionResult, detect_multi, model_fns
 from .evaluate import (DetRecord, evaluate_detections, format_report,
                        fp_breakdown, read_detection_dump, score_detections,
                        write_detection_dump)
-from .model import (MODES, ClassifierRecord, load_checkpoint,
+from .model import (MODES, BatchSampler, load_checkpoint,
                     precompute_scene_tensors, save_checkpoint, train_models)
 from .synth import (generate_dataset, load_ground_truth, load_manifest,
                     save_manifest)
@@ -55,17 +55,15 @@ def _check_classes(source: str, labels, num_classes: int):
 
 def train(config: ExperimentConfig, scenes, modes=None):
     """Pool the training set of `scenes` once, then train each strategy of
-    `modes` (default: config.mode) on it with equal compute. Returns one
-    (regressor, classifier, log) per mode, in order. With more than one mode,
-    a later mode whose classifier batches all equal the first mode's copies
-    the first mode's classifier (see model.ClassifierRecord)."""
-    tensors = precompute_scene_tensors(scenes, config.grid_train,
-                                       config.train)
+    `modes` (default: config.mode) on it with equal compute, all from one
+    model.BatchSampler. Returns one (regressor, classifier, log) per mode,
+    in order. A later mode whose classifier batches all equal the first
+    mode's copies the first mode's classifier (see train_models)."""
+    sampler = BatchSampler(precompute_scene_tensors(
+        scenes, config.grid_train, config.train), config.train,
+        config.synth.num_classes)
     modes = [config.mode] if modes is None else modes
-    shared = ClassifierRecord() if len(modes) > 1 else None
-    return [train_models(tensors, config.train, mode,
-                         config.synth.num_classes, shared=shared)
-            for mode in modes]
+    return [train_models(sampler, mode) for mode in modes]
 
 
 def divergence_warning(who: str, log) -> str | None:

@@ -1213,6 +1213,21 @@ def test_cli_train_mode_reaches_the_checkpoint(tmp_path):
     assert load_checkpoint(ckpt)[2]["mode"] == "1step"
 
 
+def test_cli_train_without_background_rows(tmp_path):
+    # max_bg_per_scene 0 leaves every scene's background pool empty, the
+    # last one's too, which is the last pool of each training phase.
+    cfg = tiny_config(train=TrainConfig(seed=3, n_iter_per_stage=5,
+                                        max_bg_per_scene=0))
+    cfg_path = str(tmp_path / "config.yaml")
+    save_config(cfg, cfg_path)
+    train_path, _ = cmd_generate(cfg, 3, 2, str(tmp_path))
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", cfg_path, "--dataset", train_path,
+                 "--out", str(ckpt)]) == 0
+    assert ckpt.stat().st_size > 0
+    assert load_checkpoint(str(ckpt))[2]["config"] == cfg.train
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     cfg_path = str(tmp_path / "config.yaml")
     save_config(tiny_config(s_test=1), cfg_path)

@@ -15,13 +15,13 @@ from griddet.features import (FEATURE_DIM, FeatureExtractor,
 from griddet.grid import GridSpec, generate_grid
 from griddet.model import (CHECKPOINT_EXTRACTOR, CHECKPOINT_MAGIC,
                            MAX_BATCH_ROWS, MAX_BATCH_UNITS, MAX_PARAMETERS,
-                           MLP, MODES, ClassifierRecord, Grads, SGDOptimizer,
-                           TrainConfig,
-                           TrainingTable, Workspace, _BatchSampler,
+                           MLP, MODES, BatchSampler, Grads, SGDOptimizer,
+                           TrainConfig, TrainingTable, Workspace,
                            classifier_loss, load_checkpoint, make_classifier,
                            make_regressor, precompute_scene_tensors,
                            regression_loss_arrays, save_checkpoint, smooth_l1,
                            train_models)
+from griddet import pipeline
 from griddet.pipeline import train
 from griddet.records import to_plain
 from griddet.synth import Scene, SynthConfig, generate_dataset
@@ -285,23 +285,23 @@ def small_training_setup():
 def test_training_modes_equal_total_iterations(small_training_setup):
     _, config, _, table = small_training_setup
     for mode in ("gcnn", "1step", "ifrcnn"):
-        _, _, log = train_models(table, config, mode, 4)
+        _, _, log = train_models(BatchSampler(table, config, 4), mode)
         assert log.total_iterations == config.s_train * config.n_iter_per_stage
 
 
 def test_gcnn_has_stage_boundaries(small_training_setup):
     _, config, _, table = small_training_setup
-    _, _, log = train_models(table, config, "gcnn", 4)
+    _, _, log = train_models(BatchSampler(table, config, 4), "gcnn")
     assert log.stage_boundaries == [0, config.n_iter_per_stage,
                                     2 * config.n_iter_per_stage]
-    _, _, log1 = train_models(table, config, "1step", 4)
+    _, _, log1 = train_models(BatchSampler(table, config, 4), "1step")
     assert log1.stage_boundaries == [0]
 
 
 def test_training_deterministic(small_training_setup):
     _, config, _, table = small_training_setup
-    r1, c1, _ = train_models(table, config, "gcnn", 4)
-    r2, c2, _ = train_models(table, config, "gcnn", 4)
+    r1, c1, _ = train_models(BatchSampler(table, config, 4), "gcnn")
+    r2, c2, _ = train_models(BatchSampler(table, config, 4), "gcnn")
     assert r1.flat.tobytes() == r2.flat.tobytes()
     assert c1.flat.tobytes() == c2.flat.tobytes()
 
@@ -310,8 +310,8 @@ def test_single_stage_modes_coincide(small_training_setup):
     scenes, config, grid_spec, _ = small_training_setup
     cfg1 = dataclasses.replace(config, s_train=1, n_iter_per_stage=30)
     table = precompute_scene_tensors(scenes, grid_spec, cfg1)
-    rg, cg, lg = train_models(table, cfg1, "gcnn", 4)
-    ro, co, lo = train_models(table, cfg1, "1step", 4)
+    rg, cg, lg = train_models(BatchSampler(table, cfg1, 4), "gcnn")
+    ro, co, lo = train_models(BatchSampler(table, cfg1, 4), "1step")
     assert rg.flat.tobytes() == ro.flat.tobytes()
     assert cg.flat.tobytes() == co.flat.tobytes()
     assert [e["reg_loss"] for e in lg.entries] == \
@@ -509,7 +509,7 @@ def test_train_models_matches_reference_loop(small_training_setup, mode,
     config = dataclasses.replace(config, n_iter_per_stage=20, **overrides)
     table = _keep_rows(full, kinds)
     assert len(table.offsets) == len(kinds) + 1
-    reg, cls, log = train_models(table, config, mode, 4)
+    reg, cls, log = train_models(BatchSampler(table, config, 4), mode)
     params, entries, boundaries = _reference_train(table, config, mode, 4)
     got = layer_arrays(reg) + layer_arrays(cls)
     assert [a.shape for a in got] == [a.shape for a in params]
@@ -530,7 +530,7 @@ def test_train_models_rejects_labels_outside_classes(small_training_setup,
     table = dataclasses.replace(table, labels=labels)
     with pytest.raises(ValueError, match=r"scene tensors 1: foreground "
                        r"labels must be in 1\.\.4"):
-        train_models(table, config, "gcnn", 4)
+        train_models(BatchSampler(table, config, 4), "gcnn")
 
 
 def test_train_models_steps_from_one_buffer_per_model(small_training_setup,
@@ -545,12 +545,12 @@ def test_train_models_steps_from_one_buffer_per_model(small_training_setup,
         return step(self, grads)
 
     monkeypatch.setattr(SGDOptimizer, "step", record)
-    train_models(table, config, "gcnn", 4)
+    train_models(BatchSampler(table, config, 4), "gcnn")
     assert len(seen) == 2 * 3 * 5
     assert len(set(seen)) == 2 and len({m for m, _ in seen}) == 2
 
 
-# "shared": a 1step call on the record of a gcnn call, whose picks match.
+# "shared": a 1step call on the sampler of a gcnn call, whose picks match.
 @pytest.mark.parametrize("mode", [*MODES, "shared"])
 def test_train_models_gathers_each_batch_in_five_takes(small_training_setup,
                                                         mode):
@@ -565,15 +565,15 @@ def test_train_models_gathers_each_batch_in_five_takes(small_training_setup,
 
     counted = TrainingTable(*(getattr(table, f.name).view(Counting)
                               for f in dataclasses.fields(TrainingTable)))
-    shared = None
-    if mode == "shared":
-        shared = ClassifierRecord()
-        train_models(counted, config, "gcnn", 4, shared=shared)
+    sampler = BatchSampler(counted, config, 4)
+    shared = mode == "shared"
+    if shared:
+        train_models(sampler, "gcnn")
         takes.clear()
         mode = "1step"
-    train_models(counted, config, mode, 4, shared=shared)
+    train_models(sampler, mode)
     # Features, labels and targets of every batch's regression rows, then,
-    # unless the record gives the classifier, features and labels of every
+    # unless the sampler gives the classifier, features and labels of every
     # batch's classifier rows.
     regression = [table.feats.shape, table.labels.shape, table.targets.shape]
     classifier = [table.feats.shape, table.labels.shape]
@@ -595,12 +595,12 @@ def test_train_models_draws_each_batch_in_one_integers_call(
 
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: Counting(np.random.PCG64(seed)))
-    train_models(table, config, mode, 4)
+    train_models(BatchSampler(table, config, 4), mode)
     assert len(calls) == 3 * 4
 
 
 def test_one_integers_call_draws_as_one_call_per_pool():
-    # _BatchSampler.draw relies on this property of numpy's bounded sampler:
+    # BatchSampler.draw relies on this property of numpy's bounded sampler:
     # one call with an array of highs gives the values, and leaves the
     # state, of one call per part, and a high of 1 uses no stream words.
     # Highs just above 2**31 reject about half of their words.
@@ -733,6 +733,8 @@ PRECOMPUTE_CASES = {
                         dict(max_bg_per_scene=8)),
     "no_rows": (lambda: [_hand_scene(1), _hand_scene(2)], HAND_GRID,
                 dict(max_bg_per_scene=0)),
+    "no_background": (_synth_scenes, GridSpec((2, 4), (0.8, 0.7)),
+                      dict(max_bg_per_scene=0)),
     "all_background": (lambda: [_hand_scene(2, ((62, 62, 2, 2), 1))],
                        HAND_GRID, dict(max_bg_per_scene=8)),
     "fewer_background_than_max": (
@@ -774,6 +776,7 @@ def test_precompute_cases_exercise_their_edge():
                                         TrainConfig(**overrides))
     assert not table("no_ground_truth").steps.any()
     assert table("no_rows").feats.shape == (0, FEATURE_DIM)
+    assert table("no_background").steps.all()
     assert not table("all_background").steps.any()
     assert np.sum(table("fewer_background_than_max").steps == 0) < 10_000
     # The first grid box overlaps both ground truths at IoU 0.6 and takes
@@ -785,6 +788,23 @@ def test_precompute_cases_exercise_their_edge():
     assert on_grid.steps[0] == 1
     assert on_grid.targets[0].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert iou_matrix([[16, 16, 32, 32]], [[3.2, 16, 6.4, 32]])[0, 0] == 0.2
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("make_scenes, grid_spec, overrides",
+                         PRECOMPUTE_CASES.values(), ids=PRECOMPUTE_CASES.keys())
+def test_every_mode_trains_on_every_precompute_case(make_scenes, grid_spec,
+                                                    overrides, mode):
+    # Empty pools, the last scene's background pool among them, and a table
+    # of no rows at all: the reference loop's bits.
+    config = TrainConfig(seed=9, n_iter_per_stage=4, **overrides)
+    table = precompute_scene_tensors(make_scenes(), grid_spec, config)
+    reg, cls, log = train_models(BatchSampler(table, config, 4), mode)
+    params, entries, boundaries = _reference_train(table, config, mode, 4)
+    got = layer_arrays(reg) + layer_arrays(cls)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in params]
+    assert log.entries == entries
+    assert log.stage_boundaries == boundaries
 
 
 def test_precompute_builds_no_box_or_tuple_objects(monkeypatch):
@@ -812,7 +832,7 @@ def test_training_loss_decreases():
     config = TrainConfig(seed=7, n_iter_per_stage=120, learning_rate=0.05)
     grid_spec = GridSpec((2, 4), (0.8, 0.7))
     table = precompute_scene_tensors(scenes, grid_spec, config)
-    _, _, log = train_models(table, config, "gcnn", 4)
+    _, _, log = train_models(BatchSampler(table, config, 4), "gcnn")
     losses = [e["reg_loss"] for e in log.entries if not e["all_background"]]
     head = np.mean(losses[:5])
     tail = np.mean(losses[-5:])
@@ -830,8 +850,8 @@ def reference_train(config: ExperimentConfig, scenes, mode):
     each wrote out before pipeline.train; kept as its reference."""
     table = precompute_scene_tensors(scenes, config.grid_train,
                                      config.train)
-    return train_models(table, config.train, mode,
-                        config.synth.num_classes)
+    return train_models(BatchSampler(table, config.train,
+                                     config.synth.num_classes), mode)
 
 
 def log_bytes(log) -> bytes:
@@ -878,6 +898,28 @@ def test_train_pools_once_for_all_modes(small_training_setup, monkeypatch):
     assert len(calls) == len(scenes)
 
 
+def test_train_builds_one_sampler_for_all_modes(small_training_setup,
+                                                monkeypatch):
+    scenes, config, grid_spec, _ = small_training_setup
+    built, used = [], []
+    init, train_one = BatchSampler.__init__, pipeline.train_models
+
+    def building(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def training(sampler, mode):
+        used.append(sampler)
+        return train_one(sampler, mode)
+
+    monkeypatch.setattr(BatchSampler, "__init__", building)
+    monkeypatch.setattr(pipeline, "train_models", training)
+    models = train(experiment(config, grid_spec, n_iter_per_stage=5), scenes,
+                   MODES)
+    assert len(models) == len(MODES) and len(built) == 1
+    assert used == built * len(MODES)
+
+
 def test_train_steps_each_classifier_once(small_training_setup,
                                           monkeypatch):
     # Every batch of the fixture has foreground and classifier rows, so each
@@ -910,10 +952,10 @@ def test_train_returns_distinct_classifiers_with_equal_bytes(
 
 
 def _perturb_draw(monkeypatch, at, edit):
-    """Make the classifier picks of _BatchSampler.draw's call number `at`
+    """Make the classifier picks of BatchSampler.draw's call number `at`
     (from 0, counted from now) differ: "move" shifts its first pick to the
     next table row, "drop" leaves its last pick out."""
-    draw = _BatchSampler.draw
+    draw = BatchSampler.draw
     calls = itertools.count()
 
     def perturbed(self, rng, scene_ids):
@@ -925,7 +967,7 @@ def _perturb_draw(monkeypatch, at, edit):
             cls_picks[0] = (cls_picks[0] + 1) % len(self.table.labels)
         return reg_picks, cls_picks
 
-    monkeypatch.setattr(_BatchSampler, "draw", perturbed)
+    monkeypatch.setattr(BatchSampler, "draw", perturbed)
 
 
 @pytest.mark.parametrize("edit", ["move", "drop"])
@@ -936,30 +978,32 @@ def test_later_mode_trains_its_own_classifier_where_its_picks_differ(
     # iteration: it must train its own classifier, as it would alone.
     _, config, _, table = small_training_setup
     config = dataclasses.replace(config, n_iter_per_stage=20)
-    shared = ClassifierRecord()
-    _, first_cls, _ = train_models(table, config, "gcnn", 4, shared=shared)
+    sampler = BatchSampler(table, config, 4)
+    _, first_cls, _ = train_models(sampler, "gcnn")
     _perturb_draw(monkeypatch, at, edit)
-    reg, cls, log = train_models(table, config, "1step", 4, shared=shared)
+    reg, cls, log = train_models(sampler, "1step")
     _perturb_draw(monkeypatch, at, edit)
-    want_reg, want_cls, want_log = train_models(table, config, "1step", 4)
+    want_reg, want_cls, want_log = train_models(BatchSampler(table, config, 4),
+                                                "1step")
     assert reg.flat.tobytes() == want_reg.flat.tobytes()
     assert cls.flat.tobytes() == want_cls.flat.tobytes()
     assert log_bytes(log) == log_bytes(want_log)
     assert cls.flat.tobytes() != first_cls.flat.tobytes()
-    # The record still holds the first mode's classifier for later modes.
+    # The sampler still holds the first mode's classifier for later modes.
     monkeypatch.undo()
-    _, third_cls, _ = train_models(table, config, "ifrcnn", 4, shared=shared)
+    _, third_cls, _ = train_models(sampler, "ifrcnn")
     assert third_cls.flat.tobytes() == first_cls.flat.tobytes()
 
 
 # case -> (TrainConfig overrides, kinds of rows kept per scene, num_classes)
-# of a later call on the record of a first call at 20 iterations per stage
+# of a later call on another sampler than a first call's, at 20 iterations
+# per stage
 RECORD_MISMATCHES = {
     "fewer_iterations": ({"n_iter_per_stage": 5}, None, 4),
     "another_seed": ({"seed": 4}, None, 4),
     "another_table": ({}, ("all",) * 5, 4),
     "more_classes": ({}, None, 5),
-    # Picks equal to the record's: only the config tells the calls apart.
+    # Picks equal to the first call's: only the config tells them apart.
     "another_learning_rate": ({"learning_rate": 0.01}, None, 4),
 }
 
@@ -969,21 +1013,23 @@ RECORD_MISMATCHES = {
                          ids=RECORD_MISMATCHES.keys())
 def test_classifier_record_trains_its_own_for_another_setup(
         small_training_setup, overrides, kinds, num_classes):
+    # A call on another sampler never gets the first sampler's classifier.
     _, config, _, table = small_training_setup
     config = dataclasses.replace(config, n_iter_per_stage=20)
-    shared = ClassifierRecord()
-    _, first_cls, _ = train_models(table, config, "gcnn", 4, shared=shared)
+    sampler = BatchSampler(table, config, 4)
+    _, first_cls, _ = train_models(sampler, "gcnn")
     later = dataclasses.replace(config, **overrides)
     later_table = table if kinds is None else _keep_rows(table, kinds)
-    reg, cls, log = train_models(later_table, later, "1step", num_classes,
-                                 shared=shared)
-    want_reg, want_cls, want_log = train_models(later_table, later, "1step",
-                                                num_classes)
+    reg, cls, log = train_models(
+        BatchSampler(later_table, later, num_classes), "1step")
+    want_reg, want_cls, want_log = train_models(
+        BatchSampler(later_table, later, num_classes), "1step")
     assert reg.flat.tobytes() == want_reg.flat.tobytes()
     assert cls.flat.tobytes() == want_cls.flat.tobytes()
     assert log_bytes(log) == log_bytes(want_log)
-    # The record still gives a matching call the first mode's classifier.
-    _, third_cls, _ = train_models(table, config, "ifrcnn", 4, shared=shared)
+    assert cls.flat.tobytes() != first_cls.flat.tobytes()
+    # The first sampler still gives a matching call its first classifier.
+    _, third_cls, _ = train_models(sampler, "ifrcnn")
     assert third_cls.flat.tobytes() == first_cls.flat.tobytes()
 
 
@@ -1017,7 +1063,7 @@ def test_train_rejects_an_empty_training_set(small_training_setup):
 
 def test_checkpoint_round_trip(tmp_path, small_training_setup):
     _, config, _, table = small_training_setup
-    reg, cls, _ = train_models(table, config, "gcnn", 4)
+    reg, cls, _ = train_models(BatchSampler(table, config, 4), "gcnn")
     path = tmp_path / "model.ckpt"
     kwargs = dict(config=config, mode="gcnn", num_classes=4, stage=3)
     save_checkpoint(path, reg, cls, **kwargs)
@@ -1236,4 +1282,4 @@ def test_model_parameters_are_bounded():
 def test_unknown_mode_rejected(small_training_setup):
     _, config, _, table = small_training_setup
     with pytest.raises(ValueError):
-        train_models(table, config, "bogus", 4)
+        train_models(BatchSampler(table, config, 4), "bogus")
