@@ -11,6 +11,8 @@ import errno
 import json
 import math
 import mmap
+import os
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,19 +259,20 @@ def regression_loss_arrays(model: MLP, feats: np.ndarray, labels: np.ndarray,
     if len(feats) and (labels.min() < 1
                        or labels.max() > model.output_dim // 4):
         raise ValueError("regression labels must be in [1, num_classes]")
-    return _regression_loss(model, feats, labels,
-                            np.asarray(targets, dtype=np.float64),
-                            _RegressionWorkspace(model, len(feats)))
+    loss, grads = _regression_loss(model, feats, labels,
+                                   np.asarray(targets, dtype=np.float64),
+                                   _RegressionWorkspace(model, len(feats)))
+    return loss, grads, len(feats) == 0
 
 
 def _regression_loss(model: MLP, feats, labels, targets,
                      ws: _RegressionWorkspace):
-    """regression_loss_arrays on checked float64/int64 arrays, computed in
-    ws; the grads returned are ws.grads."""
+    """regression_loss_arrays' (loss, grads) on checked float64/int64
+    arrays, computed in ws; the grads returned are ws.grads."""
     n = len(feats)
     if n == 0:
         ws.grads.flat.fill(0.0)
-        return 0.0, ws.grads, True
+        return 0.0, ws.grads
     out, cache = model.forward(feats)
     head = np.add(ws.head_start[:n], labels, out=ws.head[:n])
     residual = out.reshape(-1, 4).take(head, axis=0, out=ws.residual[:n],
@@ -283,7 +286,7 @@ def _regression_loss(model: MLP, feats, labels, targets,
     dout = ws.dout[:n]
     dout.fill(0.0)
     dout.reshape(-1, 4)[head] = residual
-    return loss, model.backward(cache, dout, ws), False
+    return loss, model.backward(cache, dout, ws)
 
 
 def _softmax_in_place(logits: np.ndarray, row_stat: np.ndarray) -> np.ndarray:
@@ -463,8 +466,9 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
 
 class BatchSampler:
     """The training context of one seed: its table, config and class count,
-    batches drawn as table rows and gathered into row buffers made once, and
-    the classifier of the first train_models call on it, for later calls.
+    every batch of a run drawn as table rows before either model trains,
+    gathered into row buffers made once, and the classifier of the first
+    train_models call on it, for later calls.
 
     Per image, in scene_ids order, a batch has samples_per_image regression
     slots, then the step-1 foreground and the background classifier slots,
@@ -474,12 +478,13 @@ class BatchSampler:
     rejections included, and none for a high of 1: the call gives the rows
     and the generator state of one call per image and non-empty pool
     (test_one_integers_call_draws_as_one_call_per_pool). One take from the
-    table fills each buffer; the returned arrays are views of the buffers,
-    valid until the next take.
+    table fills each head's buffer; the returned arrays are views of the
+    buffers, valid until that head's next take. The two heads' buffers are
+    apart, so each head's SGD loop can run on its own.
 
     The first train_models call sets picks, its classifier picks (iterations
-    x batch rows, -1 past each batch's end); losses, its classifier losses;
-    and flat, its classifier's final parameters. Every mode's picks almost
+    x batch rows, -1 past each batch's end); losses, its classifier losses,
+    one float64 per batch; and flat, its classifier's final parameters. Every mode's picks almost
     always come out the same: the modes differ only in the regressor, and
     each slot uses one stream word whatever its pool's length, bar a rare
     rejection in numpy's bounded sampler.
@@ -501,12 +506,42 @@ class BatchSampler:
         per_image = config.samples_per_image_per_step
         n_fg_cls = max(1, int(round(per_image / (1.0 + config.fg_bg_ratio))))
         self.sizes = (per_image, n_fg_cls, per_image - n_fg_cls)
-        rows = config.images_per_batch * per_image
+        self.rows = config.images_per_batch * per_image
         # Per head, regressor then classifier: the buffers.
-        feats = np.empty((2, rows, FEATURE_DIM))
-        labels = np.empty((2, rows), dtype=np.int64)
-        self.buffers = ((feats[0], labels[0], np.empty((rows, 4))),
+        feats = np.empty((2, self.rows, FEATURE_DIM))
+        labels = np.empty((2, self.rows), dtype=np.int64)
+        self.buffers = ((feats[0], labels[0], np.empty((self.rows, 4))),
                         (feats[1], labels[1]))
+
+    def draw_run(self, rng: np.random.Generator, stages, direct: bool):
+        """Every batch of one training run, stage by stage, in stream order:
+        per iteration, one ``choice`` of images_per_batch scenes, then draw.
+        stages lists (stage, iterations); direct is start_phase's, and picks
+        the regressor's targets for take. Returns (picks, counts) for the
+        regressor, then for the classifier: picks is iterations x batch rows
+        of table rows, -1 past each batch's end, and counts each batch's
+        length."""
+        t, config = self.table, self.config
+        self.sources = ((t.feats, t.labels, t.direct if direct else t.targets),
+                        (t.feats, t.labels))
+        iterations = sum(n for _, n in stages)
+        dtype = np.int32 if len(t.labels) < 2 ** 31 else np.int64
+        heads = [(np.full((iterations, self.rows), -1, dtype=dtype),
+                  np.empty(iterations, dtype=np.intp)) for _ in range(2)]
+        n_scenes = len(t.offsets) - 1
+        replace = n_scenes < config.images_per_batch
+        i = 0
+        for stage, n_iter in stages:
+            self.start_phase(stage, direct)
+            for _ in range(n_iter):
+                scene_ids = rng.choice(n_scenes, size=config.images_per_batch,
+                                       replace=replace)
+                for (picks, counts), drawn in zip(heads,
+                                                  self.draw(rng, scene_ids)):
+                    picks[i, :len(drawn)] = drawn
+                    counts[i] = len(drawn)
+                i += 1
+        return heads
 
     def start_phase(self, stage: int, direct: bool):
         """Direct phases regress step-1 rows to their full-path targets;
@@ -517,8 +552,6 @@ class BatchSampler:
         pool_rows, high its length (1 if empty) and keep whether it is
         non-empty; an empty pool's slots draw base, at most the spare."""
         t = self.table
-        self.sources = ((t.feats, t.labels, t.direct if direct else t.targets),
-                        (t.feats, t.labels))
         step1 = t.steps == 1
         reg = step1 if direct else (t.steps >= 1) & (t.steps <= stage)
         kinds = np.stack([reg, step1, t.steps == 0])
@@ -541,13 +574,115 @@ class BatchSampler:
 
     def take(self, head: int, picks: np.ndarray):
         """The regressor's (feats, labels, targets) (head 0) or the
-        classifier's (feats, labels) (head 1) at the table rows picks."""
+        classifier's (feats, labels) (head 1) at the table rows picks, with
+        the targets of the last draw_run."""
         # Picks are in range by construction; "clip" skips the buffered copy
         # numpy makes for out= under the default mode "raise".
         return tuple(source.take(picks, axis=0, out=buffer[:len(picks)],
                                  mode="clip")
                      for source, buffer in zip(self.sources[head],
                                                self.buffers[head]))
+
+
+def _sgd(sampler: BatchSampler, head: int, loss_fn, opt: SGDOptimizer,
+         ws: Workspace, picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """One model's SGD loop over one head's picks of a run: per batch, the
+    loss and backward pass in ws, then a step unless the batch is empty.
+    Returns the losses, one float64 per batch."""
+    losses = np.empty(len(counts))
+    for i, (batch, n) in enumerate(zip(picks, counts)):
+        losses[i], grads = loss_fn(opt.model, *sampler.take(head, batch[:n]),
+                                   ws)
+        if n:
+            opt.step(grads)
+    return losses
+
+
+def _second_cpu() -> bool:
+    """Whether this process can fork and may run on two CPUs or more."""
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
+        and len(os.sched_getaffinity(0)) >= 2
+
+
+def _pin(cpus):
+    """Keep this process to cpus if the system allows it. The set is only a
+    placement, so a refusal leaves the process where it is."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _train_beside(train_regressor, train_classifier, classifier: MLP):
+    """Run train_classifier() in a forked child while this process runs
+    train_regressor(); return both results, with the child's final
+    parameters written into classifier.flat.
+
+    The child starts from this process's memory at the fork. The table's
+    features are a shared map, its other columns are only read, and every
+    array the child writes was allocated before the fork, so an allocation
+    that fails does so here. The child sends back one status byte, then the
+    classifier's flat and its losses, or the text of the exception it
+    caught, and always leaves through os._exit: it never flushes this
+    process's stdio buffers or runs its exit hooks. This process kills the
+    child if it raises itself, and always reaps it.
+
+    A forked child starts on this process's CPU, and where the kernel does
+    not balance load between CPUs (a cpuset with sched_load_balance off) it
+    stays there, so the two loops would share one CPU. So the child pins
+    itself to the last CPU this process may use, and this process keeps to
+    the others until it has reaped the child.
+    """
+    cpus = os.sched_getaffinity(0)
+    child_cpu = {max(cpus)}
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: both loops run here
+        os.close(read_fd)
+        os.close(write_fd)
+        return train_regressor(), train_classifier()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            _pin(child_cpu)
+            try:
+                losses = train_classifier()
+                message = b"\0" + classifier.flat.tobytes() + losses.tobytes()
+                code = 0
+            except BaseException as exc:  # reported below, then os._exit
+                message = b"\1" + f"{type(exc).__name__}: {exc}".encode(
+                    errors="replace")
+            with open(write_fd, "wb") as pipe:
+                pipe.write(message)
+        finally:
+            os._exit(code)
+    try:
+        os.close(write_fd)
+        _pin(cpus - child_cpu)
+        with open(read_fd, "rb") as pipe:
+            result = train_regressor()
+            message = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _pin(cpus)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    # One float64 per parameter, then one per batch, as the regressor's.
+    n_params = classifier.flat.size
+    if code == 0 and message[:1] == b"\0" \
+            and len(message) == 1 + 8 * (n_params + len(result)):
+        classifier.flat[...] = np.frombuffer(message, offset=1,
+                                             count=n_params)
+        return result, np.frombuffer(message, offset=1 + 8 * n_params)
+    if message[:1] == b"\1":
+        why = message[1:].decode(errors="replace")
+    else:
+        why = f"exit status {code}" if code >= 0 else f"signal {-code}"
+    raise (MemoryError if why.startswith("MemoryError:") else RuntimeError)(
+        f"training the classifier in a child process failed: {why}")
 
 
 def train_models(sampler: BatchSampler, mode: str):
@@ -557,14 +692,20 @@ def train_models(sampler: BatchSampler, mode: str):
     gcnn: stages c = 1..s_train, each n_iter_per_stage iterations on the
     cumulative tuple pool of steps 1..c. 1step: one phase on the full pool.
     ifrcnn: one phase on step-1 states with direct (full-path) targets.
-    All modes run s_train * n_iter_per_stage total iterations. Each model's
-    losses and backward passes run in one Workspace made here.
+    All modes run s_train * n_iter_per_stage total iterations.
 
-    The regressor trains first, keeping each batch's classifier picks; the
-    classifier then trains on them. A call whose picks equal the ones the
-    sampler keeps copies the kept classifier and losses. Any other call
-    trains its own, and the sampler keeps the first one trained on it. So
-    every call returns the bits it would return on a sampler of its own.
+    In three steps: draw every batch of the run (BatchSampler.draw_run),
+    then train the regressor over its picks and the classifier over its
+    picks, each in one loop (_sgd) with a Workspace made here. The two
+    loops share nothing they write. When this process can fork and may run
+    on two CPUs, the classifier's loop runs in a forked child while the
+    regressor's runs here (_train_beside); otherwise it runs after the
+    regressor's. Both give the same bits.
+
+    A call whose classifier picks equal the ones the sampler keeps copies
+    the kept classifier and losses instead. Any other call trains its own,
+    and the sampler keeps the first one trained on it. So every call
+    returns the bits it would return on a sampler of its own.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -575,60 +716,49 @@ def train_models(sampler: BatchSampler, mode: str):
                                np.random.default_rng(init_reg))
     classifier = make_classifier(FEATURE_DIM, config.hidden_sizes, num_classes,
                                  np.random.default_rng(init_cls))
-    opt_reg = SGDOptimizer(regressor, config.learning_rate, config.momentum)
-    opt_cls = SGDOptimizer(classifier, config.learning_rate, config.momentum)
-    rows = config.images_per_batch * config.samples_per_image_per_step
-    reg_ws = _RegressionWorkspace(regressor, rows)
-    cls_ws = _ClassifierWorkspace(classifier, rows)
-    rng = np.random.default_rng(batch_ss)
-    log = TrainLog()
-
     iterations = config.s_train * config.n_iter_per_stage
     if mode == "gcnn":
-        phases = [(c, config.n_iter_per_stage, False)
+        stages = [(c, config.n_iter_per_stage)
                   for c in range(1, config.s_train + 1)]
     elif mode == "1step":
-        phases = [(config.s_train, iterations, False)]
+        stages = [(config.s_train, iterations)]
     else:
-        phases = [(1, iterations, True)]
+        stages = [(1, iterations)]
+    (reg_picks, reg_counts), (cls_picks, cls_counts) = sampler.draw_run(
+        np.random.default_rng(batch_ss), stages, mode == "ifrcnn")
 
-    picks = np.full((iterations, rows), -1, dtype=np.int32
-                    if len(sampler.table.labels) < 2 ** 31 else np.int64)
-    counts = np.empty(iterations, dtype=np.intp)
-    reg_steps = []  # (stage, iteration, reg_loss, all_background)
-    n_scenes = len(sampler.table.offsets) - 1
-    replace = n_scenes < config.images_per_batch
+    opt_reg = SGDOptimizer(regressor, config.learning_rate, config.momentum)
+    opt_cls = SGDOptimizer(classifier, config.learning_rate, config.momentum)
+    reg_ws = _RegressionWorkspace(regressor, sampler.rows)
+    cls_ws = _ClassifierWorkspace(classifier, sampler.rows)
+
+    def train_regressor():
+        return _sgd(sampler, 0, _regression_loss, opt_reg, reg_ws, reg_picks,
+                    reg_counts)
+
+    def train_classifier():
+        return _sgd(sampler, 1, _classifier_loss, opt_cls, cls_ws, cls_picks,
+                    cls_counts)
+
     with np.errstate(all="ignore"):  # a diverged run shows in its log
-        for stage, n_iter, direct in phases:
-            log.stage_boundaries.append(len(reg_steps))
-            sampler.start_phase(stage, direct)
-            for it in range(n_iter):
-                scene_ids = rng.choice(n_scenes, size=config.images_per_batch,
-                                       replace=replace)
-                reg_picks, cls_picks = sampler.draw(rng, scene_ids)
-                reg_loss, reg_grads, all_bg = _regression_loss(
-                    regressor, *sampler.take(0, reg_picks), reg_ws)
-                if not all_bg:
-                    opt_reg.step(reg_grads)
-                picks[len(reg_steps), :len(cls_picks)] = cls_picks
-                counts[len(reg_steps)] = len(cls_picks)
-                reg_steps.append((stage, it, reg_loss, all_bg))
-        if np.array_equal(sampler.picks, picks):
+        if np.array_equal(sampler.picks, cls_picks):
+            reg_losses, cls_losses = train_regressor(), sampler.losses
             classifier.flat[...] = sampler.flat
-            cls_losses = sampler.losses
+        elif _second_cpu():
+            reg_losses, cls_losses = _train_beside(
+                train_regressor, train_classifier, classifier)
         else:
-            cls_losses = []
-            for batch, n in zip(picks, counts):
-                cf, cl = sampler.take(1, batch[:n])
-                loss, grads = _classifier_loss(classifier, cf, cl, cls_ws)
-                if len(cf) > 0:
-                    opt_cls.step(grads)
-                cls_losses.append(loss)
-            if sampler.flat is None:
-                sampler.picks, sampler.losses = picks, cls_losses
-                sampler.flat = classifier.flat.copy()
-    for (stage, it, reg_loss, all_bg), cls_loss in zip(reg_steps, cls_losses):
-        log.add(stage, it, reg_loss, cls_loss, all_bg)
+            reg_losses, cls_losses = train_regressor(), train_classifier()
+    if sampler.flat is None:
+        sampler.picks, sampler.losses = cls_picks, cls_losses
+        sampler.flat = classifier.flat.copy()
+    log = TrainLog()
+    entries = zip(reg_losses.tolist(), cls_losses.tolist(),
+                  reg_counts.tolist())
+    for stage, n_iter in stages:
+        log.stage_boundaries.append(len(log.entries))
+        for it, (reg_loss, cls_loss, n) in zip(range(n_iter), entries):
+            log.add(stage, it, reg_loss, cls_loss, n == 0)
     return regressor, classifier, log
 
 

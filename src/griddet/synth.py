@@ -45,7 +45,10 @@ class SynthConfig:
 
     def __post_init__(self):
         check_fields(self, {
-            "image_size": (lambda v: min(v) >= 1, "two positive integers"),
+            # Feature extraction takes a gradient along each image axis,
+            # which needs two pixels.
+            "image_size": (lambda v: min(v) >= 2,
+                           "two integers of at least 2"),
             "num_classes": POSITIVE_INT,
             "objects_per_scene": (lambda v: 0 <= v[0] <= v[1],
                                   "two non-negative integers in order"),
@@ -139,7 +142,10 @@ def generate_scene(config: SynthConfig, scene_id: int) -> Scene:
         if not placed:
             raise PlacementFailureError(
                 f"scene {scene_id}: could not place object "
-                f"{len(gts) + 1}/{n_objects} in {config.max_place_tries} tries")
+                f"{len(gts) + 1}/{n_objects} in {config.max_place_tries} "
+                f"tries, with synth.size_range {list(config.size_range)}, "
+                f"synth.max_gt_overlap {config.max_gt_overlap} and "
+                f"synth.max_place_tries {config.max_place_tries}")
 
     for gt in gts:
         x1, y1, x2, y2 = gt.box.corners()

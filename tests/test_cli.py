@@ -129,10 +129,14 @@ MALFORMED_CONFIGS = {
         "num_classes must be a positive integer, got 1.5"),
     "synth_image_size_a_string": (
         "synth:\n  image_size: ab\n", "synth",
-        "image_size must be two positive integers, got 'ab'"),
+        "image_size must be two integers of at least 2, got 'ab'"),
     "synth_image_size_zero": (
         "synth:\n  image_size: [0, 0]\n", "synth",
-        "image_size must be two positive integers, got (0, 0)"),
+        "image_size must be two integers of at least 2, got (0, 0)"),
+    # A side of one pixel has no gradient to take.
+    "synth_image_size_one_pixel_side": (
+        "synth:\n  image_size: [1, 50]\n", "synth",
+        "image_size must be two integers of at least 2, got (1, 50)"),
     "synth_objects_per_scene_empty": (
         "synth:\n  objects_per_scene: []\n", "synth",
         "objects_per_scene must be two non-negative integers in order, "
@@ -1226,6 +1230,42 @@ def test_cli_train_without_background_rows(tmp_path):
                  "--out", str(ckpt)]) == 0
     assert ckpt.stat().st_size > 0
     assert load_checkpoint(str(ckpt))[2]["config"] == cfg.train
+
+
+def test_cli_train_names_a_one_pixel_image_side(tmp_path, capsys):
+    # A manifest whose images are one pixel wide, as earlier versions wrote
+    # them: train fails in one line naming the manifest and image_size, not
+    # with numpy's gradient error.
+    cfg = tiny_config()
+    cfg_path = str(tmp_path / "config.yaml")
+    save_config(cfg, cfg_path)
+    train_path, _ = cmd_generate(cfg, 3, 2, str(tmp_path))
+    with open(train_path) as f:
+        manifest = json.load(f)
+    manifest["config"]["image_size"] = [1, 50]
+    with open(train_path, "w") as f:
+        json.dump(manifest, f)
+    rc = main(["train", "--config", cfg_path, "--dataset", train_path,
+               "--out", str(tmp_path / "m.ckpt")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1 and lines == [
+        f"error: manifest {train_path}.config: image_size must be two "
+        f"integers of at least 2, got (1, 50)"]
+
+
+def test_cli_generate_names_the_fields_of_a_placement_failure(tmp_path,
+                                                              capsys):
+    # Objects as large as the image cannot keep apart.
+    cfg_path = tmp_path / "config.yaml"
+    cfg_path.write_text("synth:\n  size_range: [1.0, 1.0]\n"
+                        "  objects_per_scene: [3, 3]\n")
+    rc = main(["generate", "--config", str(cfg_path), "--n-train", "2",
+               "--n-test", "1", "--out", str(tmp_path / "d")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1 and lines == [
+        "error: scene 0: could not place object 2/3 in 200 tries, with "
+        "synth.size_range [1.0, 1.0], synth.max_gt_overlap 0.3 and "
+        "synth.max_place_tries 200"]
 
 
 def test_cli_end_to_end(tmp_path, capsys):

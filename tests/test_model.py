@@ -1,8 +1,14 @@
 import collections
 import dataclasses
+import errno
 import itertools
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from griddet.model import (CHECKPOINT_EXTRACTOR, CHECKPOINT_MAGIC,
                            make_regressor, precompute_scene_tensors,
                            regression_loss_arrays, save_checkpoint, smooth_l1,
                            train_models)
+from griddet import model as model_module
 from griddet import pipeline
 from griddet.pipeline import train
 from griddet.records import to_plain
@@ -533,10 +540,38 @@ def test_train_models_rejects_labels_outside_classes(small_training_setup,
         train_models(BatchSampler(table, config, 4), "gcnn")
 
 
-def test_train_models_steps_from_one_buffer_per_model(small_training_setup,
-                                                      monkeypatch):
-    _, config, _, table = small_training_setup
+_affinity = os.sched_getaffinity
+
+
+def _cpus(monkeypatch, n):
+    """Let train_models see n usable CPUs: its classifier loop runs inline
+    on one and in a forked child on two. The two-CPU set holds this
+    process's own CPUs, which the forked path gives back to it."""
+    cpus = set(range(n)) | (_affinity(0) if n > 1 else set())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+
+def _model_bytes(models):
+    reg, cls, log = models
+    return reg.flat.tobytes(), cls.flat.tobytes(), log_bytes(log)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# The counts below are of calls in this process. Each test runs on the
+# inline path (one CPU), where every count holds, and has a forked twin (two
+# CPUs), where this process runs the regressor's share only and the bytes
+# equal the inline path's.
+
+def _steps_from_one_buffer_per_model(setup, monkeypatch, cpus):
+    _, config, _, table = setup
     config = dataclasses.replace(config, n_iter_per_stage=5)
+    _cpus(monkeypatch, 1)
+    want = _model_bytes(train_models(BatchSampler(table, config, 4), "gcnn"))
+    _cpus(monkeypatch, cpus)
     seen = []
     step = SGDOptimizer.step
 
@@ -545,16 +580,26 @@ def test_train_models_steps_from_one_buffer_per_model(small_training_setup,
         return step(self, grads)
 
     monkeypatch.setattr(SGDOptimizer, "step", record)
-    train_models(BatchSampler(table, config, 4), "gcnn")
-    assert len(seen) == 2 * 3 * 5
-    assert len(set(seen)) == 2 and len({m for m, _ in seen}) == 2
+    got = train_models(BatchSampler(table, config, 4), "gcnn")
+    assert _model_bytes(got) == want
+    regressor, classifier, _ = got
+    stepped = {id(regressor)} | ({id(classifier)} if cpus == 1 else set())
+    assert len(seen) == len(stepped) * 3 * 5
+    assert len(set(seen)) == len(stepped) and {m for m, _ in seen} == stepped
 
 
-# "shared": a 1step call on the sampler of a gcnn call, whose picks match.
-@pytest.mark.parametrize("mode", [*MODES, "shared"])
-def test_train_models_gathers_each_batch_in_five_takes(small_training_setup,
-                                                        mode):
-    _, config, _, table = small_training_setup
+def test_train_models_steps_from_one_buffer_per_model(small_training_setup,
+                                                      monkeypatch):
+    _steps_from_one_buffer_per_model(small_training_setup, monkeypatch, 1)
+
+
+def test_forked_train_models_steps_the_regressor_from_one_buffer(
+        small_training_setup, monkeypatch):
+    _steps_from_one_buffer_per_model(small_training_setup, monkeypatch, 2)
+
+
+def _gathers_each_batch_in_five_takes(setup, monkeypatch, mode, cpus):
+    _, config, _, table = setup
     config = dataclasses.replace(config, n_iter_per_stage=4)
     takes = []
 
@@ -565,20 +610,39 @@ def test_train_models_gathers_each_batch_in_five_takes(small_training_setup,
 
     counted = TrainingTable(*(getattr(table, f.name).view(Counting)
                               for f in dataclasses.fields(TrainingTable)))
-    sampler = BatchSampler(counted, config, 4)
     shared = mode == "shared"
-    if shared:
-        train_models(sampler, "gcnn")
+    got = []
+    for n in (1, cpus):
+        _cpus(monkeypatch, n)
+        sampler = BatchSampler(counted, config, 4)
+        if shared:
+            train_models(sampler, "gcnn")
         takes.clear()
-        mode = "1step"
-    train_models(sampler, mode)
+        got.append(_model_bytes(train_models(
+            sampler, "1step" if shared else mode)))
+    assert got[0] == got[1]
     # Features, labels and targets of every batch's regression rows, then,
-    # unless the sampler gives the classifier, features and labels of every
-    # batch's classifier rows.
+    # unless the sampler gives the classifier or a child trains it,
+    # features and labels of every batch's classifier rows.
     regression = [table.feats.shape, table.labels.shape, table.targets.shape]
     classifier = [table.feats.shape, table.labels.shape]
     assert takes == regression * (3 * 4) + (
-        [] if shared else classifier * (3 * 4))
+        [] if shared or cpus == 2 else classifier * (3 * 4))
+
+
+# "shared": a 1step call on the sampler of a gcnn call, whose picks match.
+@pytest.mark.parametrize("mode", [*MODES, "shared"])
+def test_train_models_gathers_each_batch_in_five_takes(small_training_setup,
+                                                        monkeypatch, mode):
+    _gathers_each_batch_in_five_takes(small_training_setup, monkeypatch, mode,
+                                      1)
+
+
+@pytest.mark.parametrize("mode", [*MODES, "shared"])
+def test_forked_train_models_gathers_each_regression_batch_in_three_takes(
+        small_training_setup, monkeypatch, mode):
+    _gathers_each_batch_in_five_takes(small_training_setup, monkeypatch, mode,
+                                      2)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -920,12 +984,13 @@ def test_train_builds_one_sampler_for_all_modes(small_training_setup,
     assert used == built * len(MODES)
 
 
-def test_train_steps_each_classifier_once(small_training_setup,
-                                          monkeypatch):
+def _steps_each_classifier_once(setup, monkeypatch, cpus):
     # Every batch of the fixture has foreground and classifier rows, so each
     # regressor steps at every iteration; the classifier of the first mode
-    # serves all three.
-    scenes, config, grid_spec, _ = small_training_setup
+    # serves all three. Its steps are counted in this process on the inline
+    # path only: on the forked path a child takes them.
+    scenes, config, grid_spec, _ = setup
+    _cpus(monkeypatch, cpus)
     steps = collections.Counter()
     step = SGDOptimizer.step
 
@@ -937,7 +1002,17 @@ def test_train_steps_each_classifier_once(small_training_setup,
     cfg = experiment(config, grid_spec, n_iter_per_stage=5)
     train(cfg, scenes, MODES)
     n = cfg.train.s_train * 5
-    assert steps == {"regressor": 3 * n, "classifier": n}
+    assert steps == collections.Counter(regressor=3 * n,
+                                        classifier=n if cpus == 1 else 0)
+
+
+def test_train_steps_each_classifier_once(small_training_setup, monkeypatch):
+    _steps_each_classifier_once(small_training_setup, monkeypatch, 1)
+
+
+def test_forked_train_steps_no_classifier_here(small_training_setup,
+                                                monkeypatch):
+    _steps_each_classifier_once(small_training_setup, monkeypatch, 2)
 
 
 def test_train_returns_distinct_classifiers_with_equal_bytes(
@@ -1031,6 +1106,221 @@ def test_classifier_record_trains_its_own_for_another_setup(
     # The first sampler still gives a matching call its first classifier.
     _, third_cls, _ = train_models(sampler, "ifrcnn")
     assert third_cls.flat.tobytes() == first_cls.flat.tobytes()
+
+
+def _count_forks(monkeypatch):
+    """The forks this process makes from now on, as a list that grows."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _both_paths(monkeypatch, run, trainings=1):
+    """run() on the inline path, then on the forked path: both results,
+    after checking that only the second forked, once per classifier it
+    trains, and that no child is left."""
+    forks = _count_forks(monkeypatch)
+    got = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        got.append(run())
+        _no_child_left()
+    assert len(forks) == trainings
+    return got
+
+
+def _sampler_bytes(sampler):
+    return (np.asarray(sampler.picks).tobytes(),
+            np.asarray(sampler.losses).tobytes(),
+            np.asarray(sampler.flat).tobytes())
+
+
+# "shared": a 1step call on the sampler of a gcnn call, whose picks match,
+# so that only the first call trains a classifier.
+@pytest.mark.parametrize("mode", [*MODES, "shared"])
+def test_forked_classifier_gives_the_inline_bytes(small_training_setup,
+                                                  monkeypatch, mode):
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=20)
+
+    def run():
+        sampler = BatchSampler(table, config, 4)
+        if mode == "shared":
+            first = _model_bytes(train_models(sampler, "gcnn"))
+            return first, _model_bytes(train_models(sampler, "1step")), \
+                _sampler_bytes(sampler)
+        return _model_bytes(train_models(sampler, mode)), \
+            _sampler_bytes(sampler)
+
+    inline, forked = _both_paths(monkeypatch, run)
+    assert inline == forked
+    if mode == "shared":
+        assert inline[0][1] == inline[1][1]
+
+
+@pytest.mark.parametrize("edit", ["move", "drop"])
+def test_forked_classifier_of_a_later_mode_gives_the_inline_bytes(
+        small_training_setup, monkeypatch, edit):
+    # The later mode's picks differ from the kept ones, so it trains its own
+    # classifier: on the forked path, in a child of its own.
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=20)
+
+    def run():
+        sampler = BatchSampler(table, config, 4)
+        first = _model_bytes(train_models(sampler, "gcnn"))
+        with monkeypatch.context() as m:
+            _perturb_draw(m, 7, edit)
+            later = _model_bytes(train_models(sampler, "1step"))
+        assert later[1] != first[1]
+        return first, later, _sampler_bytes(sampler)
+
+    inline, forked = _both_paths(monkeypatch, run, trainings=2)
+    assert inline == forked
+
+
+@pytest.mark.parametrize("error", [ValueError, MemoryError, "killed"])
+def test_a_failed_child_is_one_error_naming_the_classifier(
+        small_training_setup, monkeypatch, error):
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=5)
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+    calls = itertools.count()
+
+    def failing(*args):
+        assert os.getpid() != parent, "the classifier trained in the parent"
+        if next(calls) == 7:
+            if error == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise error("at batch 7")
+        return classifier_loss_in_workspace(*args)
+
+    classifier_loss_in_workspace = model_module._classifier_loss
+    monkeypatch.setattr(model_module, "_classifier_loss", failing)
+    want, match = {
+        ValueError: (RuntimeError, "ValueError: at batch 7"),
+        MemoryError: (MemoryError, "MemoryError: at batch 7"),
+        "killed": (RuntimeError, f"signal {int(signal.SIGKILL)}")}[error]
+    with pytest.raises(want, match="^training the classifier in a child "
+                       "process failed: " + match + "$"):
+        train_models(BatchSampler(table, config, 4), "gcnn")
+    _no_child_left()
+
+
+def test_a_failed_regressor_loop_kills_and_reaps_the_child(
+        small_training_setup, monkeypatch):
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=5)
+    _cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    calls = itertools.count()
+    regression_loss = model_module._regression_loss
+
+    def failing(*args):
+        if next(calls) == 3:
+            raise KeyError("at batch 3")
+        return regression_loss(*args)
+
+    monkeypatch.setattr(model_module, "_regression_loss", failing)
+    before = _affinity(0)
+    with pytest.raises(KeyError, match="at batch 3"):
+        train_models(BatchSampler(table, config, 4), "gcnn")
+    assert len(forks) == 1
+    _no_child_left()
+    assert _affinity(0) == before
+
+
+@pytest.mark.skipif(len(_affinity(0)) < 2, reason="needs two CPUs")
+def test_forked_loops_run_on_cpus_of_their_own(small_training_setup,
+                                               monkeypatch):
+    # A forked child starts on its parent's CPU, and stays there where the
+    # kernel does not balance load: the child takes the last CPU, the
+    # parent the others, and the parent gets its own set back.
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=5)
+    cpus = _affinity(0)
+    child = {max(cpus)}
+    regression_loss = model_module._regression_loss
+    classifier_loss = model_module._classifier_loss
+    parent_cpus = []
+
+    def regressor_side(*args):
+        parent_cpus.append(_affinity(0))
+        return regression_loss(*args)
+
+    def classifier_side(*args):
+        assert _affinity(0) == child
+        return classifier_loss(*args)
+
+    monkeypatch.setattr(model_module, "_regression_loss", regressor_side)
+    monkeypatch.setattr(model_module, "_classifier_loss", classifier_side)
+    forks = _count_forks(monkeypatch)
+    train_models(BatchSampler(table, config, 4), "gcnn")
+    assert len(forks) == 1
+    assert parent_cpus and all(c == cpus - child for c in parent_cpus)
+    assert _affinity(0) == cpus
+    _no_child_left()
+
+
+def test_a_failed_fork_trains_both_models_here(small_training_setup,
+                                               monkeypatch):
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=5)
+    _cpus(monkeypatch, 1)
+    want = _model_bytes(train_models(BatchSampler(table, config, 4), "gcnn"))
+    _cpus(monkeypatch, 2)
+    forks = []
+
+    def failing():
+        forks.append(None)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing)
+    fds = len(os.listdir("/proc/self/fd"))
+    got = train_models(BatchSampler(table, config, 4), "gcnn")
+    assert _model_bytes(got) == want and len(forks) == 1
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_the_child_leaves_without_flushing_or_exit_hooks(tmp_path):
+    # Text left in this process's stdout buffer and an atexit hook each show
+    # once: the child's copies are never written or run.
+    script = tmp_path / "fork.py"
+    script.write_text(textwrap.dedent("""
+        import atexit, os
+        from griddet.model import (BatchSampler, TrainConfig,
+                                   precompute_scene_tensors, train_models)
+        from griddet.grid import GridSpec
+        from griddet.synth import SynthConfig, generate_dataset
+
+        scenes = generate_dataset(SynthConfig(seed=3, image_size=(32, 32)), 2)
+        config = TrainConfig(n_iter_per_stage=3)
+        table = precompute_scene_tensors(scenes, GridSpec((2,), (0.5,)),
+                                         config)
+        os.sched_getaffinity = lambda pid: {0, 1}
+        forks = []
+        fork = os.fork
+        os.fork = lambda: forks.append(fork()) or forks[-1]
+        atexit.register(print, "exit hook")
+        print("buffered", end=" ")
+        train_models(BatchSampler(table, config, 4), "gcnn")
+        print(len(forks))
+    """))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(
+        os.path.dirname(model_module.__file__))}
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "buffered 1\nexit hook\n"
 
 
 def test_precompute_pools_each_scene_in_one_call(small_training_setup,

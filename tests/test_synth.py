@@ -150,7 +150,10 @@ def test_placement_failure_when_objects_cannot_fit():
     cfg = SynthConfig(seed=0, objects_per_scene=(3, 3),
                       size_range=(0.9, 0.95), max_gt_overlap=0.0,
                       max_place_tries=20)
-    with pytest.raises(PlacementFailureError):
+    with pytest.raises(PlacementFailureError, match=(
+            r"^scene 0: could not place object \d/3 in 20 tries, with "
+            r"synth\.size_range \[0\.9, 0\.95\], synth\.max_gt_overlap 0\.0 "
+            r"and synth\.max_place_tries 20$")):
         generate_scene(cfg, 0)
 
 
