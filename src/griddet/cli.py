@@ -9,6 +9,7 @@ import sys
 from . import pipeline
 from .config import ExperimentConfig, load_config, save_config
 from .model import MODES
+from .records import ConfigValueError
 
 
 def _load(args) -> ExperimentConfig:
@@ -115,6 +116,8 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}/ablation.json")
         return 0
     except (ValueError, OSError, RuntimeError) as exc:
+        if isinstance(exc, ConfigValueError):
+            exc = f"config file {args.config or '(the defaults)'}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

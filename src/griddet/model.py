@@ -373,13 +373,9 @@ class TrainLog:
     diverged_at: tuple[int, int] | None = None
 
     def add(self, stage, iteration, reg_loss, cls_loss, all_background):
-        self.entries.append({
-            "stage": stage,
-            "iteration": iteration,
-            "reg_loss": reg_loss,
-            "cls_loss": cls_loss,
-            "all_background": all_background,
-        })
+        self.entries.append(dict(
+            stage=stage, iteration=iteration, reg_loss=reg_loss,
+            cls_loss=cls_loss, all_background=all_background))
         if self.diverged_at is None and not (math.isfinite(reg_loss)
                                              and math.isfinite(cls_loss)):
             self.diverged_at = (stage, iteration)
@@ -465,10 +461,8 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
 
 
 class BatchSampler:
-    """The training context of one seed: its table, config and class count,
-    every batch of a run drawn as table rows before either model trains,
-    gathered into row buffers made once, and the classifier of the first
-    train_models call on it, for later calls.
+    """The training context of one seed (its table, config, class count,
+    slot sizes and batch rows) and kept, the first classifier trained on it.
 
     Per image, in scene_ids order, a batch has samples_per_image regression
     slots, then the step-1 foreground and the background classifier slots,
@@ -477,20 +471,17 @@ class BatchSampler:
     sampler uses stream words value by value whatever the shape of ``high``,
     rejections included, and none for a high of 1: the call gives the rows
     and the generator state of one call per image and non-empty pool
-    (test_one_integers_call_draws_as_one_call_per_pool). One take from the
-    table fills each head's buffer; the returned arrays are views of the
-    buffers, valid until that head's next take. The two heads' buffers are
-    apart, so each head's SGD loop can run on its own.
+    (test_one_integers_call_draws_as_one_call_per_pool).
 
-    The first train_models call sets picks, its classifier picks (iterations
-    x batch rows, -1 past each batch's end); losses, its classifier losses,
-    one float64 per batch; and flat, its classifier's final parameters. Every mode's picks almost
-    always come out the same: the modes differ only in the regressor, and
-    each slot uses one stream word whatever its pool's length, bar a rare
-    rejection in numpy's bounded sampler.
+    kept is that classifier's (picks, losses, flat): its picks (iterations x
+    batch rows, -1 past each batch's end), one float64 loss per batch and
+    its final parameters. Every mode's picks almost always come out the
+    same: the modes differ only in the regressor, and each slot uses one
+    stream word whatever its pool's length, bar a rare rejection in numpy's
+    bounded sampler.
     """
 
-    picks = losses = flat = None
+    kept = None
 
     def __init__(self, table: TrainingTable, config: TrainConfig,
                  num_classes: int):
@@ -507,101 +498,79 @@ class BatchSampler:
         n_fg_cls = max(1, int(round(per_image / (1.0 + config.fg_bg_ratio))))
         self.sizes = (per_image, n_fg_cls, per_image - n_fg_cls)
         self.rows = config.images_per_batch * per_image
-        # Per head, regressor then classifier: the buffers.
-        feats = np.empty((2, self.rows, FEATURE_DIM))
-        labels = np.empty((2, self.rows), dtype=np.int64)
-        self.buffers = ((feats[0], labels[0], np.empty((self.rows, 4))),
-                        (feats[1], labels[1]))
 
     def draw_run(self, rng: np.random.Generator, stages, direct: bool):
         """Every batch of one training run, stage by stage, in stream order:
-        per iteration, one ``choice`` of images_per_batch scenes, then draw.
-        stages lists (stage, iterations); direct is start_phase's, and picks
-        the regressor's targets for take. Returns (picks, counts) for the
-        regressor, then for the classifier: picks is iterations x batch rows
-        of table rows, -1 past each batch's end, and counts each batch's
-        length."""
+        per iteration, one ``choice`` of images_per_batch scenes, then draw
+        on the stage's start_phase tables. stages lists (stage, iterations).
+        Returns (picks, counts) for the regressor, then for the classifier:
+        picks is iterations x batch rows of table rows, -1 past each batch's
+        end, and counts each batch's length."""
         t, config = self.table, self.config
-        self.sources = ((t.feats, t.labels, t.direct if direct else t.targets),
-                        (t.feats, t.labels))
         iterations = sum(n for _, n in stages)
         dtype = np.int32 if len(t.labels) < 2 ** 31 else np.int64
         heads = [(np.full((iterations, self.rows), -1, dtype=dtype),
                   np.empty(iterations, dtype=np.intp)) for _ in range(2)]
-        n_scenes = len(t.offsets) - 1
-        replace = n_scenes < config.images_per_batch
+        n_scenes, n_images = len(t.offsets) - 1, config.images_per_batch
         i = 0
         for stage, n_iter in stages:
-            self.start_phase(stage, direct)
+            pools = self.start_phase(stage, direct)
             for _ in range(n_iter):
-                scene_ids = rng.choice(n_scenes, size=config.images_per_batch,
-                                       replace=replace)
-                for (picks, counts), drawn in zip(heads,
-                                                  self.draw(rng, scene_ids)):
+                scene_ids = rng.choice(n_scenes, size=n_images,
+                                       replace=n_scenes < n_images)
+                for (picks, counts), drawn in zip(
+                        heads, self.draw(rng, scene_ids, pools)):
                     picks[i, :len(drawn)] = drawn
                     counts[i] = len(drawn)
                 i += 1
         return heads
 
     def start_phase(self, stage: int, direct: bool):
-        """Direct phases regress step-1 rows to their full-path targets;
-        stepwise phases draw from the rows of steps 1..stage. Per scene, the
-        phase's pools are its (regression, step-1, background) table rows,
-        laid end to end in pool_rows, kind by kind, then one spare entry.
-        Per scene and slot, base is the start of the slot's pool in
-        pool_rows, high its length (1 if empty) and keep whether it is
-        non-empty; an empty pool's slots draw base, at most the spare."""
+        """The phase's pool tables (pool_rows, base, high, keep). Direct
+        phases regress step-1 rows to their full-path targets; stepwise
+        phases draw from the rows of steps 1..stage. Per scene, the phase's
+        pools are its (regression, step-1, background) table rows, laid end
+        to end in pool_rows, kind by kind, then one spare entry. Per scene
+        and slot, base is the start of the slot's pool in pool_rows, high
+        its length (1 if empty) and keep whether it is non-empty; an empty
+        pool's slots draw base, at most the spare."""
         t = self.table
         step1 = t.steps == 1
         reg = step1 if direct else (t.steps >= 1) & (t.steps <= stage)
         kinds = np.stack([reg, step1, t.steps == 0])
-        self.pool_rows = np.append(np.nonzero(kinds)[1], 0)
         # Per scene and kind, pool rows before the scene's: (scenes + 1, 3).
         before = np.concatenate([[0], np.cumsum(kinds)])[
             np.arange(3) * len(t.steps) + t.offsets[:, None]]
         lengths = np.diff(before, axis=0)
-        self.base = np.repeat(before[:-1], self.sizes, axis=1)
-        self.high = np.repeat(np.maximum(lengths, 1), self.sizes, axis=1)
-        self.keep = np.repeat(lengths > 0, self.sizes, axis=1)
+        return (np.append(np.nonzero(kinds)[1], 0),
+                np.repeat(before[:-1], self.sizes, axis=1),
+                np.repeat(np.maximum(lengths, 1), self.sizes, axis=1),
+                np.repeat(lengths > 0, self.sizes, axis=1))
 
-    def draw(self, rng: np.random.Generator, scene_ids: np.ndarray):
-        """The table rows of one batch, (regressor picks, classifier picks)."""
-        pos = self.base[scene_ids]
-        pos += rng.integers(0, self.high[scene_ids])
-        rows, keep = self.pool_rows.take(pos), self.keep[scene_ids]
+    def draw(self, rng: np.random.Generator, scene_ids: np.ndarray, pools):
+        """The table rows of one batch, (regressor picks, classifier picks),
+        from start_phase's pools."""
+        pool_rows, base, high, keep = pools
+        pos = base[scene_ids]
+        pos += rng.integers(0, high[scene_ids])
+        rows, keep = pool_rows.take(pos), keep[scene_ids]
         n = self.sizes[0]
         return rows[:, :n][keep[:, :n]], rows[:, n:][keep[:, n:]]
 
-    def take(self, head: int, picks: np.ndarray):
-        """The regressor's (feats, labels, targets) (head 0) or the
-        classifier's (feats, labels) (head 1) at the table rows picks, with
-        the targets of the last draw_run."""
-        # Picks are in range by construction; "clip" skips the buffered copy
-        # numpy makes for out= under the default mode "raise".
-        return tuple(source.take(picks, axis=0, out=buffer[:len(picks)],
-                                 mode="clip")
-                     for source, buffer in zip(self.sources[head],
-                                               self.buffers[head]))
 
-
-def _sgd(sampler: BatchSampler, head: int, loss_fn, opt: SGDOptimizer,
-         ws: Workspace, picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """One model's SGD loop over one head's picks of a run: per batch, the
-    loss and backward pass in ws, then a step unless the batch is empty.
-    Returns the losses, one float64 per batch."""
+def _sgd(loss_fn, opt: SGDOptimizer, ws: Workspace, sources,
+         picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """One model's SGD loop over its picks of a run: per batch, the rows of
+    each source array at the batch's picks, the loss and backward pass in
+    ws, then a step unless the batch is empty. Returns the losses, one
+    float64 per batch."""
     losses = np.empty(len(counts))
     for i, (batch, n) in enumerate(zip(picks, counts)):
-        losses[i], grads = loss_fn(opt.model, *sampler.take(head, batch[:n]),
-                                   ws)
+        losses[i], grads = loss_fn(
+            opt.model, *[s.take(batch[:n], axis=0) for s in sources], ws)
         if n:
             opt.step(grads)
     return losses
-
-
-def _second_cpu() -> bool:
-    """Whether this process can fork and may run on two CPUs or more."""
-    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") \
-        and len(os.sched_getaffinity(0)) >= 2
 
 
 def _pin(cpus):
@@ -614,34 +583,42 @@ def _pin(cpus):
 
 
 def _train_beside(train_regressor, train_classifier, classifier: MLP):
-    """Run train_classifier() in a forked child while this process runs
-    train_regressor(); return both results, with the child's final
-    parameters written into classifier.flat.
+    """Run train_regressor() and train_classifier(); return both results,
+    with the classifier's final parameters in classifier.flat.
 
-    The child starts from this process's memory at the fork. The table's
-    features are a shared map, its other columns are only read, and every
-    array the child writes was allocated before the fork, so an allocation
-    that fails does so here. The child sends back one status byte, then the
-    classifier's flat and its losses, or the text of the exception it
-    caught, and always leaves through os._exit: it never flushes this
-    process's stdio buffers or runs its exit hooks. This process kills the
-    child if it raises itself, and always reaps it.
+    When this process can fork and may run on two CPUs or more, the
+    classifier's loop runs in a forked child while the regressor's runs
+    here; otherwise, or when the fork fails, both run here, the regressor's
+    first, to the same bits.
 
-    A forked child starts on this process's CPU, and where the kernel does
-    not balance load between CPUs (a cpuset with sched_load_balance off) it
-    stays there, so the two loops would share one CPU. So the child pins
-    itself to the last CPU this process may use, and this process keeps to
-    the others until it has reaped the child.
+    The child starts from this process's memory at the fork: the table's
+    features are a shared map, its other columns are only read, and the
+    child allocates its own batches and forward outputs, so a MemoryError
+    there comes back as the error below. It sends back one status byte,
+    then the classifier's flat and its losses, or the text of the exception
+    it caught, and always leaves through os._exit, never flushing this
+    process's stdio buffers or running its exit hooks. This process kills
+    the child if it raises itself, and always reaps it.
+
+    A forked child starts on this process's CPU and, where the kernel does
+    not balance load (a cpuset with sched_load_balance off), stays there,
+    sharing it with this process. So the child pins itself to the last CPU
+    this process may use, and this process keeps to the others until it
+    has reaped the child.
     """
-    cpus = os.sched_getaffinity(0)
-    child_cpu = {max(cpus)}
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: both loops run here
-        os.close(read_fd)
-        os.close(write_fd)
+    cpus, pid = set(), -1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = os.sched_getaffinity(0)
+    if len(cpus) >= 2:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid < 0:
         return train_regressor(), train_classifier()
+    child_cpu = {max(cpus)}
     if pid == 0:
         code = 1
         try:
@@ -677,10 +654,8 @@ def _train_beside(train_regressor, train_classifier, classifier: MLP):
         classifier.flat[...] = np.frombuffer(message, offset=1,
                                              count=n_params)
         return result, np.frombuffer(message, offset=1 + 8 * n_params)
-    if message[:1] == b"\1":
-        why = message[1:].decode(errors="replace")
-    else:
-        why = f"exit status {code}" if code >= 0 else f"signal {-code}"
+    why = (message[1:].decode(errors="replace") if message[:1] == b"\1"
+           else f"exit status {code}" if code >= 0 else f"signal {-code}")
     raise (MemoryError if why.startswith("MemoryError:") else RuntimeError)(
         f"training the classifier in a child process failed: {why}")
 
@@ -695,23 +670,21 @@ def train_models(sampler: BatchSampler, mode: str):
     All modes run s_train * n_iter_per_stage total iterations.
 
     In three steps: draw every batch of the run (BatchSampler.draw_run),
-    then train the regressor over its picks and the classifier over its
-    picks, each in one loop (_sgd) with a Workspace made here. The two
-    loops share nothing they write. When this process can fork and may run
-    on two CPUs, the classifier's loop runs in a forked child while the
-    regressor's runs here (_train_beside); otherwise it runs after the
-    regressor's. Both give the same bits.
+    then train the regressor on the table's features, labels and targets
+    (direct ones for ifrcnn) at its picks, and the classifier on the
+    features and labels at its picks, each in one loop (_sgd) with a
+    Workspace made here. The two loops share nothing they write, and
+    _train_beside runs them on two CPUs or one, to the same bits.
 
-    A call whose classifier picks equal the ones the sampler keeps copies
-    the kept classifier and losses instead. Any other call trains its own,
-    and the sampler keeps the first one trained on it. So every call
-    returns the bits it would return on a sampler of its own.
+    A call whose classifier picks equal the sampler's kept ones copies the
+    kept classifier and losses; any other trains its own, which the sampler
+    keeps if it is the first. So every call returns the bits it would
+    return on a sampler of its own.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    config, num_classes = sampler.config, sampler.num_classes
-    ss = np.random.SeedSequence(config.seed)
-    init_reg, init_cls, batch_ss = ss.spawn(3)
+    config, num_classes, t = sampler.config, sampler.num_classes, sampler.table
+    init_reg, init_cls, batch_ss = np.random.SeedSequence(config.seed).spawn(3)
     regressor = make_regressor(FEATURE_DIM, config.hidden_sizes, num_classes,
                                np.random.default_rng(init_reg))
     classifier = make_classifier(FEATURE_DIM, config.hidden_sizes, num_classes,
@@ -724,8 +697,9 @@ def train_models(sampler: BatchSampler, mode: str):
         stages = [(config.s_train, iterations)]
     else:
         stages = [(1, iterations)]
+    direct = mode == "ifrcnn"
     (reg_picks, reg_counts), (cls_picks, cls_counts) = sampler.draw_run(
-        np.random.default_rng(batch_ss), stages, mode == "ifrcnn")
+        np.random.default_rng(batch_ss), stages, direct)
 
     opt_reg = SGDOptimizer(regressor, config.learning_rate, config.momentum)
     opt_cls = SGDOptimizer(classifier, config.learning_rate, config.momentum)
@@ -733,25 +707,24 @@ def train_models(sampler: BatchSampler, mode: str):
     cls_ws = _ClassifierWorkspace(classifier, sampler.rows)
 
     def train_regressor():
-        return _sgd(sampler, 0, _regression_loss, opt_reg, reg_ws, reg_picks,
-                    reg_counts)
+        return _sgd(_regression_loss, opt_reg, reg_ws,
+                    (t.feats, t.labels, t.direct if direct else t.targets),
+                    reg_picks, reg_counts)
 
     def train_classifier():
-        return _sgd(sampler, 1, _classifier_loss, opt_cls, cls_ws, cls_picks,
-                    cls_counts)
+        return _sgd(_classifier_loss, opt_cls, cls_ws, (t.feats, t.labels),
+                    cls_picks, cls_counts)
 
+    kept = sampler.kept
     with np.errstate(all="ignore"):  # a diverged run shows in its log
-        if np.array_equal(sampler.picks, cls_picks):
-            reg_losses, cls_losses = train_regressor(), sampler.losses
-            classifier.flat[...] = sampler.flat
-        elif _second_cpu():
+        if kept is not None and np.array_equal(kept[0], cls_picks):
+            reg_losses, cls_losses = train_regressor(), kept[1]
+            classifier.flat[...] = kept[2]
+        else:
             reg_losses, cls_losses = _train_beside(
                 train_regressor, train_classifier, classifier)
-        else:
-            reg_losses, cls_losses = train_regressor(), train_classifier()
-    if sampler.flat is None:
-        sampler.picks, sampler.losses = cls_picks, cls_losses
-        sampler.flat = classifier.flat.copy()
+    if kept is None:
+        sampler.kept = (cls_picks, cls_losses, classifier.flat.copy())
     log = TrainLog()
     entries = zip(reg_losses.tolist(), cls_losses.tolist(),
                   reg_counts.tolist())

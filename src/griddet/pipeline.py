@@ -17,6 +17,7 @@ from .evaluate import (DetRecord, evaluate_detections, format_report,
                        write_detection_dump)
 from .model import (MODES, BatchSampler, load_checkpoint,
                     precompute_scene_tensors, save_checkpoint, train_models)
+from .records import ConfigValueError
 from .synth import (generate_dataset, load_ground_truth, load_manifest,
                     save_manifest)
 
@@ -188,7 +189,8 @@ def run_ablation(config: ExperimentConfig, seeds: list[int],
     at s_test = 1..config.s_test. Returns one row per (method, s_test, seed).
     """
     if config.s_test < 1:
-        raise ValueError(f"ablation needs s_test >= 1, got {config.s_test}")
+        raise ConfigValueError(f"ablation needs s_test >= 1, got "
+                               f"{config.s_test}")
     if not seeds:
         raise ValueError("seeds must list at least one seed, got none")
     eval_steps = list(range(1, config.s_test + 1))

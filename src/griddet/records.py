@@ -82,6 +82,10 @@ def _words(hint) -> str:
     return _WORDS.get(hint, f"a {hint.__name__}")
 
 
+class ConfigValueError(ValueError):
+    """A valid config value a command cannot use: the CLI names the file."""
+
+
 POSITIVE_INT = (lambda v: v >= 1, "a positive integer")
 NON_NEGATIVE_INT = (lambda v: v >= 0, "a non-negative integer")
 UNIT_NUMBER = (lambda v: 0 <= v <= 1, "a number in [0, 1]")

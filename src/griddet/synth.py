@@ -17,7 +17,7 @@ import numpy as np
 from .assign import GroundTruth
 from .boxes import Box, iou
 from .records import (NON_NEGATIVE_INT, POSITIVE_INT, UNIT_NUMBER,
-                      check_fields, from_json, to_plain)
+                      ConfigValueError, check_fields, from_json, to_plain)
 
 MANIFEST_VERSION = 1
 
@@ -27,7 +27,7 @@ _SHAPES = ("rect", "disk", "cross", "ring")
 _FILLS = (0.95, 0.55, 0.75, 0.40)
 
 
-class PlacementFailureError(RuntimeError):
+class PlacementFailureError(ConfigValueError):
     """Could not place an object within the retry budget."""
 
 
@@ -229,10 +229,13 @@ def load_manifest(path) -> tuple[SynthConfig, list[Scene]]:
     """Load a dataset: ground truth from the manifest, images regenerated
     procedurally."""
     manifest = _read_manifest(path)
-    return manifest.config, [
-        Scene(generate_scene(manifest.config, s.scene_id).image,
-              [g.ground_truth for g in s.gts], s.scene_id, s.seed)
-        for s in manifest.scenes]
+    try:
+        return manifest.config, [
+            Scene(generate_scene(manifest.config, s.scene_id).image,
+                  [g.ground_truth for g in s.gts], s.scene_id, s.seed)
+            for s in manifest.scenes]
+    except PlacementFailureError as exc:  # the manifest's config failed
+        raise ValueError(f"manifest {path}: {exc}") from None
 
 
 def load_ground_truth(path) -> dict[int, list[GroundTruth]]:

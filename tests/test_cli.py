@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -29,9 +30,10 @@ from griddet.grid import GridSpec, generate_grid
 from griddet.model import (CHECKPOINT_MAGIC, MODES, TrainConfig,
                            load_checkpoint, make_classifier, make_regressor,
                            save_checkpoint)
-from griddet.pipeline import (ablation_means, cmd_ablation, cmd_detect,
-                              cmd_eval, cmd_generate, cmd_train,
-                              format_ablation_table, run_ablation)
+from griddet.pipeline import (TEST_MANIFEST, TRAIN_MANIFEST, ablation_means,
+                              cmd_ablation, cmd_detect, cmd_eval,
+                              cmd_generate, cmd_train, format_ablation_table,
+                              run_ablation)
 from griddet.records import to_plain
 from griddet.synth import MANIFEST_VERSION, SynthConfig, load_manifest
 
@@ -208,8 +210,8 @@ MALFORMED_CONFIGS = {
     "grid_train_scale_underflows_its_cell": (
         f"grid_train:\n  scales: [{10 ** 400}]\n  overlaps: [0.5]\n", "",
         "grid_train must be a grid of at most 100,000 boxes"),
-    # 10^9 images of 64 rows: rejected before the sampler's buffers or the
-    # workspaces are allocated.
+    # 10^9 images of 64 rows: rejected before the batches or the workspaces
+    # are allocated.
     "train_batch_too_many_rows": (
         "train:\n  images_per_batch: 1000000000\n", "train",
         "samples_per_image_per_step x images_per_batch must be at most "
@@ -757,6 +759,86 @@ def test_cli_eval_runs_or_names_the_manifest_or_dump(tmp_path, capsys, data):
         assert lines[0].startswith("error:") and str(path) in lines[0]
 
 
+def _edge_grids():
+    scale = st.tuples(st.integers(1, 4), st.sampled_from([0, 0.5, 0.9]))
+    return st.lists(scale, min_size=1, max_size=2).map(
+        lambda v: {"scales": [k for k, _ in v], "overlaps": [a for _, a in v]})
+
+
+@st.composite
+def edge_configs(draw):
+    """Tiny configs at the edges of the checked ranges: one to three scenes,
+    empty background pools (max_bg_per_scene 0), fewer scenes than images
+    per batch, no hidden layer, objects too large to place, and s_test 0,
+    which detect allows and ablation does not."""
+    fewest = draw(st.integers(0, 2))
+    smallest = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    return {
+        "synth": {
+            "image_size": draw(st.lists(st.integers(2, 32), min_size=2,
+                                        max_size=2)),
+            "objects_per_scene": [fewest, draw(st.integers(fewest, 3))],
+            "size_range": [smallest, draw(st.sampled_from(
+                [s for s in (0.1, 0.3, 0.6, 1.0) if s >= smallest]))],
+            "max_place_tries": draw(st.sampled_from([1, 200])),
+            "seed": draw(st.integers(0, 3))},
+        "grid_train": draw(_edge_grids()), "grid_test": draw(_edge_grids()),
+        "train": {
+            "s_train": draw(st.integers(1, 3)),
+            "n_iter_per_stage": draw(st.integers(1, 10)),
+            "images_per_batch": draw(st.integers(1, 4)),
+            "samples_per_image_per_step": draw(st.integers(1, 8)),
+            "hidden_sizes": draw(st.lists(st.integers(1, 4), max_size=2)),
+            "max_bg_per_scene": draw(st.integers(0, 4)),
+            "fg_bg_ratio": draw(st.sampled_from([0.01, 3.0, 100.0])),
+            "bg_threshold": draw(st.sampled_from([0.0, 0.2, 0.9])),
+            "seed": draw(st.integers(0, 3))},
+        "s_test": draw(st.integers(0, 2)),
+        "score_threshold": draw(st.sampled_from([0.0, 0.05, 1.0])),
+        "nms_iou": draw(st.sampled_from([0.0, 0.3, 1.0])),
+        "iou_match": draw(st.sampled_from([0.0, 0.5, 1.0])),
+        "n_train": draw(st.integers(1, 3)),
+        "n_test": draw(st.integers(1, 2))}
+
+
+@settings(deadline=None, max_examples=120,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_configs())
+def test_cli_pipeline_runs_or_names_the_config_field(tmp_path, capsys,
+                                                     config):
+    # Each command exits 0, or the first to fail prints one error line that
+    # names the config file and a field of it.
+    fields = {".".join(path) for path in _leaves(config)
+              if all(isinstance(key, str) for key in path)}
+    with tempfile.TemporaryDirectory(dir=tmp_path) as out:
+        path = os.path.join(out, "c.yaml")
+        with open(path, "w") as f:
+            yaml.safe_dump(config, f)
+        data, det = os.path.join(out, "data"), os.path.join(out, "det")
+        ckpt = os.path.join(out, "m.ckpt")
+        config_arg = ["--config", path]
+        for argv in (
+                ["generate", "--out", data],
+                ["train", "--dataset", os.path.join(data, TRAIN_MANIFEST),
+                 "--out", ckpt],
+                ["detect", "--checkpoint", ckpt, "--dataset",
+                 os.path.join(data, TEST_MANIFEST), "--out", det],
+                ["eval", "--detections", os.path.join(det, "detections.jsonl"),
+                 "--dataset", os.path.join(data, TEST_MANIFEST)],
+                ["ablation", "--seeds", "0", "--out",
+                 os.path.join(out, "ablation")]):
+            rc = main(argv[:1] + config_arg + argv[1:])
+            lines = capsys.readouterr().err.splitlines()
+            if rc == 0:
+                assert lines == [], (argv[0], lines)
+                continue
+            assert rc == 1 and len(lines) == 1, (argv[0], lines)
+            assert lines[0].startswith(f"error: config file {path}: ")
+            assert any(re.search(rf"\b{re.escape(name)}\b", lines[0])
+                       for name in fields), lines[0]
+            break
+
+
 def test_cli_reports_an_allocation_too_large_in_one_line(tmp_path):
     # Run with a 2 GB address space in a child process: without the limit, a
     # request for hundreds of GiB can succeed under overcommit.
@@ -1142,6 +1224,7 @@ def test_cli_ablation_rejects_s_test_zero_before_generating(
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(lines) == 1 and "s_test >= 1, got 0" in lines[0]
+    assert lines[0].startswith(f"error: config file {cfg_path}: ")
 
 
 @pytest.mark.parametrize("seeds", ["", ","])
@@ -1263,9 +1346,31 @@ def test_cli_generate_names_the_fields_of_a_placement_failure(tmp_path,
                "--n-test", "1", "--out", str(tmp_path / "d")])
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1 and lines == [
-        "error: scene 0: could not place object 2/3 in 200 tries, with "
-        "synth.size_range [1.0, 1.0], synth.max_gt_overlap 0.3 and "
-        "synth.max_place_tries 200"]
+        f"error: config file {cfg_path}: scene 0: could not place object 2/3 "
+        f"in 200 tries, with synth.size_range [1.0, 1.0], "
+        f"synth.max_gt_overlap 0.3 and synth.max_place_tries 200"]
+
+
+def test_cli_train_names_the_manifest_of_a_placement_failure(tmp_path,
+                                                             capsys):
+    # A manifest whose config cannot place its objects, as an edit can leave
+    # it: train names the manifest, not the config file.
+    cfg = tiny_config()
+    cfg_path = str(tmp_path / "config.yaml")
+    save_config(cfg, cfg_path)
+    train_path, _ = cmd_generate(cfg, 3, 2, str(tmp_path))
+    with open(train_path) as f:
+        manifest = json.load(f)
+    manifest["config"].update(size_range=[1.0, 1.0], max_place_tries=1,
+                              objects_per_scene=[3, 3])
+    with open(train_path, "w") as f:
+        json.dump(manifest, f)
+    rc = main(["train", "--config", cfg_path, "--dataset", train_path,
+               "--out", str(tmp_path / "m.ckpt")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(lines) == 1
+    assert lines[0].startswith(f"error: manifest {train_path}: scene 0: "
+                               f"could not place object 2/3 in 1 tries")
 
 
 def test_cli_end_to_end(tmp_path, capsys):

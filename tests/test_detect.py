@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import re
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import griddet
+import griddet.detect
 from griddet.assign import assign_grid
 from griddet.boxes import (Box, DeltaParams, apply_deltas, boxes_to_array,
                            clip_boxes, iou)
@@ -22,6 +25,16 @@ from griddet.pipeline import train
 from griddet.synth import SynthConfig, generate_dataset
 
 GRID = GridSpec((2, 4), (0.7, 0.5))
+
+
+def test_each_submodule_is_the_package_attribute_of_its_name():
+    # The package re-exports nothing, so its function detect does not hide
+    # the module griddet.detect.
+    assert griddet.detect.model_fns is model_fns
+    for name in ("assign", "boxes", "cli", "config", "detect", "evaluate",
+                 "features", "grid", "model", "pipeline", "records", "synth"):
+        module = importlib.import_module(f"griddet.{name}")
+        assert getattr(griddet, name) is module
 
 
 def as_row(b: Box) -> list[float]:

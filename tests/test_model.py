@@ -1033,8 +1033,8 @@ def _perturb_draw(monkeypatch, at, edit):
     draw = BatchSampler.draw
     calls = itertools.count()
 
-    def perturbed(self, rng, scene_ids):
-        reg_picks, cls_picks = draw(self, rng, scene_ids)
+    def perturbed(self, rng, scene_ids, pools):
+        reg_picks, cls_picks = draw(self, rng, scene_ids, pools)
         if next(calls) == at:
             assert len(cls_picks) > 1
             if edit == "drop":
@@ -1138,9 +1138,9 @@ def _both_paths(monkeypatch, run, trainings=1):
 
 
 def _sampler_bytes(sampler):
-    return (np.asarray(sampler.picks).tobytes(),
-            np.asarray(sampler.losses).tobytes(),
-            np.asarray(sampler.flat).tobytes())
+    picks, losses, flat = sampler.kept
+    return (np.asarray(picks).tobytes(), np.asarray(losses).tobytes(),
+            np.asarray(flat).tobytes())
 
 
 # "shared": a 1step call on the sampler of a gcnn call, whose picks match,
