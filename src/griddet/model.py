@@ -12,6 +12,7 @@ import json
 import math
 import mmap
 import os
+import pickle
 import signal
 from dataclasses import dataclass, field
 
@@ -140,6 +141,15 @@ class MLP:
     @property
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
+
+    def __getstate__(self):
+        # Pickled as its sizes and flat vector: unpickled, the weights and
+        # biases are views into its flat again.
+        return self.layer_sizes, self.flat
+
+    def __setstate__(self, state):
+        self.__init__(state[0])
+        self.flat[...] = state[1]
 
     def forward(self, x: np.ndarray):
         """Return (output, cache) for a (B, D) batch. The cache lists the
@@ -460,9 +470,17 @@ def precompute_scene_tensors(scenes, grid_spec: GridSpec, config: TrainConfig,
     return table
 
 
+def _check_mode(mode):
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+
+
 class BatchSampler:
     """The training context of one seed (its table, config, class count,
-    slot sizes and batch rows) and kept, the first classifier trained on it.
+    slot sizes and batch rows), kept, the first classifier trained on it,
+    and the modes it will serve, in order: pending, those not yet trained,
+    and ahead, the (regressor, classifier, log) of each mode trained ahead
+    of its call (see train_models).
 
     Per image, in scene_ids order, a batch has samples_per_image regression
     slots, then the step-1 foreground and the background classifier slots,
@@ -484,7 +502,10 @@ class BatchSampler:
     kept = None
 
     def __init__(self, table: TrainingTable, config: TrainConfig,
-                 num_classes: int):
+                 num_classes: int, modes=()):
+        for mode in modes:
+            _check_mode(mode)
+        self.pending, self.ahead = list(modes), {}
         # Checked once here, so that the losses can index by label unchecked.
         bad = np.flatnonzero((table.steps > 0) & (
             (table.labels < 1) | (table.labels > num_classes)))
@@ -582,23 +603,23 @@ def _pin(cpus):
         pass
 
 
-def _train_beside(train_regressor, train_classifier, classifier: MLP):
-    """Run train_regressor() and train_classifier(); return both results,
-    with the classifier's final parameters in classifier.flat.
+def _train_beside(train_here, train_there, what: str, fork: bool = True):
+    """Run train_here() and train_there(); return both results.
 
-    When this process can fork and may run on two CPUs or more, the
-    classifier's loop runs in a forked child while the regressor's runs
-    here; otherwise, or when the fork fails, both run here, the regressor's
-    first, to the same bits.
+    When fork is true, this process can fork and it may run on two CPUs or
+    more, train_there runs in a forked child while train_here runs here;
+    otherwise, or when the fork fails, both run here, train_here first, to
+    the same bits. A caller whose own child is training passes fork=False,
+    so that at most one child is alive.
 
     The child starts from this process's memory at the fork: the table's
     features are a shared map, its other columns are only read, and the
     child allocates its own batches and forward outputs, so a MemoryError
-    there comes back as the error below. It sends back one status byte,
-    then the classifier's flat and its losses, or the text of the exception
-    it caught, and always leaves through os._exit, never flushing this
-    process's stdio buffers or running its exit hooks. This process kills
-    the child if it raises itself, and always reaps it.
+    there comes back as the error below, which names what. It sends back
+    one status byte, then train_there's result, pickled, or the text of the
+    exception it caught, and always leaves through os._exit, never flushing
+    this process's stdio buffers or running its exit hooks. This process
+    kills the child if it raises itself, and always reaps it.
 
     A forked child starts on this process's CPU and, where the kernel does
     not balance load (a cpuset with sched_load_balance off), stays there,
@@ -607,7 +628,7 @@ def _train_beside(train_regressor, train_classifier, classifier: MLP):
     has reaped the child.
     """
     cpus, pid = set(), -1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    if fork and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         cpus = os.sched_getaffinity(0)
     if len(cpus) >= 2:
         read_fd, write_fd = os.pipe()
@@ -617,7 +638,7 @@ def _train_beside(train_regressor, train_classifier, classifier: MLP):
             os.close(read_fd)
             os.close(write_fd)
     if pid < 0:
-        return train_regressor(), train_classifier()
+        return train_here(), train_there()
     child_cpu = {max(cpus)}
     if pid == 0:
         code = 1
@@ -625,21 +646,21 @@ def _train_beside(train_regressor, train_classifier, classifier: MLP):
             os.close(read_fd)
             _pin(child_cpu)
             try:
-                losses = train_classifier()
-                message = b"\0" + classifier.flat.tobytes() + losses.tobytes()
-                code = 0
+                message = b"\0" + pickle.dumps(train_there(),
+                                               pickle.HIGHEST_PROTOCOL)
             except BaseException as exc:  # reported below, then os._exit
                 message = b"\1" + f"{type(exc).__name__}: {exc}".encode(
                     errors="replace")
             with open(write_fd, "wb") as pipe:
                 pipe.write(message)
+            code = message[0]
         finally:
             os._exit(code)
     try:
         os.close(write_fd)
         _pin(cpus - child_cpu)
         with open(read_fd, "rb") as pipe:
-            result = train_regressor()
+            result = train_here()
             message = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -647,42 +668,27 @@ def _train_beside(train_regressor, train_classifier, classifier: MLP):
     finally:
         _pin(cpus)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    # One float64 per parameter, then one per batch, as the regressor's.
-    n_params = classifier.flat.size
-    if code == 0 and message[:1] == b"\0" \
-            and len(message) == 1 + 8 * (n_params + len(result)):
-        classifier.flat[...] = np.frombuffer(message, offset=1,
-                                             count=n_params)
-        return result, np.frombuffer(message, offset=1 + 8 * n_params)
+    if code == 0:
+        return result, pickle.loads(message[1:])
     why = (message[1:].decode(errors="replace") if message[:1] == b"\1"
            else f"exit status {code}" if code >= 0 else f"signal {-code}")
     raise (MemoryError if why.startswith("MemoryError:") else RuntimeError)(
-        f"training the classifier in a child process failed: {why}")
+        f"training {what} in a child process failed: {why}")
 
 
-def train_models(sampler: BatchSampler, mode: str):
-    """Run the SGD schedule for one of the three training strategies on the
-    sampler's table, config and class count.
+def _fit(sampler: BatchSampler, mode: str, fork: bool):
+    """One mode's training run on the sampler, in three steps: draw every
+    batch of the run (BatchSampler.draw_run), then train the regressor on
+    the table's features, labels and targets (direct ones for ifrcnn) at
+    its picks, and the classifier on the features and labels at its picks,
+    each in one loop (_sgd) with a Workspace made here. The two loops share
+    nothing they write, and _train_beside runs them on two CPUs or, when
+    fork is false, on one, to the same bits.
 
-    gcnn: stages c = 1..s_train, each n_iter_per_stage iterations on the
-    cumulative tuple pool of steps 1..c. 1step: one phase on the full pool.
-    ifrcnn: one phase on step-1 states with direct (full-path) targets.
-    All modes run s_train * n_iter_per_stage total iterations.
-
-    In three steps: draw every batch of the run (BatchSampler.draw_run),
-    then train the regressor on the table's features, labels and targets
-    (direct ones for ifrcnn) at its picks, and the classifier on the
-    features and labels at its picks, each in one loop (_sgd) with a
-    Workspace made here. The two loops share nothing they write, and
-    _train_beside runs them on two CPUs or one, to the same bits.
-
-    A call whose classifier picks equal the sampler's kept ones copies the
+    A run whose classifier picks equal the sampler's kept ones copies the
     kept classifier and losses; any other trains its own, which the sampler
-    keeps if it is the first. So every call returns the bits it would
-    return on a sampler of its own.
+    keeps if it is the first. Returns (regressor, classifier, log).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     config, num_classes, t = sampler.config, sampler.num_classes, sampler.table
     init_reg, init_cls, batch_ss = np.random.SeedSequence(config.seed).spawn(3)
     regressor = make_regressor(FEATURE_DIM, config.hidden_sizes, num_classes,
@@ -713,16 +719,16 @@ def train_models(sampler: BatchSampler, mode: str):
 
     def train_classifier():
         return _sgd(_classifier_loss, opt_cls, cls_ws, (t.feats, t.labels),
-                    cls_picks, cls_counts)
+                    cls_picks, cls_counts), classifier.flat
 
     kept = sampler.kept
     with np.errstate(all="ignore"):  # a diverged run shows in its log
         if kept is not None and np.array_equal(kept[0], cls_picks):
-            reg_losses, cls_losses = train_regressor(), kept[1]
-            classifier.flat[...] = kept[2]
+            reg_losses, (cls_losses, flat) = train_regressor(), kept[1:]
         else:
-            reg_losses, cls_losses = _train_beside(
-                train_regressor, train_classifier, classifier)
+            reg_losses, (cls_losses, flat) = _train_beside(
+                train_regressor, train_classifier, "the classifier", fork)
+    classifier.flat[...] = flat
     if kept is None:
         sampler.kept = (cls_picks, cls_losses, classifier.flat.copy())
     log = TrainLog()
@@ -733,6 +739,39 @@ def train_models(sampler: BatchSampler, mode: str):
         for it, (reg_loss, cls_loss, n) in zip(range(n_iter), entries):
             log.add(stage, it, reg_loss, cls_loss, n == 0)
     return regressor, classifier, log
+
+
+def train_models(sampler: BatchSampler, mode: str):
+    """Run the SGD schedule for one of the three training strategies on the
+    sampler's table, config and class count; return (regressor, classifier,
+    log).
+
+    gcnn: stages c = 1..s_train, each n_iter_per_stage iterations on the
+    cumulative tuple pool of steps 1..c. 1step: one phase on the full pool.
+    ifrcnn: one phase on step-1 states with direct (full-path) targets.
+    All modes run s_train * n_iter_per_stage total iterations.
+
+    A call that finds the sampler's kept classifier set while a mode it was
+    told of is still pending trains the first such mode beside its own run
+    (_train_beside: in a forked child on a second CPU), and the sampler
+    holds that mode's result until its own call returns it. So on two CPUs
+    an ablation seed's four SGD loops take two rounds: gcnn's regressor
+    beside its classifier, then 1step's regressor beside ifrcnn's. Each run
+    depends only on the sampler's context and kept (_fit), so every call
+    returns the bits it would return on a sampler of its own, in any order.
+    """
+    _check_mode(mode)
+    if mode in sampler.pending:
+        sampler.pending.remove(mode)
+    if mode in sampler.ahead:
+        return sampler.ahead.pop(mode)
+    if sampler.kept is None or not sampler.pending:
+        return _fit(sampler, mode, fork=True)
+    later = sampler.pending.pop(0)
+    models, sampler.ahead[later] = _train_beside(
+        lambda: _fit(sampler, mode, fork=False),
+        lambda: _fit(sampler, later, fork=False), later)
+    return models
 
 
 @dataclass(frozen=True)

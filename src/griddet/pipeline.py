@@ -29,9 +29,9 @@ def cmd_generate(config: ExperimentConfig, n_train: int, n_test: int,
                  out_dir: str) -> tuple[str, str]:
     """Write train/test dataset manifests. Idempotent for a fixed seed."""
     _check_scene_counts(n_train=n_train, n_test=n_test)
-    os.makedirs(out_dir, exist_ok=True)
     train_scenes = generate_dataset(config.synth, n_train, start_id=0)
     test_scenes = generate_dataset(config.synth, n_test, start_id=n_train)
+    os.makedirs(out_dir, exist_ok=True)
     train_path = os.path.join(out_dir, TRAIN_MANIFEST)
     test_path = os.path.join(out_dir, TEST_MANIFEST)
     save_manifest(train_path, config.synth, train_scenes)
@@ -57,13 +57,15 @@ def _check_classes(source: str, labels, num_classes: int):
 def train(config: ExperimentConfig, scenes, modes=None):
     """Pool the training set of `scenes` once, then train each strategy of
     `modes` (default: config.mode) on it with equal compute, all from one
-    model.BatchSampler. Returns one (regressor, classifier, log) per mode,
-    in order. A later mode whose classifier batches all equal the first
-    mode's copies the first mode's classifier (see train_models)."""
+    model.BatchSampler told the modes in order. Returns one (regressor,
+    classifier, log) per mode, in order. A later mode whose classifier
+    batches all equal the first mode's copies the first mode's classifier,
+    and on two CPUs a later mode trains beside the next pending one (see
+    train_models); every mode gets the bits of training alone."""
+    modes = [config.mode] if modes is None else modes
     sampler = BatchSampler(precompute_scene_tensors(
         scenes, config.grid_train, config.train), config.train,
-        config.synth.num_classes)
-    modes = [config.mode] if modes is None else modes
+        config.synth.num_classes, modes)
     return [train_models(sampler, mode) for mode in modes]
 
 
@@ -252,10 +254,10 @@ def format_ablation_table(rows: list[dict]) -> str:
 def cmd_ablation(config: ExperimentConfig, seeds: list[int], out_dir: str,
                  n_train: int | None = None, n_test: int | None = None,
                  progress=None) -> list[dict]:
-    os.makedirs(out_dir, exist_ok=True)
     rows = run_ablation(config, seeds, n_train=n_train, n_test=n_test,
                         progress=progress)
     means = ablation_means(rows)
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "ablation.json"), "w") as f:
         json.dump({
             "rows": rows,

@@ -1336,12 +1336,17 @@ def test_cli_train_names_a_one_pixel_image_side(tmp_path, capsys):
         f"integers of at least 2, got (1, 50)"]
 
 
-def test_cli_generate_names_the_fields_of_a_placement_failure(tmp_path,
-                                                              capsys):
+def _no_room_config(tmp_path):
     # Objects as large as the image cannot keep apart.
     cfg_path = tmp_path / "config.yaml"
     cfg_path.write_text("synth:\n  size_range: [1.0, 1.0]\n"
                         "  objects_per_scene: [3, 3]\n")
+    return cfg_path
+
+
+def test_cli_generate_names_the_fields_of_a_placement_failure(tmp_path,
+                                                              capsys):
+    cfg_path = _no_room_config(tmp_path)
     rc = main(["generate", "--config", str(cfg_path), "--n-train", "2",
                "--n-test", "1", "--out", str(tmp_path / "d")])
     lines = capsys.readouterr().err.splitlines()
@@ -1349,6 +1354,21 @@ def test_cli_generate_names_the_fields_of_a_placement_failure(tmp_path,
         f"error: config file {cfg_path}: scene 0: could not place object 2/3 "
         f"in 200 tries, with synth.size_range [1.0, 1.0], "
         f"synth.max_gt_overlap 0.3 and synth.max_place_tries 200"]
+    assert not (tmp_path / "d").exists()
+
+
+def test_cli_ablation_leaves_no_directory_when_placement_fails(tmp_path,
+                                                               capsys):
+    # The output directory is made only once there is something to write.
+    cfg_path = _no_room_config(tmp_path)
+    rc = main(["ablation", "--config", str(cfg_path), "--seeds", "0",
+               "--n-train", "2", "--n-test", "1",
+               "--out", str(tmp_path / "d")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(lines) == 1
+    assert lines[0].startswith(f"error: config file {cfg_path}: scene 0: "
+                               f"could not place object 2/3 in 200 tries")
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_train_names_the_manifest_of_a_placement_failure(tmp_path,

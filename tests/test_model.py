@@ -15,7 +15,8 @@ import pytest
 
 from griddet.assign import Assignment, GroundTruth, TrainTuple
 from griddet.boxes import Box, DeltaParams, boxes_to_array, iou_matrix
-from griddet.config import ExperimentConfig
+from griddet.cli import main
+from griddet.config import ExperimentConfig, save_config
 from griddet.features import (FEATURE_DIM, FeatureExtractor,
                               build_roi_features)
 from griddet.grid import GridSpec, generate_grid
@@ -988,7 +989,8 @@ def _steps_each_classifier_once(setup, monkeypatch, cpus):
     # Every batch of the fixture has foreground and classifier rows, so each
     # regressor steps at every iteration; the classifier of the first mode
     # serves all three. Its steps are counted in this process on the inline
-    # path only: on the forked path a child takes them.
+    # path only: on the forked path a child takes them, and another child
+    # trains ifrcnn's regressor beside 1step's.
     scenes, config, grid_spec, _ = setup
     _cpus(monkeypatch, cpus)
     steps = collections.Counter()
@@ -1002,7 +1004,7 @@ def _steps_each_classifier_once(setup, monkeypatch, cpus):
     cfg = experiment(config, grid_spec, n_iter_per_stage=5)
     train(cfg, scenes, MODES)
     n = cfg.train.s_train * 5
-    assert steps == collections.Counter(regressor=3 * n,
+    assert steps == collections.Counter(regressor=(3 if cpus == 1 else 2) * n,
                                         classifier=n if cpus == 1 else 0)
 
 
@@ -1123,17 +1125,17 @@ def _count_forks(monkeypatch):
     return forks
 
 
-def _both_paths(monkeypatch, run, trainings=1):
+def _both_paths(monkeypatch, run, children=1):
     """run() on the inline path, then on the forked path: both results,
-    after checking that only the second forked, once per classifier it
-    trains, and that no child is left."""
+    after checking that only the second forked, `children` times, and that
+    no child is left."""
     forks = _count_forks(monkeypatch)
     got = []
     for cpus in (1, 2):
         _cpus(monkeypatch, cpus)
         got.append(run())
         _no_child_left()
-    assert len(forks) == trainings
+    assert len(forks) == children
     return got
 
 
@@ -1183,8 +1185,166 @@ def test_forked_classifier_of_a_later_mode_gives_the_inline_bytes(
         assert later[1] != first[1]
         return first, later, _sampler_bytes(sampler)
 
-    inline, forked = _both_paths(monkeypatch, run, trainings=2)
+    inline, forked = _both_paths(monkeypatch, run, children=2)
     assert inline == forked
+
+
+def test_train_gives_the_same_bits_on_one_cpu_and_two(small_training_setup,
+                                                     monkeypatch):
+    # On two CPUs, gcnn's classifier trains in one child and ifrcnn, ahead
+    # of its call, in another, beside 1step: two forks, none on one CPU.
+    scenes, config, grid_spec, _ = small_training_setup
+    cfg = experiment(config, grid_spec, n_iter_per_stage=20)
+    samplers = []
+
+    class Recording(BatchSampler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            samplers.append(self)
+
+    def run():
+        samplers.clear()
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "BatchSampler", Recording)
+            models = train(cfg, scenes, MODES)
+        [sampler] = samplers
+        assert not sampler.pending and not sampler.ahead
+        return [_model_bytes(got) for got in models], _sampler_bytes(sampler)
+
+    inline, forked = _both_paths(monkeypatch, run, children=2)
+    assert inline == forked
+
+
+@pytest.mark.parametrize("order", [order for order in
+                                   itertools.permutations(MODES)
+                                   if order != MODES])
+def test_modes_called_out_of_order_give_their_solo_bits(small_training_setup,
+                                                        monkeypatch, order):
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=20)
+    want = {mode: _model_bytes(train_models(BatchSampler(table, config, 4),
+                                            mode)) for mode in MODES}
+
+    def run():
+        sampler = BatchSampler(table, config, 4, MODES)
+        got = {mode: _model_bytes(train_models(sampler, mode))
+               for mode in order}
+        assert not sampler.pending and not sampler.ahead
+        return got
+
+    inline, forked = _both_paths(monkeypatch, run, children=2)
+    assert inline == forked == want
+
+
+def _perturb_ifrcnn(monkeypatch, edit, at=7):
+    """Make the classifier picks of every ifrcnn run differ at iteration
+    `at` by _perturb_draw's edits: "move" shifts its first pick to the next
+    table row, "drop" leaves its last pick out."""
+    draw_run = BatchSampler.draw_run
+
+    def perturbed(self, rng, stages, direct):
+        heads = draw_run(self, rng, stages, direct)
+        picks, counts = heads[1]
+        if direct:
+            if edit == "drop":
+                counts[at] -= 1
+                picks[at, counts[at]] = -1
+            else:
+                picks[at, 0] = (picks[at, 0] + 1) % len(self.table.labels)
+        return heads
+
+    monkeypatch.setattr(BatchSampler, "draw_run", perturbed)
+
+
+@pytest.mark.parametrize("edit", ["move", "drop"])
+def test_a_mode_trained_ahead_trains_its_own_classifier_where_picks_differ(
+        small_training_setup, monkeypatch, tmp_path, edit):
+    # ifrcnn, trained beside 1step, trains its own classifier in its child,
+    # after its regressor and in no further child; 1step copies gcnn's. Each
+    # step appends its model and process to a file, so that the children's
+    # steps show too.
+    _, config, _, table = small_training_setup
+    config = dataclasses.replace(config, n_iter_per_stage=20)
+    _perturb_ifrcnn(monkeypatch, edit)
+    want = _model_bytes(train_models(BatchSampler(table, config, 4),
+                                     "ifrcnn"))
+    steps = tmp_path / "steps"
+    step = SGDOptimizer.step
+
+    def recording(self, grads):
+        kind = "classifier" if self.model.output_dim == 5 else "regressor"
+        with open(steps, "a") as f:
+            f.write(f"{kind} {os.getpid()}\n")
+        return step(self, grads)
+
+    monkeypatch.setattr(SGDOptimizer, "step", recording)
+
+    def run():
+        steps.write_text("")
+        sampler = BatchSampler(table, config, 4, MODES)
+        models = [_model_bytes(train_models(sampler, mode)) for mode in MODES]
+        here = str(os.getpid())
+        return models, collections.Counter(
+            (kind, "here" if pid == here else pid)
+            for kind, pid in map(str.split, steps.read_text().splitlines()))
+
+    (inline, inline_steps), (forked, forked_steps) = _both_paths(
+        monkeypatch, run, children=2)
+    assert inline == forked and inline[2] == want
+    assert inline[1][1] == inline[0][1] != inline[2][1]
+    n = 3 * 20
+    assert inline_steps == {("regressor", "here"): 3 * n,
+                            ("classifier", "here"): 2 * n}
+    [ahead] = {pid for kind, pid in forked_steps
+               if kind == "regressor" and pid != "here"}
+    assert forked_steps[("regressor", "here")] == 2 * n
+    assert forked_steps[("regressor", ahead)] == forked_steps[
+        ("classifier", ahead)] == n
+    assert sum(forked_steps.values()) == 5 * n
+    assert ("classifier", "here") not in forked_steps
+
+
+@pytest.mark.parametrize("error", [ValueError, MemoryError, "killed"])
+def test_a_failed_child_training_ahead_is_one_error_naming_the_mode(
+        small_training_setup, monkeypatch, tmp_path, capsys, error):
+    # Only the child that trains ifrcnn beside 1step trains a regressor.
+    scenes, config, grid_spec, _ = small_training_setup
+    cfg = experiment(config, grid_spec, n_iter_per_stage=5)
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+    regression_loss = model_module._regression_loss
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if error == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise error("at batch 0")
+        return regression_loss(*args)
+
+    monkeypatch.setattr(model_module, "_regression_loss", failing)
+    forks = _count_forks(monkeypatch)
+    before = _affinity(0)
+    want, why = {
+        ValueError: (RuntimeError, "ValueError: at batch 0"),
+        MemoryError: (MemoryError, "MemoryError: at batch 0"),
+        "killed": (RuntimeError, f"signal {int(signal.SIGKILL)}")}[error]
+    line = f"training ifrcnn in a child process failed: {why}"
+    with pytest.raises(want, match=f"^{line}$"):
+        train(cfg, scenes, MODES)
+    assert len(forks) == 2 and _affinity(0) == before
+    _no_child_left()
+    # Through the CLI: one line, out of memory for a MemoryError.
+    cfg_path = str(tmp_path / "config.yaml")
+    save_config(cfg, cfg_path)
+    capsys.readouterr()
+    assert main(["ablation", "--config", cfg_path, "--seeds", "0",
+                 "--n-train", "2", "--n-test", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        ("error: out of memory: " if error is MemoryError else "error: ")
+        + line]
+    assert len(forks) == 4 and not (tmp_path / "out").exists()
+    _no_child_left()
 
 
 @pytest.mark.parametrize("error", [ValueError, MemoryError, "killed"])
