@@ -491,12 +491,11 @@ class BatchSampler:
     and the generator state of one call per image and non-empty pool
     (test_one_integers_call_draws_as_one_call_per_pool).
 
-    kept is that classifier's (picks, losses, flat): its picks (iterations x
-    batch rows, -1 past each batch's end), one float64 loss per batch and
-    its final parameters. Every mode's picks almost always come out the
-    same: the modes differ only in the regressor, and each slot uses one
-    stream word whatever its pool's length, bar a rare rejection in numpy's
-    bounded sampler.
+    kept is that classifier's (batches, losses, flat): its batches, one
+    float64 loss per batch and its final parameters. Every mode's classifier
+    batches almost always come out the same: the modes differ only in the
+    regressor, and each slot uses one stream word whatever its pool's
+    length, bar a rare rejection in numpy's bounded sampler.
     """
 
     kept = None
@@ -524,26 +523,19 @@ class BatchSampler:
         """Every batch of one training run, stage by stage, in stream order:
         per iteration, one ``choice`` of images_per_batch scenes, then draw
         on the stage's start_phase tables. stages lists (stage, iterations).
-        Returns (picks, counts) for the regressor, then for the classifier:
-        picks is iterations x batch rows of table rows, -1 past each batch's
-        end, and counts each batch's length."""
-        t, config = self.table, self.config
-        iterations = sum(n for _, n in stages)
-        dtype = np.int32 if len(t.labels) < 2 ** 31 else np.int64
-        heads = [(np.full((iterations, self.rows), -1, dtype=dtype),
-                  np.empty(iterations, dtype=np.intp)) for _ in range(2)]
-        n_scenes, n_images = len(t.offsets) - 1, config.images_per_batch
-        i = 0
+        Returns the regressor's batches, then the classifier's: per
+        iteration, one array of table rows."""
+        n_scenes = len(self.table.offsets) - 1
+        n_images = self.config.images_per_batch
+        heads = [], []
         for stage, n_iter in stages:
             pools = self.start_phase(stage, direct)
             for _ in range(n_iter):
                 scene_ids = rng.choice(n_scenes, size=n_images,
                                        replace=n_scenes < n_images)
-                for (picks, counts), drawn in zip(
-                        heads, self.draw(rng, scene_ids, pools)):
-                    picks[i, :len(drawn)] = drawn
-                    counts[i] = len(drawn)
-                i += 1
+                for batches, batch in zip(heads,
+                                          self.draw(rng, scene_ids, pools)):
+                    batches.append(batch)
         return heads
 
     def start_phase(self, stage: int, direct: bool):
@@ -551,10 +543,10 @@ class BatchSampler:
         phases regress step-1 rows to their full-path targets; stepwise
         phases draw from the rows of steps 1..stage. Per scene, the phase's
         pools are its (regression, step-1, background) table rows, laid end
-        to end in pool_rows, kind by kind, then one spare entry. Per scene
-        and slot, base is the start of the slot's pool in pool_rows, high
-        its length (1 if empty) and keep whether it is non-empty; an empty
-        pool's slots draw base, at most the spare."""
+        to end in pool_rows, kind by kind, then one spare entry; int32 when
+        the table fits. Per scene and slot, base is the start of the slot's
+        pool in pool_rows, high its length (1 if empty) and keep whether it
+        is non-empty; an empty pool's slots draw base, at most the spare."""
         t = self.table
         step1 = t.steps == 1
         reg = step1 if direct else (t.steps >= 1) & (t.steps <= stage)
@@ -563,14 +555,16 @@ class BatchSampler:
         before = np.concatenate([[0], np.cumsum(kinds)])[
             np.arange(3) * len(t.steps) + t.offsets[:, None]]
         lengths = np.diff(before, axis=0)
-        return (np.append(np.nonzero(kinds)[1], 0),
+        pool_rows = np.append(np.nonzero(kinds)[1], 0)
+        return (pool_rows.astype(np.int32) if len(t.steps) < 2 ** 31
+                else pool_rows,
                 np.repeat(before[:-1], self.sizes, axis=1),
                 np.repeat(np.maximum(lengths, 1), self.sizes, axis=1),
                 np.repeat(lengths > 0, self.sizes, axis=1))
 
     def draw(self, rng: np.random.Generator, scene_ids: np.ndarray, pools):
-        """The table rows of one batch, (regressor picks, classifier picks),
-        from start_phase's pools."""
+        """The table rows of one batch, the regressor's and the
+        classifier's, from start_phase's pools."""
         pool_rows, base, high, keep = pools
         pos = base[scene_ids]
         pos += rng.integers(0, high[scene_ids])
@@ -580,18 +574,25 @@ class BatchSampler:
 
 
 def _sgd(loss_fn, opt: SGDOptimizer, ws: Workspace, sources,
-         picks: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """One model's SGD loop over its picks of a run: per batch, the rows of
-    each source array at the batch's picks, the loss and backward pass in
-    ws, then a step unless the batch is empty. Returns the losses, one
+         batches) -> np.ndarray:
+    """One model's SGD loop over its batches of a run: per batch, the rows of
+    each source array at the batch's table rows, the loss and backward pass
+    in ws, then a step unless the batch is empty. Returns the losses, one
     float64 per batch."""
-    losses = np.empty(len(counts))
-    for i, (batch, n) in enumerate(zip(picks, counts)):
+    losses = np.empty(len(batches))
+    for i, batch in enumerate(batches):
         losses[i], grads = loss_fn(
-            opt.model, *[s.take(batch[:n], axis=0) for s in sources], ws)
-        if n:
+            opt.model, *[s.take(batch, axis=0) for s in sources], ws)
+        if len(batch):
             opt.step(grads)
     return losses
+
+
+def _same_batches(a, b) -> bool:
+    """Whether two runs' batches hold the same table rows: their lengths,
+    then all their rows in one comparison, not batch by batch."""
+    return (list(map(len, a)) == list(map(len, b))
+            and np.array_equal(np.concatenate(a), np.concatenate(b)))
 
 
 def _pin(cpus):
@@ -603,32 +604,31 @@ def _pin(cpus):
         pass
 
 
-def _train_beside(train_here, train_there, what: str, fork: bool = True):
+def _train_beside(train_here, train_there, what: str):
     """Run train_here() and train_there(); return both results.
 
-    When fork is true, this process can fork and it may run on two CPUs or
-    more, train_there runs in a forked child while train_here runs here;
-    otherwise, or when the fork fails, both run here, train_here first, to
-    the same bits. A caller whose own child is training passes fork=False,
-    so that at most one child is alive.
-
-    The child starts from this process's memory at the fork: the table's
-    features are a shared map, its other columns are only read, and the
-    child allocates its own batches and forward outputs, so a MemoryError
-    there comes back as the error below, which names what. It sends back
-    one status byte, then train_there's result, pickled, or the text of the
-    exception it caught, and always leaves through os._exit, never flushing
-    this process's stdio buffers or running its exit hooks. This process
-    kills the child if it raises itself, and always reaps it.
+    When this process can fork and may run on two CPUs or more, train_there
+    runs in a forked child while train_here runs here; otherwise, or when
+    the fork fails, both run here, train_here first, to the same bits.
 
     A forked child starts on this process's CPU and, where the kernel does
     not balance load (a cpuset with sched_load_balance off), stays there,
     sharing it with this process. So the child pins itself to the last CPU
     this process may use, and this process keeps to the others until it
-    has reaped the child.
+    has reaped the child. On two CPUs, then, neither side forks again, and
+    a process kept to one CPU always trains inline.
+
+    The child starts from this process's memory at the fork: the table's
+    features are a shared map, its other columns are only read, and the
+    child allocates its own batches and forward outputs, so a MemoryError
+    there comes back as the error below, which names what. It sends back
+    one pickled reply, (True, train_there's result) or (False, the text of
+    the exception it caught), and always leaves through os._exit(0), never
+    flushing this process's stdio buffers or running its exit hooks. This
+    process kills the child if it raises itself, and always reaps it.
     """
     cpus, pid = set(), -1
-    if fork and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         cpus = os.sched_getaffinity(0)
     if len(cpus) >= 2:
         read_fd, write_fd = os.pipe()
@@ -641,51 +641,48 @@ def _train_beside(train_here, train_there, what: str, fork: bool = True):
         return train_here(), train_there()
     child_cpu = {max(cpus)}
     if pid == 0:
-        code = 1
         try:
             os.close(read_fd)
             _pin(child_cpu)
             try:
-                message = b"\0" + pickle.dumps(train_there(),
-                                               pickle.HIGHEST_PROTOCOL)
-            except BaseException as exc:  # reported below, then os._exit
-                message = b"\1" + f"{type(exc).__name__}: {exc}".encode(
-                    errors="replace")
+                reply = pickle.dumps((True, train_there()),
+                                     pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:  # sent back, then os._exit
+                reply = pickle.dumps((False, f"{type(exc).__name__}: {exc}"))
             with open(write_fd, "wb") as pipe:
-                pipe.write(message)
-            code = message[0]
+                pipe.write(reply)
         finally:
-            os._exit(code)
+            os._exit(0)
     try:
         os.close(write_fd)
         _pin(cpus - child_cpu)
         with open(read_fd, "rb") as pipe:
             result = train_here()
-            message = pipe.read()
+            reply = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         _pin(cpus)
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return result, pickle.loads(message[1:])
-    why = (message[1:].decode(errors="replace") if message[:1] == b"\1"
-           else f"exit status {code}" if code >= 0 else f"signal {-code}")
-    raise (MemoryError if why.startswith("MemoryError:") else RuntimeError)(
-        f"training {what} in a child process failed: {why}")
+    ok, value = pickle.loads(reply) if code == 0 else (
+        False, f"exit status {code}" if code > 0 else f"signal {-code}")
+    if ok:
+        return result, value
+    raise (MemoryError if value.startswith("MemoryError:") else RuntimeError)(
+        f"training {what} in a child process failed: {value}")
 
 
-def _fit(sampler: BatchSampler, mode: str, fork: bool):
+def _fit(sampler: BatchSampler, mode: str):
     """One mode's training run on the sampler, in three steps: draw every
     batch of the run (BatchSampler.draw_run), then train the regressor on
-    the table's features, labels and targets (direct ones for ifrcnn) at
-    its picks, and the classifier on the features and labels at its picks,
-    each in one loop (_sgd) with a Workspace made here. The two loops share
-    nothing they write, and _train_beside runs them on two CPUs or, when
-    fork is false, on one, to the same bits.
+    the table's features, labels and targets (direct ones for ifrcnn) and
+    the classifier on its features and labels, each at the rows of its own
+    batches in one loop (_sgd) with a Workspace made here. The two loops
+    share nothing they write, and _train_beside runs them on two CPUs or on
+    one, to the same bits.
 
-    A run whose classifier picks equal the sampler's kept ones copies the
+    A run whose classifier batches equal the sampler's kept ones copies the
     kept classifier and losses; any other trains its own, which the sampler
     keeps if it is the first. Returns (regressor, classifier, log).
     """
@@ -704,7 +701,7 @@ def _fit(sampler: BatchSampler, mode: str, fork: bool):
     else:
         stages = [(1, iterations)]
     direct = mode == "ifrcnn"
-    (reg_picks, reg_counts), (cls_picks, cls_counts) = sampler.draw_run(
+    reg_batches, cls_batches = sampler.draw_run(
         np.random.default_rng(batch_ss), stages, direct)
 
     opt_reg = SGDOptimizer(regressor, config.learning_rate, config.momentum)
@@ -715,25 +712,25 @@ def _fit(sampler: BatchSampler, mode: str, fork: bool):
     def train_regressor():
         return _sgd(_regression_loss, opt_reg, reg_ws,
                     (t.feats, t.labels, t.direct if direct else t.targets),
-                    reg_picks, reg_counts)
+                    reg_batches)
 
     def train_classifier():
         return _sgd(_classifier_loss, opt_cls, cls_ws, (t.feats, t.labels),
-                    cls_picks, cls_counts), classifier.flat
+                    cls_batches), classifier.flat
 
     kept = sampler.kept
     with np.errstate(all="ignore"):  # a diverged run shows in its log
-        if kept is not None and np.array_equal(kept[0], cls_picks):
+        if kept is not None and _same_batches(kept[0], cls_batches):
             reg_losses, (cls_losses, flat) = train_regressor(), kept[1:]
         else:
             reg_losses, (cls_losses, flat) = _train_beside(
-                train_regressor, train_classifier, "the classifier", fork)
+                train_regressor, train_classifier, "the classifier")
     classifier.flat[...] = flat
     if kept is None:
-        sampler.kept = (cls_picks, cls_losses, classifier.flat.copy())
+        sampler.kept = (cls_batches, cls_losses, classifier.flat.copy())
     log = TrainLog()
     entries = zip(reg_losses.tolist(), cls_losses.tolist(),
-                  reg_counts.tolist())
+                  map(len, reg_batches))
     for stage, n_iter in stages:
         log.stage_boundaries.append(len(log.entries))
         for it, (reg_loss, cls_loss, n) in zip(range(n_iter), entries):
@@ -766,11 +763,10 @@ def train_models(sampler: BatchSampler, mode: str):
     if mode in sampler.ahead:
         return sampler.ahead.pop(mode)
     if sampler.kept is None or not sampler.pending:
-        return _fit(sampler, mode, fork=True)
+        return _fit(sampler, mode)
     later = sampler.pending.pop(0)
     models, sampler.ahead[later] = _train_beside(
-        lambda: _fit(sampler, mode, fork=False),
-        lambda: _fit(sampler, later, fork=False), later)
+        lambda: _fit(sampler, mode), lambda: _fit(sampler, later), later)
     return models
 
 

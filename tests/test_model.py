@@ -541,15 +541,23 @@ def test_train_models_rejects_labels_outside_classes(small_training_setup,
         train_models(BatchSampler(table, config, 4), "gcnn")
 
 
-_affinity = os.sched_getaffinity
+_affinity, _set_affinity = os.sched_getaffinity, os.sched_setaffinity
 
 
 def _cpus(monkeypatch, n):
     """Let train_models see n usable CPUs: its classifier loop runs inline
     on one and in a forked child on two. The two-CPU set holds this
-    process's own CPUs, which the forked path gives back to it."""
-    cpus = set(range(n)) | (_affinity(0) if n > 1 else set())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    process's own CPUs, which the forked path gives back to it. A pin
+    narrows the set that this process, and a child forked after it, sees,
+    and is passed on to the system where it allows it."""
+    seen = [set(range(n)) | (_affinity(0) if n > 1 else set())]
+
+    def pin(pid, cpus):
+        seen[0] = set(cpus)
+        _set_affinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(seen[0]))
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
 
 
 def _model_bytes(models):
@@ -1140,9 +1148,9 @@ def _both_paths(monkeypatch, run, children=1):
 
 
 def _sampler_bytes(sampler):
-    picks, losses, flat = sampler.kept
-    return (np.asarray(picks).tobytes(), np.asarray(losses).tobytes(),
-            np.asarray(flat).tobytes())
+    batches, losses, flat = sampler.kept
+    return ([batch.tobytes() for batch in batches],
+            np.asarray(losses).tobytes(), np.asarray(flat).tobytes())
 
 
 # "shared": a 1step call on the sampler of a gcnn call, whose picks match,
@@ -1236,21 +1244,22 @@ def test_modes_called_out_of_order_give_their_solo_bits(small_training_setup,
     assert inline == forked == want
 
 
-def _perturb_ifrcnn(monkeypatch, edit, at=7):
-    """Make the classifier picks of every ifrcnn run differ at iteration
+def _perturb_mode(monkeypatch, mode, edit, at=7):
+    """Make the classifier picks of every run of `mode` differ at iteration
     `at` by _perturb_draw's edits: "move" shifts its first pick to the next
-    table row, "drop" leaves its last pick out."""
+    table row, "drop" leaves its last pick out. A run's stages tell its
+    mode when s_train is above 1."""
     draw_run = BatchSampler.draw_run
 
     def perturbed(self, rng, stages, direct):
         heads = draw_run(self, rng, stages, direct)
-        picks, counts = heads[1]
-        if direct:
+        batches = heads[1]
+        if mode == ("ifrcnn" if direct else "gcnn" if len(stages) > 1
+                    else "1step"):
             if edit == "drop":
-                counts[at] -= 1
-                picks[at, counts[at]] = -1
+                batches[at] = batches[at][:-1]
             else:
-                picks[at, 0] = (picks[at, 0] + 1) % len(self.table.labels)
+                batches[at][0] = (batches[at][0] + 1) % len(self.table.labels)
         return heads
 
     monkeypatch.setattr(BatchSampler, "draw_run", perturbed)
@@ -1265,7 +1274,7 @@ def test_a_mode_trained_ahead_trains_its_own_classifier_where_picks_differ(
     # steps show too.
     _, config, _, table = small_training_setup
     config = dataclasses.replace(config, n_iter_per_stage=20)
-    _perturb_ifrcnn(monkeypatch, edit)
+    _perturb_mode(monkeypatch, "ifrcnn", edit)
     want = _model_bytes(train_models(BatchSampler(table, config, 4),
                                      "ifrcnn"))
     steps = tmp_path / "steps"
@@ -1431,6 +1440,43 @@ def test_forked_loops_run_on_cpus_of_their_own(small_training_setup,
     _no_child_left()
 
 
+@pytest.mark.skipif(len(_affinity(0)) < 2, reason="needs two CPUs")
+def test_a_mode_trained_beside_another_forks_no_further_child(
+        small_training_setup, monkeypatch):
+    # On two real CPUs, 1step's classifier picks differ from gcnn's, so
+    # 1step trains its own classifier while ifrcnn trains in a child. Each
+    # side of that round keeps to one CPU, so this process trains that
+    # classifier inline: two forks, for gcnn's classifier and for ifrcnn.
+    scenes, config, grid_spec, table = small_training_setup
+    cfg = experiment(config, grid_spec, n_iter_per_stage=20)
+    _perturb_mode(monkeypatch, "1step", "move")
+    want = _model_bytes(train_models(BatchSampler(table, cfg.train, 4),
+                                     "1step"))
+    steps = collections.Counter()
+    step = SGDOptimizer.step
+
+    def counting(self, grads):
+        steps["classifier" if self.model.output_dim == 5 else "regressor"] += 1
+        return step(self, grads)
+
+    monkeypatch.setattr(SGDOptimizer, "step", counting)
+    forks = _count_forks(monkeypatch)
+    cpus = _affinity(0)
+    two = set(sorted(cpus)[:2])
+    _set_affinity(0, two)
+    try:
+        models = train(cfg, scenes, MODES)
+        assert _affinity(0) == two
+    finally:
+        _set_affinity(0, cpus)
+    assert len(forks) == 2
+    _no_child_left()
+    n = 3 * 20
+    assert steps == collections.Counter(regressor=2 * n, classifier=n)
+    assert _model_bytes(models[1]) == want
+    assert models[1][1].flat.tobytes() != models[0][1].flat.tobytes()
+
+
 def test_a_failed_fork_trains_both_models_here(small_training_setup,
                                                monkeypatch):
     _, config, _, table = small_training_setup
@@ -1481,6 +1527,49 @@ def test_the_child_leaves_without_flushing_or_exit_hooks(tmp_path):
                           text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "buffered 1\nexit hook\n"
+
+
+def test_a_process_kept_to_one_cpu_forks_none(tmp_path):
+    # A process pinned to one real CPU, as a seed worker would be, trains
+    # every mode inline, to the bytes of a run free to use every CPU.
+    script = tmp_path / "train.py"
+    script.write_text(textwrap.dedent("""
+        import dataclasses, json, os, pickle, sys
+        from griddet.config import ExperimentConfig
+        from griddet.grid import GridSpec
+        from griddet.model import MODES, TrainConfig
+        from griddet.pipeline import train
+        from griddet.synth import SynthConfig, generate_dataset
+
+        out, pin = sys.argv[1:]
+        if pin == "pin":
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        forks = []
+        fork = os.fork
+        os.fork = lambda: forks.append(fork()) or forks[-1]
+        synth = SynthConfig(seed=3, image_size=(64, 64),
+                            objects_per_scene=(1, 2), size_range=(0.2, 0.5))
+        config = ExperimentConfig(
+            synth=synth, grid_train=GridSpec((2, 4), (0.8, 0.7)),
+            train=TrainConfig(seed=3, n_iter_per_stage=20))
+        models = train(config, generate_dataset(synth, 6), MODES)
+        with open(out, "wb") as f:
+            pickle.dump([(reg.flat.tobytes(), cls.flat.tobytes(),
+                          json.dumps(dataclasses.asdict(log)))
+                         for reg, cls, log in models], f)
+        print(len(forks))
+    """))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(
+        os.path.dirname(model_module.__file__))}
+    forks = {}
+    for pin in ("pin", "free"):
+        proc = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / pin), pin],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        forks[pin] = int(proc.stdout)
+    assert forks == {"pin": 0, "free": 2 if len(_affinity(0)) > 1 else 0}
+    assert (tmp_path / "pin").read_bytes() == (tmp_path / "free").read_bytes()
 
 
 def test_precompute_pools_each_scene_in_one_call(small_training_setup,
