@@ -1,9 +1,9 @@
 """Iterative detection loop with classifier gating, plus NMS.
 
-Per image, global features are computed once; every loop iteration pools the
-current boxes from them, classifies, and moves each box by the delta of its
-currently most probable class. Background-classified boxes stay put for that
-iteration (they can still be reclassified and moved later).
+Per image, global features are computed once; every loop iteration pools
+from them and classifies the boxes that moved since the last pass, and moves
+each box by the delta of its currently most probable class. A box classified
+as background stays put, and so keeps its features and its class.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 # call counters.
 from .boxes import (Box, apply_delta, apply_deltas, box_deltas, boxes_to_array,
                     clip_boxes, iou, iou_matrix)
-from .features import FeatureExtractor, build_roi_features
+from .features import FeatureExtractor, build_roi_features, changed_rows
 from .grid import GridSpec, generate_grid, grid_array
 from .model import MLP, softmax_probs
 
@@ -44,8 +44,15 @@ class DetectionResult:
 
 @dataclass
 class DetectStats:
+    """Counters of detect_multi calls: global-feature calls; per step its
+    seconds and its rows regressed; per pass, a step's or an eval step's
+    scoring, in the order they ran, its rows pooled. A pass classifies
+    exactly the rows it pools, so rows_pooled counts the rows classified
+    too."""
     feature_calls: int = 0
     iteration_seconds: list = field(default_factory=list)
+    rows_regressed: list = field(default_factory=list)
+    rows_pooled: list = field(default_factory=list)
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray,
@@ -67,21 +74,23 @@ def nms(boxes: np.ndarray, scores: np.ndarray,
 def model_fns(regressor: MLP, classifier: MLP):
     """Adapt trained models to the (feats, boxes, grid_indices) interface.
 
-    The regressor gives each row the same bits in a batch of any size, so
-    regressing the gated rows equals regressing every box and keeping those
-    rows. numpy sends a one-row product to BLAS's matrix-vector kernel,
-    whose sums can differ from the matrix-matrix kernel's in the last bit,
-    so a one-row batch is padded to two rows."""
+    Both models give each row the same bits in a batch of any size, so
+    regressing the gated rows, or classifying the rows that moved, equals
+    running every box and keeping those rows. numpy sends a one-row product
+    to BLAS's matrix-vector kernel, whose sums can differ from the
+    matrix-matrix kernel's in the last bit, so a one-row batch is padded to
+    two rows."""
     k = regressor.output_dim // 4
+
+    def two_rows(feats):
+        return np.repeat(feats, 2, axis=0) if len(feats) == 1 else feats
 
     def regress(feats, boxes, grid_indices):
         n = len(boxes)
-        out, _ = regressor.forward(np.repeat(feats, 2, axis=0) if n == 1
-                                   else feats)
-        return out[:n].reshape(n, k, 4)
+        return regressor.forward(two_rows(feats))[0][:n].reshape(n, k, 4)
 
     def classify(feats, boxes, grid_indices):
-        return softmax_probs(classifier, feats)
+        return softmax_probs(classifier, two_rows(feats))[:len(boxes)]
 
     return regress, classify
 
@@ -156,10 +165,19 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
     The box states after k iterations are identical to a run with
     s_test = k, so one pass to max(eval_steps) yields every prefix.
 
-    The boxes are one (N, 4) array of (cx, cy, w, h) rows. Each step pools
-    and classifies every box, then calls the regressor with only the gated
-    rows, those whose most probable class is not background (their features,
-    boxes and grid indices, in grid order), and not at all when none is
+    The boxes are one (N, 4) array of (cx, cy, w, h) rows. The loop keeps
+    the features and class probabilities of the current boxes from one
+    pass to the next. A pass, each step's and each eval step's scoring,
+    hands every box to build_roi_features with the kept boxes and features,
+    which pools only the rows whose box changed in its bits, and calls the
+    classifier with only those rows (their features, boxes and grid
+    indices, in grid order), and not at all when none changed. The first
+    pass pools and classifies every box; the step after a scoring pass
+    pools and classifies nothing. So the classifier must give a row the
+    same output whatever rows share its call.
+
+    A step then calls the regressor with only the gated rows, those whose
+    most probable class is not background, and not at all when none is
     gated. It moves each gated box by its class's delta (see move_boxes);
     background boxes stay put."""
     if any(s < 0 for s in eval_steps):
@@ -172,23 +190,24 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
         stats.feature_calls += 1
 
     grid = grid_array(grid_spec, w, h)
-    grid_indices = list(range(len(grid)))
     # The boxes after each step, the grid first.
     history = np.empty((max(eval_steps) + 1, len(grid), 4))
     history[0] = grid
+    # The (boxes, feats, probs) of the last pass.
+    state = None
     out: dict[int, list[DetectionResult]] = {}
     for s in range(len(history)):
         if s:
             t0 = time.perf_counter()
             boxes = history[s - 1]
-            feats, probs = _pool_and_classify(fm, boxes, grid_indices,
-                                              classifier_fn)
+            state = _pool_and_classify(fm, boxes, classifier_fn, state, stats)
+            _, feats, probs = state
             labels = np.argmax(probs, axis=1)
             moving = np.flatnonzero(labels)
             history[s] = boxes
             if len(moving):
                 gated = boxes[moving]
-                # grid_indices[i] is i.
+                # The grid index of row i is i.
                 deltas = _regress(regressor_fn, feats[moving], gated,
                                   moving.tolist(), probs.shape[1] - 1)
                 history[s, moving] = move_boxes(
@@ -196,22 +215,44 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
                     w, h)
             if stats is not None:
                 stats.iteration_seconds.append(time.perf_counter() - t0)
+                stats.rows_regressed.append(len(moving))
         if s in eval_steps:
-            out[s] = _finalize(fm, history[:s + 1], grid_indices,
-                               classifier_fn, score_threshold, nms_iou)
+            state = _pool_and_classify(fm, history[s], classifier_fn, state,
+                                       stats)
+            out[s] = _finalize(history[:s + 1], state[2], score_threshold,
+                               nms_iou)
     return out
 
 
-def _pool_and_classify(fm, boxes, grid_indices, classifier_fn):
-    """Pool the boxes from fm and classify them: (feats, probs), probs
-    checked to be (N, C) for N boxes."""
-    n = len(boxes)
-    feats = build_roi_features(fm, boxes)
-    probs = np.asarray(classifier_fn(feats, boxes, grid_indices))
-    if probs.ndim != 2 or len(probs) != n:
-        raise ModelMismatchError(f"classifier output has shape "
-                                 f"{probs.shape}, expected ({n}, C)")
-    return feats, probs
+def _pool_and_classify(fm, boxes, classifier_fn, state, stats):
+    """The state (boxes, feats, probs) of boxes, given the state of the last
+    pass, or None on the first: pool and classify the M rows whose box
+    changed, every row on the first pass, and copy the rest. The
+    classifier's output is checked to be (M, C), with the first pass's C
+    after the first; probs is float64 and belongs to the state."""
+    if state is None:
+        feats = build_roi_features(fm, boxes)
+        changed, probs = np.arange(len(boxes)), None
+    else:
+        feats = build_roi_features(fm, boxes, state[:2])
+        changed, probs = np.flatnonzero(changed_rows(boxes, state[0])), state[2]
+    m = len(changed)
+    if stats is not None:
+        stats.rows_pooled.append(m)
+    if m:
+        rows = slice(None) if m == len(boxes) else changed
+        new = np.array(classifier_fn(feats[rows], boxes[rows],
+                                     changed.tolist()), dtype=np.float64)
+        c = "C" if probs is None else probs.shape[1]
+        if new.ndim != 2 or len(new) != m or (
+                probs is not None and new.shape[1] != c):
+            raise ModelMismatchError(f"classifier output has shape "
+                                     f"{new.shape}, expected ({m}, {c})")
+        if probs is None:
+            probs = new
+        else:
+            probs[changed] = new
+    return boxes, feats, probs
 
 
 def _regress(regressor_fn, feats, boxes, grid_indices, heads: int):
@@ -227,13 +268,13 @@ def _regress(regressor_fn, feats, boxes, grid_indices, heads: int):
     return deltas
 
 
-def _finalize(fm, history, grid_indices, classifier_fn, score_threshold: float,
+def _finalize(history, probs, score_threshold: float,
               nms_iou: float) -> list[DetectionResult]:
-    """Score the last boxes of history, drop background/low scores, and apply
-    per-class NMS. Results come by descending score, ties toward the lower
-    grid index; only survivors get a Box and their trajectory."""
+    """Score the last boxes of history by their class probabilities, drop
+    background/low scores, and apply per-class NMS. Results come by
+    descending score, ties toward the lower grid index; only survivors get
+    a Box and their trajectory."""
     boxes = history[-1]
-    _, probs = _pool_and_classify(fm, boxes, grid_indices, classifier_fn)
     labels = np.argmax(probs, axis=1)
     scores = probs[np.arange(len(boxes)), labels]
     candidates = np.flatnonzero((labels > 0) & (scores >= score_threshold))
@@ -244,6 +285,5 @@ def _finalize(fm, history, grid_indices, classifier_fn, score_threshold: float,
     kept = np.flatnonzero(kept)
     kept = kept[np.argsort(-scores[kept], kind="stable")]
     return [DetectionResult(Box(*boxes[i].tolist()), int(labels[i]),
-                            float(scores[i]), history[:, i].copy(),
-                            grid_indices[i])
+                            float(scores[i]), history[:, i].copy(), i)
             for i in kept.tolist()]

@@ -221,7 +221,14 @@ class FeatureExtractor:
         return FeatureMap((image, gx, gy))
 
 
-def build_roi_features(fm: FeatureMap, boxes: np.ndarray) -> np.ndarray:
+def changed_rows(boxes: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Whether each row of boxes differs from the same row of previous in
+    its bits: -0.0 and 0.0 differ, and so do two NaNs of different bits."""
+    return (boxes.view(np.int64) != previous.view(np.int64)).any(axis=1)
+
+
+def build_roi_features(fm: FeatureMap, boxes: np.ndarray,
+                       previous=None) -> np.ndarray:
     """Max-pool the cells under each row (cx, cy, w, h) of boxes into
     channels * pool_h * pool_w values, then append the normalized box
     coordinates (cx/W, cy/H, w/W, h/H): FEATURE_DIM values for a map of
@@ -231,10 +238,16 @@ def build_roi_features(fm: FeatureMap, boxes: np.ndarray) -> np.ndarray:
     pool_w bins; bin i along an axis of extent N spans cells
     [floor(i*N/p), ceil((i+1)*N/p)), and outputs the per-channel max of its
     cells. A box whose corners round to no cell pools zeros; a box that does
-    not meet the map raises BoxOutsideImageError."""
+    not meet the map raises BoxOutsideImageError, whatever previous holds.
+
+    previous, if given, is (boxes, features) of an earlier call on fm with
+    as many rows: a row whose box has the same bits as that row of the
+    earlier boxes (changed_rows) copies its pooled values, and only the
+    other rows are pooled. Pooling is exact per row, so the result is the
+    same bits as without previous."""
     d = fm.channels * fm.pool_h * fm.pool_w
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    feats = np.zeros((len(boxes), d + 4), dtype=np.float64)
+    feats = np.empty((len(boxes), d + 4), dtype=np.float64)
     feats[:, d:] = boxes / (fm.width, fm.height, fm.width, fm.height)
     if not len(boxes):
         return feats
@@ -248,6 +261,14 @@ def build_roi_features(fm: FeatureMap, boxes: np.ndarray) -> np.ndarray:
         raise BoxOutsideImageError(
             f"box row {row} {boxes[row].tolist()} does not intersect the "
             f"{fm.width}x{fm.height} feature map")
+    if previous is None:
+        out = feats[:, :d]
+    else:
+        feats[:, :d] = previous[1][:, :d]
+        todo = np.flatnonzero(changed_rows(boxes, previous[0]))
+        if not len(todo):
+            return feats
+        lo, hi, out = lo[todo], hi[todo], np.empty((len(todo), d))
     # Clip in floats, where a huge box cannot overflow the integer cast.
     lo = np.maximum(np.floor(lo), 0).astype(np.intp)
     hi = np.minimum(np.ceil(hi), size).astype(np.intp)
@@ -255,6 +276,8 @@ def build_roi_features(fm: FeatureMap, boxes: np.ndarray) -> np.ndarray:
     # zero its row.
     empty = (hi <= lo).any(axis=1)
     hi = np.maximum(hi, lo + 1)
-    fm.pool(lo[:, 1], hi[:, 1], lo[:, 0], hi[:, 0], feats[:, :d])
-    feats[empty, :d] = 0.0
+    fm.pool(lo[:, 1], hi[:, 1], lo[:, 0], hi[:, 0], out)
+    out[empty] = 0.0
+    if previous is not None:
+        feats[todo, :d] = out
     return feats

@@ -491,11 +491,12 @@ class BatchSampler:
     and the generator state of one call per image and non-empty pool
     (test_one_integers_call_draws_as_one_call_per_pool).
 
-    kept is that classifier's (batches, losses, flat): its batches, one
-    float64 loss per batch and its final parameters. Every mode's classifier
-    batches almost always come out the same: the modes differ only in the
-    regressor, and each slot uses one stream word whatever its pool's
-    length, bar a rare rejection in numpy's bounded sampler.
+    kept is that classifier's (batches, losses, flat): its batches in
+    draw_run's form, one float64 loss per batch and its final parameters.
+    Every mode's classifier batches almost always come out the same: the
+    modes differ only in the regressor, and each slot uses one stream word
+    whatever its pool's length, bar a rare rejection in numpy's bounded
+    sampler.
     """
 
     kept = None
@@ -523,8 +524,10 @@ class BatchSampler:
         """Every batch of one training run, stage by stage, in stream order:
         per iteration, one ``choice`` of images_per_batch scenes, then draw
         on the stage's start_phase tables. stages lists (stage, iterations).
-        Returns the regressor's batches, then the classifier's: per
-        iteration, one array of table rows."""
+        Returns the regressor's batches, then the classifier's, each as
+        (rows, offsets): every batch's table rows end to end in one array,
+        and the iterations + 1 offsets of the batches in it, batch i being
+        rows[offsets[i]:offsets[i + 1]]."""
         n_scenes = len(self.table.offsets) - 1
         n_images = self.config.images_per_batch
         heads = [], []
@@ -536,7 +539,8 @@ class BatchSampler:
                 for batches, batch in zip(heads,
                                           self.draw(rng, scene_ids, pools)):
                     batches.append(batch)
-        return heads
+        return [(np.concatenate(batches), np.cumsum([0, *map(len, batches)]))
+                for batches in heads]
 
     def start_phase(self, stage: int, direct: bool):
         """The phase's pool tables (pool_rows, base, high, keep). Direct
@@ -575,24 +579,26 @@ class BatchSampler:
 
 def _sgd(loss_fn, opt: SGDOptimizer, ws: Workspace, sources,
          batches) -> np.ndarray:
-    """One model's SGD loop over its batches of a run: per batch, the rows of
-    each source array at the batch's table rows, the loss and backward pass
-    in ws, then a step unless the batch is empty. Returns the losses, one
-    float64 per batch."""
-    losses = np.empty(len(batches))
-    for i, batch in enumerate(batches):
+    """One model's SGD loop over its batches of a run, (rows, offsets) as
+    draw_run gives them: per batch, a view of rows, the rows of each source
+    array at the batch's table rows, the loss and backward pass in ws, then
+    a step unless the batch is empty. Returns the losses, one float64 per
+    batch."""
+    rows, offsets = batches
+    losses = np.empty(len(offsets) - 1)
+    for i, (lo, hi) in enumerate(zip(offsets[:-1].tolist(),
+                                     offsets[1:].tolist())):
         losses[i], grads = loss_fn(
-            opt.model, *[s.take(batch, axis=0) for s in sources], ws)
-        if len(batch):
+            opt.model, *[s.take(rows[lo:hi], axis=0) for s in sources], ws)
+        if hi > lo:
             opt.step(grads)
     return losses
 
 
 def _same_batches(a, b) -> bool:
-    """Whether two runs' batches hold the same table rows: their lengths,
-    then all their rows in one comparison, not batch by batch."""
-    return (list(map(len, a)) == list(map(len, b))
-            and np.array_equal(np.concatenate(a), np.concatenate(b)))
+    """Whether two runs' batches, in draw_run's form, hold the same table
+    rows: the same offsets and the same rows."""
+    return np.array_equal(a[1], b[1]) and np.array_equal(a[0], b[0])
 
 
 def _pin(cpus):
@@ -730,7 +736,7 @@ def _fit(sampler: BatchSampler, mode: str):
         sampler.kept = (cls_batches, cls_losses, classifier.flat.copy())
     log = TrainLog()
     entries = zip(reg_losses.tolist(), cls_losses.tolist(),
-                  map(len, reg_batches))
+                  np.diff(reg_batches[1]).tolist())
     for stage, n_iter in stages:
         log.stage_boundaries.append(len(log.entries))
         for it, (reg_loss, cls_loss, n) in zip(range(n_iter), entries):

@@ -18,7 +18,7 @@ from griddet.config import ExperimentConfig
 from griddet.detect import (MAX_LOG_SCALE, DetectionResult, DetectStats,
                             ModelMismatchError, detect, detect_multi,
                             model_fns, move_boxes, nms, oracle_fns)
-from griddet.features import FeatureExtractor, build_roi_features
+from griddet.features import FeatureExtractor, FeatureMap, build_roi_features
 from griddet.grid import GridSpec, generate_grid, grid_array
 from griddet.model import TrainConfig
 from griddet.pipeline import train
@@ -239,50 +239,99 @@ def test_model_outputs_of_the_wrong_shape_are_named(regressor, classifier,
 
 
 def gating_classifier(num_classes, seen, gate):
-    """Call k gates the rows gate(k, n) (to class 1 or 2 by row parity) and
-    calls every other row background; records each call's arguments and
-    output in seen."""
+    """A function of the row: a row of grid index i is gated (to class 1 or
+    2 by the parity of i) iff gate(g, i), where g numbers the box states of
+    grid index i in the order they first come, and is background otherwise.
+    Records each call's arguments and output in seen."""
+    states = {}
+
     def classify(feats, boxes, grid_indices):
         probs = np.zeros((len(boxes), num_classes + 1))
-        probs[:, 0] = 1.0
-        gated = gate(len(seen), len(boxes))
-        probs[gated] = 0.0
-        probs[gated, 1 + gated % 2] = 1.0
+        for row, (i, box) in enumerate(zip(grid_indices, boxes)):
+            known = states.setdefault(i, [])
+            if box.tobytes() not in known:
+                known.append(box.tobytes())
+            probs[row, 1 + i % 2 if gate(known.index(box.tobytes()), i)
+                  else 0] = 1.0
         seen.append((feats.copy(), boxes.copy(), list(grid_indices), probs))
         return probs
     return classify
 
 
+def moves_left(g, i):
+    """Grid index i is gated in its first i % 5 box states."""
+    return g < i % 5
+
+
 def test_regressor_sees_only_the_gated_rows():
     image = np.random.default_rng(3).uniform(size=(40, 40))
+    n = len(generate_grid(GRID, 40, 40))
+
+    def make_fns(classified, regressed):
+        def regress(feats, boxes, grid_indices):
+            regressed.append((len(classified) - 1, feats.copy(), boxes.copy(),
+                              list(grid_indices)))
+            return np.full((len(boxes), 2, 4), 0.05)
+        return regress, gating_classifier(2, classified, moves_left)
     classified, regressed = [], []
-
-    def gate(k, n):  # nothing gated on the second step
-        return np.array([], dtype=int) if k == 1 else np.arange(k, n, 3)
-
-    def regress(feats, boxes, grid_indices):
-        regressed.append((len(classified) - 1, feats.copy(), boxes.copy(),
-                          list(grid_indices)))
-        return np.full((len(boxes), 2, 4), 0.05)
-    results = detect(image, GRID, regress,
-                     gating_classifier(2, classified, gate), s_test=4)
+    results = detect(image, GRID, *make_fns(classified, regressed), s_test=3)
+    want = reference_detect_multi(image, GRID, *make_fns([], []), [3])[3]
     assert results
-    # Four steps and the final scoring pass; no regressor call on step 2.
-    assert len(classified) == 5
-    assert [step for step, *_ in regressed] == [0, 2, 3]
+    assert [result_bytes(r) for r in results] == \
+        [result_bytes(r) for r in want]
+    # The first pass classifies every box and each later one, the final
+    # scoring pass too, only the boxes that moved.
+    assert [indices for _, _, indices, _ in classified] == [
+        [i for i in range(n) if i % 5 > step] for step in range(-1, 3)]
+    assert [step for step, *_ in regressed] == [0, 1, 2]
+    fm = FeatureExtractor().compute_global_features(image)
     for step, feats, boxes, grid_indices in regressed:
         all_feats, all_boxes, all_indices, probs = classified[step]
         gated = np.flatnonzero(np.argmax(probs, axis=1))
-        assert gated.tolist() == gate(step, len(all_boxes)).tolist()
         assert grid_indices == [all_indices[i] for i in gated]
+        assert grid_indices == [i for i in range(n) if i % 5 > step]
         assert feats.tobytes() == all_feats[gated].tobytes()
+        assert feats.tobytes() == build_roi_features(fm, boxes).tobytes()
         assert boxes.dtype == np.float64
         assert boxes.tobytes() == all_boxes[gated].tobytes()
-        # The gated boxes moved; the others stayed put.
+        # The gated boxes moved.
         later = classified[step + 1][1]
-        assert (later[gated] != all_boxes[gated]).any(axis=1).all()
-        rest = np.setdiff1d(np.arange(len(all_boxes)), gated)
-        assert later[rest].tobytes() == all_boxes[rest].tobytes()
+        assert (later != boxes).any(axis=1).all()
+
+
+@pytest.mark.parametrize("eval_steps", [[1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]])
+def test_each_box_state_is_pooled_and_classified_once(monkeypatch,
+                                                      eval_steps):
+    image = np.random.default_rng(3).uniform(size=(40, 40))
+    n = len(generate_grid(GRID, 40, 40))
+    pooled = []
+    pool = FeatureMap.pool
+
+    def spy(self, y0, y1, x0, x1, out):
+        pooled.append(len(y0))
+        pool(self, y0, y1, x0, x1, out)
+    monkeypatch.setattr(FeatureMap, "pool", spy)
+    classified, stats = [], DetectStats()
+    detect_multi(image, GRID, lambda f, boxes, g: np.full((len(boxes), 2, 4),
+                                                          0.05),
+                 gating_classifier(2, classified, moves_left),
+                 eval_steps=eval_steps, stats=stats)
+    # Step k + 1 moves the rows gated in their (k+1)-th box state; nothing
+    # moves at step 5.
+    moved = [sum(i % 5 > k for i in range(n)) for k in range(5)]
+    assert moved[-1] == 0 and min(moved[:-1]) > 0
+    assert stats.rows_regressed == moved
+    # Per pass, in order: the scoring at step 0, then per step the step and
+    # its scoring. The first pass takes every box; the scoring after a step
+    # takes the boxes that step moved, none after step 5; the step after a
+    # scoring pass takes none.
+    passes = [n] + [rows for k in range(5) for rows in (0, moved[k])]
+    if 0 not in eval_steps:
+        passes = [n] + passes[2:]
+    assert stats.rows_pooled == passes
+    # A pass with no moved box pools nothing and makes no classifier call.
+    assert pooled == [len(indices) for _, _, indices, _ in classified] == \
+        [rows for rows in passes if rows]
 
 
 def test_gated_regressor_output_of_the_wrong_shape_names_the_gated_count():
@@ -290,7 +339,7 @@ def test_gated_regressor_output_of_the_wrong_shape_names_the_gated_count():
                "with K >= 2")
     with pytest.raises(ModelMismatchError, match=re.escape(message)):
         detect(np.zeros((40, 40)), GRID, one_row_short(zero_regressor(2)),
-               gating_classifier(2, [], lambda k, n: np.arange(5)),
+               gating_classifier(2, [], lambda g, i: i < 5),
                s_test=1)
 
 
@@ -498,11 +547,13 @@ def result_bytes(r):
 
 
 def random_classifier(num_classes, seed):
-    """Random probabilities, one fresh draw per call, from a seeded stream."""
-    rng = np.random.default_rng(seed)
-
+    """Random probabilities, a function of the row: each row's come from a
+    stream seeded by seed, its grid index and its box's bytes."""
     def classify(feats, boxes, grid_indices):
-        probs = rng.uniform(size=(len(boxes), num_classes + 1)) ** 4
+        probs = np.array([np.random.default_rng(
+            [seed, i, *np.frombuffer(box.tobytes(), np.uint32)]).uniform(
+                size=num_classes + 1)
+            for i, box in zip(grid_indices, boxes)]) ** 4
         return probs / probs.sum(axis=1, keepdims=True)
     return classify
 
@@ -534,7 +585,8 @@ def trained():
 
 
 @pytest.mark.parametrize("mode", ["gcnn", "1step"])
-@pytest.mark.parametrize("eval_steps", [[0, 1, 3], [5], [0]])
+@pytest.mark.parametrize("eval_steps", [[0, 1, 3], [5], [0],
+                                        [1, 2, 3, 4, 5]])
 def test_loop_matches_reference_with_trained_models(trained, mode, eval_steps):
     scenes, models = trained
     for scene in scenes:
@@ -546,10 +598,7 @@ def test_loop_matches_reference_with_trained_models(trained, mode, eval_steps):
                                      eval_steps, **kwargs)
 
 
-@pytest.mark.parametrize("mode", ["gcnn", "1step"])
-def test_regressing_a_subset_gives_the_full_batch_rows(trained, mode):
-    scenes, models = trained
-    regress, _ = model_fns(*models[mode])
+def assert_subsets_give_the_full_batch_rows(scenes, fn):
     rng = np.random.default_rng(5)
     for scene in scenes:
         h, w = scene.image.shape
@@ -557,14 +606,28 @@ def test_regressing_a_subset_gives_the_full_batch_rows(trained, mode):
         n = len(boxes)
         feats = build_roi_features(
             FeatureExtractor().compute_global_features(scene.image), boxes)
-        full = regress(feats, boxes, list(range(n)))
+        full = fn(feats, boxes, list(range(n)))
         subsets = [[0], [n - 1], [5], [0, 1], [3, n - 1], [2, 9, 40]]
         subsets += [np.sort(rng.choice(n, size=size, replace=False)).tolist()
                     for size in rng.integers(1, n, size=40)]
         for rows in subsets:
-            got = regress(feats[rows], boxes[rows], rows)
+            got = fn(feats[rows], boxes[rows], rows)
             assert got.shape == (len(rows), *full.shape[1:])
             assert got.tobytes() == full[rows].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["gcnn", "1step"])
+def test_regressing_a_subset_gives_the_full_batch_rows(trained, mode):
+    scenes, models = trained
+    assert_subsets_give_the_full_batch_rows(scenes,
+                                            model_fns(*models[mode])[0])
+
+
+@pytest.mark.parametrize("mode", ["gcnn", "1step"])
+def test_classifying_a_subset_gives_the_full_batch_rows(trained, mode):
+    scenes, models = trained
+    assert_subsets_give_the_full_batch_rows(scenes,
+                                            model_fns(*models[mode])[1])
 
 
 def test_loop_matches_reference_with_the_oracle():

@@ -1148,9 +1148,9 @@ def _both_paths(monkeypatch, run, children=1):
 
 
 def _sampler_bytes(sampler):
-    batches, losses, flat = sampler.kept
-    return ([batch.tobytes() for batch in batches],
-            np.asarray(losses).tobytes(), np.asarray(flat).tobytes())
+    (rows, offsets), losses, flat = sampler.kept
+    return (rows.tobytes(), offsets.tobytes(), np.asarray(losses).tobytes(),
+            np.asarray(flat).tobytes())
 
 
 # "shared": a 1step call on the sampler of a gcnn call, whose picks match,
@@ -1253,13 +1253,15 @@ def _perturb_mode(monkeypatch, mode, edit, at=7):
 
     def perturbed(self, rng, stages, direct):
         heads = draw_run(self, rng, stages, direct)
-        batches = heads[1]
+        rows, offsets = heads[1]
         if mode == ("ifrcnn" if direct else "gcnn" if len(stages) > 1
                     else "1step"):
             if edit == "drop":
-                batches[at] = batches[at][:-1]
+                heads[1] = np.delete(rows, offsets[at + 1] - 1), offsets.copy()
+                heads[1][1][at + 1:] -= 1
             else:
-                batches[at][0] = (batches[at][0] + 1) % len(self.table.labels)
+                rows[offsets[at]] = (rows[offsets[at]] + 1) % len(
+                    self.table.labels)
         return heads
 
     monkeypatch.setattr(BatchSampler, "draw_run", perturbed)
