@@ -18,7 +18,7 @@ import numpy as np
 # call counters.
 from .boxes import (Box, apply_delta, apply_deltas, box_deltas, boxes_to_array,
                     clip_boxes, iou, iou_matrix)
-from .features import FeatureExtractor, build_roi_features, changed_rows
+from .features import FeatureExtractor, build_roi_features
 from .grid import GridSpec, generate_grid, grid_array
 from .model import MLP, softmax_probs
 
@@ -45,13 +45,11 @@ class DetectionResult:
 @dataclass
 class DetectStats:
     """Counters of detect_multi calls: global-feature calls; per step its
-    seconds and its rows regressed; per pass, a step's or an eval step's
-    scoring, in the order they ran, its rows pooled. A pass classifies
-    exactly the rows it pools, so rows_pooled counts the rows classified
-    too."""
+    seconds; per pass, a step's or an eval step's scoring, in the order they
+    ran, its rows pooled. A pass classifies exactly the rows it pools, so
+    rows_pooled counts the rows classified too."""
     feature_calls: int = 0
     iteration_seconds: list = field(default_factory=list)
-    rows_regressed: list = field(default_factory=list)
     rows_pooled: list = field(default_factory=list)
 
 
@@ -168,13 +166,13 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
     The boxes are one (N, 4) array of (cx, cy, w, h) rows. The loop keeps
     the features and class probabilities of the current boxes from one
     pass to the next. A pass, each step's and each eval step's scoring,
-    hands every box to build_roi_features with the kept boxes and features,
-    which pools only the rows whose box changed in its bits, and calls the
-    classifier with only those rows (their features, boxes and grid
-    indices, in grid order), and not at all when none changed. The first
-    pass pools and classifies every box; the step after a scoring pass
-    pools and classifies nothing. So the classifier must give a row the
-    same output whatever rows share its call.
+    hands every box to build_roi_features with the kept features and the
+    rows whose box changed in its bits (changed_rows), which it alone
+    pools, and calls the classifier with only those rows (their features,
+    boxes and grid indices, in grid order), and not at all when none
+    changed. The first pass pools and classifies every box; the step after
+    a scoring pass pools and classifies nothing. So the classifier must
+    give a row the same output whatever rows share its call.
 
     A step then calls the regressor with only the gated rows, those whose
     most probable class is not background, and not at all when none is
@@ -215,7 +213,6 @@ def detect_multi(scene_image: np.ndarray, grid_spec: GridSpec, regressor_fn,
                     w, h)
             if stats is not None:
                 stats.iteration_seconds.append(time.perf_counter() - t0)
-                stats.rows_regressed.append(len(moving))
         if s in eval_steps:
             state = _pool_and_classify(fm, history[s], classifier_fn, state,
                                        stats)
@@ -231,11 +228,11 @@ def _pool_and_classify(fm, boxes, classifier_fn, state, stats):
     classifier's output is checked to be (M, C), with the first pass's C
     after the first; probs is float64 and belongs to the state."""
     if state is None:
-        feats = build_roi_features(fm, boxes)
-        changed, probs = np.arange(len(boxes)), None
+        changed, previous, probs = np.arange(len(boxes)), None, None
     else:
-        feats = build_roi_features(fm, boxes, state[:2])
-        changed, probs = np.flatnonzero(changed_rows(boxes, state[0])), state[2]
+        changed = np.flatnonzero(changed_rows(boxes, state[0]))
+        previous, probs = (state[1], changed), state[2]
+    feats = build_roi_features(fm, boxes, previous)
     m = len(changed)
     if stats is not None:
         stats.rows_pooled.append(m)
@@ -248,11 +245,17 @@ def _pool_and_classify(fm, boxes, classifier_fn, state, stats):
                 probs is not None and new.shape[1] != c):
             raise ModelMismatchError(f"classifier output has shape "
                                      f"{new.shape}, expected ({m}, {c})")
-        if probs is None:
+        if m == len(boxes):
             probs = new
         else:
             probs[changed] = new
     return boxes, feats, probs
+
+
+def changed_rows(boxes: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Whether each row of boxes differs from the same row of previous in
+    its bits: -0.0 and 0.0 differ, and so do two NaNs of different bits."""
+    return (boxes.view(np.int64) != previous.view(np.int64)).any(axis=1)
 
 
 def _regress(regressor_fn, feats, boxes, grid_indices, heads: int):

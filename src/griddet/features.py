@@ -221,12 +221,6 @@ class FeatureExtractor:
         return FeatureMap((image, gx, gy))
 
 
-def changed_rows(boxes: np.ndarray, previous: np.ndarray) -> np.ndarray:
-    """Whether each row of boxes differs from the same row of previous in
-    its bits: -0.0 and 0.0 differ, and so do two NaNs of different bits."""
-    return (boxes.view(np.int64) != previous.view(np.int64)).any(axis=1)
-
-
 def build_roi_features(fm: FeatureMap, boxes: np.ndarray,
                        previous=None) -> np.ndarray:
     """Max-pool the cells under each row (cx, cy, w, h) of boxes into
@@ -240,11 +234,11 @@ def build_roi_features(fm: FeatureMap, boxes: np.ndarray,
     cells. A box whose corners round to no cell pools zeros; a box that does
     not meet the map raises BoxOutsideImageError, whatever previous holds.
 
-    previous, if given, is (boxes, features) of an earlier call on fm with
-    as many rows: a row whose box has the same bits as that row of the
-    earlier boxes (changed_rows) copies its pooled values, and only the
-    other rows are pooled. Pooling is exact per row, so the result is the
-    same bits as without previous."""
+    previous, if given, is (feats, rows): the features of an earlier call
+    on fm with as many rows, and the indices of the rows to pool again;
+    every other row copies its pooled values from feats. Pooling is exact
+    per row, so where the other rows' boxes are those of the earlier call,
+    the result is the same bits as without previous."""
     d = fm.channels * fm.pool_h * fm.pool_w
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     feats = np.empty((len(boxes), d + 4), dtype=np.float64)
@@ -261,14 +255,21 @@ def build_roi_features(fm: FeatureMap, boxes: np.ndarray,
         raise BoxOutsideImageError(
             f"box row {row} {boxes[row].tolist()} does not intersect the "
             f"{fm.width}x{fm.height} feature map")
-    if previous is None:
-        out = feats[:, :d]
-    else:
-        feats[:, :d] = previous[1][:, :d]
-        todo = np.flatnonzero(changed_rows(boxes, previous[0]))
-        if not len(todo):
-            return feats
-        lo, hi, out = lo[todo], hi[todo], np.empty((len(todo), d))
+    rows = None if previous is None else previous[1]
+    if rows is None or len(rows) == len(boxes):
+        _pool_into(fm, lo, hi, feats[:, :d])
+        return feats
+    feats[:, :d] = previous[0][:, :d]
+    if len(rows):
+        feats[rows, :d] = _pool_into(fm, lo[rows], hi[rows],
+                                     np.empty((len(rows), d)))
+    return feats
+
+
+def _pool_into(fm: FeatureMap, lo: np.ndarray, hi: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """Pool the boxes of corner rows lo and hi into out and return it."""
+    size = (fm.width, fm.height)
     # Clip in floats, where a huge box cannot overflow the integer cast.
     lo = np.maximum(np.floor(lo), 0).astype(np.intp)
     hi = np.minimum(np.ceil(hi), size).astype(np.intp)
@@ -278,6 +279,4 @@ def build_roi_features(fm: FeatureMap, boxes: np.ndarray,
     hi = np.maximum(hi, lo + 1)
     fm.pool(lo[:, 1], hi[:, 1], lo[:, 0], hi[:, 0], out)
     out[empty] = 0.0
-    if previous is not None:
-        feats[todo, :d] = out
-    return feats
+    return out

@@ -16,9 +16,11 @@ from griddet.boxes import (Box, DeltaParams, apply_deltas, boxes_to_array,
                            clip_boxes, iou)
 from griddet.config import ExperimentConfig
 from griddet.detect import (MAX_LOG_SCALE, DetectionResult, DetectStats,
-                            ModelMismatchError, detect, detect_multi,
-                            model_fns, move_boxes, nms, oracle_fns)
-from griddet.features import FeatureExtractor, FeatureMap, build_roi_features
+                            ModelMismatchError, _pool_and_classify,
+                            changed_rows, detect, detect_multi, model_fns,
+                            move_boxes, nms, oracle_fns)
+from griddet.features import (FEATURE_DIM, FeatureExtractor, FeatureMap,
+                              build_roi_features)
 from griddet.grid import GridSpec, generate_grid, grid_array
 from griddet.model import TrainConfig
 from griddet.pipeline import train
@@ -70,8 +72,10 @@ def test_zero_regressor_trajectories_constant():
 
 
 def test_all_background_classifier_yields_no_detections():
+    def regress(feats, boxes, grid_indices):
+        raise AssertionError("the regressor ran with no box gated")
     image = np.zeros((40, 40))
-    results = detect(image, GRID, zero_regressor(2), constant_classifier(2, 0),
+    results = detect(image, GRID, regress, constant_classifier(2, 0),
                      s_test=2)
     assert results == []
 
@@ -311,16 +315,20 @@ def test_each_box_state_is_pooled_and_classified_once(monkeypatch,
         pooled.append(len(y0))
         pool(self, y0, y1, x0, x1, out)
     monkeypatch.setattr(FeatureMap, "pool", spy)
+    regressed = []
+
+    def regress(feats, boxes, grid_indices):
+        regressed.append(len(boxes))
+        return np.full((len(boxes), 2, 4), 0.05)
     classified, stats = [], DetectStats()
-    detect_multi(image, GRID, lambda f, boxes, g: np.full((len(boxes), 2, 4),
-                                                          0.05),
+    detect_multi(image, GRID, regress,
                  gating_classifier(2, classified, moves_left),
                  eval_steps=eval_steps, stats=stats)
     # Step k + 1 moves the rows gated in their (k+1)-th box state; nothing
-    # moves at step 5.
+    # moves at step 5, which makes no regressor call.
     moved = [sum(i % 5 > k for i in range(n)) for k in range(5)]
     assert moved[-1] == 0 and min(moved[:-1]) > 0
-    assert stats.rows_regressed == moved
+    assert regressed == moved[:-1]
     # Per pass, in order: the scoring at step 0, then per step the step and
     # its scoring. The first pass takes every box; the scoring after a step
     # takes the boxes that step moved, none after step 5; the step after a
@@ -332,6 +340,32 @@ def test_each_box_state_is_pooled_and_classified_once(monkeypatch,
     # A pass with no moved box pools nothing and makes no classifier call.
     assert pooled == [len(indices) for _, _, indices, _ in classified] == \
         [rows for rows in passes if rows]
+
+
+def test_a_box_moved_only_to_negative_zero_is_pooled_again(monkeypatch):
+    fm = FeatureExtractor().compute_global_features(np.ones((10, 10)))
+    before = np.array([[0.0, 5.0, 4.0, 4.0], [5.0, 0.0, 4.0, 4.0]])
+    after = np.array([[-0.0, 5.0, 4.0, 4.0], [5.0, 0.0, 4.0, 4.0]])
+    assert changed_rows(after, before).tolist() == [True, False]
+    pooled, classified = [], []
+    pool = FeatureMap.pool
+
+    def spy(self, y0, y1, x0, x1, out):
+        pooled.append(len(y0))
+        pool(self, y0, y1, x0, x1, out)
+    monkeypatch.setattr(FeatureMap, "pool", spy)
+    # Stand-in earlier features and probabilities show what was copied.
+    state = (before, np.full((2, FEATURE_DIM), 7.0), np.full((2, 3), 0.5))
+    _, feats, probs = _pool_and_classify(
+        fm, after, gating_classifier(2, classified, lambda g, i: True),
+        state, None)
+    assert pooled == [1]
+    assert [indices for _, _, indices, _ in classified] == [[0]]
+    assert feats[0].tobytes() == \
+        build_roi_features(fm, after[:1])[0].tobytes()
+    assert math.copysign(1.0, feats[0, -4]) == -1.0
+    assert (feats[1, :-4] == 7.0).all()
+    assert probs.tolist() == [[0.0, 1.0, 0.0], [0.5, 0.5, 0.5]]
 
 
 def test_gated_regressor_output_of_the_wrong_shape_names_the_gated_count():

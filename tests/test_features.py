@@ -12,7 +12,7 @@ from griddet.config import ExperimentConfig
 from griddet.detect import detect, move_boxes
 from griddet.features import (FEATURE_DIM, BoxOutsideImageError,
                               FeatureExtractor, FeatureMap,
-                              build_roi_features, changed_rows)
+                              build_roi_features)
 from griddet.grid import GridSpec, grid_array
 
 
@@ -276,35 +276,35 @@ def test_previous_rows_are_copied_and_only_changed_rows_pooled(monkeypatch):
         pooled.append(len(y0))
         pool(self, y0, y1, x0, x1, out)
     monkeypatch.setattr(FeatureMap, "pool", spy)
-    got = build_roi_features(fm, moved, (boxes, marked))
+    got = build_roi_features(fm, moved, (marked, rows))
     assert pooled == [3]
     want = marked.copy()
     want[:, -4:] = fresh[:, -4:]
     want[rows] = build_roi_features(fm, moved[rows])
     assert got.tobytes() == want.tobytes()
     # With the true previous features, the bits of pooling every row.
-    assert build_roi_features(fm, moved, (boxes, fresh)).tobytes() == \
+    assert build_roi_features(fm, moved, (fresh, rows)).tobytes() == \
         build_roi_features(fm, moved).tobytes()
     assert pooled[-2:] == [3, len(boxes)]
-
-
-def test_a_box_moved_only_to_negative_zero_is_pooled_again():
-    fm = FeatureExtractor().compute_global_features(np.ones((10, 10)))
-    before = np.array([[0.0, 5.0, 4.0, 4.0], [5.0, 0.0, 4.0, 4.0]])
-    after = np.array([[-0.0, 5.0, 4.0, 4.0], [5.0, 0.0, 4.0, 4.0]])
-    assert changed_rows(after, before).tolist() == [True, False]
-    marked = np.full((2, FEATURE_DIM), 7.0)
-    got = build_roi_features(fm, after, (before, marked))
-    assert got[0].tobytes() == build_roi_features(fm, after[:1])[0].tobytes()
-    assert (got[1, :-4] == 7.0).all()
-    assert math.copysign(1.0, got[0, -4]) == -1.0
+    # No row listed pools nothing; every row listed pools them all in one
+    # call, whatever the earlier features.
+    all_moved = build_roi_features(fm, moved)
+    want = fresh.copy()
+    want[:, -4:] = all_moved[:, -4:]
+    assert build_roi_features(fm, moved, (fresh, [])).tobytes() == \
+        want.tobytes()
+    assert pooled[-1] == len(boxes)
+    assert build_roi_features(
+        fm, moved, (marked, np.arange(len(boxes)))).tobytes() == \
+        all_moved.tobytes()
+    assert pooled[-2:] == [len(boxes), len(boxes)]
 
 
 def test_unchanged_rows_are_still_checked_against_the_map():
     fm = FeatureExtractor().compute_global_features(np.ones((10, 10)))
     boxes = np.array([[5.0, 5.0, 4.0, 4.0], [30.0, 5.0, 4.0, 4.0]])
     with pytest.raises(BoxOutsideImageError, match="box row 1"):
-        build_roi_features(fm, boxes, (boxes, np.zeros((2, FEATURE_DIM))))
+        build_roi_features(fm, boxes, (np.zeros((2, FEATURE_DIM)), []))
 
 
 def test_table_built_once_per_global_features_call(monkeypatch):
